@@ -1,0 +1,724 @@
+//! `campaign` — every sharded campaign behind one binary: coordinate a
+//! sweep, frontier or fuzz campaign over a spool directory, run one unit
+//! of it as a worker, or watch it.
+//!
+//! ```text
+//! cargo run --release -p regemu-bench --bin campaign -- <SUBCOMMAND> [OPTIONS]
+//!
+//! SUBCOMMANDS:
+//!   sweep     run/resume a sharded parameter sweep          (needs --spool)
+//!   frontier  map measured space against the paper's bounds (--spool optional)
+//!   fuzz      run/resume a sharded fuzz campaign            (needs --spool)
+//!   worker    run one (shard, round) unit of whatever campaign the spool holds
+//!   status    dashboard over any spool
+//!
+//! POOL OPTIONS (sweep, frontier, fuzz):
+//!   --spool DIR         spool directory (manifest, config, unit reports)
+//!   --shards N          shard count for a fresh campaign (default 4;
+//!                       resuming keeps the existing manifest's plan)
+//!   --workers M         concurrent worker processes (default 2)
+//!   --retries R         attempt budget per unit (default 3)
+//!   --worker-bin PATH   binary spawned as `PATH worker ..` (default: this one)
+//!   --in-process        run units inside this process instead of spawning
+//!   --exit-after N      stop after completing N units (kill simulation;
+//!                       rerun the same command to resume)
+//!   --merge-only        only merge what the spool already holds, run nothing
+//!   --quiet             no progress lines
+//!
+//! sweep OPTIONS:
+//!   --worker-threads N  sweep threads per worker (default 1)
+//!   --json PATH         merged report as JSON (- for stdout)
+//!   --csv PATH          merged report as CSV (- for stdout)
+//!   --quick --threads --seeds --grid --workload --schedulers --crash-plans
+//!   --crash-f --recording      sweep config for a fresh spool (as sweep_grid)
+//!
+//! frontier OPTIONS:
+//!   --grid k/f/n,..     parameter points (typed rejection of infeasible
+//!                       points, e.g. n < 2f+1; default: the quick grid)
+//!   --emulations a,b    constructions (or "all"; default all four)
+//!   --seeds a,b,..      seeds (default 1,2)
+//!   --schedulers a,b    schedulers (or "all"; default fair,adversary-cover)
+//!   --crash-plans a,b   crash plans (or "all"; default none,crash-f)
+//!   --rounds N          writes per writer in the workload (default 2)
+//!   --threads N         sweep threads (per worker when sharded)
+//!   --text PATH         rendered frontier table (- for stdout; default -)
+//!   --json PATH / --csv PATH   frontier table as JSON / CSV
+//!
+//! fuzz OPTIONS:
+//!   --seed-corpus DIR   import DIR's *.trace files (e.g. a previous
+//!                       campaign's corpus-*.trace) as generation-0 seeds
+//!   --out FILE          campaign report (- for stdout, default)
+//!   --failures FILE     merged failure artifact (- for stdout)
+//!   --params k,f,n      parameter point (default 1,1,3)
+//!   --emulation NAME    construction or seeded bug (default space-optimal)
+//!   --workload LABEL    workload shape (default write-seq/r1+read)
+//!   --check NAME        consistency condition (default ws-regular)
+//!   --seed S            campaign master seed
+//!   --budget B          TOTAL iteration budget across all streams
+//!   --streams N         fuzzing streams (default 8; the determinism unit)
+//!   --generations G     corpus-exchange generations per stream (default 2)
+//!
+//! worker OPTIONS:   --spool DIR --shard I [--gen G] [--threads N]
+//! status OPTIONS:   --spool DIR [--watch] [--interval-ms MS] [--stall-ms MS]
+//! ```
+//!
+//! Merged artifacts are **byte-identical** for any shard count, worker
+//! count or completion order, and to the single-process run of the same
+//! config. Interrupting a campaign (Ctrl-C, kill, `--exit-after`) loses at
+//! most the units in flight: rerunning the same command resumes from the
+//! manifest. A resumed spool dictates the config; config flags that
+//! contradict it are an error, not a silent re-run.
+//!
+//! A worker never writes the manifest — a unit is finished when its report
+//! file validates — so workers may be spawned by a coordinator *or*
+//! launched by hand, including on other machines sharing the spool. Set
+//! `REGEMU_WORKER_FAIL_ONCE=MARKER` to make the first worker that finds
+//! `MARKER` absent create it and die (the retry-path test hook). `status`
+//! degrades torn or garbage heartbeats to `unknown` and never fails.
+//!
+//! ## Exit codes
+//!
+//! | subcommand | 0 | 1 | 2 | 3 |
+//! |---|---|---|---|---|
+//! | `sweep` | merged, all cases consistent | run/merge failed or inconsistent case | usage | paused (`--exit-after`) |
+//! | `frontier` | table within every upper bound | bound exceeded or run failed | usage, infeasible grid point | paused |
+//! | `fuzz` | completed clean | usage or I/O error | merged failure set non-empty | paused |
+//! | `worker` | unit published | unit failed (coordinator retries) | usage | — |
+//! | `status` | always, torn and missing files included | — | usage | — |
+
+use regemu_bench::cli::{
+    accept_fuzz_flag, set_quiet, write_output, ConfigFlags, CONFIG_USAGE, FUZZ_USAGE,
+};
+use regemu_bench::info;
+use regemu_core::EmulationKind;
+use regemu_workloads::campaign::{
+    config_fingerprint, load_config, merge_shards, run_campaign, run_shard, CampaignOptions,
+    WorkerMode,
+};
+use regemu_workloads::frontier::{
+    run_frontier, run_frontier_campaign, FrontierConfig, FrontierReport,
+};
+use regemu_workloads::fuzz::campaign::{
+    fuzz_config_fingerprint, import_seed_corpus, load_fuzz_config, merge_fuzz_campaign,
+    run_fuzz_campaign, run_fuzz_shard_gen, FuzzCampaignConfig, FuzzCampaignReport,
+};
+use regemu_workloads::fuzz::FuzzConfig;
+use regemu_workloads::status::{campaign_status, now_unix_ms, render_status};
+use regemu_workloads::{
+    detect_spool_kind, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepReport, WorkloadSpec,
+};
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+type Args = std::iter::Skip<std::env::Args>;
+
+/// The usage fragment of the flags [`PoolFlags`] accepts.
+const POOL_USAGE: &str = "[--shards N] [--workers M] [--retries R] [--worker-bin PATH] \
+     [--in-process] [--exit-after N] [--merge-only] [--quiet]";
+
+/// The subcommand being run and its usage line, for [`fail`] and [`die`].
+static CURRENT: OnceLock<(&'static str, String)> = OnceLock::new();
+
+fn name() -> &'static str {
+    CURRENT.get().map_or("", |(name, _)| name)
+}
+
+/// Usage error: message, usage line, then the subcommand's usage exit code
+/// (2, except under `fuzz`, where 2 means "failures found").
+fn fail(msg: &str) -> ! {
+    let Some((name, usage)) = CURRENT.get() else {
+        eprintln!("campaign: {msg}");
+        eprintln!("usage: campaign <sweep|frontier|fuzz|worker|status> [OPTIONS]");
+        std::process::exit(2);
+    };
+    eprintln!("campaign {name}: {msg}");
+    eprintln!("usage: campaign {name} {usage}");
+    std::process::exit(if *name == "fuzz" { 1 } else { 2 });
+}
+
+/// Runtime failure: exit 1 under every subcommand.
+fn die(what: impl Display) -> ! {
+    eprintln!("campaign {}: {what}", name());
+    std::process::exit(1);
+}
+
+fn value(args: &mut Args, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+}
+
+/// The flag's value, run through `parse`.
+fn parsed<T>(args: &mut Args, flag: &str, parse: impl Fn(&str) -> Option<T>) -> T {
+    let v = value(args, flag);
+    parse(&v).unwrap_or_else(|| fail(&format!("invalid {flag} value {v:?}")))
+}
+
+fn number<T: FromStr>(args: &mut Args, flag: &str) -> T {
+    parsed(args, flag, |v| v.parse().ok())
+}
+
+/// Parses `a,b,..`, naming the offending item on failure.
+fn items<T>(v: &str, flag: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
+    v.split(',')
+        .map(|s| parse(s.trim()).unwrap_or_else(|| fail(&format!("invalid {flag} item {s:?}"))))
+        .collect()
+}
+
+/// The flag's value as an `a,b,..` list, `all` standing for every value.
+fn list_or_all<T: Copy>(
+    args: &mut Args,
+    flag: &str,
+    all: &[T],
+    parse: fn(&str) -> Option<T>,
+) -> Vec<T> {
+    let v = value(args, flag);
+    if v.trim() == "all" {
+        return all.to_vec();
+    }
+    items(&v, flag, parse)
+}
+
+/// The pool flags every coordinator subcommand shares, collected straight
+/// into the [`CampaignOptions`] they describe.
+struct PoolFlags {
+    options: CampaignOptions,
+    spool: Option<PathBuf>,
+    worker_bin: Option<PathBuf>,
+    in_process: bool,
+    merge_only: bool,
+}
+
+impl PoolFlags {
+    fn new() -> Self {
+        PoolFlags {
+            options: CampaignOptions::new(PathBuf::new()),
+            spool: None,
+            worker_bin: None,
+            in_process: false,
+            merge_only: false,
+        }
+    }
+
+    /// Tries to consume `arg`; `false` means it is not a pool flag.
+    fn accept(&mut self, arg: &str, args: &mut Args) -> bool {
+        match arg {
+            "--spool" => self.spool = Some(PathBuf::from(value(args, arg))),
+            "--shards" => self.options.shards = number::<usize>(args, arg).max(1),
+            "--workers" => self.options.workers = number::<usize>(args, arg).max(1),
+            "--retries" => self.options.max_attempts = number::<u32>(args, arg).max(1),
+            "--worker-bin" => self.worker_bin = Some(PathBuf::from(value(args, arg))),
+            "--in-process" => self.in_process = true,
+            "--exit-after" => self.options.exit_after = Some(number(args, arg)),
+            "--merge-only" => self.merge_only = true,
+            "--quiet" => {
+                self.options.quiet = true;
+                set_quiet();
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The options for a run over `spool`; spawned workers are this very
+    /// binary unless `--worker-bin` names another.
+    fn into_options(self, spool: PathBuf, worker_threads: usize) -> CampaignOptions {
+        let worker = if self.in_process {
+            WorkerMode::InProcess
+        } else {
+            let bin = self.worker_bin.unwrap_or_else(|| {
+                std::env::current_exe()
+                    .unwrap_or_else(|e| fail(&format!("cannot locate this binary: {e}")))
+            });
+            if !bin.exists() {
+                fail(&format!(
+                    "worker binary {} not found; build it (cargo build -p regemu-bench) or \
+                     pass --worker-bin / --in-process",
+                    bin.display()
+                ));
+            }
+            WorkerMode::Spawn(bin)
+        };
+        CampaignOptions {
+            spool,
+            worker_threads,
+            worker,
+            ..self.options
+        }
+    }
+}
+
+fn required(flag: &str) -> ! {
+    fail(&format!("{flag} is required"))
+}
+
+fn unknown(option: &str) -> ! {
+    fail(&format!("unknown option {option:?}"))
+}
+
+/// Config flags that contradict an existing spool are an error, not a
+/// silent re-run of the old campaign.
+fn contradicts(spool: &Path) -> ! {
+    fail(&format!(
+        "spool {} was created for a different {} config than the flags passed; \
+         drop the config flags to resume it, or use a fresh --spool",
+        spool.display(),
+        name()
+    ))
+}
+
+/// One line on what this invocation did to the campaign's units.
+fn summary(complete: bool, total: usize, (run, reused, retried): (usize, usize, u32), t: Instant) {
+    let done = if complete { total } else { run + reused };
+    info!(
+        "campaign {}: {done}/{total} units done in {:.2?} ({run} run now, {reused} reused, \
+         {retried} retried)",
+        name(),
+        t.elapsed()
+    );
+}
+
+fn paused() -> ! {
+    info!(
+        "campaign {}: stopped early (--exit-after); rerun the same command to resume",
+        name()
+    );
+    // Distinguish "paused" from success so scripts notice.
+    std::process::exit(3);
+}
+
+fn sweep(args: &mut Args) {
+    let mut flags = ConfigFlags::default();
+    let mut any_config_flag = false;
+    let mut pool = PoolFlags::new();
+    let mut worker_threads: Option<usize> = None;
+    let (mut json_out, mut csv_out) = (None, None);
+    while let Some(arg) = args.next() {
+        if flags.accept(&arg, args).unwrap_or_else(|e| fail(&e)) {
+            any_config_flag = true;
+            continue;
+        }
+        if pool.accept(&arg, args) {
+            continue;
+        }
+        match arg.as_str() {
+            "--worker-threads" => worker_threads = Some(number(args, &arg)),
+            "--json" => json_out = Some(value(args, &arg)),
+            "--csv" => csv_out = Some(value(args, &arg)),
+            other => unknown(other),
+        }
+    }
+    let spool = pool.spool.take().unwrap_or_else(|| required("--spool"));
+
+    let emit = |report: &SweepReport| {
+        if let Some(path) = &json_out {
+            write_output(path, &report.to_json(), "JSON");
+        }
+        if let Some(path) = &csv_out {
+            write_output(path, &report.to_csv(), "CSV");
+        }
+        if !report.all_consistent() {
+            std::process::exit(1);
+        }
+    };
+
+    if pool.merge_only {
+        let report = merge_shards(&spool).unwrap_or_else(|e| die(format!("merge failed: {e}")));
+        info!("merged {} cases from existing shard reports", report.len());
+        return emit(&report);
+    }
+
+    // A resumed spool dictates the config; a fresh one takes it from the
+    // CLI flags.
+    let flag_threads = flags.threads();
+    let config = match load_config(&spool) {
+        Ok(config) => {
+            if any_config_flag {
+                let cli = flags.into_config().unwrap_or_else(|e| fail(&e));
+                if config_fingerprint(&cli) != config_fingerprint(&config) {
+                    contradicts(&spool);
+                }
+            }
+            info!(
+                "campaign sweep: resuming spool {} ({} cases)",
+                spool.display(),
+                config.case_count()
+            );
+            config
+        }
+        Err(_) => flags.into_config().unwrap_or_else(|e| fail(&e)),
+    };
+    // --worker-threads wins; a plain --threads (shared with sweep_grid)
+    // becomes the per-worker thread count rather than being dropped.
+    let options = pool.into_options(spool, worker_threads.or(flag_threads).unwrap_or(1));
+
+    let started = Instant::now();
+    let outcome = run_campaign(&config, &options).unwrap_or_else(|e| die(e));
+    summary(
+        outcome.report.is_some(),
+        outcome.shards_total,
+        (outcome.shards_run, outcome.shards_reused, outcome.retries),
+        started,
+    );
+    let Some(report) = outcome.report else {
+        paused()
+    };
+    let consistent = report.results().iter().filter(|r| r.consistent).count();
+    info!(
+        "merged {} cases: {consistent}/{} consistent",
+        report.len(),
+        report.len()
+    );
+    emit(&report);
+}
+
+fn frontier(args: &mut Args) {
+    let mut config = FrontierConfig::quick();
+    let mut any_config_flag = false;
+    let mut pool = PoolFlags::new();
+    let (mut text_out, mut json_out, mut csv_out) = (None, None, None);
+    while let Some(arg) = args.next() {
+        if pool.accept(&arg, args) {
+            continue;
+        }
+        match arg.as_str() {
+            // Infeasible points (k = 0, f = 0, n < 2f+1 ⇒ z = 0) are a
+            // typed rejection up front, never a silent skip.
+            "--grid" => {
+                config.grid =
+                    FrontierConfig::grid_from_spec(&value(args, &arg)).unwrap_or_else(|e| fail(&e));
+            }
+            "--emulations" => {
+                config.emulations =
+                    list_or_all(args, &arg, &EmulationKind::ALL, EmulationKind::from_name);
+            }
+            "--seeds" => config.seeds = items(&value(args, &arg), &arg, |s| s.parse().ok()),
+            "--schedulers" => {
+                config.schedulers =
+                    list_or_all(args, &arg, &SchedulerSpec::ALL, SchedulerSpec::from_name);
+            }
+            "--crash-plans" => {
+                config.crash_plans =
+                    list_or_all(args, &arg, &CrashPlanSpec::ALL, CrashPlanSpec::from_name);
+            }
+            "--rounds" => {
+                config.workloads = vec![WorkloadSpec::WriteSequential {
+                    rounds: number::<usize>(args, &arg).max(1),
+                    read_after_each: true,
+                }];
+            }
+            "--threads" => config.threads = number(args, &arg),
+            "--text" => text_out = Some(value(args, &arg)),
+            "--json" => json_out = Some(value(args, &arg)),
+            "--csv" => csv_out = Some(value(args, &arg)),
+            other => unknown(other),
+        }
+        any_config_flag |= !matches!(arg.as_str(), "--threads" | "--text" | "--json" | "--csv");
+    }
+    if let Err(e) = config.validate() {
+        fail(&e.to_string());
+    }
+
+    let emit = |report: &FrontierReport| {
+        let text = text_out.as_deref().unwrap_or("-");
+        write_output(text, &report.to_text(), "frontier table");
+        if let Some(path) = &json_out {
+            write_output(path, &report.to_json(), "frontier JSON");
+        }
+        if let Some(path) = &csv_out {
+            write_output(path, &report.to_csv(), "frontier CSV");
+        }
+        for row in report.violations() {
+            eprintln!(
+                "bound exceeded: k={} f={} n={} {}: measured {} > upper {}",
+                row.params.k,
+                row.params.f,
+                row.params.n,
+                row.emulation.name(),
+                row.verdict.measured,
+                row.verdict.upper,
+            );
+        }
+        if !report.all_within_upper() {
+            std::process::exit(1);
+        }
+    };
+
+    let started = Instant::now();
+    let Some(spool) = pool.spool.take() else {
+        // Single-process path.
+        let report = run_frontier(&config).unwrap_or_else(|e| fail(&e.to_string()));
+        info!(
+            "frontier: {} cases -> {} rows in {:.2?}",
+            config.case_count(),
+            report.len(),
+            started.elapsed()
+        );
+        return emit(&report);
+    };
+
+    // A resumed spool dictates the config (the frontier config is
+    // reconstructed from the spooled sweep config); a fresh spool takes
+    // the flags.
+    if let Ok(spooled) = load_config(&spool) {
+        let from_spool =
+            FrontierConfig::from_sweep_config(&spooled).unwrap_or_else(|e| fail(&e.to_string()));
+        if any_config_flag
+            && config_fingerprint(&config.to_sweep_config()) != config_fingerprint(&spooled)
+        {
+            contradicts(&spool);
+        }
+        config = FrontierConfig {
+            threads: config.threads,
+            ..from_spool
+        };
+        info!(
+            "campaign frontier: resuming spool {} ({} cases)",
+            spool.display(),
+            config.case_count()
+        );
+    }
+
+    if pool.merge_only {
+        let sweep = merge_shards(&spool).unwrap_or_else(|e| die(format!("merge failed: {e}")));
+        let report =
+            FrontierReport::from_sweep(&config, &sweep).unwrap_or_else(|e| fail(&e.to_string()));
+        info!(
+            "merged {} cases into {} frontier rows from existing shard reports",
+            sweep.len(),
+            report.len()
+        );
+        return emit(&report);
+    }
+
+    let options = pool.into_options(spool, config.threads.max(1));
+    let Some(report) = run_frontier_campaign(&config, &options).unwrap_or_else(|e| die(e)) else {
+        paused()
+    };
+    info!(
+        "frontier campaign: {} cases -> {} rows in {:.2?}",
+        config.case_count(),
+        report.len(),
+        started.elapsed()
+    );
+    emit(&report);
+}
+
+fn fuzz(args: &mut Args) {
+    let mut pool = PoolFlags::new();
+    let mut seed_corpus_dir: Option<PathBuf> = None;
+    let mut out = "-".to_string();
+    let mut failures_out: Option<String> = None;
+    let default_params = regemu_bounds::Params::new(1, 1, 3).expect("default parameters");
+    let mut cli = FuzzCampaignConfig::new(FuzzConfig::new(default_params));
+    let mut any_config_flag = false;
+    while let Some(arg) = args.next() {
+        if pool.accept(&arg, args) {
+            continue;
+        }
+        if accept_fuzz_flag(&mut cli.fuzz, &arg, args).unwrap_or_else(|e| fail(&e)) {
+            any_config_flag = true;
+            continue;
+        }
+        match arg.as_str() {
+            "--seed-corpus" => seed_corpus_dir = Some(PathBuf::from(value(args, &arg))),
+            "--out" => out = value(args, &arg),
+            "--failures" => failures_out = Some(value(args, &arg)),
+            "--streams" => cli = cli.streams(number(args, &arg)),
+            "--generations" => cli = cli.generations(number(args, &arg)),
+            other => unknown(other),
+        }
+        any_config_flag |= matches!(arg.as_str(), "--streams" | "--generations");
+    }
+    let spool = pool.spool.take().unwrap_or_else(|| required("--spool"));
+
+    let emit = |report: &FuzzCampaignReport| {
+        write_output(&out, &report.to_text(), "fuzz campaign report");
+        if let Some(path) = &failures_out {
+            write_output(path, &report.failures_text(), "merged failures");
+        }
+        if report.found() {
+            eprintln!(
+                "campaign fuzz: {} distinct failure(s) in the merged set",
+                report.failures.len()
+            );
+            std::process::exit(2);
+        }
+        info!(
+            "campaign fuzz: clean — {} iterations, {} corpus entries published",
+            report.iterations, report.corpus_published
+        );
+    };
+
+    if pool.merge_only {
+        let report =
+            merge_fuzz_campaign(&spool).unwrap_or_else(|e| die(format!("merge failed: {e}")));
+        return emit(&report);
+    }
+
+    // A resumed spool dictates the config; a fresh one takes it from the
+    // CLI flags.
+    let config = match load_fuzz_config(&spool) {
+        Ok(config) => {
+            if any_config_flag && fuzz_config_fingerprint(&cli) != fuzz_config_fingerprint(&config)
+            {
+                contradicts(&spool);
+            }
+            info!(
+                "campaign fuzz: resuming spool {} ({} streams x {} generations)",
+                spool.display(),
+                config.streams,
+                config.generations
+            );
+            config
+        }
+        Err(_) => cli,
+    };
+
+    // Seeds must land before the manifest freezes them into generation 0.
+    if let Some(dir) = &seed_corpus_dir {
+        let count = import_seed_corpus(&spool, dir).unwrap_or_else(|e| die(e));
+        info!(
+            "campaign fuzz: seeded {count} generation-0 case(s) from {}",
+            dir.display()
+        );
+    }
+
+    let options = pool.into_options(spool, 0);
+    let started = Instant::now();
+    let outcome = run_fuzz_campaign(&config, &options).unwrap_or_else(|e| die(e));
+    summary(
+        outcome.report.is_some(),
+        outcome.units_total,
+        (outcome.units_run, outcome.units_reused, outcome.retries),
+        started,
+    );
+    match outcome.report {
+        Some(report) => emit(&report),
+        None => paused(),
+    }
+}
+
+fn worker(args: &mut Args) {
+    let mut spool: Option<PathBuf> = None;
+    let mut shard: Option<usize> = None;
+    let (mut gen, mut threads) = (0usize, 0usize);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--spool" => spool = Some(PathBuf::from(value(args, &arg))),
+            "--shard" => shard = Some(number(args, &arg)),
+            "--gen" => gen = number(args, &arg),
+            "--threads" => threads = number(args, &arg),
+            other => unknown(other),
+        }
+    }
+    let spool = spool.unwrap_or_else(|| required("--spool"));
+    let shard = shard.unwrap_or_else(|| required("--shard"));
+
+    // Test hook for the coordinator's retry path: when the named marker
+    // file does not exist yet, create it and die once.
+    if let Ok(marker) = std::env::var("REGEMU_WORKER_FAIL_ONCE") {
+        let marker = PathBuf::from(marker);
+        if !marker.exists() {
+            let _ = std::fs::write(&marker, b"failed once\n");
+            die("injected one-shot failure (REGEMU_WORKER_FAIL_ONCE)");
+        }
+    }
+
+    // The spool says which kind of unit this is.
+    let ran = match detect_spool_kind(&spool) {
+        Some(SpoolKind::Fuzz) => run_fuzz_shard_gen(&spool, shard, gen),
+        Some(SpoolKind::Sweep | SpoolKind::Frontier) => run_shard(&spool, shard, threads).map(drop),
+        None => die(format!("{}: not a campaign spool", spool.display())),
+    };
+    match ran {
+        Ok(()) => info!("campaign worker: shard {shard} round {gen} done"),
+        Err(e) => die(format!("shard {shard} round {gen} failed: {e}")),
+    }
+}
+
+fn status(args: &mut Args) {
+    let mut spool: Option<PathBuf> = None;
+    let mut watch = false;
+    let (mut interval_ms, mut stall_ms) = (1_000u64, 30_000u64);
+    let positive =
+        |args: &mut Args, flag: &str| parsed(args, flag, |v| v.parse().ok().filter(|ms| *ms > 0));
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--spool" => spool = Some(PathBuf::from(value(args, &arg))),
+            "--watch" => watch = true,
+            "--interval-ms" => interval_ms = positive(args, &arg),
+            "--stall-ms" => stall_ms = positive(args, &arg),
+            other => unknown(other),
+        }
+    }
+    let spool = spool.unwrap_or_else(|| required("--spool"));
+
+    loop {
+        // The fold never panics on spool contents; an unreadable spool is
+        // reported and — like every other outcome — exits 0: this tool
+        // observes campaigns, it must not fail them.
+        let complete = match campaign_status(&spool, now_unix_ms(), stall_ms) {
+            Ok(report) => {
+                print!("{}", render_status(&spool, &report));
+                report.complete
+            }
+            Err(reason) => {
+                println!("campaign status: {reason}");
+                false
+            }
+        };
+        if !watch || complete {
+            break;
+        }
+        println!();
+        std::thread::sleep(Duration::from_millis(interval_ms));
+    }
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let sub = args.next().unwrap_or_else(|| fail("missing subcommand"));
+    let (name, usage, run): (_, _, fn(&mut Args)) = match sub.as_str() {
+        "sweep" => (
+            "sweep",
+            format!(
+                "--spool DIR {POOL_USAGE} [--worker-threads N] [--json PATH] [--csv PATH] \
+                 {CONFIG_USAGE}"
+            ),
+            sweep,
+        ),
+        "frontier" => (
+            "frontier",
+            format!(
+                "[--spool DIR] {POOL_USAGE} [--grid k/f/n,..] [--emulations a,b|all] \
+                 [--seeds a,b,..] [--schedulers a,b|all] [--crash-plans a,b|all] [--rounds N] \
+                 [--threads N] [--text PATH] [--json PATH] [--csv PATH]"
+            ),
+            frontier,
+        ),
+        "fuzz" => (
+            "fuzz",
+            format!(
+                "--spool DIR {POOL_USAGE} [--seed-corpus DIR] [--out FILE] [--failures FILE] \
+                 {FUZZ_USAGE} [--streams N] [--generations G]"
+            ),
+            fuzz,
+        ),
+        "worker" => (
+            "worker",
+            "--spool DIR --shard I [--gen G] [--threads N]".to_string(),
+            worker,
+        ),
+        "status" => (
+            "status",
+            "--spool DIR [--watch] [--interval-ms MS] [--stall-ms MS]".to_string(),
+            status,
+        ),
+        other => fail(&format!("unknown subcommand {other:?}")),
+    };
+    CURRENT.get_or_init(|| (name, usage));
+    run(&mut args);
+}

@@ -20,19 +20,13 @@
 //! errors. The same seed always produces the same report, the same shrunk
 //! trace and the same exit status.
 
-use regemu_bench::cli::write_output;
+use regemu_bench::cli::{accept_fuzz_flag, write_output, FUZZ_USAGE};
 use regemu_bench::info;
-use regemu_workloads::fuzz::{
-    fuzz_and_shrink, replay, FuzzConfig, FuzzEmulation, RecordedSchedule,
-};
-use regemu_workloads::{ConsistencyCheck, WorkloadSpec};
+use regemu_workloads::fuzz::{fuzz_and_shrink, replay, FuzzConfig, RecordedSchedule};
 
 fn fail(msg: &str) -> ! {
     eprintln!("fuzz_campaign: {msg}");
-    eprintln!(
-        "usage: fuzz_campaign [--params k,f,n] [--emulation NAME] [--workload LABEL] \
-         [--check NAME] [--seed S] [--budget B] [--stop-on-failure] [--out FILE] [--trace FILE]"
-    );
+    eprintln!("usage: fuzz_campaign {FUZZ_USAGE} [--stop-on-failure] [--out FILE] [--trace FILE]");
     eprintln!("       fuzz_campaign replay TRACE");
     std::process::exit(1);
 }
@@ -60,75 +54,25 @@ fn main() {
         run_replay(&path);
     }
 
-    let mut params = regemu_bounds::Params::new(1, 1, 3).expect("default parameters");
-    let mut config_edits: Vec<Box<dyn FnOnce(FuzzConfig) -> FuzzConfig>> = Vec::new();
+    let default_params = regemu_bounds::Params::new(1, 1, 3).expect("default parameters");
+    let mut config = FuzzConfig::new(default_params);
     let mut out = "-".to_string();
     let mut trace_path: Option<String> = None;
 
     while let Some(arg) = args.next() {
+        if accept_fuzz_flag(&mut config, &arg, &mut args).unwrap_or_else(|e| fail(&e)) {
+            continue;
+        }
         let mut value = |flag: &str| {
             args.next()
                 .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
         };
         match arg.as_str() {
-            "--params" => {
-                let v = value("--params");
-                let parts: Vec<usize> = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| fail(&format!("invalid parameter {s:?}")))
-                    })
-                    .collect();
-                if parts.len() != 3 {
-                    fail("--params needs k,f,n");
-                }
-                params = regemu_bounds::Params::new(parts[0], parts[1], parts[2])
-                    .unwrap_or_else(|e| fail(&format!("invalid parameters: {e}")));
-            }
-            "--emulation" => {
-                let v = value("--emulation");
-                let emulation = FuzzEmulation::from_name(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown emulation {v:?}")));
-                config_edits.push(Box::new(move |c| c.emulation(emulation)));
-            }
-            "--workload" => {
-                let v = value("--workload");
-                let workload = WorkloadSpec::from_label(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown workload {v:?}")));
-                config_edits.push(Box::new(move |c| c.workload(workload)));
-            }
-            "--check" => {
-                let v = value("--check");
-                let check = ConsistencyCheck::from_name(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown check {v:?}")));
-                config_edits.push(Box::new(move |c| c.check(check)));
-            }
-            "--seed" => {
-                let v = value("--seed");
-                let seed: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid seed {v:?}")));
-                config_edits.push(Box::new(move |c| c.seed(seed)));
-            }
-            "--budget" => {
-                let v = value("--budget");
-                let budget: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid budget {v:?}")));
-                config_edits.push(Box::new(move |c| c.budget(budget)));
-            }
-            "--stop-on-failure" => config_edits.push(Box::new(|c| c.stop_on_failure())),
+            "--stop-on-failure" => config.stop_on_failure = true,
             "--out" => out = value("--out"),
             "--trace" => trace_path = Some(value("--trace")),
             other => fail(&format!("unknown option {other:?}")),
         }
-    }
-
-    let mut config = FuzzConfig::new(params);
-    for edit in config_edits {
-        config = edit(config);
     }
 
     let (report, shrunk) = fuzz_and_shrink(config);

@@ -16,7 +16,7 @@
 //!   --recording a,b     recording-mode axis (full, digest, ring:N)
 //!   --shards N          split the case space into N shards and run them
 //!                       through the campaign shard/merge path (in-process;
-//!                       see `campaign_coordinator` for multi-process runs)
+//!                       see `campaign sweep` for multi-process runs)
 //!   --json PATH         write the report as JSON (- for stdout)
 //!   --csv PATH          write the report as CSV (- for stdout)
 //! ```

@@ -117,14 +117,17 @@ pub mod serve_cli {
     }
 }
 
-/// Shared CLI parsing for the sweep/campaign binaries (`sweep_grid`,
-/// `campaign_coordinator`): the flags that shape a
-/// [`regemu_workloads::SweepConfig`] are identical across them — plus the
-/// leveled progress logging every experiment binary routes through.
+/// Shared CLI parsing for the sweep and fuzz binaries (`sweep_grid`,
+/// `fuzz_campaign`, `campaign`): the flags that shape a
+/// [`regemu_workloads::SweepConfig`] or a fuzz config are identical across
+/// them — plus the leveled progress logging every experiment binary routes
+/// through.
 pub mod cli {
     use regemu_bounds::Params;
+    use regemu_workloads::fuzz::{FuzzConfig, FuzzEmulation};
     use regemu_workloads::{
-        CrashPlanSpec, RecordingModeSpec, SchedulerSpec, SweepConfig, WorkloadSpec,
+        ConsistencyCheck, CrashPlanSpec, RecordingModeSpec, SchedulerSpec, SweepConfig,
+        WorkloadSpec,
     };
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::Once;
@@ -384,6 +387,46 @@ pub mod cli {
             }
             Ok(config)
         }
+    }
+
+    /// The usage fragment documenting the flags [`accept_fuzz_flag`] accepts.
+    pub const FUZZ_USAGE: &str = "[--params k,f,n] [--emulation NAME] [--workload LABEL] \
+         [--check NAME] [--seed S] [--budget B]";
+
+    /// Tries to consume `arg` as one of the flags that shape a
+    /// [`FuzzConfig`], shared by `fuzz_campaign` and `campaign fuzz`. Same
+    /// contract as [`ConfigFlags::accept`]: `Ok(true)` when consumed,
+    /// `Ok(false)` when the argument is not a fuzz-config flag, `Err` with a
+    /// message on a malformed value.
+    pub fn accept_fuzz_flag(
+        config: &mut FuzzConfig,
+        arg: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        fn parse<T>(v: &str, flag: &str, from: impl Fn(&str) -> Option<T>) -> Result<T, String> {
+            from(v.trim()).ok_or(format!("invalid {flag} value {v:?}"))
+        }
+        let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+        match arg {
+            "--params" => {
+                let parts: Vec<usize> = value()?
+                    .split(',')
+                    .map(|s| parse(s, arg, |s| s.parse().ok()))
+                    .collect::<Result<_, _>>()?;
+                let [k, f, n] = parts[..] else {
+                    return Err("--params needs k,f,n".to_string());
+                };
+                config.params =
+                    Params::new(k, f, n).map_err(|e| format!("invalid parameters: {e}"))?;
+            }
+            "--emulation" => config.emulation = parse(&value()?, arg, FuzzEmulation::from_name)?,
+            "--workload" => config.workload = parse(&value()?, arg, WorkloadSpec::from_label)?,
+            "--check" => config.check = parse(&value()?, arg, ConsistencyCheck::from_name)?,
+            "--seed" => config.seed = parse(&value()?, arg, |s| s.parse().ok())?,
+            "--budget" => config.budget = parse(&value()?, arg, |s| s.parse().ok())?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Writes `payload` to `target` (`-` for stdout), exiting the process

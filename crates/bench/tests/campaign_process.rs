@@ -4,7 +4,7 @@
 //! to the single-process sweep.
 //!
 //! Cargo builds the worker binary for integration tests of this crate and
-//! exposes its path via `CARGO_BIN_EXE_campaign_worker`.
+//! exposes its path via `CARGO_BIN_EXE_campaign`.
 
 use regemu_workloads::campaign::{run_campaign, CampaignOptions, ShardManifest, WorkerMode};
 use regemu_workloads::{run_sweep, SweepConfig};
@@ -12,7 +12,7 @@ use std::fs;
 use std::path::PathBuf;
 
 fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker"))
+    PathBuf::from(env!("CARGO_BIN_EXE_campaign"))
 }
 
 fn spool_dir(tag: &str) -> PathBuf {

@@ -9,11 +9,11 @@ use std::path::PathBuf;
 use std::process::Command;
 
 fn frontier_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_frontier_campaign"))
+    PathBuf::from(env!("CARGO_BIN_EXE_campaign"))
 }
 
 fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_campaign_worker"))
+    PathBuf::from(env!("CARGO_BIN_EXE_campaign"))
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -34,6 +34,7 @@ fn infeasible_grid_points_are_rejected_with_a_typed_error() {
     // n = 4 < 2f+1 = 5 makes z = 0: the binary must refuse the whole grid
     // up front with the bound-level reason, not run the feasible points.
     let out = Command::new(frontier_bin())
+        .arg("frontier")
         .args(["--grid", "2/1/4,3/2/4", "--quiet"])
         .output()
         .expect("spawn frontier_campaign");
@@ -58,6 +59,7 @@ fn sharded_kill_resume_campaign_matches_the_single_process_table() {
     // Single-process reference.
     let single = temp_path("single.txt");
     let status = Command::new(frontier_bin())
+        .arg("frontier")
         .args(["--grid", GRID, "--seeds", SEEDS, "--quiet", "--text"])
         .arg(&single)
         .status()
@@ -71,6 +73,7 @@ fn sharded_kill_resume_campaign_matches_the_single_process_table() {
     // 2-shard campaign over real worker processes, killed after 1 shard.
     let spool = temp_path("spool");
     let paused = Command::new(frontier_bin())
+        .arg("frontier")
         .args(["--grid", GRID, "--seeds", SEEDS, "--quiet"])
         .args(["--spool"])
         .arg(&spool)
@@ -89,6 +92,7 @@ fn sharded_kill_resume_campaign_matches_the_single_process_table() {
     // Resume the same spool (config comes from the spool, not the flags).
     let sharded = temp_path("sharded.txt");
     let resumed = Command::new(frontier_bin())
+        .arg("frontier")
         .args(["--quiet", "--spool"])
         .arg(&spool)
         .args(["--worker-bin"])
@@ -111,6 +115,7 @@ fn sharded_kill_resume_campaign_matches_the_single_process_table() {
     // Merge-only re-reads the finished shard files without running anything.
     let merged = temp_path("merged.txt");
     let merge = Command::new(frontier_bin())
+        .arg("frontier")
         .args(["--quiet", "--merge-only", "--spool"])
         .arg(&spool)
         .args(["--text"])

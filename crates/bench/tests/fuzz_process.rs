@@ -93,7 +93,7 @@ fn replay_exit_codes_are_contract() {
 /// run concurrently): spawned workers, kill + resume, injected retry.
 #[test]
 fn multi_process_fuzz_campaign_is_byte_identical_resumable_and_retries() {
-    let worker = PathBuf::from(env!("CARGO_BIN_EXE_fuzz_worker"));
+    let worker = PathBuf::from(env!("CARGO_BIN_EXE_campaign"));
     let config = FuzzCampaignConfig::new(
         FuzzConfig::new(Params::new(1, 1, 3).unwrap())
             .emulation(FuzzEmulation::Faulty(FaultyKind::DroppedAcks))

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn status_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_campaign_status"))
+    PathBuf::from(env!("CARGO_BIN_EXE_campaign"))
 }
 
 fn spool_dir(tag: &str) -> PathBuf {
@@ -31,6 +31,7 @@ fn spool_dir(tag: &str) -> PathBuf {
 /// zero exit status the tool guarantees for every spool condition.
 fn status_of(spool: &Path, extra: &[&str]) -> String {
     let output = Command::new(status_bin())
+        .arg("status")
         .arg("--spool")
         .arg(spool)
         .args(extra)

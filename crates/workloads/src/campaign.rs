@@ -2,33 +2,19 @@
 //! resume.
 //!
 //! [`crate::sweep::run_sweep`] scales across threads in one process; a
-//! *campaign* scales the same case space across OS processes (and, since
-//! the on-disk format is the whole protocol, across machines sharing a
-//! spool directory). The case space of a [`SweepConfig`] is split into
-//! contiguous case-index *shards*; each shard is run by a worker process
-//! that writes an index-keyed JSON report into the spool; the coordinator
-//! merges the shard reports back into one [`crate::sweep::SweepReport`]
-//! that is **byte-identical** to a single-process
-//! [`crate::sweep::run_sweep`] of the same config.
+//! *campaign* scales the same case space across OS processes. The case
+//! space of a [`SweepConfig`] is split into contiguous case-index *shards*;
+//! each shard is run by a worker that writes an index-keyed JSON report
+//! into the spool; the coordinator merges the shard reports back into one
+//! [`crate::sweep::SweepReport`] that is **byte-identical** to a
+//! single-process [`crate::sweep::run_sweep`] of the same config.
 //!
-//! ## The spool directory
-//!
-//! A campaign lives in one directory:
-//!
-//! | file | written by | contents |
-//! |---|---|---|
-//! | `config.txt` | coordinator, once | the canonical [`SweepConfig`] text ([`config_to_text`]) |
-//! | `manifest.txt` | coordinator | versioned [`ShardManifest`]: config fingerprint, shard ranges, per-shard status/attempts |
-//! | `shard-NNNN.json` | worker `NNNN` | the shard's [`crate::sweep::SweepReport::to_json`] (global case indices) |
-//! | `shard-NNNN.progress` | worker `NNNN` | `done total` case counts, updated as the shard runs |
-//!
-//! Workers never write the manifest; shard reports are written to a
-//! temporary file and renamed into place, so a half-written report is never
-//! mistaken for a finished shard. The coordinator rewrites the manifest the
-//! same way. A campaign killed at *any* point therefore resumes cleanly:
-//! [`run_campaign`] revalidates every shard marked done (the report file
-//! must exist, parse, and cover exactly the shard's range), reuses the
-//! valid ones, and re-runs only the rest.
+//! The spool protocol, the manifest, the worker pool and the retry policy
+//! are the shared campaign engine's ([`crate::engine`], re-exported here).
+//! This module is the sweep *kind*: the canonical config text
+//! ([`config_to_text`]), the shard worker ([`run_shard`]), the shard-report
+//! parser and the merge ([`merge_shards`]). Frontier campaigns
+//! ([`crate::frontier`]) ride on it unchanged.
 //!
 //! ## Determinism
 //!
@@ -43,7 +29,7 @@
 //!
 //! ```text
 //! # 96-case default grid, 4 shards, 2 worker processes, resumable spool:
-//! cargo run --release -p regemu-bench --bin campaign_coordinator -- \
+//! cargo run --release -p regemu-bench --bin campaign -- sweep \
 //!     --spool /tmp/campaign --shards 4 --workers 2 --json report.json
 //! # Interrupted? Run the same command again: completed shards are reused.
 //! ```
@@ -52,115 +38,31 @@
 //! machines over a shared filesystem):
 //!
 //! ```text
-//! cargo run --release -p regemu-bench --bin campaign_worker -- \
+//! cargo run --release -p regemu-bench --bin campaign -- worker \
 //!     --spool /tmp/campaign --shard 2
 //! ```
 
+use crate::engine::{self, fingerprint, malformed, write_atomically, Campaign};
+pub use crate::engine::{
+    plan_shards, CampaignError, CampaignOptions, Dialect, Manifest, ShardEntry, ShardRange,
+    WorkerMode, FORMAT_VERSION,
+};
+use crate::json::{Json, JsonParser};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
 use crate::sweep::{run_sweep_range, CaseResult, EmulationKind, SweepConfig, WorkloadSpec};
 use regemu_bounds::Params;
-use std::fmt;
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
-/// Version tag of the on-disk manifest/config formats.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// Errors raised by the campaign layer.
-#[derive(Debug)]
-pub enum CampaignError {
-    /// An I/O error on the spool directory.
-    Io(std::io::Error),
-    /// A spool file exists but cannot be parsed.
-    Malformed {
-        /// Which file is broken.
-        file: String,
-        /// What is wrong with it.
-        reason: String,
-    },
-    /// The spool was initialized for a different [`SweepConfig`].
-    ConfigMismatch {
-        /// Fingerprint recorded in the manifest.
-        manifest: String,
-        /// Fingerprint of the config handed to the campaign.
-        config: String,
-    },
-    /// A shard index outside the manifest's shard count.
-    UnknownShard(usize),
-    /// A shard kept failing past the attempt budget.
-    ShardFailed {
-        /// The failing shard.
-        shard: usize,
-        /// Attempts consumed.
-        attempts: u32,
-        /// Last observed failure.
-        reason: String,
-    },
-    /// The merged case set does not cover the config's case space.
-    IncompleteMerge {
-        /// First case index with no result.
-        missing_index: usize,
-    },
-}
-
-impl fmt::Display for CampaignError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CampaignError::Io(e) => write!(f, "spool I/O error: {e}"),
-            CampaignError::Malformed { file, reason } => {
-                write!(f, "malformed spool file {file}: {reason}")
-            }
-            CampaignError::ConfigMismatch { manifest, config } => write!(
-                f,
-                "spool belongs to a different sweep config \
-                 (manifest fingerprint {manifest}, config fingerprint {config}); \
-                 use a fresh spool directory"
-            ),
-            CampaignError::UnknownShard(i) => write!(f, "shard {i} is not in the manifest"),
-            CampaignError::ShardFailed {
-                shard,
-                attempts,
-                reason,
-            } => write!(f, "shard {shard} failed {attempts} attempt(s): {reason}"),
-            CampaignError::IncompleteMerge { missing_index } => {
-                write!(f, "merge incomplete: no result for case {missing_index}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CampaignError {}
-
-impl From<std::io::Error> for CampaignError {
-    fn from(e: std::io::Error) -> Self {
-        CampaignError::Io(e)
-    }
-}
-
-pub(crate) fn malformed(file: &Path, reason: impl Into<String>) -> CampaignError {
-    CampaignError::Malformed {
-        file: file.display().to_string(),
-        reason: reason.into(),
-    }
-}
+/// A sweep campaign's manifest: the engine's [`Manifest`] in the
+/// [`Dialect::Sweep`] dialect (`manifest.txt`).
+pub type ShardManifest = Manifest;
 
 // --------------------------------------------------------------------------
 // Canonical config text and fingerprint
 // --------------------------------------------------------------------------
-
-/// FNV-1a 64-bit — dependency-free, stable across platforms.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Serializes a [`SweepConfig`] as canonical line-based text.
 ///
@@ -334,266 +236,16 @@ pub fn config_from_text(text: &str) -> Result<SweepConfig, String> {
 /// digits. Two configs with the same fingerprint expand to the same cases,
 /// so their shards and reports are interchangeable.
 pub fn config_fingerprint(config: &SweepConfig) -> String {
-    format!("{:016x}", fnv64(config_to_text(config).as_bytes()))
+    fingerprint(&config_to_text(config))
 }
 
 // --------------------------------------------------------------------------
-// Shard planning and the manifest
+// Spool layout and the engine hook
 // --------------------------------------------------------------------------
-
-/// A contiguous case-index range `start..end` forming one shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardRange {
-    /// Shard number (position in the manifest).
-    pub index: usize,
-    /// First case index of the shard (inclusive).
-    pub start: usize,
-    /// One past the last case index of the shard.
-    pub end: usize,
-}
-
-impl ShardRange {
-    /// Number of cases in the shard.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Returns `true` for a shard with no cases.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
-/// Splits `case_count` cases into `shards` contiguous, balanced ranges (the
-/// first `case_count % shards` ranges hold one extra case). A shard count
-/// larger than the case count is clamped, so no shard is empty unless the
-/// case space itself is.
-pub fn plan_shards(case_count: usize, shards: usize) -> Vec<ShardRange> {
-    let shards = shards.max(1).min(case_count.max(1));
-    let base = case_count / shards;
-    let extra = case_count % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for index in 0..shards {
-        let len = base + usize::from(index < extra);
-        ranges.push(ShardRange {
-            index,
-            start,
-            end: start + len,
-        });
-        start += len;
-    }
-    ranges
-}
-
-/// Lifecycle state of a shard, as persisted in the manifest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardStatus {
-    /// Not successfully completed yet.
-    Pending,
-    /// Completed: its report file is in the spool.
-    Done,
-}
-
-impl ShardStatus {
-    fn name(self) -> &'static str {
-        match self {
-            ShardStatus::Pending => "pending",
-            ShardStatus::Done => "done",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "pending" => Some(ShardStatus::Pending),
-            "done" => Some(ShardStatus::Done),
-            _ => None,
-        }
-    }
-}
-
-/// One shard's entry in the manifest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardEntry {
-    /// The shard's case range.
-    pub range: ShardRange,
-    /// Current status.
-    pub status: ShardStatus,
-    /// Worker attempts consumed so far (successful or not).
-    pub attempts: u32,
-}
-
-/// The versioned, on-disk state of a campaign: which config it runs (by
-/// fingerprint), how the case space is sharded, and how far each shard got.
-///
-/// The manifest is the resume point *and* the wire protocol: any process
-/// that can read the spool directory can pick up a pending shard.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardManifest {
-    /// Fingerprint of the config ([`config_fingerprint`]).
-    pub fingerprint: String,
-    /// Total number of cases in the campaign.
-    pub case_count: usize,
-    /// Per-shard ranges and states, in shard order.
-    pub shards: Vec<ShardEntry>,
-}
-
-impl ShardManifest {
-    /// Plans a fresh manifest for `config` split into `shards` shards.
-    pub fn plan(config: &SweepConfig, shards: usize) -> Self {
-        ShardManifest {
-            fingerprint: config_fingerprint(config),
-            case_count: config.case_count(),
-            shards: plan_shards(config.case_count(), shards)
-                .into_iter()
-                .map(|range| ShardEntry {
-                    range,
-                    status: ShardStatus::Pending,
-                    attempts: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Serializes the manifest as its on-disk text.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "regemu-campaign-manifest v{FORMAT_VERSION}\nfingerprint {}\ncases {}\nshards {}\n",
-            self.fingerprint,
-            self.case_count,
-            self.shards.len()
-        );
-        for s in &self.shards {
-            out.push_str(&format!(
-                "shard {} {} {} {} {}\n",
-                s.range.index,
-                s.range.start,
-                s.range.end,
-                s.status.name(),
-                s.attempts
-            ));
-        }
-        out
-    }
-
-    /// Parses the on-disk manifest text.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty manifest")?;
-        if header != format!("regemu-campaign-manifest v{FORMAT_VERSION}") {
-            return Err(format!("unsupported manifest header {header:?}"));
-        }
-        let mut field = |name: &str| -> Result<String, String> {
-            let line = lines.next().ok_or(format!("missing {name} line"))?;
-            line.strip_prefix(&format!("{name} "))
-                .map(str::to_string)
-                .ok_or(format!("expected {name} line, got {line:?}"))
-        };
-        let fingerprint = field("fingerprint")?;
-        let case_count: usize = field("cases")?
-            .parse()
-            .map_err(|_| "bad case count".to_string())?;
-        let shard_count: usize = field("shards")?
-            .parse()
-            .map_err(|_| "bad shard count".to_string())?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            let ["shard", index, start, end, status, attempts] = parts.as_slice() else {
-                return Err(format!("bad shard line {line:?}"));
-            };
-            let parse = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number {s:?}"));
-            shards.push(ShardEntry {
-                range: ShardRange {
-                    index: parse(index)?,
-                    start: parse(start)?,
-                    end: parse(end)?,
-                },
-                status: ShardStatus::from_name(status)
-                    .ok_or(format!("unknown status {status:?}"))?,
-                attempts: attempts
-                    .parse()
-                    .map_err(|_| format!("bad attempt count {attempts:?}"))?,
-            });
-        }
-        if shards.len() != shard_count {
-            return Err(format!(
-                "manifest declares {shard_count} shards but lists {}",
-                shards.len()
-            ));
-        }
-        // The ranges must partition 0..case_count in order.
-        let mut expected_start = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if s.range.index != i || s.range.start != expected_start || s.range.end < s.range.start
-            {
-                return Err(format!("shard {i} range is not a partition: {:?}", s.range));
-            }
-            expected_start = s.range.end;
-        }
-        if expected_start != case_count {
-            return Err(format!(
-                "shards cover {expected_start} cases, manifest declares {case_count}"
-            ));
-        }
-        Ok(ShardManifest {
-            fingerprint,
-            case_count,
-            shards,
-        })
-    }
-
-    /// Loads the manifest from a spool directory, or `None` if the spool
-    /// has no manifest yet.
-    pub fn load(spool: &Path) -> Result<Option<Self>, CampaignError> {
-        let path = manifest_path(spool);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        ShardManifest::from_text(&text)
-            .map(Some)
-            .map_err(|reason| malformed(&path, reason))
-    }
-
-    /// Atomically writes the manifest into the spool (temp file + rename),
-    /// so a coordinator killed mid-write never leaves a torn manifest.
-    pub fn store(&self, spool: &Path) -> Result<(), CampaignError> {
-        write_atomically(&manifest_path(spool), &self.to_text())
-    }
-
-    /// Returns `true` once every shard is done.
-    pub fn is_complete(&self) -> bool {
-        self.shards.iter().all(|s| s.status == ShardStatus::Done)
-    }
-
-    /// Shards not yet done, in shard order.
-    pub fn incomplete(&self) -> impl Iterator<Item = &ShardEntry> {
-        self.shards.iter().filter(|s| s.status != ShardStatus::Done)
-    }
-}
-
-// --------------------------------------------------------------------------
-// Spool layout
-// --------------------------------------------------------------------------
-
-/// Path of the manifest inside a spool directory.
-pub fn manifest_path(spool: &Path) -> PathBuf {
-    spool.join("manifest.txt")
-}
-
-/// Path of the canonical config text inside a spool directory.
-pub fn config_path(spool: &Path) -> PathBuf {
-    spool.join("config.txt")
-}
 
 /// Path of a shard's JSON report inside a spool directory.
 pub fn shard_report_path(spool: &Path, shard: usize) -> PathBuf {
-    spool.join(format!("shard-{shard:04}.json"))
+    Dialect::Sweep.unit_report_path(spool, shard, 0)
 }
 
 /// Path of a shard's `done total` progress counter inside a spool
@@ -602,47 +254,63 @@ pub fn shard_progress_path(spool: &Path, shard: usize) -> PathBuf {
     spool.join(format!("shard-{shard:04}.progress"))
 }
 
-pub(crate) fn write_atomically(path: &Path, contents: &str) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)?;
-    Ok(())
+/// The sweep kind, as the engine sees it: one round per shard, a unit is
+/// done when its shard report covers the shard's range.
+struct SweepCampaign<'a>(&'a SweepConfig);
+
+impl Campaign for SweepCampaign<'_> {
+    type Report = crate::sweep::SweepReport;
+
+    fn dialect(&self) -> Dialect {
+        Dialect::Sweep
+    }
+
+    fn config_text(&self) -> String {
+        config_to_text(self.0)
+    }
+
+    fn units(&self) -> usize {
+        self.0.case_count()
+    }
+
+    fn rounds(&self) -> usize {
+        1
+    }
+
+    fn run_unit(
+        &self,
+        spool: &Path,
+        shard: usize,
+        _round: usize,
+        threads: usize,
+    ) -> Result<(), CampaignError> {
+        run_shard(spool, shard, threads).map(|_| ())
+    }
+
+    fn unit_is_done(&self, spool: &Path, range: ShardRange, _round: usize) -> bool {
+        load_shard_report(spool, range).is_ok()
+    }
+
+    fn merge(&self, spool: &Path) -> Result<Self::Report, CampaignError> {
+        merge_shards(spool)
+    }
 }
 
 /// Initializes (or resumes) a spool directory for `config` split into
-/// `shards` shards.
-///
-/// A fresh directory gets a `config.txt` and a pending manifest. An
-/// existing spool is *resumed*: its manifest is loaded and returned as-is —
-/// completed shards keep their status — after verifying that it belongs to
-/// the same config ([`CampaignError::ConfigMismatch`] otherwise). The shard
-/// count of an existing manifest wins over the `shards` argument: shard
-/// ranges are frozen at campaign creation.
+/// `shards` shards: a fresh directory gets a `config.txt` and a pending
+/// manifest; an existing spool must belong to the same config
+/// ([`CampaignError::ConfigMismatch`] otherwise) and keeps its shard plan.
 pub fn init_spool(
     spool: &Path,
     config: &SweepConfig,
     shards: usize,
 ) -> Result<ShardManifest, CampaignError> {
-    fs::create_dir_all(spool)?;
-    let fingerprint = config_fingerprint(config);
-    if let Some(manifest) = ShardManifest::load(spool)? {
-        if manifest.fingerprint != fingerprint {
-            return Err(CampaignError::ConfigMismatch {
-                manifest: manifest.fingerprint,
-                config: fingerprint,
-            });
-        }
-        return Ok(manifest);
-    }
-    write_atomically(&config_path(spool), &config_to_text(config))?;
-    let manifest = ShardManifest::plan(config, shards);
-    manifest.store(spool)?;
-    Ok(manifest)
+    engine::init(spool, &SweepCampaign(config), shards)
 }
 
 /// Loads the campaign's [`SweepConfig`] from a spool directory.
 pub fn load_config(spool: &Path) -> Result<SweepConfig, CampaignError> {
-    let path = config_path(spool);
+    let path = Dialect::Sweep.config_path(spool);
     let text = fs::read_to_string(&path)?;
     config_from_text(&text).map_err(|reason| malformed(&path, reason))
 }
@@ -654,9 +322,9 @@ pub fn load_config(spool: &Path) -> Result<SweepConfig, CampaignError> {
 /// Number of cases a worker runs between progress-file updates.
 const PROGRESS_CHUNK: usize = 8;
 
-/// Runs one shard of the campaign in `spool`: the entry point of the
-/// `campaign_worker` binary, also called in-process by [`run_campaign`]
-/// when no worker binary is configured.
+/// Runs one shard of the campaign in `spool`: what `campaign worker` does
+/// on a sweep spool, also called in-process by [`run_campaign`] when no
+/// worker binary is configured.
 ///
 /// Reads the config and manifest from the spool, runs the shard's case
 /// range with `threads` sweep threads (`0` = one per core), streams `done
@@ -671,8 +339,7 @@ const PROGRESS_CHUNK: usize = 8;
 pub fn run_shard(spool: &Path, shard: usize, threads: usize) -> Result<ShardRange, CampaignError> {
     let mut config = load_config(spool)?;
     config.threads = threads;
-    let manifest =
-        ShardManifest::load(spool)?.ok_or_else(|| malformed(&manifest_path(spool), "missing"))?;
+    let manifest = Manifest::require(spool, Dialect::Sweep)?;
     if manifest.fingerprint != config_fingerprint(&config) {
         return Err(CampaignError::ConfigMismatch {
             manifest: manifest.fingerprint,
@@ -689,8 +356,8 @@ pub fn run_shard(spool: &Path, shard: usize, threads: usize) -> Result<ShardRang
     // Progress files and heartbeats are advisory: a failed write must not
     // fail the shard. The writer warns once per shard and counts failures
     // into the heartbeat so the dashboard can surface a sick spool disk.
-    let mut beat = crate::status::HeartbeatWriter::new(spool, shard, "sweep", entry.attempts);
-    beat.write_progress(0, range.len());
+    let mut beat =
+        crate::status::HeartbeatWriter::new(spool, shard, Dialect::Sweep, entry.attempts);
     beat.publish(0, range.len() as u64);
     let mut at = range.start;
     while at < range.end {
@@ -698,7 +365,6 @@ pub fn run_shard(spool: &Path, shard: usize, threads: usize) -> Result<ShardRang
         let chunk = run_sweep_range(&config, at, to);
         results.extend(chunk.results().iter().cloned());
         at = to;
-        beat.write_progress(at - range.start, range.len());
         beat.publish((at - range.start) as u64, range.len() as u64);
     }
 
@@ -710,262 +376,6 @@ pub fn run_shard(spool: &Path, shard: usize, threads: usize) -> Result<ShardRang
 // --------------------------------------------------------------------------
 // Shard-report parsing (the merge's input)
 // --------------------------------------------------------------------------
-
-/// A minimal JSON value — just enough to read back the reports this crate
-/// writes (the offline serde shim cannot deserialize, so the campaign
-/// layer parses its own output format).
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Float(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n as f64),
-            Json::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_opt_string(&self) -> Option<Option<String>> {
-        match self {
-            Json::Null => Some(None),
-            Json::Str(s) => Some(Some(s.clone())),
-            _ => None,
-        }
-    }
-}
-
-pub(crate) struct JsonParser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    pub(crate) fn new(text: &'a str) -> Self {
-        JsonParser {
-            bytes: text.as_bytes(),
-            at: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.at)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? != b {
-            return Err(format!("expected {:?} at byte {}", char::from(b), self.at));
-        }
-        self.at += 1;
-        Ok(())
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        self.skip_ws();
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'0'..=b'9' => self.number(),
-            _ => {
-                if self.eat_literal("null") {
-                    Ok(Json::Null)
-                } else if self.eat_literal("true") {
-                    Ok(Json::Bool(true))
-                } else if self.eat_literal("false") {
-                    Ok(Json::Bool(false))
-                } else {
-                    Err(format!("unexpected token at byte {}", self.at))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.at += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.at += 1,
-                b'}' => {
-                    self.at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.at += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.at += 1,
-                b']' => {
-                    self.at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.at)
-                .ok_or("unterminated string".to_string())?;
-            self.at += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.at)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.at += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("invalid code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{}", char::from(other))),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let start = self.at - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence".to_string())?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|e| format!("bad UTF-8: {e}"))?,
-                    );
-                    self.at = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.at;
-        while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
-            self.at += 1;
-        }
-        // Heartbeat files carry fractional rates; report files never do.
-        let fractional = self.bytes.get(self.at) == Some(&b'.')
-            && self.bytes.get(self.at + 1).is_some_and(u8::is_ascii_digit);
-        if fractional {
-            self.at += 1;
-            while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
-                self.at += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("digits are ASCII");
-        if fractional {
-            text.parse()
-                .map(Json::Float)
-                .map_err(|_| format!("bad number {text:?}"))
-        } else {
-            text.parse()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?}"))
-        }
-    }
-}
 
 fn case_from_json(case: &Json, file: &Path) -> Result<CaseResult, CampaignError> {
     let field = |key: &str| {
@@ -1104,9 +514,8 @@ pub fn load_shard_report(
 /// Fails if the spool is malformed or any case of the campaign's case
 /// space has no result yet.
 pub fn merge_shards(spool: &Path) -> Result<crate::sweep::SweepReport, CampaignError> {
-    let manifest =
-        ShardManifest::load(spool)?.ok_or_else(|| malformed(&manifest_path(spool), "missing"))?;
-    let mut slots: Vec<Option<CaseResult>> = vec![None; manifest.case_count];
+    let manifest = Manifest::require(spool, Dialect::Sweep)?;
+    let mut slots: Vec<Option<CaseResult>> = vec![None; manifest.units];
     for entry in &manifest.shards {
         for case in load_shard_report(spool, entry.range)? {
             let index = case.case.index;
@@ -1124,59 +533,6 @@ pub fn merge_shards(spool: &Path) -> Result<crate::sweep::SweepReport, CampaignE
 // The coordinator
 // --------------------------------------------------------------------------
 
-/// How the coordinator executes shards.
-#[derive(Clone, Debug)]
-pub enum WorkerMode {
-    /// Run shards inside the coordinator process, one at a time (each
-    /// shard still uses the config's sweep thread pool). The zero-setup
-    /// path used by `sweep_grid --shards`.
-    InProcess,
-    /// Spawn the given `campaign_worker` binary as a separate OS process
-    /// per shard.
-    Spawn(PathBuf),
-}
-
-/// Options of a campaign run.
-#[derive(Clone, Debug)]
-pub struct CampaignOptions {
-    /// Spool directory holding the manifest, config and shard reports.
-    pub spool: PathBuf,
-    /// Number of shards to split the case space into (ignored when
-    /// resuming: the existing manifest's plan wins).
-    pub shards: usize,
-    /// Maximum number of concurrently running worker processes.
-    pub workers: usize,
-    /// Attempt budget per shard before the campaign fails.
-    pub max_attempts: u32,
-    /// Sweep threads per worker (`0` = one per core).
-    pub worker_threads: usize,
-    /// How shards are executed.
-    pub worker: WorkerMode,
-    /// Stop after completing this many shards in *this* invocation,
-    /// leaving the campaign resumable — deterministic stand-in for a
-    /// mid-campaign kill, used by the resume tests and the CI smoke job.
-    pub exit_after: Option<usize>,
-    /// Suppress progress lines on stderr.
-    pub quiet: bool,
-}
-
-impl CampaignOptions {
-    /// Reasonable defaults: in-process workers, 4 shards, 2 at a time,
-    /// 3 attempts.
-    pub fn new(spool: impl Into<PathBuf>) -> Self {
-        CampaignOptions {
-            spool: spool.into(),
-            shards: 4,
-            workers: 2,
-            max_attempts: 3,
-            worker_threads: 0,
-            worker: WorkerMode::InProcess,
-            exit_after: None,
-            quiet: false,
-        }
-    }
-}
-
 /// What a [`run_campaign`] invocation did.
 #[derive(Debug)]
 pub struct CampaignOutcome {
@@ -1193,36 +549,10 @@ pub struct CampaignOutcome {
     pub retries: u32,
 }
 
-/// Reads a shard's `done total` progress file; zeroes when absent.
-fn read_progress(spool: &Path, shard: usize) -> (usize, usize) {
-    let Ok(text) = fs::read_to_string(shard_progress_path(spool, shard)) else {
-        return (0, 0);
-    };
-    let mut parts = text.split_whitespace();
-    let done = parts.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-    let total = parts.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-    (done, total)
-}
-
-struct ProgressPrinter {
-    quiet: bool,
-    last: String,
-}
-
-impl ProgressPrinter {
-    fn emit(&mut self, line: String) {
-        if self.quiet || line == self.last {
-            return;
-        }
-        eprintln!("{line}");
-        self.last = line;
-    }
-}
-
 /// Runs (or resumes) a sharded campaign of `config` to completion:
 /// initializes the spool, revalidates and reuses completed shards, executes
-/// the incomplete ones — with a bounded retry budget and live progress on
-/// stderr — and merges the shard reports into the final [`crate::sweep::SweepReport`].
+/// the incomplete ones under the engine's pool policy ([`crate::engine`]),
+/// and merges the shard reports into the final [`crate::sweep::SweepReport`].
 ///
 /// # Errors
 ///
@@ -1232,245 +562,13 @@ pub fn run_campaign(
     config: &SweepConfig,
     options: &CampaignOptions,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let spool = options.spool.as_path();
-    let mut manifest = init_spool(spool, config, options.shards)?;
-
-    // Revalidate shards marked done: a report that is missing or torn (the
-    // worker was killed mid-campaign) sends its shard back to pending.
-    let mut shards_reused = 0;
-    for i in 0..manifest.shards.len() {
-        if manifest.shards[i].status == ShardStatus::Done {
-            if load_shard_report(spool, manifest.shards[i].range).is_ok() {
-                shards_reused += 1;
-            } else {
-                manifest.shards[i].status = ShardStatus::Pending;
-            }
-        }
-    }
-    manifest.store(spool)?;
-
-    let mut progress = ProgressPrinter {
-        quiet: options.quiet,
-        last: String::new(),
-    };
-    let pending: Vec<usize> = manifest.incomplete().map(|s| s.range.index).collect();
-    let shards_total = manifest.shards.len();
-    let budget = options.max_attempts.max(1);
-    let mut shards_run = 0;
-    let mut retries = 0;
-    let exit_after = options.exit_after.unwrap_or(usize::MAX);
-
-    match &options.worker {
-        WorkerMode::InProcess => {
-            for &shard in &pending {
-                if shards_run >= exit_after {
-                    break;
-                }
-                let range = manifest.shards[shard].range;
-                // Same attempt budget as the spawn path; attempts are
-                // persisted *before* each try so a coordinator killed
-                // mid-shard resumes with the consumed attempt on record.
-                loop {
-                    manifest.shards[shard].attempts += 1;
-                    manifest.store(spool)?;
-                    match run_shard(spool, shard, options.worker_threads) {
-                        Ok(_) => break,
-                        Err(e) => {
-                            retries += 1;
-                            if manifest.shards[shard].attempts >= budget {
-                                return Err(CampaignError::ShardFailed {
-                                    shard,
-                                    attempts: manifest.shards[shard].attempts,
-                                    reason: e.to_string(),
-                                });
-                            }
-                            progress.emit(format!(
-                                "campaign: shard {shard} failed ({e}); retrying \
-                                 (attempt {} of {budget})",
-                                manifest.shards[shard].attempts + 1
-                            ));
-                        }
-                    }
-                }
-                manifest.shards[shard].status = ShardStatus::Done;
-                manifest.store(spool)?;
-                shards_run += 1;
-                let done = manifest
-                    .shards
-                    .iter()
-                    .filter(|s| s.status == ShardStatus::Done)
-                    .count();
-                progress.emit(format!(
-                    "campaign: shard {shard} done ({} cases); {done}/{shards_total} shards",
-                    range.len()
-                ));
-            }
-        }
-        WorkerMode::Spawn(bin) => {
-            let mut queue: std::collections::VecDeque<usize> = pending.iter().copied().collect();
-            let mut running: Vec<(usize, Child)> = Vec::new();
-            let kill_all = |running: &mut Vec<(usize, Child)>| {
-                for (_, child) in running.iter_mut() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                running.clear();
-            };
-            loop {
-                // Top up the worker pool. A spawn failure must not leak the
-                // workers already running. In-flight workers are capped by
-                // the remaining `exit_after` budget so a pause request can
-                // never be overtaken by shards finishing in the same poll
-                // window — `--exit-after N` pauses deterministically.
-                while running.len() < options.workers.max(1)
-                    && shards_run + running.len() < exit_after
-                {
-                    let Some(shard) = queue.pop_front() else {
-                        break;
-                    };
-                    manifest.shards[shard].attempts += 1;
-                    manifest.store(spool)?;
-                    let mut command = Command::new(bin);
-                    command
-                        .arg("--spool")
-                        .arg(spool)
-                        .arg("--shard")
-                        .arg(shard.to_string())
-                        .arg("--threads")
-                        .arg(options.worker_threads.to_string())
-                        .stdin(Stdio::null())
-                        .stdout(Stdio::null());
-                    if options.quiet {
-                        // Quiet coordinators silence their workers' progress
-                        // chatter too (errors still reach stderr).
-                        command.env("REGEMU_LOG", "off");
-                    }
-                    let spawned = command.spawn();
-                    match spawned {
-                        Ok(child) => running.push((shard, child)),
-                        Err(e) => {
-                            kill_all(&mut running);
-                            return Err(CampaignError::ShardFailed {
-                                shard,
-                                attempts: manifest.shards[shard].attempts,
-                                reason: format!("cannot spawn worker {}: {e}", bin.display()),
-                            });
-                        }
-                    }
-                }
-                if running.is_empty() {
-                    break;
-                }
-
-                std::thread::sleep(Duration::from_millis(30));
-
-                // Reap finished workers. A fatal verdict is deferred until
-                // every child has been kept or reaped, so no child can slip
-                // past an early return and keep writing into the spool.
-                let mut still_running: Vec<(usize, Child)> = Vec::new();
-                let mut fatal: Option<CampaignError> = None;
-                for (shard, mut child) in running.drain(..) {
-                    if fatal.is_some() {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        continue;
-                    }
-                    let verdict: Result<(), String> = match child.try_wait() {
-                        Ok(None) => {
-                            still_running.push((shard, child));
-                            continue;
-                        }
-                        Ok(Some(status)) if status.success() => {
-                            load_shard_report(spool, manifest.shards[shard].range)
-                                .map(|_| ())
-                                .map_err(|e| e.to_string())
-                        }
-                        Ok(Some(status)) => Err(format!("worker exited with {status}")),
-                        Err(e) => {
-                            // Unknown child state: kill it so a requeued
-                            // shard can never have two concurrent writers.
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            Err(format!("cannot poll worker: {e}"))
-                        }
-                    };
-                    match verdict {
-                        Ok(()) => {
-                            manifest.shards[shard].status = ShardStatus::Done;
-                            // A store failure is fatal, but deferred like any
-                            // other so the remaining children are reaped.
-                            if let Err(e) = manifest.store(spool) {
-                                fatal = Some(e);
-                                continue;
-                            }
-                            shards_run += 1;
-                        }
-                        Err(reason) => {
-                            retries += 1;
-                            if manifest.shards[shard].attempts >= budget {
-                                fatal = Some(CampaignError::ShardFailed {
-                                    shard,
-                                    attempts: manifest.shards[shard].attempts,
-                                    reason,
-                                });
-                            } else {
-                                progress.emit(format!(
-                                    "campaign: shard {shard} failed ({reason}); retrying \
-                                     (attempt {} of {budget})",
-                                    manifest.shards[shard].attempts + 1
-                                ));
-                                queue.push_back(shard);
-                            }
-                        }
-                    }
-                }
-                running = still_running;
-                if let Some(e) = fatal {
-                    kill_all(&mut running);
-                    return Err(e);
-                }
-
-                // Stream progress: shard states plus live case counts.
-                let done_shards = manifest
-                    .shards
-                    .iter()
-                    .filter(|s| s.status == ShardStatus::Done)
-                    .count();
-                let mut cases_done: usize = manifest
-                    .shards
-                    .iter()
-                    .filter(|s| s.status == ShardStatus::Done)
-                    .map(|s| s.range.len())
-                    .sum();
-                for (shard, _) in &running {
-                    cases_done += read_progress(spool, *shard).0;
-                }
-                progress.emit(format!(
-                    "campaign: {done_shards}/{shards_total} shards, \
-                     {cases_done}/{} cases, {} running",
-                    manifest.case_count,
-                    running.len()
-                ));
-
-                if shards_run >= exit_after {
-                    kill_all(&mut running);
-                    break;
-                }
-            }
-        }
-    }
-
-    let report = if manifest.is_complete() {
-        Some(merge_shards(spool)?)
-    } else {
-        None
-    };
+    let run = engine::run(&SweepCampaign(config), options)?;
     Ok(CampaignOutcome {
-        report,
-        shards_total,
-        shards_run,
-        shards_reused,
-        retries,
+        report: run.report,
+        shards_total: run.units_total,
+        shards_run: run.units_run,
+        shards_reused: run.units_reused,
+        retries: run.retries,
     })
 }
 
@@ -1546,38 +644,6 @@ mod tests {
         }
         assert_eq!(WorkloadSpec::from_label("nope"), None);
         assert_eq!(WorkloadSpec::from_label("write-seq/rX"), None);
-    }
-
-    #[test]
-    fn shard_plans_partition_the_case_space() {
-        for (count, shards) in [(24, 4), (7, 3), (5, 9), (1, 1), (0, 4), (100, 7)] {
-            let plan = plan_shards(count, shards);
-            assert_eq!(plan[0].start, 0);
-            assert_eq!(plan.last().unwrap().end, count);
-            for w in plan.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            let lens: Vec<usize> = plan.iter().map(ShardRange::len).collect();
-            let max = lens.iter().max().unwrap();
-            let min = lens.iter().min().unwrap();
-            assert!(max - min <= 1, "unbalanced plan {lens:?}");
-            if count > 0 {
-                assert!(plan.iter().all(|r| !r.is_empty()));
-            }
-        }
-    }
-
-    #[test]
-    fn manifest_text_round_trips_and_rejects_corruption() {
-        let config = SweepConfig::quick();
-        let mut manifest = ShardManifest::plan(&config, 4);
-        manifest.shards[1].status = ShardStatus::Done;
-        manifest.shards[1].attempts = 2;
-        let text = manifest.to_text();
-        assert_eq!(ShardManifest::from_text(&text).unwrap(), manifest);
-        assert!(ShardManifest::from_text("garbage").is_err());
-        let truncated: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(ShardManifest::from_text(&truncated).is_err());
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl ConformLog {
     /// Reads and parses a log file.
     pub fn load(path: &Path) -> Result<ConformLog, CampaignError> {
         let text = std::fs::read_to_string(path)?;
-        ConformLog::from_text(&text).map_err(|reason| crate::campaign::malformed(path, reason))
+        ConformLog::from_text(&text).map_err(|reason| crate::engine::malformed(path, reason))
     }
 
     /// Renders the log in the text format.

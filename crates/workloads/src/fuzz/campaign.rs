@@ -32,6 +32,10 @@
 //!
 //! ## The spool directory
 //!
+//! The spool protocol — manifest, worker pool, retry and resume — is the
+//! shared campaign engine's ([`crate::engine`], which lists every file of
+//! both kinds). This module is the fuzz *kind*; its files are:
+//!
 //! | file | written by | contents |
 //! |---|---|---|
 //! | `fuzz-config.txt` | coordinator, once | canonical [`FuzzCampaignConfig`] text |
@@ -43,8 +47,7 @@
 //!
 //! Because every `(shard, generation)` unit is a pure function of the spool
 //! contents at its barrier, a killed worker is re-run idempotently: it
-//! republishes byte-identical files. Resume revalidates completion reports
-//! exactly like the sweep campaign revalidates shard reports.
+//! republishes byte-identical files.
 //!
 //! ## The merged failure set
 //!
@@ -60,8 +63,9 @@
 use super::shrink::{shrink_failure, FailureReport};
 use super::trace::RecordedSchedule;
 use super::{FailureKind, FuzzCase, FuzzConfig, FuzzEmulation, Fuzzer};
-use crate::campaign::{
-    fnv64, malformed, plan_shards, write_atomically, CampaignError, ShardRange, WorkerMode,
+use crate::engine::{
+    self, fingerprint, fnv64, malformed, plan_shards, write_atomically, Campaign, CampaignError,
+    CampaignOptions, Dialect, Manifest, Outcome, ShardRange,
 };
 use crate::runner::ConsistencyCheck;
 use crate::sweep::WorkloadSpec;
@@ -70,7 +74,6 @@ use regemu_spec::Condition;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 
 /// Version tag of the fuzz-campaign spool formats.
 pub const FUZZ_FORMAT_VERSION: u32 = 1;
@@ -242,22 +245,12 @@ pub fn fuzz_config_from_text(text: &str) -> Result<FuzzCampaignConfig, String> {
 
 /// Fingerprint identifying the campaign's exploration space.
 pub fn fuzz_config_fingerprint(config: &FuzzCampaignConfig) -> String {
-    format!("{:016x}", fnv64(fuzz_config_to_text(config).as_bytes()))
+    fingerprint(&fuzz_config_to_text(config))
 }
 
 // --------------------------------------------------------------------------
 // Spool layout
 // --------------------------------------------------------------------------
-
-/// Path of the fuzz-campaign config inside a spool directory.
-pub fn fuzz_config_path(spool: &Path) -> PathBuf {
-    spool.join("fuzz-config.txt")
-}
-
-/// Path of the fuzz-campaign manifest inside a spool directory.
-pub fn fuzz_manifest_path(spool: &Path) -> PathBuf {
-    spool.join("fuzz-manifest.txt")
-}
 
 /// Path of a published corpus entry.
 pub fn corpus_entry_path(spool: &Path, stream: usize, gen: usize, seq: usize) -> PathBuf {
@@ -271,7 +264,7 @@ pub fn failures_path(spool: &Path, stream: usize, gen: usize) -> PathBuf {
 
 /// Path of a `(shard, generation)` completion report.
 pub fn fuzz_shard_report_path(spool: &Path, shard: usize, gen: usize) -> PathBuf {
-    spool.join(format!("fuzz-shard-{shard:04}-{gen:02}.txt"))
+    Dialect::Fuzz.unit_report_path(spool, shard, gen)
 }
 
 /// Path of an imported generation-0 seed entry ([`import_seed_corpus`]).
@@ -280,177 +273,53 @@ pub fn seed_entry_path(spool: &Path, seq: usize) -> PathBuf {
 }
 
 // --------------------------------------------------------------------------
-// The manifest
+// The manifest and the engine hook
 // --------------------------------------------------------------------------
 
-/// One shard (a contiguous stream range) and its generation progress.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FuzzShardEntry {
-    /// The shard's stream range.
-    pub range: ShardRange,
-    /// Generations completed so far (`generations` = shard finished).
-    pub gens_done: usize,
-    /// Worker attempts consumed so far.
-    pub attempts: u32,
-}
+/// A fuzz campaign's manifest: the engine's [`Manifest`] in the
+/// [`Dialect::Fuzz`] dialect (`fuzz-manifest.txt`) — shards are stream
+/// ranges, rounds are generations.
+pub type FuzzManifest = Manifest;
 
-/// The versioned, on-disk state of a fuzz campaign.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FuzzManifest {
-    /// Fingerprint of the config ([`fuzz_config_fingerprint`]).
-    pub fingerprint: String,
-    /// Total number of streams.
-    pub streams: usize,
-    /// Generations per stream.
-    pub generations: usize,
-    /// Per-shard stream ranges and progress, in shard order.
-    pub shards: Vec<FuzzShardEntry>,
-}
+/// The fuzz kind, as the engine sees it: one round per generation, a unit
+/// is done when its completion report covers the shard's stream range.
+struct FuzzCampaign<'a>(&'a FuzzCampaignConfig);
 
-impl FuzzManifest {
-    /// Plans a fresh manifest for `config` split into `shards` shards.
-    pub fn plan(config: &FuzzCampaignConfig, shards: usize) -> Self {
-        FuzzManifest {
-            fingerprint: fuzz_config_fingerprint(config),
-            streams: config.streams,
-            generations: config.generations,
-            shards: plan_shards(config.streams, shards)
-                .into_iter()
-                .map(|range| FuzzShardEntry {
-                    range,
-                    gens_done: 0,
-                    attempts: 0,
-                })
-                .collect(),
-        }
+impl Campaign for FuzzCampaign<'_> {
+    type Report = FuzzCampaignReport;
+
+    fn dialect(&self) -> Dialect {
+        Dialect::Fuzz
     }
 
-    /// Serializes the manifest as its on-disk text.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "regemu-fuzz-campaign-manifest v{FUZZ_FORMAT_VERSION}\n\
-             fingerprint {}\nstreams {}\ngenerations {}\nshards {}\n",
-            self.fingerprint,
-            self.streams,
-            self.generations,
-            self.shards.len()
-        );
-        for s in &self.shards {
-            out.push_str(&format!(
-                "shard {} {} {} {} {}\n",
-                s.range.index, s.range.start, s.range.end, s.gens_done, s.attempts
-            ));
-        }
-        out
+    fn config_text(&self) -> String {
+        fuzz_config_to_text(self.0)
     }
 
-    /// Parses the on-disk manifest text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming what is malformed.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty manifest")?;
-        if header != format!("regemu-fuzz-campaign-manifest v{FUZZ_FORMAT_VERSION}") {
-            return Err(format!("unsupported manifest header {header:?}"));
-        }
-        let mut field = |name: &str| -> Result<String, String> {
-            let line = lines.next().ok_or(format!("missing {name} line"))?;
-            line.strip_prefix(&format!("{name} "))
-                .map(str::to_string)
-                .ok_or(format!("expected {name} line, got {line:?}"))
-        };
-        let fingerprint = field("fingerprint")?;
-        let parse = |s: String, what: &str| -> Result<usize, String> {
-            s.parse().map_err(|_| format!("bad {what} {s:?}"))
-        };
-        let streams = parse(field("streams")?, "stream count")?;
-        let generations = parse(field("generations")?, "generation count")?;
-        let shard_count = parse(field("shards")?, "shard count")?;
-        let mut shards = Vec::with_capacity(shard_count);
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            let ["shard", index, start, end, gens_done, attempts] = parts.as_slice() else {
-                return Err(format!("bad shard line {line:?}"));
-            };
-            let parse = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number {s:?}"));
-            shards.push(FuzzShardEntry {
-                range: ShardRange {
-                    index: parse(index)?,
-                    start: parse(start)?,
-                    end: parse(end)?,
-                },
-                gens_done: parse(gens_done)?,
-                attempts: attempts
-                    .parse()
-                    .map_err(|_| format!("bad attempt count {attempts:?}"))?,
-            });
-        }
-        if shards.len() != shard_count {
-            return Err(format!(
-                "manifest declares {shard_count} shards but lists {}",
-                shards.len()
-            ));
-        }
-        let mut expected_start = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if s.range.index != i || s.range.start != expected_start || s.range.end < s.range.start
-            {
-                return Err(format!("shard {i} range is not a partition: {:?}", s.range));
-            }
-            if s.gens_done > generations {
-                return Err(format!("shard {i} claims {} generations", s.gens_done));
-            }
-            expected_start = s.range.end;
-        }
-        if expected_start != streams {
-            return Err(format!(
-                "shards cover {expected_start} streams, manifest declares {streams}"
-            ));
-        }
-        Ok(FuzzManifest {
-            fingerprint,
-            streams,
-            generations,
-            shards,
-        })
+    fn units(&self) -> usize {
+        self.0.streams
     }
 
-    /// Loads the manifest from a spool directory, or `None` when absent.
-    pub fn load(spool: &Path) -> Result<Option<Self>, CampaignError> {
-        let path = fuzz_manifest_path(spool);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        FuzzManifest::from_text(&text)
-            .map(Some)
-            .map_err(|reason| malformed(&path, reason))
+    fn rounds(&self) -> usize {
+        self.0.generations
     }
 
-    /// Atomically writes the manifest into the spool.
-    pub fn store(&self, spool: &Path) -> Result<(), CampaignError> {
-        write_atomically(&fuzz_manifest_path(spool), &self.to_text())
+    fn run_unit(
+        &self,
+        spool: &Path,
+        shard: usize,
+        round: usize,
+        _threads: usize,
+    ) -> Result<(), CampaignError> {
+        run_fuzz_shard_gen(spool, shard, round)
     }
 
-    /// Returns `true` once every shard has run all generations.
-    pub fn is_complete(&self) -> bool {
-        self.shards.iter().all(|s| s.gens_done >= self.generations)
+    fn unit_is_done(&self, spool: &Path, range: ShardRange, round: usize) -> bool {
+        shard_gen_is_done(spool, range, round)
     }
 
-    /// The barrier generation: the next generation some shard still has to
-    /// run (all shards with `gens_done == g` run before any starts `g + 1`).
-    pub fn current_generation(&self) -> Option<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.gens_done)
-            .min()
-            .filter(|&g| g < self.generations)
+    fn merge(&self, spool: &Path) -> Result<Self::Report, CampaignError> {
+        merge_fuzz_campaign(spool)
     }
 }
 
@@ -467,21 +336,7 @@ pub fn init_fuzz_spool(
     config: &FuzzCampaignConfig,
     shards: usize,
 ) -> Result<FuzzManifest, CampaignError> {
-    fs::create_dir_all(spool)?;
-    let fingerprint = fuzz_config_fingerprint(config);
-    if let Some(manifest) = FuzzManifest::load(spool)? {
-        if manifest.fingerprint != fingerprint {
-            return Err(CampaignError::ConfigMismatch {
-                manifest: manifest.fingerprint,
-                config: fingerprint,
-            });
-        }
-        return Ok(manifest);
-    }
-    write_atomically(&fuzz_config_path(spool), &fuzz_config_to_text(config))?;
-    let manifest = FuzzManifest::plan(config, shards);
-    manifest.store(spool)?;
-    Ok(manifest)
+    engine::init(spool, &FuzzCampaign(config), shards)
 }
 
 /// Imports every `*.trace` file in `dir` — typically the `corpus-*.trace`
@@ -564,8 +419,18 @@ pub fn import_seed_corpus(spool: &Path, dir: &Path) -> Result<usize, CampaignErr
 /// Fails on I/O errors or a malformed seed entry.
 pub fn seed_corpus(spool: &Path) -> Result<Vec<FuzzCase>, CampaignError> {
     let mut cases = Vec::new();
+    read_cases(&mut cases, |seq| seed_entry_path(spool, seq))?;
+    Ok(cases)
+}
+
+/// Appends the cases recorded in `path(0)`, `path(1)`, … up to the first
+/// missing file.
+fn read_cases(
+    cases: &mut Vec<FuzzCase>,
+    path: impl Fn(usize) -> PathBuf,
+) -> Result<(), CampaignError> {
     for seq in 0.. {
-        let path = seed_entry_path(spool, seq);
+        let path = path(seq);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
@@ -575,7 +440,7 @@ pub fn seed_corpus(spool: &Path) -> Result<Vec<FuzzCase>, CampaignError> {
             RecordedSchedule::from_text(&text).map_err(|reason| malformed(&path, reason))?;
         cases.push(schedule.case());
     }
-    Ok(cases)
+    Ok(())
 }
 
 /// Loads the campaign's [`FuzzCampaignConfig`] from a spool directory.
@@ -584,7 +449,7 @@ pub fn seed_corpus(spool: &Path) -> Result<Vec<FuzzCase>, CampaignError> {
 ///
 /// Fails when the config file is missing or malformed.
 pub fn load_fuzz_config(spool: &Path) -> Result<FuzzCampaignConfig, CampaignError> {
-    let path = fuzz_config_path(spool);
+    let path = Dialect::Fuzz.config_path(spool);
     let text = fs::read_to_string(&path)?;
     fuzz_config_from_text(&text).map_err(|reason| malformed(&path, reason))
 }
@@ -604,17 +469,7 @@ fn published_before(
     let mut cases = Vec::new();
     for stream in 0..streams {
         for g in 0..gen {
-            for seq in 0.. {
-                let path = corpus_entry_path(spool, stream, g, seq);
-                let text = match fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                    Err(e) => return Err(e.into()),
-                };
-                let schedule = RecordedSchedule::from_text(&text)
-                    .map_err(|reason| malformed(&path, reason))?;
-                cases.push(schedule.case());
-            }
+            read_cases(&mut cases, |seq| corpus_entry_path(spool, stream, g, seq))?;
         }
     }
     Ok(cases)
@@ -707,8 +562,7 @@ fn run_stream_generation(
 /// Fails on spool I/O or when the spool has no (or a malformed) config.
 pub fn run_fuzz_shard_gen(spool: &Path, shard: usize, gen: usize) -> Result<(), CampaignError> {
     let config = load_fuzz_config(spool)?;
-    let manifest = FuzzManifest::load(spool)?
-        .ok_or_else(|| malformed(&fuzz_manifest_path(spool), "missing manifest".to_string()))?;
+    let manifest = Manifest::require(spool, Dialect::Fuzz)?;
     let entry = manifest
         .shards
         .get(shard)
@@ -720,7 +574,7 @@ pub fn run_fuzz_shard_gen(spool: &Path, shard: usize, gen: usize) -> Result<(), 
     );
     // Heartbeats are advisory observer artifacts; the unit's report below
     // stays a pure function of the spool state at the generation barrier.
-    let mut beat = crate::status::HeartbeatWriter::new(spool, shard, "fuzz", entry.attempts);
+    let mut beat = crate::status::HeartbeatWriter::new(spool, shard, Dialect::Fuzz, entry.attempts);
     let (mut iterations, mut corpus_entries) = (0u64, 0u64);
     beat.set_fuzz_progress(gen as u64, iterations, corpus_entries);
     beat.publish(0, entry.range.len() as u64);
@@ -928,10 +782,9 @@ fn parse_failures_file(path: &Path) -> Result<Vec<FailureReport>, CampaignError>
 /// unit has not completed.
 pub fn merge_fuzz_campaign(spool: &Path) -> Result<FuzzCampaignReport, CampaignError> {
     let config = load_fuzz_config(spool)?;
-    let manifest = FuzzManifest::load(spool)?
-        .ok_or_else(|| malformed(&fuzz_manifest_path(spool), "missing manifest".to_string()))?;
+    let manifest = Manifest::require(spool, Dialect::Fuzz)?;
     for entry in &manifest.shards {
-        for gen in 0..manifest.generations {
+        for gen in 0..manifest.rounds {
             if !shard_gen_is_done(spool, entry.range, gen) {
                 return Err(CampaignError::IncompleteMerge {
                     missing_index: entry.range.index,
@@ -944,8 +797,8 @@ pub fn merge_fuzz_campaign(spool: &Path) -> Result<FuzzCampaignReport, CampaignE
     let mut corpus_published = 0;
     // Dedup by the shrunk trace text; order by (kind label, trace text).
     let mut merged: BTreeMap<(String, String), MergedFailure> = BTreeMap::new();
-    for stream in 0..manifest.streams {
-        for gen in 0..manifest.generations {
+    for stream in 0..manifest.units {
+        for gen in 0..manifest.rounds {
             for seq in 0.. {
                 if corpus_entry_path(spool, stream, gen, seq).exists() {
                     corpus_published += 1;
@@ -986,93 +839,21 @@ pub fn merge_fuzz_campaign(spool: &Path) -> Result<FuzzCampaignReport, CampaignE
 // The coordinator
 // --------------------------------------------------------------------------
 
-/// Options of a fuzz-campaign run.
-#[derive(Clone, Debug)]
-pub struct FuzzCampaignOptions {
-    /// Spool directory holding the manifest, config, corpus and failures.
-    pub spool: PathBuf,
-    /// Number of shards to split the stream space into (ignored when
-    /// resuming: the existing manifest's plan wins).
-    pub shards: usize,
-    /// Maximum number of concurrently running worker processes.
-    pub workers: usize,
-    /// Attempt budget per `(shard, generation)` unit.
-    pub max_attempts: u32,
-    /// How units are executed.
-    pub worker: WorkerMode,
-    /// Stop after completing this many `(shard, generation)` units in
-    /// *this* invocation, leaving the campaign resumable.
-    pub exit_after: Option<usize>,
-    /// Suppress progress lines on stderr.
-    pub quiet: bool,
-}
-
-impl FuzzCampaignOptions {
-    /// Reasonable defaults: in-process workers, 4 shards, 2 at a time,
-    /// 3 attempts.
-    pub fn new(spool: impl Into<PathBuf>) -> Self {
-        FuzzCampaignOptions {
-            spool: spool.into(),
-            shards: 4,
-            workers: 2,
-            max_attempts: 3,
-            worker: WorkerMode::InProcess,
-            exit_after: None,
-            quiet: false,
-        }
-    }
-}
+/// Options of a fuzz-campaign run: the engine's [`CampaignOptions`]. A
+/// fuzz unit is single-threaded, so `worker_threads` is ignored;
+/// `max_attempts` and `exit_after` count `(shard, generation)` units.
+pub type FuzzCampaignOptions = CampaignOptions;
 
 /// What a [`run_fuzz_campaign`] invocation did.
-#[derive(Debug)]
-pub struct FuzzCampaignOutcome {
-    /// The merged report — `Some` once every unit is done, `None` when the
-    /// invocation stopped early ([`FuzzCampaignOptions::exit_after`]).
-    pub report: Option<FuzzCampaignReport>,
-    /// Total `(shard, generation)` units in the campaign.
-    pub units_total: usize,
-    /// Units executed by this invocation.
-    pub units_run: usize,
-    /// Units whose existing completion report was reused (resume).
-    pub units_reused: usize,
-    /// Worker attempts that failed and were retried.
-    pub retries: u32,
-}
-
-/// Spawns the worker process of one `(shard, generation)` unit.
-fn spawn_unit(
-    bin: &Path,
-    spool: &Path,
-    shard: usize,
-    gen: usize,
-    quiet: bool,
-) -> Result<std::process::Child, String> {
-    let mut command = Command::new(bin);
-    command
-        .arg("--spool")
-        .arg(spool)
-        .arg("--shard")
-        .arg(shard.to_string())
-        .arg("--gen")
-        .arg(gen.to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::null());
-    if quiet {
-        // Quiet coordinators silence their workers' progress chatter too
-        // (errors still reach stderr).
-        command.env("REGEMU_LOG", "off");
-    }
-    command
-        .spawn()
-        .map_err(|e| format!("cannot spawn worker {}: {e}", bin.display()))
-}
+pub type FuzzCampaignOutcome = Outcome<FuzzCampaignReport>;
 
 /// Runs (or resumes) a sharded fuzz campaign to completion: initializes the
 /// spool, revalidates completed `(shard, generation)` units, executes the
-/// rest generation by generation (the corpus-exchange barrier), and merges
-/// the failure files into the final [`FuzzCampaignReport`].
+/// rest generation by generation (the corpus-exchange barrier) under the
+/// engine's pool policy ([`crate::engine`]), and merges the failure files
+/// into the final [`FuzzCampaignReport`].
 ///
-/// Spawned units of the *same* generation run concurrently up to
+/// Units of the *same* generation run concurrently up to
 /// [`FuzzCampaignOptions::workers`]; the generation barrier is the only
 /// synchronization, and it lives in the manifest, so a killed campaign
 /// resumes exactly where it stopped.
@@ -1085,196 +866,7 @@ pub fn run_fuzz_campaign(
     config: &FuzzCampaignConfig,
     options: &FuzzCampaignOptions,
 ) -> Result<FuzzCampaignOutcome, CampaignError> {
-    let spool = options.spool.as_path();
-    let mut manifest = init_fuzz_spool(spool, config, options.shards)?;
-
-    // Revalidate progress: a unit whose completion report is missing or
-    // torn sends its shard back to that generation.
-    let mut units_reused = 0;
-    for i in 0..manifest.shards.len() {
-        let mut validated = 0;
-        for gen in 0..manifest.shards[i].gens_done {
-            if shard_gen_is_done(spool, manifest.shards[i].range, gen) {
-                validated += 1;
-            } else {
-                break;
-            }
-        }
-        units_reused += validated;
-        manifest.shards[i].gens_done = validated;
-    }
-    manifest.store(spool)?;
-
-    let units_total = manifest.shards.len() * manifest.generations;
-    let budget = options.max_attempts.max(1);
-    let exit_after = options.exit_after.unwrap_or(usize::MAX);
-    let mut units_run = 0;
-    let mut retries = 0;
-
-    'generations: while let Some(gen) = manifest.current_generation() {
-        // Every shard still at `gen` runs it; the concurrency cap only
-        // bounds the process pool, never the outcome.
-        let mut queue: std::collections::VecDeque<usize> = manifest
-            .shards
-            .iter()
-            .filter(|s| s.gens_done == gen)
-            .map(|s| s.range.index)
-            .collect();
-
-        // A unit outcome: Ok = worker finished (report still revalidated),
-        // Err = why it must be retried.
-        struct Settle<'a> {
-            spool: &'a Path,
-            quiet: bool,
-            budget: u32,
-            units_total: usize,
-            gen: usize,
-            units_run: &'a mut usize,
-            retries: &'a mut u32,
-        }
-        impl Settle<'_> {
-            fn settle(
-                &mut self,
-                manifest: &mut FuzzManifest,
-                queue: &mut std::collections::VecDeque<usize>,
-                shard: usize,
-                outcome: Result<(), String>,
-            ) -> Result<(), CampaignError> {
-                let gen = self.gen;
-                let reason = match outcome {
-                    Ok(()) if shard_gen_is_done(self.spool, manifest.shards[shard].range, gen) => {
-                        manifest.shards[shard].gens_done = gen + 1;
-                        manifest.store(self.spool)?;
-                        *self.units_run += 1;
-                        if !self.quiet {
-                            eprintln!(
-                                "fuzz-campaign: shard {shard} generation {gen} done \
-                                 ({}/{} units)",
-                                manifest.shards.iter().map(|s| s.gens_done).sum::<usize>(),
-                                self.units_total
-                            );
-                        }
-                        return Ok(());
-                    }
-                    Ok(()) => "completion report missing or torn".to_string(),
-                    Err(reason) => reason,
-                };
-                *self.retries += 1;
-                if manifest.shards[shard].attempts >= self.budget {
-                    return Err(CampaignError::ShardFailed {
-                        shard,
-                        attempts: manifest.shards[shard].attempts,
-                        reason,
-                    });
-                }
-                if !self.quiet {
-                    eprintln!(
-                        "fuzz-campaign: shard {shard} generation {gen} failed ({reason}); \
-                         retrying (attempt {} of {})",
-                        manifest.shards[shard].attempts + 1,
-                        self.budget
-                    );
-                }
-                queue.push_back(shard);
-                Ok(())
-            }
-        }
-        let mut ctx = Settle {
-            spool,
-            quiet: options.quiet,
-            budget,
-            units_total,
-            gen,
-            units_run: &mut units_run,
-            retries: &mut retries,
-        };
-
-        match &options.worker {
-            WorkerMode::InProcess => {
-                while let Some(shard) = queue.pop_front() {
-                    if *ctx.units_run >= exit_after {
-                        break 'generations;
-                    }
-                    manifest.shards[shard].attempts += 1;
-                    manifest.store(spool)?;
-                    let outcome = run_fuzz_shard_gen(spool, shard, gen).map_err(|e| e.to_string());
-                    ctx.settle(&mut manifest, &mut queue, shard, outcome)?;
-                }
-            }
-            WorkerMode::Spawn(bin) => {
-                let pool = options.workers.max(1);
-                let mut running: Vec<(usize, std::process::Child)> = Vec::new();
-                loop {
-                    if *ctx.units_run >= exit_after {
-                        for (_, mut child) in running {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                        }
-                        break 'generations;
-                    }
-                    while running.len() < pool {
-                        let Some(shard) = queue.pop_front() else {
-                            break;
-                        };
-                        manifest.shards[shard].attempts += 1;
-                        manifest.store(spool)?;
-                        match spawn_unit(bin, spool, shard, gen, options.quiet) {
-                            Ok(child) => running.push((shard, child)),
-                            Err(reason) => {
-                                ctx.settle(&mut manifest, &mut queue, shard, Err(reason))?
-                            }
-                        }
-                    }
-                    if running.is_empty() {
-                        break;
-                    }
-                    let mut progressed = false;
-                    let mut idx = 0;
-                    while idx < running.len() {
-                        match running[idx].1.try_wait() {
-                            Ok(Some(status)) => {
-                                let (shard, _) = running.swap_remove(idx);
-                                progressed = true;
-                                let outcome = if status.success() {
-                                    Ok(())
-                                } else {
-                                    Err(format!("worker exited with {status}"))
-                                };
-                                ctx.settle(&mut manifest, &mut queue, shard, outcome)?;
-                            }
-                            Ok(None) => idx += 1,
-                            Err(e) => {
-                                let (shard, _) = running.swap_remove(idx);
-                                progressed = true;
-                                ctx.settle(
-                                    &mut manifest,
-                                    &mut queue,
-                                    shard,
-                                    Err(format!("cannot wait on worker: {e}")),
-                                )?;
-                            }
-                        }
-                    }
-                    if !progressed {
-                        std::thread::sleep(std::time::Duration::from_millis(30));
-                    }
-                }
-            }
-        }
-    }
-
-    let report = if manifest.is_complete() {
-        Some(merge_fuzz_campaign(spool)?)
-    } else {
-        None
-    };
-    Ok(FuzzCampaignOutcome {
-        report,
-        units_total,
-        units_run,
-        units_reused,
-        retries,
-    })
+    engine::run(&FuzzCampaign(config), options)
 }
 
 #[cfg(test)]
@@ -1330,26 +922,6 @@ mod tests {
         let seeds: std::collections::BTreeSet<u64> =
             (0..config.streams).map(|s| config.stream_seed(s)).collect();
         assert_eq!(seeds.len(), config.streams);
-    }
-
-    #[test]
-    fn manifest_round_trips_and_tracks_the_generation_barrier() {
-        let config = small_config();
-        let mut manifest = FuzzManifest::plan(&config, 3);
-        assert_eq!(manifest.current_generation(), Some(0));
-        let parsed = FuzzManifest::from_text(&manifest.to_text()).unwrap();
-        assert_eq!(parsed, manifest);
-        manifest.shards[0].gens_done = 1;
-        assert_eq!(manifest.current_generation(), Some(0));
-        for s in &mut manifest.shards {
-            s.gens_done = 1;
-        }
-        assert_eq!(manifest.current_generation(), Some(1));
-        for s in &mut manifest.shards {
-            s.gens_done = 2;
-        }
-        assert_eq!(manifest.current_generation(), None);
-        assert!(manifest.is_complete());
     }
 
     #[test]

@@ -1,0 +1,257 @@
+//! A minimal JSON value and parser — just enough to read back the reports
+//! and heartbeats this crate writes (the offline serde shim cannot
+//! deserialize, so the crate parses its own output formats).
+
+/// A parsed JSON value.
+pub(crate) enum Json {
+    Null,
+    Bool(bool),
+    Num(u64),
+    Float(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    pub(crate) fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n as f64),
+            Json::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_opt_string(&self) -> Option<Option<String>> {
+        match self {
+            Json::Null => Some(None),
+            Json::Str(s) => Some(Some(s.clone())),
+            _ => None,
+        }
+    }
+}
+
+pub(crate) struct JsonParser<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> JsonParser<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        JsonParser {
+            bytes: text.as_bytes(),
+            at: 0,
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.at)
+            .is_some_and(|b| b.is_ascii_whitespace())
+        {
+            self.at += 1;
+        }
+    }
+
+    fn peek(&mut self) -> Result<u8, String> {
+        self.skip_ws();
+        self.bytes
+            .get(self.at)
+            .copied()
+            .ok_or_else(|| "unexpected end of input".to_string())
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek()? != b {
+            return Err(format!("expected {:?} at byte {}", char::from(b), self.at));
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    fn eat_literal(&mut self, lit: &str) -> bool {
+        self.skip_ws();
+        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
+            self.at += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    pub(crate) fn value(&mut self) -> Result<Json, String> {
+        match self.peek()? {
+            b'{' => self.object(),
+            b'[' => self.array(),
+            b'"' => Ok(Json::Str(self.string()?)),
+            b'0'..=b'9' => self.number(),
+            _ => {
+                if self.eat_literal("null") {
+                    Ok(Json::Null)
+                } else if self.eat_literal("true") {
+                    Ok(Json::Bool(true))
+                } else if self.eat_literal("false") {
+                    Ok(Json::Bool(false))
+                } else {
+                    Err(format!("unexpected token at byte {}", self.at))
+                }
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.peek()? == b'}' {
+            self.at += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            match self.peek()? {
+                b',' => self.at += 1,
+                b'}' => {
+                    self.at += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.at += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek()? {
+                b',' => self.at += 1,
+                b']' => {
+                    self.at += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let b = *self
+                .bytes
+                .get(self.at)
+                .ok_or("unterminated string".to_string())?;
+            self.at += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let esc = *self
+                        .bytes
+                        .get(self.at)
+                        .ok_or("unterminated escape".to_string())?;
+                    self.at += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.at..self.at + 4)
+                                .ok_or("truncated \\u escape".to_string())?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                            self.at += 4;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or(format!("invalid code point {code:#x}"))?,
+                            );
+                        }
+                        other => return Err(format!("unknown escape \\{}", char::from(other))),
+                    }
+                }
+                _ => {
+                    // Multi-byte UTF-8 sequences pass through unchanged.
+                    let start = self.at - 1;
+                    let len = match b {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let chunk = self
+                        .bytes
+                        .get(start..start + len)
+                        .ok_or("truncated UTF-8 sequence".to_string())?;
+                    out.push_str(
+                        std::str::from_utf8(chunk).map_err(|e| format!("bad UTF-8: {e}"))?,
+                    );
+                    self.at = start + len;
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        let start = self.at;
+        while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
+            self.at += 1;
+        }
+        // Heartbeat files carry fractional rates; report files never do.
+        let fractional = self.bytes.get(self.at) == Some(&b'.')
+            && self.bytes.get(self.at + 1).is_some_and(u8::is_ascii_digit);
+        if fractional {
+            self.at += 1;
+            while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
+                self.at += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("digits are ASCII");
+        if fractional {
+            text.parse()
+                .map(Json::Float)
+                .map_err(|_| format!("bad number {text:?}"))
+        } else {
+            text.parse()
+                .map(Json::Num)
+                .map_err(|_| format!("bad number {text:?}"))
+        }
+    }
+}

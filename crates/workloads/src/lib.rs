@@ -71,9 +71,11 @@
 
 pub mod campaign;
 pub mod conform;
+pub mod engine;
 pub mod frontier;
 pub mod fuzz;
 pub mod generator;
+mod json;
 pub mod runner;
 pub mod scenario;
 pub mod status;

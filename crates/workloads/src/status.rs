@@ -1,4 +1,4 @@
-//! Spool telemetry: worker heartbeats and the `campaign_status` dashboard
+//! Spool telemetry: worker heartbeats and the `campaign status` dashboard
 //! model.
 //!
 //! Campaign workers (sweep, frontier, fuzz) publish a small, versioned
@@ -17,12 +17,10 @@
 //! stale or byte-garbage heartbeat degrades that shard to
 //! [`ShardHealth::Unknown`]; it never panics and never fails the fold.
 
-use crate::campaign::{
-    config_path, load_config, manifest_path, shard_progress_path, shard_report_path,
-    write_atomically, Json, JsonParser, ShardManifest,
-};
+use crate::campaign::{load_config, shard_progress_path};
+use crate::engine::{write_atomically, Dialect, Manifest};
 use crate::frontier::FrontierConfig;
-use crate::fuzz::campaign::{fuzz_manifest_path, fuzz_shard_report_path, FuzzManifest};
+use crate::json::{Json, JsonParser};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -190,7 +188,7 @@ impl ShardHeartbeat {
 pub struct HeartbeatWriter {
     spool: PathBuf,
     shard: usize,
-    kind: &'static str,
+    dialect: Dialect,
     retries: u64,
     started: Instant,
     write_failures: u64,
@@ -203,11 +201,11 @@ pub struct HeartbeatWriter {
 impl HeartbeatWriter {
     /// Starts a pass over `shard` of the spool; `attempts` is the
     /// manifest's attempt counter at launch.
-    pub fn new(spool: &Path, shard: usize, kind: &'static str, attempts: u32) -> Self {
+    pub fn new(spool: &Path, shard: usize, dialect: Dialect, attempts: u32) -> Self {
         HeartbeatWriter {
             spool: spool.to_path_buf(),
             shard,
-            kind,
+            dialect,
             retries: u64::from(attempts),
             started: Instant::now(),
             write_failures: 0,
@@ -225,11 +223,6 @@ impl HeartbeatWriter {
         self.corpus_entries = Some(corpus_entries);
     }
 
-    /// Advisory writes that have failed so far in this pass.
-    pub fn write_failures(&self) -> u64 {
-        self.write_failures
-    }
-
     fn note_failure(&mut self, what: &str, err: &dyn std::fmt::Display) {
         self.write_failures += 1;
         if !self.warned {
@@ -242,20 +235,19 @@ impl HeartbeatWriter {
         }
     }
 
-    /// Writes the shard's `done total` progress counter.
-    pub fn write_progress(&mut self, done: usize, total: usize) {
-        let path = shard_progress_path(&self.spool, self.shard);
-        if let Err(e) = fs::write(&path, format!("{done} {total}\n")) {
-            self.note_failure("progress file", &e);
-        }
-    }
-
-    /// Publishes a heartbeat for the current pass state.
+    /// Publishes the current pass state: the heartbeat and, in the sweep
+    /// dialect, the shard's `done total` progress counter.
     pub fn publish(&mut self, done: u64, total: u64) {
+        if self.dialect == Dialect::Sweep {
+            let path = shard_progress_path(&self.spool, self.shard);
+            if let Err(e) = fs::write(&path, format!("{done} {total}\n")) {
+                self.note_failure("progress file", &e);
+            }
+        }
         let elapsed = self.started.elapsed().as_secs_f64();
         let heartbeat = ShardHeartbeat {
             version: HEARTBEAT_VERSION,
-            kind: self.kind.to_string(),
+            kind: self.dialect.name().to_string(),
             shard: self.shard as u64,
             done,
             total,
@@ -307,10 +299,10 @@ impl SpoolKind {
 /// Detects what kind of campaign lives in `spool`, or `None` when the
 /// directory holds neither manifest.
 pub fn detect_spool_kind(spool: &Path) -> Option<SpoolKind> {
-    if fuzz_manifest_path(spool).exists() {
+    if Dialect::Fuzz.manifest_path(spool).exists() {
         return Some(SpoolKind::Fuzz);
     }
-    if manifest_path(spool).exists() && config_path(spool).exists() {
+    if Dialect::Sweep.manifest_path(spool).exists() && Dialect::Sweep.config_path(spool).exists() {
         let is_frontier = load_config(spool)
             .ok()
             .is_some_and(|config| FrontierConfig::from_sweep_config(&config).is_ok());
@@ -374,6 +366,23 @@ pub struct ShardStatusView {
     pub note: String,
 }
 
+impl ShardStatusView {
+    /// A shard nobody has reported on yet.
+    fn pending(shard: usize, total: u64) -> Self {
+        ShardStatusView {
+            shard,
+            health: ShardHealth::Pending,
+            done: 0,
+            total,
+            cases_per_sec: 0.0,
+            age_ms: None,
+            retries: 0,
+            progress_write_failures: 0,
+            note: String::new(),
+        }
+    }
+}
+
 /// The folded status of a whole campaign spool.
 #[derive(Clone, Debug)]
 pub struct CampaignStatusReport {
@@ -407,17 +416,7 @@ fn judge_live_shard(
     now_ms: u64,
     stall_after_ms: u64,
 ) -> ShardStatusView {
-    let mut view = ShardStatusView {
-        shard,
-        health: ShardHealth::Pending,
-        done: 0,
-        total,
-        cases_per_sec: 0.0,
-        age_ms: None,
-        retries: 0,
-        progress_write_failures: 0,
-        note: String::new(),
-    };
+    let mut view = ShardStatusView::pending(shard, total);
     match ShardHeartbeat::load(spool, shard) {
         Ok(None) => {
             // No heartbeat yet; an older worker may still stream progress.
@@ -513,77 +512,47 @@ pub fn campaign_status(
             spool.display()
         )
     })?;
-    match kind {
-        SpoolKind::Sweep | SpoolKind::Frontier => {
-            let manifest = ShardManifest::load(spool)
-                .map_err(|e| format!("cannot load manifest: {e}"))?
-                .ok_or("manifest disappeared mid-read")?;
-            let shards = manifest
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, entry)| {
-                    let total = entry.range.len() as u64;
-                    if shard_report_path(spool, shard).exists() {
-                        ShardStatusView {
-                            shard,
-                            health: ShardHealth::Done,
-                            done: total,
-                            total,
-                            cases_per_sec: 0.0,
-                            age_ms: None,
-                            retries: u64::from(entry.attempts),
-                            progress_write_failures: 0,
-                            note: String::new(),
-                        }
-                    } else {
-                        judge_live_shard(spool, shard, total, "sweep", now_ms, stall_after_ms)
-                    }
-                })
-                .collect();
-            Ok(finish_report(kind, shards))
-        }
-        SpoolKind::Fuzz => {
-            let manifest = FuzzManifest::load(spool)
-                .map_err(|e| format!("cannot load fuzz manifest: {e}"))?
-                .ok_or("fuzz manifest disappeared mid-read")?;
-            let generations = manifest.generations.max(1);
-            let shards = manifest
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, entry)| {
-                    let streams = entry.range.len() as u64;
-                    let gens_published = (0..generations)
-                        .take_while(|g| fuzz_shard_report_path(spool, shard, *g).exists())
-                        .count();
-                    let total = streams * generations as u64;
-                    if gens_published == generations {
-                        ShardStatusView {
-                            shard,
-                            health: ShardHealth::Done,
-                            done: total,
-                            total,
-                            cases_per_sec: 0.0,
-                            age_ms: None,
-                            retries: u64::from(entry.attempts),
-                            progress_write_failures: 0,
-                            note: format!("gen {generations}/{generations}"),
-                        }
-                    } else {
-                        let mut view =
-                            judge_live_shard(spool, shard, streams, "fuzz", now_ms, stall_after_ms);
-                        // Rebase the in-generation stream count onto the
-                        // whole shard's stream-unit scale.
-                        view.done = (gens_published as u64 * streams + view.done).min(total);
-                        view.total = total;
-                        view
-                    }
-                })
-                .collect();
-            Ok(finish_report(kind, shards))
-        }
-    }
+    let manifest = Manifest::load(spool)
+        .map_err(|e| format!("cannot load manifest: {e}"))?
+        .ok_or("manifest disappeared mid-read")?;
+    let dialect = manifest.dialect;
+    let rounds = manifest.rounds.max(1);
+    let shards = manifest
+        .shards
+        .iter()
+        .enumerate()
+        .map(|(shard, entry)| {
+            // A shard's units are its range, once per round.
+            let per_round = entry.range.len() as u64;
+            let total = per_round * rounds as u64;
+            let published = (0..rounds)
+                .take_while(|round| dialect.unit_report_path(spool, shard, *round).exists())
+                .count();
+            if published == rounds {
+                let mut view = ShardStatusView::pending(shard, total);
+                view.health = ShardHealth::Done;
+                view.done = total;
+                view.retries = u64::from(entry.attempts);
+                if dialect == Dialect::Fuzz {
+                    view.note = format!("gen {rounds}/{rounds}");
+                }
+                return view;
+            }
+            let mut view = judge_live_shard(
+                spool,
+                shard,
+                per_round,
+                dialect.name(),
+                now_ms,
+                stall_after_ms,
+            );
+            // Rebase the in-round count onto the whole shard's scale.
+            view.done = (published as u64 * per_round + view.done).min(total);
+            view.total = total;
+            view
+        })
+        .collect();
+    Ok(finish_report(kind, shards))
 }
 
 // --------------------------------------------------------------------------
@@ -609,7 +578,7 @@ fn fmt_eta(eta_secs: Option<u64>) -> String {
 }
 
 /// Renders a status report as the aligned text dashboard the
-/// `campaign_status` binary prints.
+/// `campaign status` subcommand prints.
 pub fn render_status(spool: &Path, report: &CampaignStatusReport) -> String {
     let mut out = format!(
         "{} [{}]  {}/{} units  eta {}  stalled {}{}\n",
