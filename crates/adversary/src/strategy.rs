@@ -24,7 +24,11 @@
 //! The first two are safe to run against any `f`-tolerant emulation as long
 //! as the chosen set has at most `f` servers: safety (WS-Regularity) holds
 //! under *any* environment behaviour, and liveness only needs `n - f`
-//! responsive servers.
+//! responsive servers. Both are pure functions of the operation, so they
+//! declare their verdicts final
+//! ([`regemu_fpsm::BlockStrategy::verdicts_are_final`]) and the scheduler asks
+//! them once per operation instead of rescanning the withheld pile on every
+//! step; `ReplayStrategy` answers from the step it is in and cannot.
 
 use regemu_fpsm::{BlockStrategy, OpId, PendingOp, ServerId, Simulation, Time};
 use std::collections::BTreeSet;
@@ -69,6 +73,11 @@ impl BlockStrategy for SilenceServers {
     fn name(&self) -> &'static str {
         "adversary-silence"
     }
+
+    // A pure function of `op.server`.
+    fn verdicts_are_final(&self) -> bool {
+        true
+    }
 }
 
 /// Withholds write-class responses from a fixed server set — the `Ad_i`
@@ -107,6 +116,11 @@ impl BlockStrategy for CoverWrites {
     fn name(&self) -> &'static str {
         "adversary-cover"
     }
+
+    // A pure function of `op.op` and `op.server`.
+    fn verdicts_are_final(&self) -> bool {
+        true
+    }
 }
 
 /// Replays a recorded delivery-order decision stream.
@@ -123,6 +137,11 @@ impl BlockStrategy for CoverWrites {
 ///
 /// Ranks are reduced modulo the candidate count, so any `u32` stream — in
 /// particular a mutated one — is a valid schedule.
+///
+/// The verdict is a function of the *step*, not of the operation — the same
+/// operation is blocked at one step and chosen at the next — so this strategy
+/// must be consulted on every step and keeps the default
+/// [`BlockStrategy::verdicts_are_final`] of `false`.
 #[derive(Clone, Debug)]
 pub struct ReplayStrategy {
     decisions: Vec<u32>,

@@ -6,7 +6,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use regemu_bounds::Params;
 use regemu_core::EmulationKind;
 use regemu_fpsm::prelude::*;
-use regemu_workloads::{ConsistencyCheck, Issuer, Scenario, Workload, WorkloadOp, WorkloadSpec};
+use regemu_workloads::{
+    ConsistencyCheck, CrashPlanSpec, Issuer, Scenario, SchedulerSpec, Workload, WorkloadOp,
+    WorkloadSpec,
+};
 
 /// A client that keeps one read outstanding against each register and
 /// completes once every acknowledgement arrived. `remaining` is reset from
@@ -227,6 +230,61 @@ fn bench_outstanding_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// Long runs that leave a pile of operations pending for good (register
+/// bank, the construction whose pile grows with the run). Read the rows as
+/// time per operation: a scheduler whose pick does not walk the pile takes 4×
+/// as long for 4× the operations.
+///
+/// * `adversary-cover` — `CoverWrites` withholds the writes of one server;
+///   the pile is the point of the run. Its verdicts are final, so
+///   `AdversarialScheduler` asks once per operation and the row is flat per
+///   operation.
+/// * `fair+crash-f` — the same pile made by a crash: operations stranded on
+///   the crashed server stay pending, the pending window spans every id
+///   allocated since the first of them, and `FairDriver` (like
+///   `RoundRobinScheduler` and `DelayedScheduler`) walks that window on every
+///   step. The row is quadratic in the run length; it is kept as the
+///   measurement of that open cost. It stops at 4 k operations because one
+///   16 k run takes about four minutes on the reference box (244 s measured
+///   once), which nobody would wait for thirty times.
+fn bench_withheld_pile(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_engine/withheld_pile");
+    let params = Params::new(4, 1, 5).unwrap();
+    let rows: [(&str, SchedulerSpec, CrashPlanSpec, &[usize]); 2] = [
+        (
+            "adversary-cover",
+            SchedulerSpec::CoverAdversary,
+            CrashPlanSpec::None,
+            &[1_000, 4_000, 16_000],
+        ),
+        (
+            "fair+crash-f",
+            SchedulerSpec::Fair,
+            CrashPlanSpec::CrashF,
+            &[1_000, 4_000],
+        ),
+    ];
+    for (label, scheduler, crashes, sizes) in rows {
+        for &ops in sizes {
+            let scenario = Scenario::new(params)
+                .emulation(EmulationKind::RegisterBank)
+                .workload(WorkloadSpec::RandomMixed {
+                    readers: 2,
+                    total: ops,
+                    write_percent: 50,
+                })
+                .scheduler(scheduler)
+                .crashes(crashes)
+                .check(ConsistencyCheck::None)
+                .seed(7);
+            group.bench_with_input(BenchmarkId::new(label, ops), &scenario, |b, scenario| {
+                b.iter(|| scenario.run().unwrap());
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_invoke_deliver_cycle,
@@ -234,6 +292,7 @@ criterion_group!(
     bench_pending_churn,
     bench_metrics_capture,
     bench_end_to_end_workload,
-    bench_outstanding_ops
+    bench_outstanding_ops,
+    bench_withheld_pile
 );
 criterion_main!(benches);

@@ -340,11 +340,98 @@ impl Scheduler for DelayedScheduler {
 ///
 /// Implementations model the paper's adversarial environments — an operation
 /// for which [`BlockStrategy::blocks`] returns `true` is simply never chosen
-/// by the [`AdversarialScheduler`] while the strategy keeps blocking it (the
-/// strategy is consulted fresh on every step, so strategies may unblock at
-/// any time). Blocking is *allowed* to starve operations forever; that is the
-/// point — an `f`-tolerant emulation must make progress anyway as long as the
-/// blocked operations touch at most `f` servers.
+/// by the [`AdversarialScheduler`] while the strategy keeps blocking it.
+/// Blocking is *allowed* to starve operations forever; that is the point — an
+/// `f`-tolerant emulation must make progress anyway as long as the blocked
+/// operations touch at most `f` servers.
+///
+/// # How often a strategy is consulted
+///
+/// By default ([`BlockStrategy::verdicts_are_final`] returns `false`) the
+/// scheduler asks `blocks` about **every deliverable pending operation on
+/// every step**, so a strategy may unblock at any time, may answer from the
+/// step it is in rather than from the operation, and may count its calls.
+/// The price is a pick that costs O(pending) per step.
+///
+/// A strategy whose answer depends on the operation alone can say so by
+/// returning `true` from `verdicts_are_final`; the scheduler then asks
+/// **once per operation**, when it first sees it, and never again. The pick
+/// costs O(operations it is willing to deliver) however many are withheld —
+/// and withheld operations piling up is exactly what the covering adversary
+/// is for. Returning `true` obliges the implementor to two things:
+///
+/// 1. `blocks(sim, op)` returns the same answer from the operation's trigger
+///    until it leaves the pending set, whatever else happens in the run;
+/// 2. the run does not depend on how often, or at which step, `blocks` is
+///    called (no call counters, no per-step state).
+///
+/// The method is *not* inherited through wrappers: a wrapper that forwards
+/// only `blocks` and `name` keeps the default `false` and silently opts its
+/// inner strategy out. That is the safe side — opting out is never wrong,
+/// only slow — and the run is identical either way:
+///
+/// ```
+/// use regemu_fpsm::prelude::*;
+/// use regemu_fpsm::{AdversarialScheduler, BlockStrategy, PendingOp, Scheduler};
+///
+/// /// Withholds every write on server 2; a pure function of the operation.
+/// #[derive(Debug)]
+/// struct CoverLast;
+/// impl BlockStrategy for CoverLast {
+///     fn blocks(&mut self, _sim: &Simulation, op: &PendingOp) -> bool {
+///         op.op.is_write() && op.server == ServerId::new(2)
+///     }
+///     fn verdicts_are_final(&self) -> bool {
+///         true
+///     }
+/// }
+///
+/// /// Forwards `blocks` only, so it is consulted on every step.
+/// #[derive(Debug)]
+/// struct Opaque(CoverLast);
+/// impl BlockStrategy for Opaque {
+///     fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool {
+///         self.0.blocks(sim, op)
+///     }
+/// }
+/// assert!(!Opaque(CoverLast).verdicts_are_final());
+///
+/// /// Writes every register, returns on the first two acknowledgements.
+/// struct WriteAll(Vec<ObjectId>, usize);
+/// impl ClientProtocol for WriteAll {
+///     fn on_invoke(&mut self, op: HighOp, ctx: &mut Context<'_>) {
+///         self.1 = 0;
+///         if let HighOp::Write(v) = op {
+///             for b in &self.0 {
+///                 ctx.trigger(*b, BaseOp::Write(Value::new(1, v)));
+///             }
+///         }
+///     }
+///     fn on_response(&mut self, _d: Delivery, ctx: &mut Context<'_>) {
+///         self.1 += 1;
+///         if self.1 == 2 {
+///             ctx.complete(HighResponse::WriteAck);
+///         }
+///     }
+/// }
+///
+/// let run = |strategy: Box<dyn BlockStrategy>| {
+///     let mut topology = Topology::new(3);
+///     let registers = topology.add_object_per_server(ObjectKind::Register);
+///     let mut sim = Simulation::new(topology, SimConfig::with_fault_threshold(1));
+///     let writer = sim.register_client(Box::new(WriteAll(registers, 0)));
+///     let mut scheduler = AdversarialScheduler::new(7, strategy);
+///     for value in 1..=20 {
+///         let write = sim.invoke(writer, HighOp::Write(value))?;
+///         scheduler.run_until_complete(&mut sim, write, 1_000)?;
+///     }
+///     // Twenty covering writes are withheld on server 2 by now.
+///     assert_eq!(sim.pending_count(), 20);
+///     Ok::<_, SimError>(sim.history().events().copied().collect::<Vec<_>>())
+/// };
+/// assert_eq!(run(Box::new(CoverLast))?, run(Box::new(Opaque(CoverLast)))?);
+/// # Ok::<(), SimError>(())
+/// ```
 pub trait BlockStrategy: std::fmt::Debug {
     /// Returns `true` when `op` must be withheld at this step.
     fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool;
@@ -352,6 +439,15 @@ pub trait BlockStrategy: std::fmt::Debug {
     /// Short name used in reports and labels.
     fn name(&self) -> &'static str {
         "block-strategy"
+    }
+
+    /// Promises that [`BlockStrategy::blocks`] gives one answer per
+    /// operation — the same from its trigger until it leaves the pending
+    /// set — and that the run does not depend on how often it is asked, so
+    /// the scheduler may ask once and remember. See the trait docs for the
+    /// obligations; the default `false` is always correct.
+    fn verdicts_are_final(&self) -> bool {
+        false
     }
 }
 
@@ -361,13 +457,29 @@ pub trait BlockStrategy: std::fmt::Debug {
 /// the strategy does not block — the same seeded stream as [`FairDriver`],
 /// carved down by the strategy. With a strategy that never blocks it is
 /// byte-for-byte a `FairDriver`.
+///
+/// The list of operations the scheduler is willing to deliver is kept across
+/// steps. Each step drops the entries that left the pending set or whose
+/// server crashed — whoever caused that: this scheduler, its crash plan, or
+/// anything else holding the simulation — and then asks the strategy about the
+/// operations triggered since the previous step only. For a strategy whose
+/// verdicts are not final ([`BlockStrategy::verdicts_are_final`]) the list is
+/// emptied first, which makes the same code ask about everything again. Either
+/// way the list is, element for element, the one a full rescan would build, so
+/// the seeded choice — and the run — is identical.
+///
+/// An instance is bound to one [`Simulation`]: its RNG stream and its memory
+/// of which operations it has judged both belong to that run.
 #[derive(Debug)]
 pub struct AdversarialScheduler {
     rng: StdRng,
     crash_plan: CrashPlan,
     strategy: Box<dyn BlockStrategy>,
     steps: u64,
+    /// Deliverable operations the strategy does not block, ascending by id.
     candidates: Vec<OpId>,
+    /// Every operation with a smaller id has been judged already.
+    watermark: OpId,
 }
 
 impl AdversarialScheduler {
@@ -379,6 +491,7 @@ impl AdversarialScheduler {
             strategy,
             steps: 0,
             candidates: Vec::new(),
+            watermark: OpId::new(0),
         }
     }
 
@@ -404,14 +517,24 @@ impl Scheduler for AdversarialScheduler {
         for server in self.crash_plan.due(sim.time()) {
             sim.crash_server(server)?;
         }
+        debug_assert!(
+            sim.next_op_id() >= self.watermark,
+            "an AdversarialScheduler is bound to one Simulation"
+        );
         let strategy = &mut self.strategy;
         let candidates = &mut self.candidates;
-        candidates.clear();
+        if !strategy.verdicts_are_final() {
+            candidates.clear();
+            self.watermark = OpId::new(0);
+        }
+        let deliverable = |p: &PendingOp| !sim.is_server_crashed(p.server);
+        candidates.retain(|&id| sim.pending_op(id).is_some_and(deliverable));
         candidates.extend(
-            sim.deliverable_ops()
-                .filter(|p| !strategy.blocks(sim, p))
+            sim.pending_ops_from(self.watermark)
+                .filter(|p| deliverable(p) && !strategy.blocks(sim, p))
                 .map(|p| p.op_id),
         );
+        self.watermark = sim.next_op_id();
         let Some(&chosen) = candidates.choose(&mut self.rng) else {
             return Ok(false);
         };

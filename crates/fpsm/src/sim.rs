@@ -169,6 +169,16 @@ impl PendingSlab {
     fn iter(&self) -> impl Iterator<Item = &PendingOp> {
         self.slots.iter().flatten()
     }
+
+    /// Iterates over the pending operations with id `>= from`, in ascending
+    /// id order. Positioning is index arithmetic, not a scan: O(1) plus the
+    /// slots actually visited.
+    fn iter_from(&self, from: OpId) -> impl Iterator<Item = &PendingOp> {
+        let skip = from.index().saturating_sub(self.base);
+        // Clamped to the window first, so the narrowing cast cannot truncate.
+        let skip = skip.min(self.slots.len() as u64) as usize;
+        self.slots.range(skip..).flatten()
+    }
 }
 
 /// One scheduler decision, recorded at delivery time.
@@ -407,6 +417,24 @@ impl Simulation {
     /// Iterator over all pending low-level operations, in ascending id order.
     pub fn pending_ops(&self) -> impl Iterator<Item = &PendingOp> {
         self.pending.iter()
+    }
+
+    /// Iterator over the pending low-level operations with id `>= from`, in
+    /// ascending id order.
+    ///
+    /// Seeking is O(1) — op ids are indices into the pending store — so a
+    /// caller that remembers [`Simulation::next_op_id`] from its last visit
+    /// sees exactly the operations triggered since, without walking the ones
+    /// it already knows (see [`crate::AdversarialScheduler`]).
+    pub fn pending_ops_from(&self, from: OpId) -> impl Iterator<Item = &PendingOp> {
+        self.pending.iter_from(from)
+    }
+
+    /// The id the next triggered low-level operation will get. Ids are
+    /// allocated densely and never reused, so every operation triggered so
+    /// far has a smaller id and every later one an id `>=` this.
+    pub fn next_op_id(&self) -> OpId {
+        OpId::new(self.next_op_id)
     }
 
     /// Number of pending low-level operations.
@@ -965,9 +993,9 @@ mod tests {
         assert_eq!(sim.completed_ops(c).len(), 1);
     }
 
-    #[test]
-    fn pending_slab_keeps_id_order_and_reclaims_drained_slots() {
-        let mk = |id: u64| PendingOp {
+    /// A pending read with the given op id, for the slab tests.
+    fn mk(id: u64) -> PendingOp {
+        PendingOp {
             op_id: OpId::new(id),
             client: ClientId::new(0),
             high_op: None,
@@ -975,7 +1003,11 @@ mod tests {
             server: ServerId::new(0),
             op: BaseOp::Read,
             triggered_at: id,
-        };
+        }
+    }
+
+    #[test]
+    fn pending_slab_keeps_id_order_and_reclaims_drained_slots() {
         let mut slab = PendingSlab::default();
         for id in 0..8 {
             slab.insert(mk(id));
@@ -1013,6 +1045,117 @@ mod tests {
         assert!(slab.get(OpId::new(1000)).is_some());
         assert!(slab.get(OpId::new(999)).is_none());
         assert!(slab.get(OpId::new(0)).is_none());
+    }
+
+    #[test]
+    fn pending_slab_iter_from_seeks_by_id() {
+        let from = |slab: &PendingSlab, id: u64| -> Vec<u64> {
+            slab.iter_from(OpId::new(id))
+                .map(|p| p.op_id.index())
+                .collect()
+        };
+
+        // An empty slab yields nothing wherever the seek lands — including
+        // after it was drained, when `base` is stale.
+        let mut slab = PendingSlab::default();
+        assert!(from(&slab, 0).is_empty());
+        assert!(from(&slab, 17).is_empty());
+        slab.insert(mk(3));
+        slab.remove(OpId::new(3));
+        assert!(from(&slab, 0).is_empty());
+        assert!(from(&slab, 3).is_empty());
+        assert!(from(&slab, 4).is_empty());
+
+        // Ids 10..20 pending.
+        for id in 10..20 {
+            slab.insert(mk(id));
+        }
+        // `from` below `base` is the whole slab; `from == base` too.
+        assert_eq!(from(&slab, 0), (10..20).collect::<Vec<_>>());
+        assert_eq!(from(&slab, 10), (10..20).collect::<Vec<_>>());
+        assert_eq!(from(&slab, 15), (15..20).collect::<Vec<_>>());
+        // Equal to and beyond the next id to allocate: nothing.
+        assert!(from(&slab, 20).is_empty());
+        assert!(from(&slab, 21).is_empty());
+        assert!(from(&slab, u64::MAX).is_empty());
+
+        // A run of reclaimed `None` slots in the middle: seeking to its
+        // first, an inner and its last slot all resume at the next live op.
+        for id in 13..17 {
+            slab.remove(OpId::new(id));
+        }
+        for seek in [13, 14, 16, 17] {
+            assert_eq!(from(&slab, seek), vec![17, 18, 19], "seek {seek}");
+        }
+        assert_eq!(from(&slab, 12), vec![12, 17, 18, 19]);
+
+        // Front reclamation moves `base` up; seeks below it still start at
+        // the first live op.
+        for id in 10..13 {
+            slab.remove(OpId::new(id));
+        }
+        assert_eq!(slab.base, 17);
+        assert_eq!(from(&slab, 0), vec![17, 18, 19]);
+        assert_eq!(from(&slab, 11), vec![17, 18, 19]);
+        assert_eq!(from(&slab, 18), vec![18, 19]);
+
+        // Back reclamation shrinks the window; seeks into the reclaimed tail
+        // are beyond the end.
+        slab.remove(OpId::new(19));
+        slab.remove(OpId::new(18));
+        assert_eq!(slab.slots.len(), 1);
+        assert_eq!(from(&slab, 17), vec![17]);
+        assert!(from(&slab, 18).is_empty());
+        assert!(from(&slab, 19).is_empty());
+
+        // Ids allocated but never inserted (a gap) pad the window.
+        slab.insert(mk(25));
+        assert_eq!(from(&slab, 18), vec![25]);
+        assert_eq!(from(&slab, 25), vec![25]);
+        assert!(from(&slab, 26).is_empty());
+    }
+
+    #[test]
+    fn pending_ops_from_and_next_op_id_track_allocation() {
+        let mut t = Topology::new(3);
+        let objs = t.add_object_per_server(ObjectKind::Register);
+        let mut sim = Simulation::new(t, SimConfig::unchecked());
+        let ids = |sim: &Simulation, from: OpId| -> Vec<OpId> {
+            sim.pending_ops_from(from).map(|p| p.op_id).collect()
+        };
+        assert_eq!(sim.next_op_id(), OpId::new(0));
+        assert!(ids(&sim, OpId::new(0)).is_empty());
+
+        let clients: Vec<ClientId> = objs
+            .iter()
+            .map(|obj| sim.register_client(Box::new(SingleRegisterClient { target: *obj })))
+            .collect();
+        // Each invocation triggers exactly one operation and takes one id.
+        sim.invoke(clients[0], HighOp::Write(1)).unwrap();
+        assert_eq!(sim.next_op_id(), OpId::new(1));
+        let mark = sim.next_op_id();
+        sim.invoke(clients[1], HighOp::Write(2)).unwrap();
+        sim.invoke(clients[2], HighOp::Write(3)).unwrap();
+        assert_eq!(sim.next_op_id(), OpId::new(3));
+        // From a remembered `next_op_id`: exactly what was triggered since.
+        assert_eq!(ids(&sim, mark), vec![OpId::new(1), OpId::new(2)]);
+        assert_eq!(
+            ids(&sim, OpId::new(0)),
+            sim.pending_ops().map(|p| p.op_id).collect::<Vec<_>>()
+        );
+        assert!(ids(&sim, sim.next_op_id()).is_empty());
+
+        // Delivering and dropping remove operations but never hand an id
+        // back: `next_op_id` only moves when something is triggered.
+        sim.deliver(OpId::new(1)).unwrap();
+        sim.drop_pending(OpId::new(0)).unwrap();
+        assert_eq!(sim.next_op_id(), OpId::new(3));
+        assert_eq!(ids(&sim, OpId::new(0)), vec![OpId::new(2)]);
+        assert_eq!(ids(&sim, mark), vec![OpId::new(2)]);
+        // The client freed by the delivery triggers the next id.
+        sim.invoke(clients[1], HighOp::Read).unwrap();
+        assert_eq!(sim.next_op_id(), OpId::new(4));
+        assert_eq!(ids(&sim, OpId::new(3)), vec![OpId::new(3)]);
     }
 
     #[test]
