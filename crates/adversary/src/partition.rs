@@ -221,6 +221,7 @@ fn deliver_only_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regemu_fpsm::Scheduler;
     use regemu_spec::{check_ws_safe, SequentialSpec};
 
     #[test]

@@ -10,15 +10,21 @@
 //! `step` results, for every construction, crash plan and seed — also when
 //! somebody other than the scheduler delivers, drops and crashes between its
 //! steps.
+//!
+//! [`FairDriver`], [`RoundRobinScheduler`] and [`DelayedScheduler`] pick from
+//! the same kept list, so each is held to the same standard against a
+//! [`Reference`] that rebuilds its pick from `Simulation::deliverable_ops`
+//! on every step, the way each of them did before the step loop was shared.
 
 use regemu_adversary::strategy::{CoverWrites, SilenceServers};
 use regemu_bounds::Params;
 use regemu_core::EmulationKind;
 use regemu_fpsm::{
-    AdversarialScheduler, BlockStrategy, ClientId, CrashPlan, DecisionRecord, Event, HighOp, OpId,
-    PendingOp, Scheduler, ServerId, Simulation,
+    AdversarialScheduler, BlockStrategy, ClientId, CrashPlan, DecisionRecord, DelayedScheduler,
+    Event, FairDriver, HighOp, OpId, PendingOp, RoundRobinScheduler, Scheduler, ServerId, SimError,
+    Simulation, Time,
 };
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Forwards `blocks` and `name` only: `verdicts_are_final` stays at its
@@ -42,7 +48,140 @@ enum Adversary {
     Silence,
 }
 
-/// The three crash plans of the sweep axis, spelled out against the engine.
+impl Adversary {
+    /// The scheduler under test, or — with `rescan` — the same strategy made
+    /// opaque so that it is consulted about everything on every step.
+    fn scheduler(self, rescan: bool, seed: u64, plan: CrashPlan) -> Box<dyn Scheduler> {
+        let params = params();
+        let strategy: Box<dyn BlockStrategy> = match self {
+            Adversary::Cover => Box::new(CoverWrites::highest(params.n, params.f)),
+            Adversary::Silence => Box::new(SilenceServers::highest(params.n, params.f)),
+        };
+        assert!(strategy.verdicts_are_final());
+        let strategy: Box<dyn BlockStrategy> = if rescan {
+            Box::new(Opaque(strategy))
+        } else {
+            strategy
+        };
+        assert_eq!(strategy.verdicts_are_final(), !rescan);
+        Box::new(AdversarialScheduler::new(seed, strategy).with_crash_plan(plan))
+    }
+}
+
+/// The schedulers that withhold nothing.
+#[derive(Clone, Copy, Debug)]
+enum Plain {
+    Fair,
+    RoundRobin,
+    Delayed,
+}
+
+impl Plain {
+    fn scheduler(self, seed: u64, plan: CrashPlan) -> Box<dyn Scheduler> {
+        match self {
+            Plain::Fair => Box::new(FairDriver::new(seed).with_crash_plan(plan)),
+            Plain::RoundRobin => Box::new(RoundRobinScheduler::new(seed).with_crash_plan(plan)),
+            Plain::Delayed => Box::new(
+                DelayedScheduler::new(seed, DelayedScheduler::DEFAULT_MAX_DELAY)
+                    .with_crash_plan(plan),
+            ),
+        }
+    }
+
+    fn reference(self, seed: u64, crash: Option<(Time, ServerId)>) -> Box<dyn Scheduler> {
+        let pick = match self {
+            Plain::Fair => {
+                let asked = Rc::new(RefCell::new(Vec::new()));
+                let strategy = Box::new(AskedAbout(Rc::clone(&asked)));
+                Pick::Fair(AdversarialScheduler::new(seed, strategy), asked)
+            }
+            Plain::RoundRobin => Pick::RoundRobin(seed),
+            Plain::Delayed => Pick::Delayed(DelayedScheduler::new(
+                seed,
+                DelayedScheduler::DEFAULT_MAX_DELAY,
+            )),
+        };
+        Box::new(Reference { pick, crash })
+    }
+}
+
+/// A plain scheduler as it was before the step loop was shared: its crash,
+/// then a pick rebuilt from `sim.deliverable_ops()`.
+struct Reference {
+    pick: Pick,
+    /// The crash plan, held here because [`CrashPlan`] cannot be read back.
+    crash: Option<(Time, ServerId)>,
+}
+
+enum Pick {
+    /// The seeded uniform draw is not reachable from this crate, so it is
+    /// made by an [`AdversarialScheduler`] whose strategy opts out of final
+    /// verdicts: every step it starts from an empty list and asks
+    /// [`AskedAbout`] about each operation it would choose from. The list
+    /// asked about must be `deliverable_ops()`, element for element.
+    Fair(AdversarialScheduler, Rc<RefCell<Vec<OpId>>>),
+    /// The rotation cursor.
+    RoundRobin(u64),
+    /// Kept for `delay_of` only; it never steps.
+    Delayed(DelayedScheduler),
+}
+
+/// Blocks nothing and writes down what it is asked about.
+#[derive(Debug)]
+struct AskedAbout(Rc<RefCell<Vec<OpId>>>);
+
+impl BlockStrategy for AskedAbout {
+    fn blocks(&mut self, _sim: &Simulation, op: &PendingOp) -> bool {
+        self.0.borrow_mut().push(op.op_id);
+        false
+    }
+}
+
+impl Scheduler for Reference {
+    fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
+        if let Some((_, server)) = self.crash.filter(|(at, _)| *at <= sim.time()) {
+            self.crash = None;
+            sim.crash_server(server)?;
+        }
+        let chosen = match &mut self.pick {
+            Pick::Fair(scheduler, asked) => {
+                let deliverable: Vec<OpId> = sim.deliverable_ops().map(|p| p.op_id).collect();
+                asked.borrow_mut().clear();
+                let delivered = scheduler.step(sim)?;
+                assert_eq!(*asked.borrow(), deliverable);
+                return Ok(delivered);
+            }
+            Pick::RoundRobin(next_client) => {
+                let clients = sim.client_count() as u64;
+                let start = *next_client % clients;
+                let chosen = sim
+                    .deliverable_ops()
+                    .map(|p| {
+                        let distance = (p.client.index() as u64 + clients - start) % clients;
+                        (distance, p.op_id, p.client)
+                    })
+                    .min();
+                chosen.map(|(_, op, client)| {
+                    *next_client = client.index() as u64 + 1;
+                    op
+                })
+            }
+            Pick::Delayed(delays) => sim
+                .deliverable_ops()
+                .map(|p| (p.triggered_at + delays.delay_of(p.op_id), p.op_id))
+                .min()
+                .map(|(_, op)| op),
+        };
+        let Some(op) = chosen else {
+            return Ok(false);
+        };
+        sim.deliver(op)?;
+        Ok(true)
+    }
+}
+
+/// The three crash plans of the sweep axis, spelled out against the engine,
+/// and one that no scheduler knows about.
 #[derive(Clone, Copy, Debug)]
 enum Crashes {
     None,
@@ -53,6 +192,30 @@ enum Crashes {
     ServersF,
     /// The last writer once the clock passes 10, the first reader at 20.
     Clients,
+    /// The same server as `ServersF`, crashed by the test a third of the way
+    /// into the run.
+    ByTheTest,
+}
+
+impl Crashes {
+    /// What the scheduler's own crash plan holds.
+    fn planned(self) -> Option<(Time, ServerId)> {
+        matches!(self, Crashes::ServersF).then(|| (40, last_server()))
+    }
+
+    fn plan(self) -> CrashPlan {
+        self.planned().map_or_else(CrashPlan::none, |(at, server)| {
+            CrashPlan::none().crash_at(at, server)
+        })
+    }
+}
+
+fn params() -> Params {
+    Params::new(2, 1, 4).unwrap()
+}
+
+fn last_server() -> ServerId {
+    ServerId::new(params().n - 1)
 }
 
 /// SplitMix64: the environment's own stream, independent of the scheduler's.
@@ -80,21 +243,20 @@ struct Trace {
 
 const ROUNDS: usize = 240;
 
-/// Drives one seeded run of `ROUNDS` scheduler steps. Between steps the
-/// environment starts operations at idle clients and — with `interfere` —
-/// delivers, drops and crashes behind the scheduler's back. Everything the
-/// environment does is drawn from `seed`, so twins see the same interference
-/// as long as they make the same picks.
+/// Drives one seeded run of `ROUNDS` steps of `scheduler`, which must already
+/// hold `crashes`' plan. Between steps the environment starts operations at
+/// idle clients and — with `interfere` — delivers, drops and crashes behind
+/// the scheduler's back. Everything the environment does is drawn from
+/// `seed`, so twins see the same interference as long as they make the same
+/// picks.
 fn run(
     kind: EmulationKind,
-    adversary: Adversary,
-    rescan: bool,
+    mut scheduler: Box<dyn Scheduler>,
     crashes: Crashes,
     seed: u64,
     interfere: bool,
 ) -> Trace {
-    let params = Params::new(2, 1, 4).unwrap();
-    let emulation = kind.build(params);
+    let emulation = kind.build(params());
     let mut sim = emulation.build_simulation();
     sim.enable_decision_trace();
     let clients: Vec<ClientId> = vec![
@@ -104,24 +266,7 @@ fn run(
         sim.register_client(emulation.reader_protocol()),
     ];
     let (last_writer, first_reader) = (clients[1], clients[2]);
-    let last_server = ServerId::new(params.n - 1);
-
-    let strategy: Box<dyn BlockStrategy> = match adversary {
-        Adversary::Cover => Box::new(CoverWrites::highest(params.n, params.f)),
-        Adversary::Silence => Box::new(SilenceServers::highest(params.n, params.f)),
-    };
-    assert!(strategy.verdicts_are_final());
-    let strategy: Box<dyn BlockStrategy> = if rescan {
-        Box::new(Opaque(strategy))
-    } else {
-        strategy
-    };
-    assert_eq!(strategy.verdicts_are_final(), !rescan);
-    let plan = match crashes {
-        Crashes::ServersF => CrashPlan::none().crash_at(40, last_server),
-        Crashes::None | Crashes::Clients => CrashPlan::none(),
-    };
-    let mut scheduler = AdversarialScheduler::new(seed, strategy).with_crash_plan(plan);
+    let last_server = last_server();
 
     let mut env = Stream(seed ^ 0x5EED_0FE2);
     let mut next_value = 0;
@@ -145,6 +290,9 @@ fn run(
             if sim.time() >= 20 {
                 sim.crash_client(first_reader).unwrap();
             }
+        }
+        if matches!(crashes, Crashes::ByTheTest) && round == ROUNDS / 3 {
+            sim.crash_server(last_server).unwrap();
         }
         if interfere {
             // Any pending operation may be hit: ones the scheduler holds as
@@ -172,7 +320,10 @@ fn run(
         // `UnknownOp` / `ServerCrashed` here would mean the scheduler picked
         // from a stale list.
         let step = scheduler.step(&mut sim).unwrap_or_else(|e| {
-            panic!("{kind} {adversary:?} {crashes:?} seed {seed} round {round}: {e}")
+            panic!(
+                "{kind} {} {crashes:?} seed {seed} round {round}: {e}",
+                scheduler.name()
+            )
         });
         delivered.push(step);
     }
@@ -190,8 +341,9 @@ fn assert_twins_agree(interfere: bool) {
         for adversary in [Adversary::Cover, Adversary::Silence] {
             for crashes in [Crashes::None, Crashes::ServersF, Crashes::Clients] {
                 for seed in 0..16 {
-                    let fast = run(kind, adversary, false, crashes, seed, interfere);
-                    let rescan = run(kind, adversary, true, crashes, seed, interfere);
+                    let twin = |rescan| adversary.scheduler(rescan, seed, crashes.plan());
+                    let fast = run(kind, twin(false), crashes, seed, interfere);
+                    let rescan = run(kind, twin(true), crashes, seed, interfere);
                     assert_eq!(
                         fast, rescan,
                         "{kind} {adversary:?} {crashes:?} seed {seed} interfere {interfere}"
@@ -206,6 +358,42 @@ fn assert_twins_agree(interfere: bool) {
     // operations still withheld when the runs end.
     assert!(steps > 10_000, "only {steps} deliveries over the grid");
     assert!(withheld > 100, "only {withheld} operations left withheld");
+}
+
+fn assert_plain_schedulers_match_their_references(interfere: bool) {
+    let (mut steps, mut stranded) = (0, 0);
+    for kind in EmulationKind::ALL {
+        for plain in [Plain::Fair, Plain::RoundRobin, Plain::Delayed] {
+            for crashes in [Crashes::None, Crashes::ServersF, Crashes::ByTheTest] {
+                for seed in 0..16 {
+                    let kept = plain.scheduler(seed, crashes.plan());
+                    let reference = plain.reference(seed, crashes.planned());
+                    let kept = run(kind, kept, crashes, seed, interfere);
+                    let reference = run(kind, reference, crashes, seed, interfere);
+                    assert_eq!(
+                        kept, reference,
+                        "{kind} {plain:?} {crashes:?} seed {seed} interfere {interfere}"
+                    );
+                    steps += kept.delivered.iter().filter(|d| **d).count();
+                    stranded += kept.withheld.len();
+                }
+            }
+        }
+    }
+    // Plenty of deliveries, and operations left stranded on the crashed
+    // server for the kept list to step around.
+    assert!(steps > 10_000, "only {steps} deliveries over the grid");
+    assert!(stranded > 100, "only {stranded} operations left stranded");
+}
+
+#[test]
+fn plain_schedulers_pick_what_a_rescan_of_deliverable_ops_picks() {
+    assert_plain_schedulers_match_their_references(false);
+}
+
+#[test]
+fn outside_interference_keeps_plain_schedulers_on_their_references() {
+    assert_plain_schedulers_match_their_references(true);
 }
 
 #[test]

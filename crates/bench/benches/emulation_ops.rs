@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use regemu_bounds::Params;
 use regemu_core::{all_emulations, Emulation};
-use regemu_fpsm::{FairDriver, HighOp};
+use regemu_fpsm::{FairDriver, HighOp, Scheduler};
 
 fn bench_write_read_pair(c: &mut Criterion) {
     let params = Params::new(4, 1, 5).unwrap();

@@ -230,44 +230,44 @@ fn bench_outstanding_ops(c: &mut Criterion) {
     group.finish();
 }
 
-/// Long runs that leave a pile of operations pending for good (register
-/// bank, the construction whose pile grows with the run). Read the rows as
-/// time per operation: a scheduler whose pick does not walk the pile takes 4×
-/// as long for 4× the operations.
+/// Long runs that leave a pile of operations pending for good. Read the rows
+/// as time per operation: 4× the operations should take about 4× as long, and
+/// a row that grows faster has something walking the pile.
 ///
-/// * `adversary-cover` — `CoverWrites` withholds the writes of one server;
-///   the pile is the point of the run. Its verdicts are final, so
-///   `AdversarialScheduler` asks once per operation and the row is flat per
-///   operation.
-/// * `fair+crash-f` — the same pile made by a crash: operations stranded on
-///   the crashed server stay pending, the pending window spans every id
-///   allocated since the first of them, and `FairDriver` (like
-///   `RoundRobinScheduler` and `DelayedScheduler`) walks that window on every
-///   step. The row is quadratic in the run length; it is kept as the
-///   measurement of that open cost. It stops at 4 k operations because one
-///   16 k run takes about four minutes on the reference box (244 s measured
-///   once), which nobody would wait for thirty times.
+/// * `adversary-cover` — register bank, the construction whose pile grows
+///   with the run: `CoverWrites` withholds the writes of one server. Its
+///   verdicts are final, so it is asked once per operation.
+/// * `fair+crash-f`, `round-robin+crash-f`, `delayed+crash-f` — the same pile
+///   made by a crash: operations stranded on the crashed server stay pending,
+///   so the pending window spans every id allocated since the first of them.
+///   A pick that walks `deliverable_ops()` instead of the step loop's kept
+///   candidates turns these rows quadratic.
+/// * `space-optimal/adversary-cover` — only 16 or so operations pending, but
+///   one of them old: the window is as long as above and almost all of it
+///   drained. A pending store that gives drained slots back at the tail, only
+///   to pad them in again on the next insert, turns this row quadratic.
 fn bench_withheld_pile(c: &mut Criterion) {
+    use SchedulerSpec::{CoverAdversary, Delayed, Fair, RoundRobin};
     let mut group = c.benchmark_group("sim_engine/withheld_pile");
     let params = Params::new(4, 1, 5).unwrap();
-    let rows: [(&str, SchedulerSpec, CrashPlanSpec, &[usize]); 2] = [
+    let (bank, optimal) = (EmulationKind::RegisterBank, EmulationKind::SpaceOptimal);
+    let (none, crash_f) = (CrashPlanSpec::None, CrashPlanSpec::CrashF);
+    let rows = [
+        ("adversary-cover", bank, CoverAdversary, none),
+        ("fair+crash-f", bank, Fair, crash_f),
+        ("round-robin+crash-f", bank, RoundRobin, crash_f),
+        ("delayed+crash-f", bank, Delayed, crash_f),
         (
-            "adversary-cover",
-            SchedulerSpec::CoverAdversary,
-            CrashPlanSpec::None,
-            &[1_000, 4_000, 16_000],
-        ),
-        (
-            "fair+crash-f",
-            SchedulerSpec::Fair,
-            CrashPlanSpec::CrashF,
-            &[1_000, 4_000],
+            "space-optimal/adversary-cover",
+            optimal,
+            CoverAdversary,
+            none,
         ),
     ];
-    for (label, scheduler, crashes, sizes) in rows {
-        for &ops in sizes {
+    for (label, emulation, scheduler, crashes) in rows {
+        for ops in [1_000, 4_000, 16_000] {
             let scenario = Scenario::new(params)
-                .emulation(EmulationKind::RegisterBank)
+                .emulation(emulation)
                 .workload(WorkloadSpec::RandomMixed {
                     readers: 2,
                     total: ops,

@@ -246,7 +246,7 @@ impl Emulation for DroppedAcksEmulation {
 mod tests {
     use super::*;
     use crate::emulation::EmulationKind;
-    use regemu_fpsm::{FairDriver, HighOp, HighResponse};
+    use regemu_fpsm::{FairDriver, HighOp, HighResponse, Scheduler};
 
     #[test]
     fn names_round_trip_and_avoid_the_clean_namespace() {

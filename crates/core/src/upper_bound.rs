@@ -329,7 +329,9 @@ impl ClientProtocol for SpaceOptimalClient {
 mod tests {
     use super::*;
     use regemu_fpsm::prelude::*;
-    use regemu_fpsm::RunMetrics;
+    use regemu_fpsm::{PendingOp, RunMetrics};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn build(k: usize, f: usize, n: usize) -> (Simulation, Arc<SharedLayout>) {
         let params = Params::new(k, f, n).unwrap();
@@ -400,6 +402,16 @@ mod tests {
         assert_eq!(sim.result_of(r), Some(HighResponse::ReadValue(5)));
     }
 
+    /// Withholds whatever the test has put into the shared set so far.
+    #[derive(Debug)]
+    struct Withhold(Rc<RefCell<BTreeSet<OpId>>>);
+
+    impl BlockStrategy for Withhold {
+        fn blocks(&mut self, _sim: &Simulation, op: &PendingOp) -> bool {
+            self.0.borrow().contains(&op.op_id)
+        }
+    }
+
     #[test]
     fn writer_covers_at_most_f_registers_after_completion() {
         // Block the acknowledgements of up to f low-level writes; the write
@@ -409,7 +421,8 @@ mod tests {
         let writer_protocol = SpaceOptimalClient::writer(shared.clone(), 0);
         let my_set = writer_protocol.my_set.clone();
         let c = sim.register_client(Box::new(writer_protocol));
-        let mut driver = FairDriver::new(7);
+        let withheld = Rc::new(RefCell::new(BTreeSet::new()));
+        let mut driver = AdversarialScheduler::new(7, Box::new(Withhold(withheld.clone())));
 
         let w = sim.invoke(c, HighOp::Write(9)).unwrap();
         // Let the collect finish and the low-level writes be triggered, then
@@ -426,9 +439,7 @@ mod tests {
             .map(|p| p.op_id)
             .collect();
         assert_eq!(writes.len(), my_set.len(), "one write per register of R_j");
-        for op in writes.iter().take(2) {
-            driver.block(*op);
-        }
+        withheld.borrow_mut().extend(writes.iter().take(2));
         driver.run_until_complete(&mut sim, w, 10_000).unwrap();
         // After completion, exactly the blocked writes are still covering.
         let metrics = RunMetrics::capture(&sim);

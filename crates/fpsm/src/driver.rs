@@ -1,22 +1,23 @@
-//! Run drivers: fair schedulers and crash plans.
+//! Run drivers: crash plans, the step loop every scheduler shares, and the
+//! fair scheduler.
 //!
 //! The [`Simulation`] engine is entirely passive; a *driver* decides which
 //! enabled action happens next. [`FairDriver`] implements the fair schedules
 //! required by the liveness definitions: every pending low-level operation on
-//! a correct base object is eventually delivered (unless explicitly blocked),
-//! in a pseudo-random order derived from a seed so runs are reproducible.
+//! a correct base object is eventually delivered, in a pseudo-random order
+//! derived from a seed so runs are reproducible.
 //!
 //! The lower-bound adversary `Ad_i` is *not* implemented here — it lives in
 //! the `regemu-adversary` crate and drives the simulation through the same
 //! public API.
 
 use crate::error::SimError;
-use crate::ids::{HighOpId, OpId, ServerId, Time};
-use crate::sim::Simulation;
+use crate::ids::{OpId, ServerId, Time};
+use crate::scheduler::{BlockStrategy, Scheduler};
+use crate::sim::{PendingOp, Simulation};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use rand::SeedableRng;
 
 /// A plan of server crashes to inject at given logical times.
 ///
@@ -58,22 +59,86 @@ impl CrashPlan {
     }
 }
 
-/// A pseudo-random fair driver.
+/// The step every scheduler in this crate takes, written once: crash the
+/// servers that are due, bring the candidate list up to date, let the
+/// scheduler choose from it, deliver.
 ///
-/// Every call to [`FairDriver::step`] delivers one deliverable pending
-/// operation chosen uniformly at random (excluding explicitly blocked ones),
-/// so in any infinite execution every unblocked operation on a correct object
+/// A scheduler supplies only what differs: *admission* — a [`BlockStrategy`]
+/// for [`crate::AdversarialScheduler`], nothing for the others — and
+/// *choice* among the admitted candidates.
+///
+/// The candidate list is kept across steps. Each step drops the entries that
+/// left the pending set or whose server crashed — whoever caused that: this
+/// scheduler, its crash plan, or anything else holding the simulation — and
+/// then judges only the operations triggered since the previous step. Ids are
+/// allocated in ascending order, so the list is, element for element, the one
+/// a walk over [`Simulation::deliverable_ops`] would build — at a cost of
+/// O(candidates) instead of O(pending window), however many operations are
+/// withheld or stranded on a crashed server. A strategy whose verdicts are
+/// not final ([`BlockStrategy::verdicts_are_final`]) has the list emptied
+/// first, which makes the same code ask it about everything again.
+///
+/// The memory of which operations were judged belongs to one run: a step
+/// loop, and so every scheduler built on it, is bound to one [`Simulation`].
+#[derive(Debug, Default)]
+pub(crate) struct StepLoop {
+    pub(crate) crash_plan: CrashPlan,
+    pub(crate) steps: u64,
+    /// Deliverable operations that were admitted, ascending by id. Copies:
+    /// nothing in a [`PendingOp`] changes while it is pending.
+    candidates: Vec<PendingOp>,
+    /// Every operation with a smaller id has been judged already.
+    watermark: OpId,
+}
+
+impl StepLoop {
+    pub(crate) fn step(
+        &mut self,
+        sim: &mut Simulation,
+        mut strategy: Option<&mut dyn BlockStrategy>,
+        choose: impl FnOnce(&[PendingOp]) -> Option<OpId>,
+    ) -> Result<bool, SimError> {
+        for server in self.crash_plan.due(sim.time()) {
+            sim.crash_server(server)?;
+        }
+        debug_assert!(
+            sim.next_op_id() >= self.watermark,
+            "a scheduler is bound to one Simulation"
+        );
+        if strategy.as_ref().is_some_and(|s| !s.verdicts_are_final()) {
+            self.candidates.clear();
+            self.watermark = OpId::new(0);
+        }
+        let deliverable = |p: &PendingOp| !sim.is_server_crashed(p.server);
+        self.candidates
+            .retain(|p| sim.pending_op(p.op_id).is_some_and(deliverable));
+        self.candidates.extend(
+            sim.pending_ops_from(self.watermark)
+                .filter(|p| deliverable(p) && !strategy.as_mut().is_some_and(|s| s.blocks(sim, p)))
+                .copied(),
+        );
+        self.watermark = sim.next_op_id();
+        let Some(chosen) = choose(&self.candidates) else {
+            return Ok(false);
+        };
+        sim.deliver(chosen)?;
+        self.steps += 1;
+        Ok(true)
+    }
+}
+
+/// A pseudo-random fair driver: [`crate::AdversarialScheduler`] with nothing
+/// withheld.
+///
+/// Every step delivers one deliverable pending operation chosen uniformly at
+/// random, so in any infinite execution every operation on a correct object
 /// is eventually delivered with probability 1 — a fair run in the paper's
-/// sense.
+/// sense. Drive it through the [`Scheduler`] trait; like every scheduler
+/// here, an instance is bound to one [`Simulation`].
 #[derive(Debug)]
 pub struct FairDriver {
     rng: StdRng,
-    crash_plan: CrashPlan,
-    blocked: BTreeSet<OpId>,
-    steps: u64,
-    /// Reused candidate buffer so [`FairDriver::step`] does not allocate on
-    /// every delivery.
-    candidates: Vec<OpId>,
+    core: StepLoop,
 }
 
 impl FairDriver {
@@ -81,131 +146,30 @@ impl FairDriver {
     pub fn new(seed: u64) -> Self {
         FairDriver {
             rng: StdRng::seed_from_u64(seed),
-            crash_plan: CrashPlan::none(),
-            blocked: BTreeSet::new(),
-            steps: 0,
-            candidates: Vec::new(),
+            core: StepLoop::default(),
         }
     }
 
     /// Attaches a crash plan to the driver.
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
+        self.core.crash_plan = plan;
         self
-    }
-
-    /// Blocks a pending operation: the driver will never deliver it. Used to
-    /// model the environment withholding a response for arbitrarily long.
-    pub fn block(&mut self, op: OpId) {
-        self.blocked.insert(op);
-    }
-
-    /// Unblocks a previously blocked operation.
-    pub fn unblock(&mut self, op: OpId) {
-        self.blocked.remove(&op);
-    }
-
-    /// Number of currently blocked operations.
-    pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
     }
 
     /// Number of delivery steps executed so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.core.steps
+    }
+}
+
+impl Scheduler for FairDriver {
+    fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
+        self.core
+            .step(sim, None, |ops| ops.choose(&mut self.rng).map(|p| p.op_id))
     }
 
-    /// Access to the driver's random number generator (for workloads that
-    /// want to share the seeded stream).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    fn inject_due_crashes(&mut self, sim: &mut Simulation) -> Result<(), SimError> {
-        for server in self.crash_plan.due(sim.time()) {
-            sim.crash_server(server)?;
-        }
-        Ok(())
-    }
-
-    /// Delivers one randomly chosen deliverable, unblocked pending operation.
-    ///
-    /// Returns `Ok(true)` if an operation was delivered, `Ok(false)` if no
-    /// deliverable operation exists (quiescence or everything blocked).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (which indicate a bug in the driver itself,
-    /// e.g. scheduled crashes exceeding the fault threshold).
-    pub fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
-        self.inject_due_crashes(sim)?;
-        self.candidates.clear();
-        let blocked = &self.blocked;
-        self.candidates.extend(
-            sim.deliverable_ops()
-                .map(|p| p.op_id)
-                .filter(|id| !blocked.contains(id)),
-        );
-        let Some(&chosen) = self.candidates.choose(&mut self.rng) else {
-            return Ok(false);
-        };
-        sim.deliver(chosen)?;
-        self.steps += 1;
-        Ok(true)
-    }
-
-    /// Delivers operations until the high-level operation `target` completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stuck`] if the operation has not completed after
-    /// `max_steps` deliveries or no deliverable operation remains.
-    pub fn run_until_complete(
-        &mut self,
-        sim: &mut Simulation,
-        target: HighOpId,
-        max_steps: u64,
-    ) -> Result<(), SimError> {
-        let mut executed = 0;
-        while sim.result_of(target).is_none() {
-            if executed >= max_steps || !self.step(sim)? {
-                return Err(SimError::Stuck {
-                    steps: executed,
-                    waiting_for: format!("high-level operation {target} to complete"),
-                });
-            }
-            executed += 1;
-        }
-        Ok(())
-    }
-
-    /// Delivers operations until no deliverable, unblocked operation remains.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stuck`] if quiescence is not reached within
-    /// `max_steps` deliveries.
-    pub fn run_until_quiescent(
-        &mut self,
-        sim: &mut Simulation,
-        max_steps: u64,
-    ) -> Result<(), SimError> {
-        let mut executed = 0;
-        while self.step(sim)? {
-            executed += 1;
-            if executed >= max_steps {
-                return Err(SimError::Stuck {
-                    steps: executed,
-                    waiting_for: "quiescence".to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Picks a uniformly random element of `0..bound` from the driver's RNG.
-    pub fn pick(&mut self, bound: usize) -> usize {
-        self.rng.gen_range(0..bound)
+    fn name(&self) -> &'static str {
+        "fair"
     }
 }
 
@@ -294,28 +258,6 @@ mod tests {
         driver.run_until_complete(&mut sim, w, 100).unwrap();
         assert!(sim.is_server_crashed(ServerId::new(2)));
         assert_eq!(sim.result_of(w), Some(HighResponse::WriteAck));
-    }
-
-    #[test]
-    fn blocking_a_majority_makes_the_driver_stuck() {
-        let (mut sim, _objs) = build(3, 1);
-        let c = sim.register_client(Box::new(MajorityWriter {
-            targets: sim.topology().objects().collect(),
-            acks: 0,
-        }));
-        let w = sim.invoke(c, HighOp::Write(1)).unwrap();
-        let mut driver = FairDriver::new(3);
-        // Block two of the three writes: only one ack can ever arrive, the
-        // majority of 2 is unreachable.
-        let pending: Vec<OpId> = sim.pending_ops().map(|p| p.op_id).collect();
-        driver.block(pending[0]);
-        driver.block(pending[1]);
-        assert_eq!(driver.blocked_count(), 2);
-        let err = driver.run_until_complete(&mut sim, w, 100).unwrap_err();
-        assert!(matches!(err, SimError::Stuck { .. }));
-        // Unblocking lets the operation finish.
-        driver.unblock(pending[0]);
-        driver.run_until_complete(&mut sim, w, 100).unwrap();
     }
 
     #[test]

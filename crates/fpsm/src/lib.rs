@@ -18,9 +18,12 @@
 //!   including the paper's lower-bound adversary, can be expressed as a
 //!   driver;
 //! * [`scheduler::Scheduler`] — the pluggable run-driver interface, with
-//!   [`driver::FairDriver`] (seeded fair scheduling and crash plans),
-//!   [`scheduler::RoundRobinScheduler`] and the strategy-driven
-//!   [`scheduler::AdversarialScheduler`] as implementations;
+//!   [`driver::FairDriver`] (seeded fair scheduling),
+//!   [`scheduler::RoundRobinScheduler`], [`scheduler::DelayedScheduler`] and
+//!   the strategy-driven [`scheduler::AdversarialScheduler`] as
+//!   implementations. The four share one step loop — [`driver::CrashPlan`]
+//!   injection, a candidate list kept across steps, delivery — and differ
+//!   only in which operations they admit and which candidate they choose;
 //! * [`history::History`] and [`metrics::RunMetrics`] — the recorded run and
 //!   its space-consumption metrics (resource consumption, covered registers,
 //!   per-server occupancy, point contention). How much of the raw event

@@ -18,8 +18,16 @@
 //! * [`AdversarialScheduler`] — fair scheduling restricted by a pluggable
 //!   [`BlockStrategy`]; the `regemu-adversary` crate provides strategies that
 //!   withhold responses the way the lower-bound adversary `Ad_i` does.
+//!
+//! All four take the same step, written once in [`crate::driver`]: crash the
+//! servers that are due, bring a candidate list kept across steps up to date,
+//! choose from it, deliver. A scheduler supplies only which operations it
+//! admits and which candidate it chooses, so a step costs O(candidates)
+//! however many operations are withheld or stranded on a crashed server. The
+//! kept list remembers which operations of *one* run were judged: a scheduler
+//! instance is bound to one [`crate::sim::Simulation`].
 
-use crate::driver::{CrashPlan, FairDriver};
+use crate::driver::{CrashPlan, StepLoop};
 use crate::error::SimError;
 use crate::ids::{HighOpId, OpId};
 use crate::sim::{PendingOp, Simulation};
@@ -147,79 +155,58 @@ pub trait Scheduler {
     }
 }
 
-impl Scheduler for FairDriver {
-    fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
-        FairDriver::step(self, sim)
-    }
-
-    fn name(&self) -> &'static str {
-        "fair"
-    }
-}
-
 /// A deterministic round-robin scheduler.
 ///
 /// Each step delivers the oldest pending operation of the next client in a
 /// fixed rotation (clients with nothing deliverable are skipped). Compared to
-/// [`FairDriver`] it is fair in the strongest sense — every client is served
-/// within one rotation — while being completely predictable, which makes it
-/// the scheduler of choice for step-debugging a protocol. The seed only
-/// offsets the rotation's starting point.
+/// [`crate::FairDriver`] it is fair in the strongest sense — every client is
+/// served within one rotation — while being completely predictable, which
+/// makes it the scheduler of choice for step-debugging a protocol. The seed
+/// only offsets the rotation's starting point.
 #[derive(Debug)]
 pub struct RoundRobinScheduler {
-    crash_plan: CrashPlan,
     next_client: u64,
-    steps: u64,
+    core: StepLoop,
 }
 
 impl RoundRobinScheduler {
     /// Creates a round-robin scheduler; `seed` offsets the rotation start.
     pub fn new(seed: u64) -> Self {
         RoundRobinScheduler {
-            crash_plan: CrashPlan::none(),
             next_client: seed,
-            steps: 0,
+            core: StepLoop::default(),
         }
     }
 
     /// Attaches a crash plan to the scheduler.
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
+        self.core.crash_plan = plan;
         self
     }
 
     /// Number of delivery steps executed so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.core.steps
     }
 }
 
 impl Scheduler for RoundRobinScheduler {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
-        for server in self.crash_plan.due(sim.time()) {
-            sim.crash_server(server)?;
-        }
         let clients = sim.client_count() as u64;
-        if clients == 0 {
-            return Ok(false);
-        }
-        let start = self.next_client % clients;
-        // Pick the deliverable op whose client is closest after the cursor
-        // (wrapping), oldest op id first within a client.
-        let chosen = sim
-            .deliverable_ops()
-            .map(|p| {
-                let distance = (p.client.index() as u64 + clients - start) % clients;
-                (distance, p.op_id, p.client)
-            })
-            .min();
-        let Some((_, op_id, client)) = chosen else {
-            return Ok(false);
-        };
-        sim.deliver(op_id)?;
-        self.next_client = client.index() as u64 + 1;
-        self.steps += 1;
-        Ok(true)
+        self.core.step(sim, None, |candidates| {
+            // Pick the candidate whose client is closest after the cursor
+            // (wrapping), oldest op id first within a client.
+            let start = self.next_client.checked_rem(clients)?;
+            let (_, op_id, client) = candidates
+                .iter()
+                .map(|p| {
+                    let distance = (p.client.index() as u64 + clients - start) % clients;
+                    (distance, p.op_id, p.client)
+                })
+                .min()?;
+            self.next_client = client.index() as u64 + 1;
+            Some(op_id)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -241,7 +228,7 @@ impl Scheduler for RoundRobinScheduler {
 /// pending operation is eventually the minimum.
 ///
 /// The effect is a message-delay *distribution* over the network rather
-/// than the uniform choice of [`FairDriver`]: responses from different
+/// than the uniform choice of [`crate::FairDriver`]: responses from different
 /// servers overtake each other in bursts, which exercises protocol paths
 /// (stale reads, late acks) that uniform fairness rarely produces.
 #[derive(Debug)]
@@ -249,8 +236,7 @@ pub struct DelayedScheduler {
     seed: u64,
     max_delay: u64,
     perturbation: Vec<u64>,
-    crash_plan: CrashPlan,
-    steps: u64,
+    core: StepLoop,
 }
 
 impl DelayedScheduler {
@@ -264,14 +250,13 @@ impl DelayedScheduler {
             seed,
             max_delay,
             perturbation: Vec::new(),
-            crash_plan: CrashPlan::none(),
-            steps: 0,
+            core: StepLoop::default(),
         }
     }
 
     /// Attaches a crash plan to the scheduler.
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
+        self.core.crash_plan = plan;
         self
     }
 
@@ -288,47 +273,47 @@ impl DelayedScheduler {
 
     /// Number of delivery steps executed so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.core.steps
     }
 
     /// The deterministic delay (in ticks) assigned to operation `op`,
     /// including any perturbation from [`DelayedScheduler::with_perturbation`].
     pub fn delay_of(&self, op: OpId) -> u64 {
-        let extra = if self.perturbation.is_empty() {
-            0
-        } else {
-            self.perturbation[op.index() as usize % self.perturbation.len()]
-        };
-        if self.max_delay == 0 {
-            return extra;
-        }
-        // SplitMix64 finalizer over seed ⊕ op id: uniform enough for a delay
-        // distribution, dependency-free, and stable across platforms.
-        let mut x = self.seed ^ (op.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        x % (self.max_delay + 1) + extra
+        delay(self.seed, self.max_delay, &self.perturbation, op)
     }
+}
+
+/// [`DelayedScheduler::delay_of`] over the scheduler's parts, so that its
+/// step can ask while the step loop is borrowed.
+fn delay(seed: u64, max_delay: u64, perturbation: &[u64], op: OpId) -> u64 {
+    let extra = if perturbation.is_empty() {
+        0
+    } else {
+        perturbation[op.index() as usize % perturbation.len()]
+    };
+    if max_delay == 0 {
+        return extra;
+    }
+    // SplitMix64 finalizer over seed ⊕ op id: uniform enough for a delay
+    // distribution, dependency-free, and stable across platforms.
+    let mut x = seed ^ (op.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    x % (max_delay + 1) + extra
 }
 
 impl Scheduler for DelayedScheduler {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
-        for server in self.crash_plan.due(sim.time()) {
-            sim.crash_server(server)?;
-        }
-        let chosen = sim
-            .deliverable_ops()
-            .map(|p| (p.triggered_at + self.delay_of(p.op_id), p.op_id))
-            .min();
-        let Some((_, op_id)) = chosen else {
-            return Ok(false);
-        };
-        sim.deliver(op_id)?;
-        self.steps += 1;
-        Ok(true)
+        self.core.step(sim, None, |candidates| {
+            let ready = |p: &PendingOp| {
+                let delay = delay(self.seed, self.max_delay, &self.perturbation, p.op_id);
+                (p.triggered_at + delay, p.op_id)
+            };
+            candidates.iter().map(ready).min().map(|(_, id)| id)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -454,32 +439,24 @@ pub trait BlockStrategy: std::fmt::Debug {
 /// Fair scheduling restricted by a [`BlockStrategy`].
 ///
 /// Each step delivers a uniformly random deliverable operation among the ones
-/// the strategy does not block — the same seeded stream as [`FairDriver`],
-/// carved down by the strategy. With a strategy that never blocks it is
-/// byte-for-byte a `FairDriver`.
+/// the strategy does not block — the same seeded stream as
+/// [`crate::FairDriver`], carved down by the strategy. With a strategy that
+/// never blocks it is byte-for-byte a `FairDriver`.
 ///
-/// The list of operations the scheduler is willing to deliver is kept across
-/// steps. Each step drops the entries that left the pending set or whose
-/// server crashed — whoever caused that: this scheduler, its crash plan, or
-/// anything else holding the simulation — and then asks the strategy about the
-/// operations triggered since the previous step only. For a strategy whose
-/// verdicts are not final ([`BlockStrategy::verdicts_are_final`]) the list is
-/// emptied first, which makes the same code ask about everything again. Either
-/// way the list is, element for element, the one a full rescan would build, so
-/// the seeded choice — and the run — is identical.
+/// The list of operations the scheduler is willing to deliver is the shared
+/// step loop's, kept across steps: a strategy with final verdicts
+/// ([`BlockStrategy::verdicts_are_final`]) is asked about each operation
+/// once, any other about every deliverable operation on every step. Either
+/// way the list is, element for element, the one a full rescan would build,
+/// so the seeded choice — and the run — is identical.
 ///
 /// An instance is bound to one [`Simulation`]: its RNG stream and its memory
 /// of which operations it has judged both belong to that run.
 #[derive(Debug)]
 pub struct AdversarialScheduler {
     rng: StdRng,
-    crash_plan: CrashPlan,
     strategy: Box<dyn BlockStrategy>,
-    steps: u64,
-    /// Deliverable operations the strategy does not block, ascending by id.
-    candidates: Vec<OpId>,
-    /// Every operation with a smaller id has been judged already.
-    watermark: OpId,
+    core: StepLoop,
 }
 
 impl AdversarialScheduler {
@@ -487,23 +464,20 @@ impl AdversarialScheduler {
     pub fn new(seed: u64, strategy: Box<dyn BlockStrategy>) -> Self {
         AdversarialScheduler {
             rng: StdRng::seed_from_u64(seed),
-            crash_plan: CrashPlan::none(),
             strategy,
-            steps: 0,
-            candidates: Vec::new(),
-            watermark: OpId::new(0),
+            core: StepLoop::default(),
         }
     }
 
     /// Attaches a crash plan to the scheduler.
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.crash_plan = plan;
+        self.core.crash_plan = plan;
         self
     }
 
     /// Number of delivery steps executed so far.
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.core.steps
     }
 
     /// The strategy driving the block decisions.
@@ -514,33 +488,9 @@ impl AdversarialScheduler {
 
 impl Scheduler for AdversarialScheduler {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
-        for server in self.crash_plan.due(sim.time()) {
-            sim.crash_server(server)?;
-        }
-        debug_assert!(
-            sim.next_op_id() >= self.watermark,
-            "an AdversarialScheduler is bound to one Simulation"
-        );
-        let strategy = &mut self.strategy;
-        let candidates = &mut self.candidates;
-        if !strategy.verdicts_are_final() {
-            candidates.clear();
-            self.watermark = OpId::new(0);
-        }
-        let deliverable = |p: &PendingOp| !sim.is_server_crashed(p.server);
-        candidates.retain(|&id| sim.pending_op(id).is_some_and(deliverable));
-        candidates.extend(
-            sim.pending_ops_from(self.watermark)
-                .filter(|p| deliverable(p) && !strategy.blocks(sim, p))
-                .map(|p| p.op_id),
-        );
-        self.watermark = sim.next_op_id();
-        let Some(&chosen) = candidates.choose(&mut self.rng) else {
-            return Ok(false);
-        };
-        sim.deliver(chosen)?;
-        self.steps += 1;
-        Ok(true)
+        self.core.step(sim, Some(self.strategy.as_mut()), |ops| {
+            ops.choose(&mut self.rng).map(|p| p.op_id)
+        })
     }
 
     /// The strategy's name: an adversarial scheduler *is* its block
@@ -555,6 +505,7 @@ impl Scheduler for AdversarialScheduler {
 mod tests {
     use super::*;
     use crate::client::{ClientProtocol, Context, Delivery};
+    use crate::driver::FairDriver;
     use crate::ids::{ObjectId, ServerId};
     use crate::object::ObjectKind;
     use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};

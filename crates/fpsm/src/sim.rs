@@ -111,12 +111,15 @@ pub struct DeliveryOutcome {
 /// Op ids are allocated monotonically (ids are indices), so the slab is a
 /// sliding window over the id space: deque slot `i` holds the operation with
 /// id `base + i`. Insertion is a `push_back`, lookup and removal are O(1)
-/// index arithmetic, and slots drained at either end are popped so the
-/// memory footprint stays proportional to the live id *span* (oldest pending
-/// to newest), not to the number of ids ever allocated. Iteration visits
-/// operations in ascending id order — the same order the previous
-/// `BTreeMap<OpId, PendingOp>` representation produced, which keeps seeded
-/// drivers byte-identical.
+/// index arithmetic, and slots drained at the front are popped so the memory
+/// footprint stays proportional to the id *span* from the oldest pending
+/// operation to the newest id allocated, not to the number of ids ever
+/// allocated. Slots drained at the back are kept: the next insert would pad
+/// them straight back, an O(span) round trip per operation for as long as
+/// one old operation stays pending. A fully drained slab is emptied by the
+/// front loop alone. Iteration visits operations in ascending id order — the same order
+/// the previous `BTreeMap<OpId, PendingOp>` representation produced, which
+/// keeps seeded drivers byte-identical.
 #[derive(Debug, Default)]
 struct PendingSlab {
     /// Op id corresponding to deque slot 0.
@@ -158,9 +161,6 @@ impl PendingSlab {
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
-        }
-        while let Some(None) = self.slots.back() {
-            self.slots.pop_back();
         }
         Some(op)
     }
@@ -813,6 +813,7 @@ mod tests {
     use super::*;
     use crate::client::{Context, NoopProtocol};
     use crate::object::ObjectKind;
+    use crate::scheduler::Scheduler;
     use crate::value::Value;
 
     /// A protocol that writes to a fixed register and returns after the ack,
@@ -1099,11 +1100,11 @@ mod tests {
         assert_eq!(from(&slab, 11), vec![17, 18, 19]);
         assert_eq!(from(&slab, 18), vec![18, 19]);
 
-        // Back reclamation shrinks the window; seeks into the reclaimed tail
-        // are beyond the end.
+        // Slots drained at the back stay in the window; seeks into that tail
+        // find nothing.
         slab.remove(OpId::new(19));
         slab.remove(OpId::new(18));
-        assert_eq!(slab.slots.len(), 1);
+        assert_eq!(slab.slots.len(), 3);
         assert_eq!(from(&slab, 17), vec![17]);
         assert!(from(&slab, 18).is_empty());
         assert!(from(&slab, 19).is_empty());

@@ -191,3 +191,43 @@ fn resource_consumption_matches_the_theorem_3_formula() {
     );
     assert_eq!(report.provisioned_objects, register_upper_bound(params));
 }
+
+/// Scaling smoke for the `scenario-smoke` CI job: operations stranded on a
+/// crashed server pile up for the whole run, and no scheduler step may cost
+/// more for it. 4× the operations taking more than 12× the time means a pick
+/// is walking the pile again (flat is 4–5×, a walk per step about 28×). A
+/// ratio of two timings on the same box, so the box's speed cancels out;
+/// `Digest` recording keeps the event log's allocations out of it.
+#[test]
+#[ignore = "timing; run with --release --ignored"]
+fn the_withheld_pile_costs_the_fair_scheduler_nothing_per_step() {
+    let best_of_three = |ops: usize| {
+        let scenario = Scenario::new(Params::new(4, 1, 5).unwrap())
+            .emulation(EmulationKind::RegisterBank)
+            .workload(WorkloadSpec::RandomMixed {
+                readers: 2,
+                total: ops,
+                write_percent: 50,
+            })
+            .scheduler(SchedulerSpec::Fair)
+            .crashes(CrashPlanSpec::CrashF)
+            .recording(RecordingModeSpec::Digest)
+            .check(ConsistencyCheck::None)
+            .seed(7);
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let report = scenario.run().unwrap();
+                assert_eq!(report.completed_ops, ops);
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let (small, large) = (best_of_three(2_000), best_of_three(8_000));
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio <= 12.0,
+        "2 k ops took {small:?}, 8 k ops {large:?}: ratio {ratio:.1}"
+    );
+}
