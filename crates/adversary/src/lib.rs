@@ -52,7 +52,7 @@ pub use adi::{AdversaryIteration, IterationOutcome};
 pub use campaign::{CampaignReport, IterationReport, LowerBoundCampaign};
 pub use covering::CoveringTracker;
 pub use partition::{demonstrate_partition, PartitionOutcome, QuorumEmulation};
-pub use strategy::{CoverWrites, ReplayStrategy, SilenceServers};
+pub use strategy::{CoverWrites, SilenceServers};
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
@@ -60,5 +60,5 @@ pub mod prelude {
     pub use crate::campaign::{CampaignReport, LowerBoundCampaign};
     pub use crate::covering::CoveringTracker;
     pub use crate::partition::demonstrate_partition;
-    pub use crate::strategy::{CoverWrites, ReplayStrategy, SilenceServers};
+    pub use crate::strategy::{CoverWrites, SilenceServers};
 }

@@ -9,28 +9,24 @@
 //! [`regemu_fpsm::AdversarialScheduler`] — and therefore become a *sweepable
 //! scheduler dimension* instead of a bespoke harness.
 //!
-//! Three strategies are provided:
+//! Two strategies are provided:
 //!
 //! * [`SilenceServers`] — withholds **every** response from a chosen server
 //!   set, the scheduling equivalent of those servers being crashed (but the
 //!   operations stay pending and keep covering their registers);
 //! * [`CoverWrites`] — withholds only **write-class** responses from the
 //!   chosen servers, the exact move `Ad_i` makes in Definition 2: reads stay
-//!   live, writes pile up as covering operations;
-//! * [`ReplayStrategy`] — replays a recorded delivery-order decision stream
-//!   (see [`regemu_fpsm::DecisionRecord`]), turning the scheduler into a
-//!   deterministic re-execution engine for fuzzing and failure triage.
+//!   live, writes pile up as covering operations.
 //!
-//! The first two are safe to run against any `f`-tolerant emulation as long
-//! as the chosen set has at most `f` servers: safety (WS-Regularity) holds
-//! under *any* environment behaviour, and liveness only needs `n - f`
-//! responsive servers. Both are pure functions of the operation, so they
-//! declare their verdicts final
-//! ([`regemu_fpsm::BlockStrategy::verdicts_are_final`]) and the scheduler asks
-//! them once per operation instead of rescanning the withheld pile on every
-//! step; `ReplayStrategy` answers from the step it is in and cannot.
+//! Both are safe to run against any `f`-tolerant emulation as long as the
+//! chosen set has at most `f` servers: safety (WS-Regularity) holds under
+//! *any* environment behaviour, and liveness only needs `n - f` responsive
+//! servers. Both are pure functions of the operation, which the scheduler
+//! asks about once. Replaying a recorded schedule is a per-step choice, not
+//! a verdict on an operation, so it lives in the scheduler:
+//! [`regemu_fpsm::FairDriver::replaying`].
 
-use regemu_fpsm::{BlockStrategy, OpId, PendingOp, ServerId, Simulation, Time};
+use regemu_fpsm::{BlockStrategy, PendingOp, ServerId, Simulation};
 use std::collections::BTreeSet;
 
 /// Withholds every response from a fixed server set.
@@ -73,11 +69,6 @@ impl BlockStrategy for SilenceServers {
     fn name(&self) -> &'static str {
         "adversary-silence"
     }
-
-    // A pure function of `op.server`.
-    fn verdicts_are_final(&self) -> bool {
-        true
-    }
 }
 
 /// Withholds write-class responses from a fixed server set — the `Ad_i`
@@ -115,89 +106,6 @@ impl BlockStrategy for CoverWrites {
     // driven through `scenario::drive` group with Scenario-built runs.
     fn name(&self) -> &'static str {
         "adversary-cover"
-    }
-
-    // A pure function of `op.op` and `op.server`.
-    fn verdicts_are_final(&self) -> bool {
-        true
-    }
-}
-
-/// Replays a recorded delivery-order decision stream.
-///
-/// Each decision is the *rank* of the operation to deliver among the
-/// currently deliverable ones, in ascending op-id order — the encoding
-/// produced by [`regemu_fpsm::Simulation::enable_decision_trace`]. At every
-/// scheduler step the strategy consumes one decision, resolves it to a
-/// concrete operation and blocks everything else, so the (otherwise seeded)
-/// [`regemu_fpsm::AdversarialScheduler`] has exactly one candidate and the
-/// step is fully determined. Once the stream is exhausted the strategy blocks
-/// nothing and the scheduler's own seeded fairness takes over, which lets a
-/// replayed *prefix* be extended by a deterministic tail.
-///
-/// Ranks are reduced modulo the candidate count, so any `u32` stream — in
-/// particular a mutated one — is a valid schedule.
-///
-/// The verdict is a function of the *step*, not of the operation — the same
-/// operation is blocked at one step and chosen at the next — so this strategy
-/// must be consulted on every step and keeps the default
-/// [`BlockStrategy::verdicts_are_final`] of `false`.
-#[derive(Clone, Debug)]
-pub struct ReplayStrategy {
-    decisions: Vec<u32>,
-    next: usize,
-    /// The op chosen for the current scheduler step, keyed by the simulation
-    /// time at which it was chosen. Time strictly increases between steps and
-    /// is constant within one, so a stale entry can never be confused for the
-    /// current step's choice.
-    current: Option<(Time, OpId)>,
-}
-
-impl ReplayStrategy {
-    /// Replays the given decision stream, then schedules fairly.
-    pub fn new(decisions: Vec<u32>) -> Self {
-        ReplayStrategy {
-            decisions,
-            next: 0,
-            current: None,
-        }
-    }
-
-    /// Number of decisions not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.decisions.len().saturating_sub(self.next)
-    }
-}
-
-impl BlockStrategy for ReplayStrategy {
-    fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool {
-        let now = sim.time();
-        let chosen = match self.current {
-            Some((time, id)) if time == now => Some(id),
-            _ => {
-                if self.next >= self.decisions.len() {
-                    return false;
-                }
-                let candidates = sim.deliverable_ops().count() as u32;
-                if candidates == 0 {
-                    return false;
-                }
-                let rank = self.decisions[self.next] % candidates;
-                self.next += 1;
-                let id = sim
-                    .deliverable_ops()
-                    .nth(rank as usize)
-                    .map(|p| p.op_id)
-                    .expect("rank is reduced modulo the candidate count");
-                self.current = Some((now, id));
-                Some(id)
-            }
-        };
-        chosen != Some(op.op_id)
-    }
-
-    fn name(&self) -> &'static str {
-        "replay"
     }
 }
 
@@ -237,119 +145,6 @@ mod tests {
             pending > 0,
             "the blocked writes must still be pending (covering) at quiescence"
         );
-    }
-
-    #[test]
-    fn replaying_a_recorded_decision_stream_reproduces_the_run() {
-        let params = Params::new(2, 1, 4).unwrap();
-        let emulation = EmulationKind::SpaceOptimal.build(params);
-
-        // Record a run under an arbitrary seeded scheduler.
-        let mut sim = emulation.build_simulation();
-        sim.enable_decision_trace();
-        let writer = sim.register_client(emulation.writer_protocol(0));
-        let reader = sim.register_client(emulation.reader_protocol());
-        let mut sched = AdversarialScheduler::new(99, Box::new(SilenceServers::highest(4, 0)));
-        let w = sim.invoke(writer, HighOp::Write(3)).unwrap();
-        sched.run_until_complete(&mut sim, w, 50_000).unwrap();
-        let r = sim.invoke(reader, HighOp::Read).unwrap();
-        sched.run_until_complete(&mut sim, r, 50_000).unwrap();
-        let decisions: Vec<u32> = sim.decision_trace().iter().map(|d| d.choice).collect();
-        let recorded: Vec<_> = sim.history().events().copied().collect();
-
-        // Replay it through a scheduler with a *different* seed: the decision
-        // stream alone must pin the interleaving.
-        let mut replay_sim = emulation.build_simulation();
-        let writer = replay_sim.register_client(emulation.writer_protocol(0));
-        let reader = replay_sim.register_client(emulation.reader_protocol());
-        let mut replayer =
-            AdversarialScheduler::new(12345, Box::new(ReplayStrategy::new(decisions)));
-        let w = replay_sim.invoke(writer, HighOp::Write(3)).unwrap();
-        replayer
-            .run_until_complete(&mut replay_sim, w, 50_000)
-            .unwrap();
-        let r = replay_sim.invoke(reader, HighOp::Read).unwrap();
-        replayer
-            .run_until_complete(&mut replay_sim, r, 50_000)
-            .unwrap();
-
-        let replayed: Vec<_> = replay_sim.history().events().copied().collect();
-        assert_eq!(recorded, replayed);
-    }
-
-    /// Runs a one-write-one-read workload under a replay scheduler and
-    /// returns the full event history.
-    fn history_under_replay(decisions: Vec<u32>, tail_seed: u64) -> Vec<regemu_fpsm::Event> {
-        let params = Params::new(2, 1, 4).unwrap();
-        let emulation = EmulationKind::SpaceOptimal.build(params);
-        let mut sim = emulation.build_simulation();
-        let writer = sim.register_client(emulation.writer_protocol(0));
-        let reader = sim.register_client(emulation.reader_protocol());
-        let mut sched =
-            AdversarialScheduler::new(tail_seed, Box::new(ReplayStrategy::new(decisions)));
-        let w = sim.invoke(writer, HighOp::Write(3)).unwrap();
-        sched.run_until_complete(&mut sim, w, 50_000).unwrap();
-        let r = sim.invoke(reader, HighOp::Read).unwrap();
-        sched.run_until_complete(&mut sim, r, 50_000).unwrap();
-        sim.history().events().copied().collect()
-    }
-
-    #[test]
-    fn a_truncated_stream_falls_back_to_a_deterministic_seeded_tail() {
-        // Record a full run to get a realistic decision stream.
-        let params = Params::new(2, 1, 4).unwrap();
-        let emulation = EmulationKind::SpaceOptimal.build(params);
-        let mut sim = emulation.build_simulation();
-        sim.enable_decision_trace();
-        let writer = sim.register_client(emulation.writer_protocol(0));
-        let reader = sim.register_client(emulation.reader_protocol());
-        let mut sched = AdversarialScheduler::new(99, Box::new(SilenceServers::highest(4, 0)));
-        let w = sim.invoke(writer, HighOp::Write(3)).unwrap();
-        sched.run_until_complete(&mut sim, w, 50_000).unwrap();
-        let r = sim.invoke(reader, HighOp::Read).unwrap();
-        sched.run_until_complete(&mut sim, r, 50_000).unwrap();
-        let decisions: Vec<u32> = sim.decision_trace().iter().map(|d| d.choice).collect();
-        assert!(decisions.len() >= 4, "need a non-trivial stream");
-
-        // Property: at EVERY truncation point, (prefix, tail seed) is a pure
-        // function — two runs are byte-identical — and a different tail seed
-        // still completes (the fallback is fair, not wedged).
-        for cut in 0..=decisions.len() {
-            let prefix: Vec<u32> = decisions[..cut].to_vec();
-            let a = history_under_replay(prefix.clone(), 7);
-            let b = history_under_replay(prefix.clone(), 7);
-            assert_eq!(a, b, "tail not deterministic at cut {cut}");
-            let _ = history_under_replay(prefix, 8);
-        }
-        // The empty prefix with different seeds explores differently (the
-        // tail really is seeded, not a fixed order).
-        let s7 = history_under_replay(Vec::new(), 7);
-        let s8 = history_under_replay(Vec::new(), 8);
-        assert!(
-            s7 != s8 || s7 == history_under_replay(Vec::new(), 7),
-            "seeded tails must at least be self-consistent"
-        );
-    }
-
-    #[test]
-    fn arbitrary_rank_streams_never_index_out_of_bounds() {
-        // Ranks are reduced modulo the candidate count, so ANY u32 stream is
-        // a valid schedule — including the boundary ranks a mutator loves.
-        let hostile: Vec<Vec<u32>> = vec![
-            vec![u32::MAX; 64],
-            vec![0; 64],
-            (0..64)
-                .map(|i| if i % 2 == 0 { 0 } else { u32::MAX })
-                .collect(),
-            (0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
-            vec![1, 2, 3, u32::MAX - 1, u32::MAX, 0, 7, 11],
-        ];
-        for stream in hostile {
-            // Completes without panicking; determinism still holds.
-            let a = history_under_replay(stream.clone(), 5);
-            let b = history_under_replay(stream, 5);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Fast path ≡ rescan path.
+//! Kept list ≡ rescan.
 //!
-//! [`CoverWrites`] and [`SilenceServers`] declare their verdicts final, so
-//! [`AdversarialScheduler`] asks them once per operation and keeps its list
-//! of deliverable, unblocked operations across steps. Behind a wrapper that
-//! forwards only `blocks` and `name` the same strategy is consulted about
-//! every pending operation on every step — the behaviour every recorded
-//! artifact was produced under. The two must be indistinguishable: the same
-//! event history, the same per-delivery [`DecisionRecord`] stream, the same
-//! `step` results, for every construction, crash plan and seed — also when
-//! somebody other than the scheduler delivers, drops and crashes between its
-//! steps.
-//!
-//! [`FairDriver`], [`RoundRobinScheduler`] and [`DelayedScheduler`] pick from
-//! the same kept list, so each is held to the same standard against a
-//! [`Reference`] that rebuilds its pick from `Simulation::deliverable_ops`
-//! on every step, the way each of them did before the step loop was shared.
+//! Every scheduler picks from a candidate list the shared step loop keeps
+//! across steps: it drops what left the pending set or was stranded by a
+//! crash, and asks the block strategy, if there is one, about each operation
+//! once — a verdict is final. Each scheduler — fair, round-robin, delayed,
+//! the Cover and Silence adversaries, and a fair driver replaying recorded
+//! ranks — is held against a [`Reference`] that rebuilds its pick from
+//! `Simulation::deliverable_ops` on every step, with its own seeded draw. The
+//! two must be indistinguishable: the same event history, the same
+//! per-delivery [`DecisionRecord`] stream, the same `step` results and the
+//! same operations left pending, for every construction, crash plan and
+//! seed — also when somebody other than the scheduler delivers, drops and
+//! crashes between its steps.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use regemu_adversary::strategy::{CoverWrites, SilenceServers};
 use regemu_bounds::Params;
 use regemu_core::EmulationKind;
@@ -24,117 +24,95 @@ use regemu_fpsm::{
     Event, FairDriver, HighOp, OpId, PendingOp, RoundRobinScheduler, Scheduler, ServerId, SimError,
     Simulation, Time,
 };
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
-/// Forwards `blocks` and `name` only: `verdicts_are_final` stays at its
-/// default, which forces the per-step rescan.
-#[derive(Debug)]
-struct Opaque(Box<dyn BlockStrategy>);
-
-impl BlockStrategy for Opaque {
-    fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool {
-        self.0.blocks(sim, op)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
-enum Adversary {
-    Cover,
-    Silence,
-}
-
-impl Adversary {
-    /// The scheduler under test, or — with `rescan` — the same strategy made
-    /// opaque so that it is consulted about everything on every step.
-    fn scheduler(self, rescan: bool, seed: u64, plan: CrashPlan) -> Box<dyn Scheduler> {
-        let params = params();
-        let strategy: Box<dyn BlockStrategy> = match self {
-            Adversary::Cover => Box::new(CoverWrites::highest(params.n, params.f)),
-            Adversary::Silence => Box::new(SilenceServers::highest(params.n, params.f)),
-        };
-        assert!(strategy.verdicts_are_final());
-        let strategy: Box<dyn BlockStrategy> = if rescan {
-            Box::new(Opaque(strategy))
-        } else {
-            strategy
-        };
-        assert_eq!(strategy.verdicts_are_final(), !rescan);
-        Box::new(AdversarialScheduler::new(seed, strategy).with_crash_plan(plan))
-    }
-}
-
-/// The schedulers that withhold nothing.
-#[derive(Clone, Copy, Debug)]
-enum Plain {
+enum Kind {
     Fair,
     RoundRobin,
     Delayed,
+    Cover,
+    Silence,
+    Replay,
 }
 
-impl Plain {
+const KINDS: [Kind; 6] = [
+    Kind::Fair,
+    Kind::RoundRobin,
+    Kind::Delayed,
+    Kind::Cover,
+    Kind::Silence,
+    Kind::Replay,
+];
+
+impl Kind {
+    /// The scheduler under test.
     fn scheduler(self, seed: u64, plan: CrashPlan) -> Box<dyn Scheduler> {
         match self {
-            Plain::Fair => Box::new(FairDriver::new(seed).with_crash_plan(plan)),
-            Plain::RoundRobin => Box::new(RoundRobinScheduler::new(seed).with_crash_plan(plan)),
-            Plain::Delayed => Box::new(
+            Kind::Fair => Box::new(FairDriver::new(seed).with_crash_plan(plan)),
+            Kind::RoundRobin => Box::new(RoundRobinScheduler::new(seed).with_crash_plan(plan)),
+            Kind::Delayed => Box::new(
                 DelayedScheduler::new(seed, DelayedScheduler::DEFAULT_MAX_DELAY)
                     .with_crash_plan(plan),
             ),
+            Kind::Cover | Kind::Silence => Box::new(
+                AdversarialScheduler::new(seed, self.strategy().unwrap()).with_crash_plan(plan),
+            ),
+            Kind::Replay => {
+                Box::new(FairDriver::replaying(seed, self.ranks(seed)).with_crash_plan(plan))
+            }
         }
     }
 
-    fn reference(self, seed: u64, crash: Option<(Time, ServerId)>) -> Box<dyn Scheduler> {
-        let pick = match self {
-            Plain::Fair => {
-                let asked = Rc::new(RefCell::new(Vec::new()));
-                let strategy = Box::new(AskedAbout(Rc::clone(&asked)));
-                Pick::Fair(AdversarialScheduler::new(seed, strategy), asked)
-            }
-            Plain::RoundRobin => Pick::RoundRobin(seed),
-            Plain::Delayed => Pick::Delayed(DelayedScheduler::new(
-                seed,
-                DelayedScheduler::DEFAULT_MAX_DELAY,
-            )),
-        };
-        Box::new(Reference { pick, crash })
+    fn strategy(self) -> Option<Box<dyn BlockStrategy>> {
+        let params = params();
+        match self {
+            Kind::Cover => Some(Box::new(CoverWrites::highest(params.n, params.f))),
+            Kind::Silence => Some(Box::new(SilenceServers::highest(params.n, params.f))),
+            _ => None,
+        }
+    }
+
+    /// Ranks to replay: arbitrary `u32`s, running out a third of the way
+    /// into the run so that the seeded tail takes over.
+    fn ranks(self, seed: u64) -> Vec<u32> {
+        if !matches!(self, Kind::Replay) {
+            return Vec::new();
+        }
+        let mut stream = Stream(seed ^ 0x0AA7_5EED);
+        (0..ROUNDS / 3).map(|_| stream.next() as u32).collect()
+    }
+
+    /// The same scheduler, rebuilt from `deliverable_ops()` on every step.
+    fn reference(self, seed: u64, crash: Option<(Time, ServerId)>) -> Reference {
+        Reference {
+            kind: self,
+            strategy: self.strategy(),
+            rng: StdRng::seed_from_u64(seed),
+            replay: self.ranks(seed).into_iter(),
+            next_client: seed,
+            delays: DelayedScheduler::new(seed, DelayedScheduler::DEFAULT_MAX_DELAY),
+            crash,
+        }
     }
 }
 
-/// A plain scheduler as it was before the step loop was shared: its crash,
-/// then a pick rebuilt from `sim.deliverable_ops()`.
+/// A scheduler as it would be written without a kept list: its crash, then
+/// a pick from every deliverable operation its strategy (asked again on
+/// every step) does not block.
 struct Reference {
-    pick: Pick,
+    kind: Kind,
+    strategy: Option<Box<dyn BlockStrategy>>,
+    /// The seeded uniform draw of fair, adversarial and replay picks.
+    rng: StdRng,
+    replay: std::vec::IntoIter<u32>,
+    /// The round-robin cursor.
+    next_client: u64,
+    /// Kept for `delay_of` only; it never steps.
+    delays: DelayedScheduler,
     /// The crash plan, held here because [`CrashPlan`] cannot be read back.
     crash: Option<(Time, ServerId)>,
-}
-
-enum Pick {
-    /// The seeded uniform draw is not reachable from this crate, so it is
-    /// made by an [`AdversarialScheduler`] whose strategy opts out of final
-    /// verdicts: every step it starts from an empty list and asks
-    /// [`AskedAbout`] about each operation it would choose from. The list
-    /// asked about must be `deliverable_ops()`, element for element.
-    Fair(AdversarialScheduler, Rc<RefCell<Vec<OpId>>>),
-    /// The rotation cursor.
-    RoundRobin(u64),
-    /// Kept for `delay_of` only; it never steps.
-    Delayed(DelayedScheduler),
-}
-
-/// Blocks nothing and writes down what it is asked about.
-#[derive(Debug)]
-struct AskedAbout(Rc<RefCell<Vec<OpId>>>);
-
-impl BlockStrategy for AskedAbout {
-    fn blocks(&mut self, _sim: &Simulation, op: &PendingOp) -> bool {
-        self.0.borrow_mut().push(op.op_id);
-        false
-    }
 }
 
 impl Scheduler for Reference {
@@ -143,34 +121,39 @@ impl Scheduler for Reference {
             self.crash = None;
             sim.crash_server(server)?;
         }
-        let chosen = match &mut self.pick {
-            Pick::Fair(scheduler, asked) => {
-                let deliverable: Vec<OpId> = sim.deliverable_ops().map(|p| p.op_id).collect();
-                asked.borrow_mut().clear();
-                let delivered = scheduler.step(sim)?;
-                assert_eq!(*asked.borrow(), deliverable);
-                return Ok(delivered);
-            }
-            Pick::RoundRobin(next_client) => {
+        let strategy = &mut self.strategy;
+        let candidates: Vec<PendingOp> = sim
+            .deliverable_ops()
+            .filter(|p| !strategy.as_mut().is_some_and(|s| s.blocks(sim, p)))
+            .copied()
+            .collect();
+        let chosen = match self.kind {
+            Kind::RoundRobin => {
                 let clients = sim.client_count() as u64;
-                let start = *next_client % clients;
-                let chosen = sim
-                    .deliverable_ops()
+                let start = self.next_client % clients;
+                let chosen = candidates
+                    .iter()
                     .map(|p| {
                         let distance = (p.client.index() as u64 + clients - start) % clients;
                         (distance, p.op_id, p.client)
                     })
                     .min();
                 chosen.map(|(_, op, client)| {
-                    *next_client = client.index() as u64 + 1;
+                    self.next_client = client.index() as u64 + 1;
                     op
                 })
             }
-            Pick::Delayed(delays) => sim
-                .deliverable_ops()
-                .map(|p| (p.triggered_at + delays.delay_of(p.op_id), p.op_id))
+            Kind::Delayed => candidates
+                .iter()
+                .map(|p| (p.triggered_at + self.delays.delay_of(p.op_id), p.op_id))
                 .min()
                 .map(|(_, op)| op),
+            Kind::Fair | Kind::Cover | Kind::Silence | Kind::Replay => candidates
+                .choose(&mut self.rng)
+                .map(|drawn| match self.replay.next() {
+                    Some(rank) => candidates[rank as usize % candidates.len()].op_id,
+                    None => drawn.op_id,
+                }),
         };
         let Some(op) = chosen else {
             return Ok(false);
@@ -180,8 +163,8 @@ impl Scheduler for Reference {
     }
 }
 
-/// The three crash plans of the sweep axis, spelled out against the engine,
-/// and one that no scheduler knows about.
+/// The crash plans of the sweep axis, spelled out against the engine, and
+/// one that no scheduler knows about.
 #[derive(Clone, Copy, Debug)]
 enum Crashes {
     None,
@@ -196,6 +179,13 @@ enum Crashes {
     /// into the run.
     ByTheTest,
 }
+
+const CRASHES: [Crashes; 4] = [
+    Crashes::None,
+    Crashes::ServersF,
+    Crashes::Clients,
+    Crashes::ByTheTest,
+];
 
 impl Crashes {
     /// What the scheduler's own crash plan holds.
@@ -222,12 +212,16 @@ fn last_server() -> ServerId {
 struct Stream(u64);
 
 impl Stream {
-    fn below(&mut self, bound: usize) -> usize {
+    fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % bound as u64) as usize
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
     }
 }
 
@@ -238,7 +232,8 @@ struct Trace {
     decisions: Vec<DecisionRecord>,
     /// What each `Scheduler::step` returned.
     delivered: Vec<bool>,
-    withheld: Vec<OpId>,
+    /// The operations still pending at the end.
+    left: Vec<OpId>,
 }
 
 const ROUNDS: usize = 240;
@@ -331,82 +326,64 @@ fn run(
         events: sim.history().events().copied().collect(),
         decisions: sim.decision_trace().to_vec(),
         delivered,
-        withheld: sim.pending_ops().map(|p| p.op_id).collect(),
+        left: sim.pending_ops().map(|p| p.op_id).collect(),
     }
 }
 
-fn assert_twins_agree(interfere: bool) {
-    let (mut steps, mut withheld) = (0, 0);
-    for kind in EmulationKind::ALL {
-        for adversary in [Adversary::Cover, Adversary::Silence] {
-            for crashes in [Crashes::None, Crashes::ServersF, Crashes::Clients] {
+fn assert_every_scheduler_matches_its_reference(interfere: bool) {
+    for scheduler in KINDS {
+        let (mut steps, mut left) = (0, 0);
+        for kind in EmulationKind::ALL {
+            for crashes in CRASHES {
                 for seed in 0..16 {
-                    let twin = |rescan| adversary.scheduler(rescan, seed, crashes.plan());
-                    let fast = run(kind, twin(false), crashes, seed, interfere);
-                    let rescan = run(kind, twin(true), crashes, seed, interfere);
-                    assert_eq!(
-                        fast, rescan,
-                        "{kind} {adversary:?} {crashes:?} seed {seed} interfere {interfere}"
+                    let kept = run(
+                        kind,
+                        scheduler.scheduler(seed, crashes.plan()),
+                        crashes,
+                        seed,
+                        interfere,
                     );
-                    steps += fast.delivered.iter().filter(|d| **d).count();
-                    withheld += fast.withheld.len();
-                }
-            }
-        }
-    }
-    // The grid must exercise what it claims to: plenty of deliveries, and
-    // operations still withheld when the runs end.
-    assert!(steps > 10_000, "only {steps} deliveries over the grid");
-    assert!(withheld > 100, "only {withheld} operations left withheld");
-}
-
-fn assert_plain_schedulers_match_their_references(interfere: bool) {
-    let (mut steps, mut stranded) = (0, 0);
-    for kind in EmulationKind::ALL {
-        for plain in [Plain::Fair, Plain::RoundRobin, Plain::Delayed] {
-            for crashes in [Crashes::None, Crashes::ServersF, Crashes::ByTheTest] {
-                for seed in 0..16 {
-                    let kept = plain.scheduler(seed, crashes.plan());
-                    let reference = plain.reference(seed, crashes.planned());
-                    let kept = run(kind, kept, crashes, seed, interfere);
-                    let reference = run(kind, reference, crashes, seed, interfere);
+                    let reference = run(
+                        kind,
+                        Box::new(scheduler.reference(seed, crashes.planned())),
+                        crashes,
+                        seed,
+                        interfere,
+                    );
                     assert_eq!(
                         kept, reference,
-                        "{kind} {plain:?} {crashes:?} seed {seed} interfere {interfere}"
+                        "{kind} {scheduler:?} {crashes:?} seed {seed} interfere {interfere}"
                     );
                     steps += kept.delivered.iter().filter(|d| **d).count();
-                    stranded += kept.withheld.len();
+                    left += kept.left.len();
                 }
             }
         }
+        // The grid must exercise what it claims to: plenty of deliveries,
+        // and operations still withheld or stranded on a crashed server when
+        // the runs end, for the kept list to step around.
+        assert!(
+            steps > 10_000,
+            "{scheduler:?}: only {steps} deliveries over the grid"
+        );
+        assert!(
+            left > 100,
+            "{scheduler:?}: only {left} operations left pending"
+        );
     }
-    // Plenty of deliveries, and operations left stranded on the crashed
-    // server for the kept list to step around.
-    assert!(steps > 10_000, "only {steps} deliveries over the grid");
-    assert!(stranded > 100, "only {stranded} operations left stranded");
 }
 
 #[test]
-fn plain_schedulers_pick_what_a_rescan_of_deliverable_ops_picks() {
-    assert_plain_schedulers_match_their_references(false);
+fn every_scheduler_picks_what_a_rescan_of_deliverable_ops_picks() {
+    assert_every_scheduler_matches_its_reference(false);
 }
 
 #[test]
-fn outside_interference_keeps_plain_schedulers_on_their_references() {
-    assert_plain_schedulers_match_their_references(true);
+fn outside_interference_keeps_every_scheduler_on_its_reference() {
+    assert_every_scheduler_matches_its_reference(true);
 }
 
-#[test]
-fn final_strategies_run_identically_with_and_without_the_rescan() {
-    assert_twins_agree(false);
-}
-
-#[test]
-fn outside_interference_between_steps_keeps_the_twins_identical() {
-    assert_twins_agree(true);
-}
-
-/// Counts `blocks` calls and *does* forward `verdicts_are_final`.
+/// Counts `blocks` calls.
 #[derive(Debug)]
 struct Counting {
     inner: CoverWrites,
@@ -418,14 +395,10 @@ impl BlockStrategy for Counting {
         self.calls.set(self.calls.get() + 1);
         self.inner.blocks(sim, op)
     }
-
-    fn verdicts_are_final(&self) -> bool {
-        self.inner.verdicts_are_final()
-    }
 }
 
 #[test]
-fn a_final_strategy_is_asked_once_per_operation() {
+fn a_strategy_is_asked_once_per_operation() {
     let params = Params::new(2, 1, 4).unwrap();
     let emulation = EmulationKind::RegisterBank.build(params);
     let mut sim = emulation.build_simulation();

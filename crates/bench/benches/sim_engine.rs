@@ -235,8 +235,8 @@ fn bench_outstanding_ops(c: &mut Criterion) {
 /// a row that grows faster has something walking the pile.
 ///
 /// * `adversary-cover` — register bank, the construction whose pile grows
-///   with the run: `CoverWrites` withholds the writes of one server. Its
-///   verdicts are final, so it is asked once per operation.
+///   with the run: `CoverWrites` withholds the writes of one server. Like
+///   every strategy, it is asked once per operation.
 /// * `fair+crash-f`, `round-robin+crash-f`, `delayed+crash-f` — the same pile
 ///   made by a crash: operations stranded on the crashed server stay pending,
 ///   so the pending window spans every id allocated since the first of them.

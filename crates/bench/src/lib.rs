@@ -41,18 +41,8 @@ pub mod serve_cli {
 
     /// Parses a `K/F/N` parameter point (e.g. `4/1/3`).
     pub fn parse_params(value: &str) -> Result<Params, String> {
-        let nums: Vec<usize> = value
-            .split('/')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|_| format!("invalid parameter point {value:?}"))
-            })
-            .collect::<Result<_, _>>()?;
-        let [k, f, n] = nums.as_slice() else {
-            return Err(format!("parameter point {value:?} must be K/F/N"));
-        };
-        Params::new(*k, *f, *n).map_err(|e| format!("invalid parameter point {value:?}: {e}"))
+        let (k, f, n) = regemu_bounds::parse_point(value)?;
+        Params::new(k, f, n).map_err(|e| format!("invalid parameter point {value:?}: {e}"))
     }
 
     /// Parses a comma-separated list of server indices (e.g. `1,2`).
@@ -253,23 +243,7 @@ pub mod cli {
                     let v = value("--grid")?;
                     let parsed: Vec<Params> = v
                         .split(',')
-                        .map(|point| {
-                            let nums: Vec<usize> = point
-                                .trim()
-                                .split('/')
-                                .map(|s| {
-                                    s.parse()
-                                        .map_err(|_| format!("invalid grid point {point:?}"))
-                                })
-                                .collect::<Result<_, _>>()?;
-                            let [k, f, n] = nums.as_slice() else {
-                                return Err(format!(
-                                    "grid point {point:?} must be k/f/n (e.g. 2/1/4)"
-                                ));
-                            };
-                            Params::new(*k, *f, *n)
-                                .map_err(|e| format!("invalid grid point {point:?}: {e}"))
-                        })
+                        .map(crate::serve_cli::parse_params)
                         .collect::<Result<_, _>>()?;
                     if parsed.is_empty() {
                         return Err("--grid needs at least one k/f/n point".to_string());

@@ -129,6 +129,29 @@ impl fmt::Display for Params {
     }
 }
 
+/// Parses a `k/f/n` point such as `2/1/4` into its raw `(k, f, n)` triple,
+/// ignoring whitespace around each number.
+///
+/// The point is not validated: callers apply [`Params::new`] or
+/// [`checked_register_bounds`] and report infeasibility their own way.
+///
+/// ```
+/// assert_eq!(regemu_bounds::parse_point(" 4/1 / 3"), Ok((4, 1, 3)));
+/// assert!(regemu_bounds::parse_point("2/1").is_err());
+/// ```
+///
+/// # Errors
+///
+/// Returns a message naming `text` unless it is three `/`-separated
+/// non-negative integers.
+pub fn parse_point(text: &str) -> Result<(usize, usize, usize), String> {
+    let nums: Option<Vec<usize>> = text.split('/').map(|s| s.trim().parse().ok()).collect();
+    match nums.as_deref() {
+        Some(&[k, f, n]) => Ok((k, f, n)),
+        _ => Err(format!("{text:?} is not a k/f/n point (e.g. 2/1/4)")),
+    }
+}
+
 /// Minimum number of servers for any `f`-tolerant WS-Safe obstruction-free
 /// emulation (Theorem 5): `2f + 1`.
 pub fn min_servers(f: usize) -> usize {

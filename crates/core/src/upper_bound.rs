@@ -403,6 +403,11 @@ mod tests {
     }
 
     /// Withholds whatever the test has put into the shared set so far.
+    ///
+    /// The scheduler asks about each operation once, at its first step after
+    /// the trigger, so the set must name an operation before that step. The
+    /// test below fills it right after the step that triggered the writes,
+    /// which is before the scheduler's next step first sees them.
     #[derive(Debug)]
     struct Withhold(Rc<RefCell<BTreeSet<OpId>>>);
 

@@ -70,13 +70,12 @@ impl CrashPlan {
 /// The candidate list is kept across steps. Each step drops the entries that
 /// left the pending set or whose server crashed — whoever caused that: this
 /// scheduler, its crash plan, or anything else holding the simulation — and
-/// then judges only the operations triggered since the previous step. Ids are
-/// allocated in ascending order, so the list is, element for element, the one
-/// a walk over [`Simulation::deliverable_ops`] would build — at a cost of
-/// O(candidates) instead of O(pending window), however many operations are
-/// withheld or stranded on a crashed server. A strategy whose verdicts are
-/// not final ([`BlockStrategy::verdicts_are_final`]) has the list emptied
-/// first, which makes the same code ask it about everything again.
+/// then judges only the operations triggered since the previous step, asking
+/// the strategy about each once. Ids are allocated in ascending order, so the
+/// list is, element for element, the one a walk over
+/// [`Simulation::deliverable_ops`] would build — at a cost of O(candidates)
+/// instead of O(pending window), however many operations are withheld or
+/// stranded on a crashed server.
 ///
 /// The memory of which operations were judged belongs to one run: a step
 /// loop, and so every scheduler built on it, is bound to one [`Simulation`].
@@ -105,10 +104,6 @@ impl StepLoop {
             sim.next_op_id() >= self.watermark,
             "a scheduler is bound to one Simulation"
         );
-        if strategy.as_ref().is_some_and(|s| !s.verdicts_are_final()) {
-            self.candidates.clear();
-            self.watermark = OpId::new(0);
-        }
         let deliverable = |p: &PendingOp| !sim.is_server_crashed(p.server);
         self.candidates
             .retain(|p| sim.pending_op(p.op_id).is_some_and(deliverable));
@@ -135,17 +130,39 @@ impl StepLoop {
 /// is eventually delivered with probability 1 — a fair run in the paper's
 /// sense. Drive it through the [`Scheduler`] trait; like every scheduler
 /// here, an instance is bound to one [`Simulation`].
+///
+/// [`FairDriver::replaying`] first replays a recorded schedule, then
+/// continues fairly.
 #[derive(Debug)]
 pub struct FairDriver {
     rng: StdRng,
+    /// Recorded ranks still to replay.
+    replay: std::vec::IntoIter<u32>,
     core: StepLoop,
 }
 
 impl FairDriver {
     /// Creates a driver with the given RNG seed and no crash plan.
     pub fn new(seed: u64) -> Self {
+        Self::replaying(seed, Vec::new())
+    }
+
+    /// A driver that replays `decisions` before it chooses for itself.
+    ///
+    /// Each decision is a *rank* among the deliverable operations in
+    /// ascending id order — what [`Simulation::enable_decision_trace`]
+    /// records, whichever scheduler made the run. While ranks remain, a step
+    /// delivers the operation at `rank % candidates`; after that the seeded
+    /// draw picks. Any `u32` stream is therefore a valid schedule, and a
+    /// recorded one replays its run exactly.
+    ///
+    /// A replayed step still draws from the seeded stream and discards the
+    /// draw, so the tail after a prefix of `m` ranks uses the same stream
+    /// whatever those ranks were.
+    pub fn replaying(seed: u64, decisions: Vec<u32>) -> Self {
         FairDriver {
             rng: StdRng::seed_from_u64(seed),
+            replay: decisions.into_iter(),
             core: StepLoop::default(),
         }
     }
@@ -164,8 +181,14 @@ impl FairDriver {
 
 impl Scheduler for FairDriver {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
-        self.core
-            .step(sim, None, |ops| ops.choose(&mut self.rng).map(|p| p.op_id))
+        let (rng, replay) = (&mut self.rng, &mut self.replay);
+        self.core.step(sim, None, |ops| {
+            let drawn = ops.choose(rng)?;
+            let chosen = replay
+                .next()
+                .map_or(drawn, |rank| &ops[rank as usize % ops.len()]);
+            Some(chosen.op_id)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -272,6 +295,27 @@ mod tests {
         driver.run_until_quiescent(&mut sim, 100).unwrap();
         assert_eq!(sim.pending_count(), 0);
         assert!(driver.steps() >= 3);
+    }
+
+    #[test]
+    fn replaying_the_recorded_ranks_reproduces_the_run_under_another_seed() {
+        let run = |mut driver: FairDriver| {
+            let (mut sim, objs) = build(5, 2);
+            sim.enable_decision_trace();
+            let c = sim.register_client(Box::new(MajorityWriter {
+                targets: objs,
+                acks: 0,
+            }));
+            sim.invoke(c, HighOp::Write(1)).unwrap();
+            driver.run_until_quiescent(&mut sim, 100).unwrap();
+            let ranks: Vec<u32> = sim.decision_trace().iter().map(|d| d.choice).collect();
+            (sim.history().events().copied().collect::<Vec<_>>(), ranks)
+        };
+        let (events, ranks) = run(FairDriver::new(3));
+        assert_eq!(
+            run(FairDriver::replaying(4, ranks.clone())),
+            (events, ranks)
+        );
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! All four take the same step, written once in [`crate::driver`]: crash the
 //! servers that are due, bring a candidate list kept across steps up to date,
 //! choose from it, deliver. A scheduler supplies only which operations it
-//! admits and which candidate it chooses, so a step costs O(candidates)
-//! however many operations are withheld or stranded on a crashed server. The
-//! kept list remembers which operations of *one* run were judged: a scheduler
-//! instance is bound to one [`crate::sim::Simulation`].
+//! admits — judged once per operation — and which candidate it chooses, so a
+//! step costs O(candidates) however many operations are withheld or stranded
+//! on a crashed server. The kept list remembers which operations of *one* run
+//! were judged: a scheduler instance is bound to one
+//! [`crate::sim::Simulation`].
 
 use crate::driver::{CrashPlan, StepLoop};
 use crate::error::SimError;
@@ -135,7 +136,8 @@ pub trait Scheduler {
     /// # Errors
     ///
     /// Returns [`SimError::Stuck`] if quiescence is not reached within
-    /// `max_steps` deliveries.
+    /// `max_steps` deliveries. Only a step can tell whether anything is left,
+    /// so the step that finds out delivers one operation past the budget.
     fn run_until_quiescent(
         &mut self,
         sim: &mut Simulation,
@@ -144,7 +146,7 @@ pub trait Scheduler {
         let mut executed = 0;
         while self.step(sim)? {
             executed += 1;
-            if executed >= max_steps {
+            if executed > max_steps {
                 return Err(SimError::Stuck {
                     steps: executed,
                     waiting_for: "quiescence".to_string(),
@@ -324,115 +326,27 @@ impl Scheduler for DelayedScheduler {
 /// A scheduling restriction: decides which pending operations are withheld.
 ///
 /// Implementations model the paper's adversarial environments — an operation
-/// for which [`BlockStrategy::blocks`] returns `true` is simply never chosen
-/// by the [`AdversarialScheduler`] while the strategy keeps blocking it.
-/// Blocking is *allowed* to starve operations forever; that is the point — an
-/// `f`-tolerant emulation must make progress anyway as long as the blocked
-/// operations touch at most `f` servers.
+/// for which [`BlockStrategy::blocks`] returns `true` is never chosen by the
+/// [`AdversarialScheduler`]. Blocking is *allowed* to starve operations
+/// forever; that is the point — an `f`-tolerant emulation must make progress
+/// anyway as long as the blocked operations touch at most `f` servers.
 ///
-/// # How often a strategy is consulted
-///
-/// By default ([`BlockStrategy::verdicts_are_final`] returns `false`) the
-/// scheduler asks `blocks` about **every deliverable pending operation on
-/// every step**, so a strategy may unblock at any time, may answer from the
-/// step it is in rather than from the operation, and may count its calls.
-/// The price is a pick that costs O(pending) per step.
-///
-/// A strategy whose answer depends on the operation alone can say so by
-/// returning `true` from `verdicts_are_final`; the scheduler then asks
-/// **once per operation**, when it first sees it, and never again. The pick
-/// costs O(operations it is willing to deliver) however many are withheld —
-/// and withheld operations piling up is exactly what the covering adversary
-/// is for. Returning `true` obliges the implementor to two things:
-///
-/// 1. `blocks(sim, op)` returns the same answer from the operation's trigger
-///    until it leaves the pending set, whatever else happens in the run;
-/// 2. the run does not depend on how often, or at which step, `blocks` is
-///    called (no call counters, no per-step state).
-///
-/// The method is *not* inherited through wrappers: a wrapper that forwards
-/// only `blocks` and `name` keeps the default `false` and silently opts its
-/// inner strategy out. That is the safe side — opting out is never wrong,
-/// only slow — and the run is identical either way:
-///
-/// ```
-/// use regemu_fpsm::prelude::*;
-/// use regemu_fpsm::{AdversarialScheduler, BlockStrategy, PendingOp, Scheduler};
-///
-/// /// Withholds every write on server 2; a pure function of the operation.
-/// #[derive(Debug)]
-/// struct CoverLast;
-/// impl BlockStrategy for CoverLast {
-///     fn blocks(&mut self, _sim: &Simulation, op: &PendingOp) -> bool {
-///         op.op.is_write() && op.server == ServerId::new(2)
-///     }
-///     fn verdicts_are_final(&self) -> bool {
-///         true
-///     }
-/// }
-///
-/// /// Forwards `blocks` only, so it is consulted on every step.
-/// #[derive(Debug)]
-/// struct Opaque(CoverLast);
-/// impl BlockStrategy for Opaque {
-///     fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool {
-///         self.0.blocks(sim, op)
-///     }
-/// }
-/// assert!(!Opaque(CoverLast).verdicts_are_final());
-///
-/// /// Writes every register, returns on the first two acknowledgements.
-/// struct WriteAll(Vec<ObjectId>, usize);
-/// impl ClientProtocol for WriteAll {
-///     fn on_invoke(&mut self, op: HighOp, ctx: &mut Context<'_>) {
-///         self.1 = 0;
-///         if let HighOp::Write(v) = op {
-///             for b in &self.0 {
-///                 ctx.trigger(*b, BaseOp::Write(Value::new(1, v)));
-///             }
-///         }
-///     }
-///     fn on_response(&mut self, _d: Delivery, ctx: &mut Context<'_>) {
-///         self.1 += 1;
-///         if self.1 == 2 {
-///             ctx.complete(HighResponse::WriteAck);
-///         }
-///     }
-/// }
-///
-/// let run = |strategy: Box<dyn BlockStrategy>| {
-///     let mut topology = Topology::new(3);
-///     let registers = topology.add_object_per_server(ObjectKind::Register);
-///     let mut sim = Simulation::new(topology, SimConfig::with_fault_threshold(1));
-///     let writer = sim.register_client(Box::new(WriteAll(registers, 0)));
-///     let mut scheduler = AdversarialScheduler::new(7, strategy);
-///     for value in 1..=20 {
-///         let write = sim.invoke(writer, HighOp::Write(value))?;
-///         scheduler.run_until_complete(&mut sim, write, 1_000)?;
-///     }
-///     // Twenty covering writes are withheld on server 2 by now.
-///     assert_eq!(sim.pending_count(), 20);
-///     Ok::<_, SimError>(sim.history().events().copied().collect::<Vec<_>>())
-/// };
-/// assert_eq!(run(Box::new(CoverLast))?, run(Box::new(Opaque(CoverLast)))?);
-/// # Ok::<(), SimError>(())
-/// ```
+/// The verdict is on an *operation*, the way `Ad_i` withholds one: the
+/// scheduler asks about each operation once, at its first step after the
+/// operation was triggered (unless its server has crashed by then), and the
+/// answer stands until the operation leaves the pending set. A pick
+/// therefore costs O(operations the scheduler is willing to deliver),
+/// however many are withheld — and withheld operations piling up is exactly
+/// what the covering adversary is for. Per-step choices, such as replaying a
+/// recorded schedule, belong to the scheduler's choice instead:
+/// [`crate::FairDriver::replaying`].
 pub trait BlockStrategy: std::fmt::Debug {
-    /// Returns `true` when `op` must be withheld at this step.
+    /// Returns `true` when `op` must be withheld.
     fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool;
 
     /// Short name used in reports and labels.
     fn name(&self) -> &'static str {
         "block-strategy"
-    }
-
-    /// Promises that [`BlockStrategy::blocks`] gives one answer per
-    /// operation — the same from its trigger until it leaves the pending
-    /// set — and that the run does not depend on how often it is asked, so
-    /// the scheduler may ask once and remember. See the trait docs for the
-    /// obligations; the default `false` is always correct.
-    fn verdicts_are_final(&self) -> bool {
-        false
     }
 }
 
@@ -444,11 +358,9 @@ pub trait BlockStrategy: std::fmt::Debug {
 /// never blocks it is byte-for-byte a `FairDriver`.
 ///
 /// The list of operations the scheduler is willing to deliver is the shared
-/// step loop's, kept across steps: a strategy with final verdicts
-/// ([`BlockStrategy::verdicts_are_final`]) is asked about each operation
-/// once, any other about every deliverable operation on every step. Either
-/// way the list is, element for element, the one a full rescan would build,
-/// so the seeded choice — and the run — is identical.
+/// step loop's, kept across steps: the strategy is asked about each
+/// operation once, and the list holds exactly the deliverable operations it
+/// did not block, in ascending id order.
 ///
 /// An instance is bound to one [`Simulation`]: its RNG stream and its memory
 /// of which operations it has judged both belong to that run.
@@ -551,6 +463,24 @@ mod tests {
             acks: 0,
         }));
         sim.invoke(c, HighOp::Write(1)).unwrap()
+    }
+
+    #[test]
+    fn run_until_quiescent_allows_exactly_its_budget() {
+        // Three writes pending, nothing else ever triggered: quiescence
+        // takes exactly three deliveries.
+        let run = |budget| {
+            let (mut sim, objs) = build(3, 1);
+            spawn_write(&mut sim, objs);
+            let result = RoundRobinScheduler::new(0).run_until_quiescent(&mut sim, budget);
+            (result, sim.pending_count())
+        };
+        assert_eq!(run(3), (Ok(()), 0));
+        let (result, _) = run(2);
+        assert!(
+            matches!(result, Err(SimError::Stuck { steps: 3, .. })),
+            "{result:?}"
+        );
     }
 
     #[test]

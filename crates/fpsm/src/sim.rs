@@ -189,8 +189,9 @@ impl PendingSlab {
 /// operation among [`Simulation::deliverable_ops`] (ascending op-id order)
 /// and `candidates` is how many deliverable operations there were. The
 /// resulting stream is a scheduler-independent encoding of the interleaving —
-/// replaying the same ranks against the same scenario reproduces the run
-/// exactly, whichever scheduler originally produced it.
+/// replaying the same ranks against the same scenario
+/// ([`crate::FairDriver::replaying`]) reproduces the run exactly, whichever
+/// scheduler originally produced it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecisionRecord {
     /// Simulation time immediately before the delivery.

@@ -51,7 +51,7 @@ use crate::json::{Json, JsonParser};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
 use crate::sweep::{run_sweep_range, CaseResult, EmulationKind, SweepConfig, WorkloadSpec};
-use regemu_bounds::Params;
+use regemu_bounds::{parse_point, Params};
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -162,13 +162,8 @@ pub fn config_from_text(text: &str) -> Result<SweepConfig, String> {
         match key {
             "grid" => {
                 for v in values {
-                    let parts: Vec<&str> = v.split('/').collect();
-                    let [k, f, n] = parts.as_slice() else {
-                        return Err(format!("bad grid point {v:?}"));
-                    };
-                    let parse =
-                        |s: &str| s.parse::<usize>().map_err(|_| format!("bad number {s:?}"));
-                    let params = Params::new(parse(k)?, parse(f)?, parse(n)?)
+                    let (k, f, n) = parse_point(v)?;
+                    let params = Params::new(k, f, n)
                         .map_err(|e| format!("invalid grid point {v:?}: {e}"))?;
                     config.grid.push(params);
                 }

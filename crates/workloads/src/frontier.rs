@@ -37,7 +37,8 @@ use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
 use crate::sweep::{run_sweep, SweepConfig, SweepReport, WorkloadSpec};
 use crate::table::TextTable;
 use regemu_bounds::{
-    checked_register_bounds, max_register_bound, BoundClass, BoundError, BoundVerdict, Params,
+    checked_register_bounds, max_register_bound, parse_point, BoundClass, BoundError, BoundVerdict,
+    Params,
 };
 use regemu_core::EmulationKind;
 use std::collections::BTreeMap;
@@ -228,24 +229,7 @@ impl FrontierConfig {
     /// Parses a CLI-style grid spec (`k/f/n,k/f/n,..`), rejecting malformed
     /// syntax and infeasible points with typed errors.
     pub fn grid_from_spec(spec: &str) -> Result<Vec<Params>, String> {
-        let mut raw = Vec::new();
-        for point in spec.split(',') {
-            let nums: Vec<usize> = point
-                .trim()
-                .split('/')
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| format!("invalid grid point {point:?}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let [k, f, n] = nums.as_slice() else {
-                return Err(format!("grid point {point:?} must be k/f/n (e.g. 2/1/4)"));
-            };
-            raw.push((*k, *f, *n));
-        }
-        if raw.is_empty() {
-            return Err("grid spec needs at least one k/f/n point".to_string());
-        }
+        let raw: Vec<_> = spec.split(',').map(parse_point).collect::<Result<_, _>>()?;
         Self::grid_from_raw(&raw).map_err(|e| e.to_string())
     }
 

@@ -6,13 +6,12 @@
 //!
 //! 1. **Record & replay** — every run can record its per-delivery scheduler
 //!    decisions ([`regemu_fpsm::DecisionRecord`]); a recorded stream replays
-//!    byte-identically through [`regemu_adversary::ReplayStrategy`] inside
-//!    the ordinary [`regemu_fpsm::AdversarialScheduler`]. The
+//!    byte-identically through [`regemu_fpsm::FairDriver::replaying`]. The
 //!    [`RecordedSchedule`] text format ([`trace`]) makes traces portable, so
 //!    external model checkers can feed schedules in and repros out.
 //! 2. **Coverage-guided exploration** — [`Fuzzer`] maintains a corpus of
 //!    schedules. Each iteration derives a mutant via
-//!    [`MutatingStrategy::mutate`] (flip delivery decisions, splice
+//!    [`mutate::mutate`] (flip delivery decisions, splice
 //!    prefixes, shift crash points, truncate the workload, reseed the fair
 //!    tail), executes it, and admits it to the corpus only when its
 //!    interleaving-coverage signature (an FNV-1a digest of the per-step
@@ -51,7 +50,7 @@ pub use campaign::{
     FuzzCampaignConfig, FuzzCampaignOptions, FuzzCampaignOutcome, FuzzCampaignReport, FuzzManifest,
     MergedFailure,
 };
-pub use mutate::{MutatingStrategy, MutationStream};
+pub use mutate::MutationStream;
 pub use shrink::{shrink_case, shrink_failure, FailureReport};
 pub use trace::RecordedSchedule;
 
@@ -59,12 +58,9 @@ use crate::generator::{Issuer, Workload};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::Engine;
 use crate::sweep::WorkloadSpec;
-use regemu_adversary::ReplayStrategy;
 use regemu_bounds::Params;
 use regemu_core::{EmulationKind, FaultyKind};
-use regemu_fpsm::{
-    AdversarialScheduler, CrashPlan, DelayedScheduler, HighOp, Scheduler, ServerId, Time,
-};
+use regemu_fpsm::{CrashPlan, DelayedScheduler, FairDriver, HighOp, Scheduler, ServerId, Time};
 use regemu_spec::Condition;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -118,8 +114,8 @@ impl fmt::Display for FuzzEmulation {
 ///
 /// The invariant dimensions (parameters, emulation, workload shape, check)
 /// live in [`FuzzConfig`]; a case is the variable part — the schedule
-/// decisions (ranks among deliverable operations, consumed by
-/// [`ReplayStrategy`]), the server crash plan, how much of the workload to
+/// decisions (ranks among deliverable operations, replayed by
+/// [`FairDriver::replaying`]), the server crash plan, how much of the workload to
 /// issue, and the seed driving the fair tail after the decisions run out.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzCase {
@@ -355,15 +351,9 @@ pub(crate) fn execute(config: &FuzzConfig, case: &FuzzCase) -> ExecOutcome {
         plan = plan.crash_at(time, ServerId::new(server));
     }
     // Delay perturbation switches the whole run to the delayed scheduler;
-    // otherwise the recorded decisions replay through the adversary.
+    // otherwise the recorded decisions replay, then the seeded tail picks.
     let mut scheduler: Box<dyn Scheduler> = if case.delays.is_empty() {
-        Box::new(
-            AdversarialScheduler::new(
-                case.seed,
-                Box::new(ReplayStrategy::new(case.decisions.clone())),
-            )
-            .with_crash_plan(plan),
-        )
+        Box::new(FairDriver::replaying(case.seed, case.decisions.clone()).with_crash_plan(plan))
     } else {
         Box::new(
             DelayedScheduler::new(case.seed, DelayedScheduler::DEFAULT_MAX_DELAY)
@@ -518,8 +508,7 @@ impl Fuzzer {
             let di = (self.stream.next_u64() as usize) % self.corpus.len().max(1);
             let base = self.corpus.get(bi).unwrap_or(&self.seed_case).clone();
             let donor = self.corpus.get(di).unwrap_or(&self.seed_case).clone();
-            let (mutant, _strategy) =
-                MutatingStrategy::mutate(&base, Some(&donor), &self.bounds, &mut self.stream);
+            let mutant = mutate::mutate(&base, Some(&donor), &self.bounds, &mut self.stream);
             let iteration = self.iterations;
             self.observe(mutant, iteration);
         }

@@ -3,17 +3,14 @@
 //! [`MutationStream`] is a SplitMix64 generator (the same finalizer the
 //! [`regemu_fpsm::DelayedScheduler`] uses for its delay hashing): cheap,
 //! dependency-free and platform-stable, so the whole corpus evolution is a
-//! pure function of the master seed. [`MutatingStrategy::mutate`] draws from
-//! it to perturb a corpus case — flip delivery decisions, splice prefixes
-//! from a donor, shift/add/remove crash points (always within the fault
-//! budget), truncate the workload, rewrite written values, demote writer
-//! writes to reads, perturb delay ticks, reseed the fair tail — and wraps
-//! the mutant's schedule in a [`regemu_adversary::ReplayStrategy`] ready to
-//! plug into an [`regemu_fpsm::AdversarialScheduler`].
+//! pure function of the master seed. [`mutate`] draws from it to perturb a
+//! corpus case — flip delivery decisions, splice prefixes from a donor,
+//! shift/add/remove crash points (always within the fault budget), truncate
+//! the workload, rewrite written values, demote writer writes to reads,
+//! perturb delay ticks, reseed the fair tail.
 
 use super::FuzzCase;
-use regemu_adversary::ReplayStrategy;
-use regemu_fpsm::{BlockStrategy, PendingOp, Simulation, Time};
+use regemu_fpsm::Time;
 
 /// A deterministic SplitMix64 stream of mutation choices.
 #[derive(Clone, Debug)]
@@ -60,60 +57,28 @@ pub struct MutationBounds {
     pub full_workload_len: usize,
 }
 
-/// A mutated schedule, packaged as a [`BlockStrategy`].
-///
-/// The strategy itself is a [`ReplayStrategy`] over the mutant's decision
-/// stream; [`MutatingStrategy::mutate`] is the constructor the explorer
-/// uses, returning both the mutated [`FuzzCase`] (for the corpus and for
-/// shrinking) and the strategy that schedules it.
-#[derive(Clone, Debug)]
-pub struct MutatingStrategy {
-    inner: ReplayStrategy,
-}
-
-impl MutatingStrategy {
-    /// Wraps an already-derived decision stream.
-    pub fn replaying(decisions: Vec<u32>) -> Self {
-        MutatingStrategy {
-            inner: ReplayStrategy::new(decisions),
-        }
+/// Derives a mutant of `base` — optionally splicing from `donor` — using the
+/// deterministic stream.
+pub fn mutate(
+    base: &FuzzCase,
+    donor: Option<&FuzzCase>,
+    bounds: &MutationBounds,
+    stream: &mut MutationStream,
+) -> FuzzCase {
+    let mut mutant = base.clone();
+    // The crash-time horizon: delivery decisions, invocations and crash
+    // events each advance the clock, so three times the schedule length
+    // comfortably spans the run.
+    let horizon = 3 * base.decisions.len() as u64 + 16;
+    let ops = 1 + stream.next_below(2);
+    for _ in 0..ops {
+        apply_one(&mut mutant, donor, bounds, horizon, stream);
     }
-
-    /// Derives a mutant of `base` — optionally splicing from `donor` — using
-    /// the deterministic stream, and returns it with the strategy that
-    /// replays its schedule.
-    pub fn mutate(
-        base: &FuzzCase,
-        donor: Option<&FuzzCase>,
-        bounds: &MutationBounds,
-        stream: &mut MutationStream,
-    ) -> (FuzzCase, Self) {
-        let mut mutant = base.clone();
-        // The crash-time horizon: delivery decisions, invocations and crash
-        // events each advance the clock, so three times the schedule length
-        // comfortably spans the run.
-        let horizon = 3 * base.decisions.len() as u64 + 16;
-        let ops = 1 + stream.next_below(2);
-        for _ in 0..ops {
-            apply_one(&mut mutant, donor, bounds, horizon, stream);
-        }
-        // Canonical order for set-like fields, so equal plans compare equal.
-        mutant.crashes.sort_unstable();
-        mutant.rewrites.sort_unstable_by_key(|&(idx, _)| idx);
-        mutant.flips.sort_unstable();
-        let strategy = MutatingStrategy::replaying(mutant.decisions.clone());
-        (mutant, strategy)
-    }
-}
-
-impl BlockStrategy for MutatingStrategy {
-    fn blocks(&mut self, sim: &Simulation, op: &PendingOp) -> bool {
-        self.inner.blocks(sim, op)
-    }
-
-    fn name(&self) -> &'static str {
-        "fuzz-mutate"
-    }
+    // Canonical order for set-like fields, so equal plans compare equal.
+    mutant.crashes.sort_unstable();
+    mutant.rewrites.sort_unstable_by_key(|&(idx, _)| idx);
+    mutant.flips.sort_unstable();
+    mutant
 }
 
 /// Applies one mutation operator, drawn from the stream.
@@ -267,7 +232,7 @@ mod tests {
         let mut stream = MutationStream::new(9);
         let mut case = base();
         for _ in 0..500 {
-            let (mutant, _) = MutatingStrategy::mutate(&case, Some(&base()), &bounds, &mut stream);
+            let mutant = mutate(&case, Some(&base()), &bounds, &mut stream);
             assert!(mutant.crashes.len() <= bounds.f, "{:?}", mutant.crashes);
             let mut servers: Vec<usize> = mutant.crashes.iter().map(|&(_, s)| s).collect();
             servers.sort_unstable();
@@ -311,8 +276,8 @@ mod tests {
         let mut a = MutationStream::new(5);
         let mut b = MutationStream::new(5);
         for _ in 0..50 {
-            let (ma, _) = MutatingStrategy::mutate(&base(), Some(&base()), &bounds, &mut a);
-            let (mb, _) = MutatingStrategy::mutate(&base(), Some(&base()), &bounds, &mut b);
+            let ma = mutate(&base(), Some(&base()), &bounds, &mut a);
+            let mb = mutate(&base(), Some(&base()), &bounds, &mut b);
             assert_eq!(ma, mb);
         }
     }

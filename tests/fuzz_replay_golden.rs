@@ -30,13 +30,7 @@ const GOLDEN: &str = "tests/golden/fuzz_replay.txt";
 
 /// The scheduler the fuzzer runs a case under.
 fn replayer(case: &FuzzCase, plan: CrashPlan) -> Box<dyn Scheduler> {
-    Box::new(
-        AdversarialScheduler::new(
-            case.seed,
-            Box::new(ReplayStrategy::new(case.decisions.clone())),
-        )
-        .with_crash_plan(plan),
-    )
+    Box::new(FairDriver::replaying(case.seed, case.decisions.clone()).with_crash_plan(plan))
 }
 
 /// What a run did, copied out of the simulation `drive` owns.
