@@ -10,10 +10,10 @@
 //!    [`RecordedSchedule`] text format ([`trace`]) makes traces portable, so
 //!    external model checkers can feed schedules in and repros out.
 //! 2. **Coverage-guided exploration** — [`Fuzzer`] maintains a corpus of
-//!    schedules. Each iteration derives a mutant via
-//!    [`mutate::mutate`] (flip delivery decisions, splice
-//!    prefixes, shift crash points, truncate the workload, reseed the fair
-//!    tail), executes it, and admits it to the corpus only when its
+//!    schedules. Each iteration derives a mutant via [`mutate::mutate`]
+//!    (flip delivery decisions, splice prefixes, shift crash points,
+//!    truncate the workload, reseed the fair tail), executes it, and admits
+//!    it to the corpus only when its
 //!    interleaving-coverage signature (an FNV-1a digest of the per-step
 //!    delivery-order decisions) is new. Everything flows from one seed: the
 //!    same corpus + seed produces a byte-identical [`FuzzReport`].
@@ -115,8 +115,9 @@ impl fmt::Display for FuzzEmulation {
 /// The invariant dimensions (parameters, emulation, workload shape, check)
 /// live in [`FuzzConfig`]; a case is the variable part — the schedule
 /// decisions (ranks among deliverable operations, replayed by
-/// [`FairDriver::replaying`]), the server crash plan, how much of the workload to
-/// issue, and the seed driving the fair tail after the decisions run out.
+/// [`FairDriver::replaying`]), the server crash plan, how much of the
+/// workload to issue, and the seed driving the fair tail after the decisions
+/// run out.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzCase {
     /// Delivery-order decisions replayed before the fair tail takes over.
