@@ -8,6 +8,12 @@
 //! in-process channel transport (which skips the prefix) and the TCP
 //! transport.
 //!
+//! A client sends one frame per server per protocol round: a round that
+//! touches several of a server's base objects travels as one
+//! [`WireMsg::Batch`] of requests, answered by one batch of replies. Each
+//! item is still its own operation — the server applies them in order, each
+//! at its own linearization point.
+//!
 //! Robustness contract: decoding **never panics**. Truncated, oversized and
 //! garbage frames all surface as typed [`FrameError`]s, mirroring the
 //! line-numbered errors of the `regemu-trace v1` text format.
@@ -29,13 +35,27 @@ pub const WIRE_VERSION: u8 = 1;
 /// tests for the executable proof.
 pub const STATS_VERSION: u8 = 2;
 
-/// Hard upper bound on a frame body, in bytes.
+/// Version byte carried by [`WireMsg::Batch`] frames (tag 5), gated like
+/// [`STATS_VERSION`]: version-1 and version-2 peers reject a batch as
+/// [`FrameError::BadVersion`] before they look at its tag.
+pub const BATCH_VERSION: u8 = 3;
+
+/// Most items one [`WireMsg::Batch`] may carry. Senders split larger groups
+/// into several batches; a decoder rejects a larger count as
+/// [`FrameError::BatchTooLarge`].
+pub const MAX_BATCH: usize = 64;
+
+/// The largest legal single message body: a CAS request (tag + version +
+/// op id + object id + op tag + two values). A stats reply is 43 bytes.
+const MAX_MSG_LEN: usize = 51;
+
+/// Hard upper bound on a frame body, in bytes: a full batch (tag, version,
+/// `u16` count, then [`MAX_BATCH`] items of a length byte plus at most
+/// 51 bytes each).
 ///
-/// The largest legal message (a CAS request: tag + version + op id + object
-/// id + op tag + two values) is 51 bytes — a stats reply is 43 — so anything
-/// claiming more is garbage or a framing error, and rejecting it early keeps
-/// a corrupt peer from making us buffer unbounded data.
-pub const MAX_FRAME_LEN: usize = 64;
+/// Anything claiming more is garbage or a framing error, and rejecting it
+/// early keeps a corrupt peer from making us buffer unbounded data.
+pub const MAX_FRAME_LEN: usize = 4 + MAX_BATCH * (1 + MAX_MSG_LEN);
 
 /// Per-node telemetry counters carried by a [`WireMsg::StatsReply`].
 ///
@@ -100,7 +120,7 @@ impl std::fmt::Display for FaultCode {
 /// Ids travel as raw integers (`op_id` = [`regemu_fpsm::OpId`], `object` =
 /// [`regemu_fpsm::ObjectId`] index) so the codec stays independent of the
 /// id newtypes; the endpoints re-wrap them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireMsg {
     /// Client → server: apply `op` to the object with global id `object`.
     Request {
@@ -139,6 +159,13 @@ pub enum WireMsg {
         /// The counters at the moment the query was handled.
         stats: NodeStats,
     },
+    /// Either direction: several `Request`s for one server, or that
+    /// server's replies (`Response` / `Fault`) to them, in request order.
+    ///
+    /// Version-gated at [`BATCH_VERSION`]. Holds at most [`MAX_BATCH`]
+    /// items, and only `Request`, `Response` and `Fault` items: a nested
+    /// batch or a stats message decodes as [`FrameError::BadTag`].
+    Batch(Vec<WireMsg>),
 }
 
 /// A typed decoding failure. Decoding never panics; every malformed input
@@ -172,6 +199,11 @@ pub enum FrameError {
         /// Number of undecoded bytes at the end of the body.
         extra: usize,
     },
+    /// A batch claims more than [`MAX_BATCH`] items.
+    BatchTooLarge {
+        /// The claimed item count.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -186,11 +218,14 @@ impl std::fmt::Display for FrameError {
                 write!(
                     f,
                     "unsupported wire version {version} (expected {WIRE_VERSION}, \
-                     or {STATS_VERSION} for stats frames)"
+                     {STATS_VERSION} for stats frames or {BATCH_VERSION} for batches)"
                 )
             }
             FrameError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after a complete message")
+            }
+            FrameError::BatchTooLarge { count } => {
+                write!(f, "batch of {count} items exceeds maximum {MAX_BATCH}")
             }
         }
     }
@@ -276,6 +311,11 @@ impl<'a> Reader<'a> {
         Ok(self.take(1, field)?[0])
     }
 
+    fn u16(&mut self, field: &'static str) -> Result<u16, FrameError> {
+        let bytes = self.take(2, field)?;
+        Ok(u16::from_le_bytes([bytes[0], bytes[1]]))
+    }
+
     fn u64(&mut self, field: &'static str) -> Result<u64, FrameError> {
         let bytes = self.take(8, field)?;
         let mut raw = [0u8; 8];
@@ -329,13 +369,31 @@ impl WireMsg {
     /// Encodes the message body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Encodes the message as a full frame: `u32` little-endian body length
+    /// followed by the body.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(36);
+        frame.extend_from_slice(&[0; 4]);
+        self.encode_into(&mut frame);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame
+    }
+
+    /// Appends the message body to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
         match self {
             WireMsg::Request { op_id, object, op } => {
                 buf.push(1);
                 buf.push(WIRE_VERSION);
-                put_u64(&mut buf, *op_id);
-                put_u64(&mut buf, *object);
-                put_base_op(&mut buf, op);
+                put_u64(buf, *op_id);
+                put_u64(buf, *object);
+                put_base_op(buf, op);
             }
             WireMsg::Response {
                 op_id,
@@ -344,14 +402,14 @@ impl WireMsg {
             } => {
                 buf.push(2);
                 buf.push(WIRE_VERSION);
-                put_u64(&mut buf, *op_id);
-                put_u64(&mut buf, *clock);
-                put_base_response(&mut buf, response);
+                put_u64(buf, *op_id);
+                put_u64(buf, *clock);
+                put_base_response(buf, response);
             }
             WireMsg::Fault { op_id, code } => {
                 buf.push(3);
                 buf.push(WIRE_VERSION);
-                put_u64(&mut buf, *op_id);
+                put_u64(buf, *op_id);
                 buf.push(code.tag());
             }
             WireMsg::StatsQuery => {
@@ -363,25 +421,35 @@ impl WireMsg {
                 buf.push(4);
                 buf.push(STATS_VERSION);
                 buf.push(1);
-                put_u64(&mut buf, stats.requests);
-                put_u64(&mut buf, stats.responses);
-                put_u64(&mut buf, stats.faults);
-                put_u64(&mut buf, stats.in_flight);
-                put_u64(&mut buf, stats.applied);
+                put_u64(buf, stats.requests);
+                put_u64(buf, stats.responses);
+                put_u64(buf, stats.faults);
+                put_u64(buf, stats.in_flight);
+                put_u64(buf, stats.applied);
+            }
+            WireMsg::Batch(items) => {
+                debug_assert!(items.len() <= MAX_BATCH, "senders split batches");
+                buf.push(5);
+                buf.push(BATCH_VERSION);
+                buf.extend_from_slice(&(items.len() as u16).to_le_bytes());
+                for item in items {
+                    debug_assert!(
+                        matches!(
+                            item,
+                            WireMsg::Request { .. }
+                                | WireMsg::Response { .. }
+                                | WireMsg::Fault { .. }
+                        ),
+                        "batch items are requests or their replies"
+                    );
+                    let at = buf.len();
+                    buf.push(0);
+                    item.encode_into(buf);
+                    buf[at] = (buf.len() - at - 1) as u8;
+                }
             }
         }
-        debug_assert!(buf.len() <= MAX_FRAME_LEN);
-        buf
-    }
-
-    /// Encodes the message as a full frame: `u32` little-endian body length
-    /// followed by the body.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let body = self.encode();
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame
+        debug_assert!(buf.len() - start <= MAX_FRAME_LEN);
     }
 
     /// Decodes a message body (no length prefix). Never panics.
@@ -389,13 +457,13 @@ impl WireMsg {
         let mut r = Reader::new(bytes);
         let tag = r.u8("message tag")?;
         let version = r.u8("version")?;
-        // Stats frames (tag 4) are a later, separately-gated extension; every
-        // original message keeps requiring WIRE_VERSION, so version-1 peers
-        // are byte-for-byte unaffected.
-        let required = if tag == 4 {
-            STATS_VERSION
-        } else {
-            WIRE_VERSION
+        // Stats frames (tag 4) and batches (tag 5) are later, separately-gated
+        // extensions; every original message keeps requiring WIRE_VERSION, so
+        // version-1 peers are byte-for-byte unaffected.
+        let required = match tag {
+            4 => STATS_VERSION,
+            5 => BATCH_VERSION,
+            _ => WIRE_VERSION,
         };
         if version != required {
             return Err(FrameError::BadVersion { version });
@@ -439,6 +507,30 @@ impl WireMsg {
                     })
                 }
             },
+            5 => {
+                let count = usize::from(r.u16("batch count")?);
+                if count > MAX_BATCH {
+                    return Err(FrameError::BatchTooLarge { count });
+                }
+                let mut items = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let len = usize::from(r.u8("batch item length")?);
+                    let item = r.take(len, "batch item")?;
+                    // Only single messages nest, so decoding recurses at
+                    // most one level deep.
+                    let tag = *item.first().ok_or(FrameError::Truncated {
+                        field: "batch item tag",
+                    })?;
+                    if !(1..=3).contains(&tag) {
+                        return Err(FrameError::BadTag {
+                            field: "batch-item",
+                            tag,
+                        });
+                    }
+                    items.push(WireMsg::decode(item)?);
+                }
+                WireMsg::Batch(items)
+            }
             tag => {
                 return Err(FrameError::BadTag {
                     field: "message",
@@ -485,9 +577,80 @@ mod tests {
 
     fn roundtrip(msg: WireMsg) {
         let body = msg.encode();
-        assert_eq!(WireMsg::decode(&body), Ok(msg));
+        assert_eq!(WireMsg::decode(&body), Ok(msg.clone()));
         let frame = msg.encode_frame();
         assert_eq!(decode_frame(&frame), Ok(Some((msg, frame.len()))));
+    }
+
+    /// `count` replies for a batch, alternating responses and faults.
+    fn replies(count: usize) -> Vec<WireMsg> {
+        (0..count as u64)
+            .map(|i| {
+                if i % 3 == 2 {
+                    WireMsg::Fault {
+                        op_id: i,
+                        code: FaultCode::NotHosted,
+                    }
+                } else {
+                    WireMsg::Response {
+                        op_id: i,
+                        clock: 100 + i,
+                        response: BaseResponse::ReadValue(Value::new(i, 7)),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batches_roundtrip_up_to_the_bound() {
+        let v = Value::new(3, 77);
+        for count in [1, 8, MAX_BATCH] {
+            roundtrip(WireMsg::Batch(replies(count)));
+            roundtrip(WireMsg::Batch(
+                (0..count as u64)
+                    .map(|i| WireMsg::Request {
+                        op_id: i,
+                        object: i % 5,
+                        op: if i % 2 == 0 {
+                            BaseOp::Read
+                        } else {
+                            BaseOp::Write(v)
+                        },
+                    })
+                    .collect(),
+            ));
+        }
+        // A full batch of the largest message fills the frame bound exactly.
+        let cas = WireMsg::Request {
+            op_id: u64::MAX,
+            object: u64::MAX,
+            op: BaseOp::Cas {
+                expected: v,
+                new: v.bump(),
+            },
+        };
+        assert_eq!(cas.encode().len(), MAX_MSG_LEN);
+        let full = WireMsg::Batch(vec![cas; MAX_BATCH]);
+        assert_eq!(full.encode().len(), MAX_FRAME_LEN);
+        roundtrip(full);
+    }
+
+    #[test]
+    fn single_messages_keep_their_version_one_bytes() {
+        let frame = WireMsg::Fault {
+            op_id: 1,
+            code: FaultCode::Crashed,
+        }
+        .encode_frame();
+        assert_eq!(frame, [11, 0, 0, 0, 3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        let batch = WireMsg::Batch(vec![WireMsg::Fault {
+            op_id: 1,
+            code: FaultCode::Crashed,
+        }])
+        .encode();
+        assert_eq!(batch[..5], [5, BATCH_VERSION, 1, 0, 11]);
+        assert_eq!(batch[5..], frame[4..]);
     }
 
     #[test]
@@ -680,6 +843,50 @@ mod tests {
             frame_of(&b)
         };
 
+        let batch = WireMsg::Batch(replies(2)).encode();
+        let batch_truncated_item = {
+            // The item's length byte agrees with its bytes, but the message
+            // inside ends early.
+            let mut b = WireMsg::Batch(replies(1)).encode();
+            b.pop();
+            b[4] -= 1;
+            frame_of(&b)
+        };
+        let batch_item_past_end = {
+            // The last item's length byte claims more than is left.
+            let mut b = WireMsg::Batch(replies(1)).encode();
+            b[4] += 1;
+            frame_of(&b)
+        };
+        let batch_nested = {
+            let inner = WireMsg::Batch(replies(1)).encode();
+            let mut b = vec![5, BATCH_VERSION, 1, 0, inner.len() as u8];
+            b.extend_from_slice(&inner);
+            frame_of(&b)
+        };
+        let batch_stats_item = {
+            let item = WireMsg::StatsQuery.encode();
+            let mut b = vec![5, BATCH_VERSION, 1, 0, item.len() as u8];
+            b.extend_from_slice(&item);
+            frame_of(&b)
+        };
+        let batch_too_large = {
+            let count = (MAX_BATCH + 1) as u16;
+            let mut b = vec![5, BATCH_VERSION];
+            b.extend_from_slice(&count.to_le_bytes());
+            frame_of(&b)
+        };
+        let batch_with_legacy_version = {
+            let mut b = batch.clone();
+            b[1] = WIRE_VERSION;
+            frame_of(&b)
+        };
+        let batch_trailing = {
+            let mut b = batch.clone();
+            b.push(0);
+            frame_of(&b)
+        };
+
         let table: Vec<(&str, Vec<u8>, FrameError)> = vec![
             (
                 "truncated body",
@@ -773,6 +980,55 @@ mod tests {
                 stats_trailing,
                 FrameError::TrailingBytes { extra: 1 },
             ),
+            (
+                "batch with a truncated item",
+                batch_truncated_item,
+                FrameError::Truncated {
+                    field: "read value",
+                },
+            ),
+            (
+                "batch item length past the end",
+                batch_item_past_end,
+                FrameError::Truncated {
+                    field: "batch item",
+                },
+            ),
+            (
+                "nested batch",
+                batch_nested,
+                FrameError::BadTag {
+                    field: "batch-item",
+                    tag: 5,
+                },
+            ),
+            (
+                "stats message inside a batch",
+                batch_stats_item,
+                FrameError::BadTag {
+                    field: "batch-item",
+                    tag: 4,
+                },
+            ),
+            (
+                "batch count above the bound",
+                batch_too_large,
+                FrameError::BatchTooLarge {
+                    count: MAX_BATCH + 1,
+                },
+            ),
+            (
+                "batch with the legacy version",
+                batch_with_legacy_version,
+                FrameError::BadVersion {
+                    version: WIRE_VERSION,
+                },
+            ),
+            (
+                "trailing byte after a batch",
+                batch_trailing,
+                FrameError::TrailingBytes { extra: 1 },
+            ),
         ];
         for (what, frame, expected) in table {
             assert_eq!(decode_frame(&frame), Err(expected), "case: {what}");
@@ -786,14 +1042,15 @@ mod tests {
         frame
     }
 
-    /// Executable proof that a version-1 peer rejects Stats frames cleanly.
+    /// Executable proof that older peers reject newer frames cleanly.
     ///
     /// `decode_v1` replicates, byte for byte, the decoder this module
     /// shipped before the Stats extension existed: read the tag, read the
     /// version, reject anything that is not `WIRE_VERSION` — *before*
-    /// dispatching on the tag. Feeding it the new frames shows an old peer
-    /// surfaces them as a typed [`FrameError::BadVersion`], never a
-    /// misparse or a panic.
+    /// dispatching on the tag. `decode_v2` is the version-check of the
+    /// decoder that added Stats but not batches. Feeding them the new frames
+    /// shows an old peer surfaces them as a typed
+    /// [`FrameError::BadVersion`], never a misparse or a panic.
     #[test]
     fn old_version_peers_reject_stats_frames_cleanly() {
         fn decode_v1(bytes: &[u8]) -> Result<(), FrameError> {
@@ -804,6 +1061,36 @@ mod tests {
                 return Err(FrameError::BadVersion { version });
             }
             unreachable!("a stats frame must be rejected before tag dispatch");
+        }
+        fn decode_v2(bytes: &[u8]) -> Result<(), FrameError> {
+            let mut r = Reader::new(bytes);
+            let tag = r.u8("message tag")?;
+            let version = r.u8("version")?;
+            let required = if tag == 4 {
+                STATS_VERSION
+            } else {
+                WIRE_VERSION
+            };
+            if version != required {
+                return Err(FrameError::BadVersion { version });
+            }
+            unreachable!("a batch must be rejected before tag dispatch");
+        }
+
+        let batches = [
+            WireMsg::Batch(replies(3)),
+            WireMsg::Batch(vec![WireMsg::Request {
+                op_id: 1,
+                object: 0,
+                op: BaseOp::Read,
+            }]),
+        ];
+        for batch in &batches {
+            let expected = Err(FrameError::BadVersion {
+                version: BATCH_VERSION,
+            });
+            assert_eq!(decode_v1(&batch.encode()), expected);
+            assert_eq!(decode_v2(&batch.encode()), expected);
         }
 
         for msg in [
@@ -850,6 +1137,7 @@ mod tests {
             FrameError::BadVersion { version: 3 },
             FrameError::TrailingBytes { extra: 1 },
         );
+        let shown = format!("{shown} | {}", FrameError::BatchTooLarge { count: 70 });
         for needle in [
             "truncated",
             "op id",
@@ -857,6 +1145,7 @@ mod tests {
             "tag 0x07",
             "version 3",
             "trailing",
+            "batch of 70",
         ] {
             assert!(shown.contains(needle), "missing {needle} in {shown}");
         }

@@ -6,7 +6,7 @@
 //! the two halves out:
 //!
 //! * [`ClientNode`] — one client's protocol state machine plus its
-//!   bookkeeping (current high-level operation, completion log, crash flag).
+//!   bookkeeping (current high-level operation, crash flag).
 //!   The simulation engine drives a `Vec<ClientNode>`; a live client process
 //!   (see the `regemu-serve` crate) drives a single one against remote
 //!   servers. Both call the same two entry points, [`ClientNode::on_invoke`]
@@ -62,8 +62,6 @@ pub struct ClientNode {
     crashed: bool,
     /// High-level operation currently in progress, if any.
     current: Option<(HighOpId, HighOp)>,
-    /// Completed high-level operations, in completion order.
-    completed: Vec<(HighOpId, HighOp, HighResponse)>,
 }
 
 impl ClientNode {
@@ -74,7 +72,6 @@ impl ClientNode {
             protocol,
             crashed: false,
             current: None,
-            completed: Vec::new(),
         }
     }
 
@@ -108,11 +105,6 @@ impl ClientNode {
     /// The high-level operation currently in progress, if any.
     pub fn current(&self) -> Option<(HighOpId, HighOp)> {
         self.current
-    }
-
-    /// All completed high-level operations, in completion order.
-    pub fn completed(&self) -> &[(HighOpId, HighOp, HighResponse)] {
-        self.completed.as_slice()
     }
 
     /// Starts high-level operation `high_op` and runs the protocol's
@@ -161,20 +153,19 @@ impl ClientNode {
         }
     }
 
-    /// Retires the current high-level operation with `response`, recording it
-    /// in the completion log, and returns it.
+    /// Retires the current high-level operation, which the protocol completed
+    /// with `_response`, and returns it. The node keeps no completion log:
+    /// the host records the response wherever it keeps results (the
+    /// simulation's result arena, a live client's conformance recorder).
     ///
     /// # Panics
     ///
     /// Panics if no high-level operation is in progress (the protocol
     /// completed an operation it never started).
-    pub fn finish(&mut self, response: HighResponse) -> (HighOpId, HighOp) {
-        let (high_id, op) = self
-            .current
+    pub fn finish(&mut self, _response: HighResponse) -> (HighOpId, HighOp) {
+        self.current
             .take()
-            .expect("protocol completed a high-level operation but none was in progress");
-        self.completed.push((high_id, op, response));
-        (high_id, op)
+            .expect("protocol completed a high-level operation but none was in progress")
     }
 }
 
@@ -185,7 +176,6 @@ impl std::fmt::Debug for ClientNode {
             .field("protocol", &self.protocol.name())
             .field("crashed", &self.crashed)
             .field("current", &self.current)
-            .field("completed", &self.completed.len())
             .finish()
     }
 }
@@ -327,7 +317,7 @@ mod tests {
     use crate::value::Value;
 
     #[test]
-    fn client_node_runs_the_protocol_and_logs_completions() {
+    fn client_node_runs_the_protocol_and_retires_completions() {
         let mut node = ClientNode::new(ClientId::new(2), Box::new(NoopProtocol));
         assert!(node.is_idle());
         assert_eq!(node.protocol_name(), "noop");
@@ -340,7 +330,6 @@ mod tests {
         let (high, op) = node.finish(HighResponse::WriteAck);
         assert_eq!((high, op), (HighOpId::new(0), HighOp::Write(7)));
         assert!(node.is_idle());
-        assert_eq!(node.completed().len(), 1);
     }
 
     #[test]

@@ -407,14 +407,6 @@ impl Simulation {
             .flatten()
     }
 
-    /// All completed high-level operations of `client`, in completion order.
-    pub fn completed_ops(&self, client: ClientId) -> &[(HighOpId, HighOp, HighResponse)] {
-        self.clients
-            .get(client.index())
-            .map(|c| c.completed())
-            .unwrap_or(&[])
-    }
-
     /// Iterator over all pending low-level operations, in ascending id order.
     pub fn pending_ops(&self) -> impl Iterator<Item = &PendingOp> {
         self.pending.iter()
@@ -992,7 +984,7 @@ mod tests {
         assert_eq!(sim.result_of(w), Some(HighResponse::WriteAck));
         assert_eq!(sim.pending_count(), 0);
         assert!(sim.is_client_idle(c));
-        assert_eq!(sim.completed_ops(c).len(), 1);
+        assert_eq!(sim.completed_high_count(), 1);
     }
 
     /// A pending read with the given op id, for the slab tests.

@@ -10,13 +10,19 @@
 //! simulator's schedulers explore — and how the conformance tests catch the
 //! seeded weak-quorum bug on real sockets.
 //!
+//! Each protocol callback's triggers leave as **one frame per destination
+//! server**: a lone request as itself, several as one [`WireMsg::Batch`]. A
+//! space-optimal write at `(8, 1, 3)` thus sends 6 frames (two rounds over
+//! three servers) instead of 27 — the paper's channel model, where one
+//! message to a server may touch several of its base objects.
+//!
 //! [`run_fleet`] fans k writer clients (plus readers) out across threads,
 //! one emulation instance per thread (protocol state machines are not
 //! `Send`), and aggregates latency into a [`LatencyHistogram`].
 
 use crate::transport::{ServeError, TcpTransport, Transport};
 use regemu_bounds::Params;
-use regemu_core::wire::{NodeStats, WireMsg};
+use regemu_core::wire::{NodeStats, WireMsg, MAX_BATCH};
 use regemu_fpsm::{
     BaseOp, ClientId, ClientNode, ClientProtocol, Delivery, HighOp, HighOpId, HighResponse,
     ObjectId, OpId, Time, Topology,
@@ -24,7 +30,7 @@ use regemu_fpsm::{
 use regemu_obs::LatencyHistogram;
 use regemu_workloads::conform::ConformRecorder;
 use regemu_workloads::fuzz::FuzzEmulation;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,8 +74,15 @@ pub struct LiveClient {
     /// Indexed by server; `None` = unreachable or failed (the crash-prone
     /// model's dead server).
     transports: Vec<Option<Box<dyn Transport>>>,
-    /// Triggered-but-unanswered low-level operations, by raw op id.
+    /// Sent-but-unanswered low-level operations, by raw op id.
     in_flight: HashMap<u64, (ObjectId, BaseOp)>,
+    /// Replies that arrived in a batch, not yet handed to the protocol. They
+    /// outlive the operation that read them and are never dropped: a lost
+    /// write acknowledgement would leave its register covered forever.
+    replies: VecDeque<WireMsg>,
+    /// The server `run_op` polls next. It persists across operations so
+    /// every server is read in turn, not only the ones a quorum needed.
+    next_poll: usize,
     next_op_id: u64,
     next_high_id: u64,
     time: Time,
@@ -102,6 +115,8 @@ impl LiveClient {
             node: ClientNode::new(client, protocol),
             transports,
             in_flight: HashMap::new(),
+            replies: VecDeque::new(),
+            next_poll: 0,
             next_op_id: 0,
             next_high_id: 0,
             time: 0,
@@ -150,11 +165,6 @@ impl LiveClient {
         self.transports.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Completed high-level operations, in completion order.
-    pub fn completed(&self) -> &[(HighOpId, HighOp, HighResponse)] {
-        self.node.completed()
-    }
-
     /// Runs one high-level operation to completion (or times out).
     ///
     /// A timeout leaves the operation pending — recorded as an open interval
@@ -181,19 +191,29 @@ impl LiveClient {
         let started = Instant::now();
         let deadline = started + self.options.op_timeout;
         while Instant::now() < deadline {
-            if self.live_servers() == 0 {
-                return Err(ServeError::Disconnected {
-                    peer: "all servers".to_string(),
-                });
-            }
-            for server in 0..self.transports.len() {
-                let Some(msg) = self.poll_server(server) else {
-                    continue;
-                };
-                if let Some(effects) = self.handle_message(msg) {
-                    if let Some(response) = self.dispatch(effects)? {
-                        return Ok(response);
+            let msg = match self.replies.pop_front() {
+                Some(msg) => msg,
+                None => {
+                    if self.live_servers() == 0 {
+                        return Err(ServeError::Disconnected {
+                            peer: "all servers".to_string(),
+                        });
                     }
+                    let server = self.next_poll;
+                    self.next_poll = (server + 1) % self.transports.len();
+                    match self.poll_server(server) {
+                        Some(WireMsg::Batch(items)) => {
+                            self.replies.extend(items);
+                            continue;
+                        }
+                        Some(msg) => msg,
+                        None => continue,
+                    }
+                }
+            };
+            if let Some(effects) = self.handle_message(msg) {
+                if let Some(response) = self.dispatch(effects)? {
+                    return Ok(response);
                 }
             }
         }
@@ -247,38 +267,59 @@ impl LiveClient {
                 self.in_flight.remove(&op_id);
                 None
             }
-            // Servers never send requests, and stats frames never answer an
-            // operation; ignore both.
-            WireMsg::Request { .. } | WireMsg::StatsQuery | WireMsg::StatsReply { .. } => None,
+            // Servers never send requests, stats frames never answer an
+            // operation, and batches are unpacked before they get here.
+            WireMsg::Request { .. }
+            | WireMsg::StatsQuery
+            | WireMsg::StatsReply { .. }
+            | WireMsg::Batch(_) => None,
         }
     }
 
-    /// Sends triggered low-level operations and retires a completion.
+    /// Sends triggered low-level operations, one frame per destination
+    /// server, and retires a completion.
     fn dispatch(
         &mut self,
         effects: regemu_fpsm::ClientEffects,
     ) -> Result<Option<HighResponse>, ServeError> {
-        for (op_id, object, op) in effects.triggers {
-            let server = self.topology.server_of(object).index();
-            self.in_flight.insert(op_id.index(), (object, op));
+        let mut triggers = effects.triggers;
+        // Held requests are in transit forever and requests to a dead server
+        // are lost: neither is sent, so neither awaits a reply.
+        triggers.retain(|(_, object, op)| {
+            let server = self.topology.server_of(*object).index();
             let is_write_class = matches!(
                 op,
                 BaseOp::Write(_) | BaseOp::WriteMax(_) | BaseOp::Cas { .. }
             );
-            if self.options.hold_servers.contains(&server)
-                || (is_write_class && self.options.hold_writes.contains(&server))
-            {
-                // Held: the message is in transit forever.
-                continue;
-            }
-            if let Some(transport) = &mut self.transports[server] {
-                let msg = WireMsg::Request {
+            self.transports[server].is_some()
+                && !self.options.hold_servers.contains(&server)
+                && !(is_write_class && self.options.hold_writes.contains(&server))
+        });
+        for (op_id, object, op) in &triggers {
+            self.in_flight.insert(op_id.index(), (*object, *op));
+        }
+        for server in 0..self.transports.len() {
+            // This server's requests, in trigger order.
+            let group: Vec<WireMsg> = triggers
+                .iter()
+                .filter(|(_, object, _)| self.topology.server_of(*object).index() == server)
+                .map(|&(op_id, object, op)| WireMsg::Request {
                     op_id: op_id.index(),
                     object: object.index() as u64,
                     op,
+                })
+                .collect();
+            for chunk in group.chunks(MAX_BATCH) {
+                // A lone request travels as itself, so one-object-per-server
+                // rounds (ABD's) are unchanged on the wire.
+                let frame = match chunk {
+                    [request] => request.clone(),
+                    requests => WireMsg::Batch(requests.to_vec()),
                 };
-                if transport.send(&msg).is_err() {
-                    self.transports[server] = None;
+                if let Some(transport) = &mut self.transports[server] {
+                    if transport.send(&frame).is_err() {
+                        self.transports[server] = None;
+                    }
                 }
             }
         }
@@ -507,4 +548,135 @@ fn run_fleet_client(
         }
     }
     (hist, timeline, done, timeouts, errors)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{serve_channel, ServerHandle};
+    use crate::transport::ChannelTransport;
+    use regemu_core::EmulationKind;
+    use regemu_fpsm::ServerNode;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts the frames and the requests inside them that a client sends.
+    struct CountingTransport {
+        inner: ChannelTransport,
+        frames: Arc<AtomicUsize>,
+        requests: Arc<AtomicUsize>,
+    }
+
+    impl Transport for CountingTransport {
+        fn send(&mut self, msg: &WireMsg) -> Result<(), ServeError> {
+            self.frames.fetch_add(1, Ordering::Relaxed);
+            let requests = match msg {
+                WireMsg::Batch(items) => items.len(),
+                _ => 1,
+            };
+            self.requests.fetch_add(requests, Ordering::Relaxed);
+            self.inner.send(msg)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<WireMsg>, ServeError> {
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn peer(&self) -> String {
+            self.inner.peer()
+        }
+    }
+
+    /// Serves every server of `kind` at `(k, 1, 3)` in-process and connects
+    /// writer 0 to them, each transport wrapped by `wrap`.
+    fn channel_client(
+        kind: EmulationKind,
+        k: usize,
+        wrap: impl Fn(ChannelTransport) -> Box<dyn Transport>,
+    ) -> (LiveClient, Vec<ServerHandle>) {
+        let emulation = kind.build(Params::new(k, 1, 3).unwrap());
+        let topology = emulation.topology().clone();
+        let mut handles = Vec::new();
+        let mut transports = Vec::new();
+        for server in topology.servers() {
+            let (handle, connector) =
+                serve_channel(ServerNode::new(&topology, server), None).unwrap();
+            transports.push(Some(wrap(connector.connect().unwrap())));
+            handles.push(handle);
+        }
+        let client = LiveClient::new(
+            topology,
+            ClientId::new(0),
+            emulation.writer_protocol(0),
+            transports,
+            ClientOptions::default(),
+        )
+        .unwrap();
+        (client, handles)
+    }
+
+    /// Frames and requests writer 0 sends for one space-optimal write at
+    /// `(k, 1, 3)`.
+    fn count_one_write(k: usize) -> (usize, usize) {
+        let frames = Arc::new(AtomicUsize::new(0));
+        let requests = Arc::new(AtomicUsize::new(0));
+        let (mut client, handles) = channel_client(EmulationKind::SpaceOptimal, k, |inner| {
+            Box::new(CountingTransport {
+                inner,
+                frames: Arc::clone(&frames),
+                requests: Arc::clone(&requests),
+            })
+        });
+        assert_eq!(
+            client.run_op(HighOp::Write(1)).unwrap(),
+            HighResponse::WriteAck
+        );
+        drop(client);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        (
+            frames.load(Ordering::Relaxed),
+            requests.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn a_space_optimal_write_sends_one_frame_per_server_per_round() {
+        // Two rounds over three servers: the collect reads all 24 registers
+        // (8 per server), then the write phase writes R_0's 3 registers.
+        assert_eq!(count_one_write(8), (2 * 3, 24 + 3));
+        // At k = 100 each server hosts 100 registers: its collect requests
+        // leave as two batches, 64 + 36.
+        assert_eq!(count_one_write(100), (2 * 3 + 3, 300 + 3));
+    }
+
+    #[test]
+    fn every_server_is_read_so_nothing_piles_up_in_flight() {
+        let (mut client, handles) =
+            channel_client(EmulationKind::AbdMaxRegister, 8, |inner| Box::new(inner));
+        let mut peak = 0;
+        let mut written = 0;
+        for index in 0..2_000u64 {
+            if index % 10 == 0 {
+                written = index + 1;
+                assert_eq!(
+                    client.run_op(HighOp::Write(written)).unwrap(),
+                    HighResponse::WriteAck
+                );
+            } else {
+                assert_eq!(
+                    client.run_op(HighOp::Read).unwrap(),
+                    HighResponse::ReadValue(written)
+                );
+            }
+            peak = peak.max(client.in_flight.len() + client.replies.len());
+        }
+        // A quorum needs two of the three servers; the third one's replies
+        // must still be read rather than left queued.
+        assert!(peak <= 6, "{peak} replies outstanding after an operation");
+        drop(client);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    }
 }

@@ -11,9 +11,13 @@
 //!   implementation (thread-per-connection; no async runtime);
 //! * [`server`] — [`server::serve_tcp`] / [`server::serve_channel`] host one
 //!   paper server's base objects; applying a request under the state lock is
-//!   the linearization point (Assumption 1);
-//! * [`client`] — [`client::LiveClient`] drives one emulation client;
-//!   [`client::run_fleet`] fans k writers plus readers out across threads.
+//!   the linearization point (Assumption 1), also for each request of a
+//!   batch, which is applied in order under one lock acquisition;
+//! * [`client`] — [`client::LiveClient`] drives one emulation client,
+//!   sending one frame per server per protocol round (a
+//!   [`regemu_core::wire::WireMsg::Batch`] when the round addresses several
+//!   of that server's objects); [`client::run_fleet`] fans k writers plus
+//!   readers out across threads.
 //!
 //! Latency is measured into [`regemu_obs::LatencyHistogram`] (re-exported
 //! here as [`LatencyHistogram`] — it lived in this crate before the

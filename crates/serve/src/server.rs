@@ -6,6 +6,13 @@
 //! *is* the operation's linearization point — exactly Assumption 1 of the
 //! paper, which is what makes a live run checkable against the simulator.
 //!
+//! A [`WireMsg::Batch`] of requests is applied in order under one
+//! acquisition of the state lock and answered with one batch of replies in
+//! request order. Batching changes only the framing: each request is still
+//! its own linearization point, with its own clock tick, its own `respond`
+//! line in the conformance log and its own counters, and a request that
+//! faults becomes a `Fault` item without stopping the rest.
+//!
 //! Two front-ends share the same connection handler: [`serve_tcp`] accepts
 //! loopback/network clients thread-per-connection (no async runtime), and
 //! [`serve_channel`] hands out in-process [`ChannelTransport`] endpoints for
@@ -183,6 +190,47 @@ fn open_log(path: &Path) -> Result<std::fs::File, ServeError> {
     Ok(file)
 }
 
+/// Applies `requests` in order under one acquisition of the state lock and
+/// returns one reply per request, in request order. `None` — with nothing
+/// applied — if any item is not a request.
+fn apply_requests(
+    state: &Mutex<ServerState>,
+    metrics: &NodeMetrics,
+    requests: &[WireMsg],
+) -> Option<Vec<WireMsg>> {
+    if !requests
+        .iter()
+        .all(|msg| matches!(msg, WireMsg::Request { .. }))
+    {
+        return None;
+    }
+    let count = requests.len() as u64;
+    metrics.requests.add(count);
+    // Raised before taking the state lock so the gauge counts requests
+    // queued behind the linearization point too.
+    metrics.in_flight.add(count as i64);
+    let replies: Vec<WireMsg> = {
+        let mut state = state.lock().expect("server state poisoned");
+        requests
+            .iter()
+            .filter_map(|msg| match msg {
+                WireMsg::Request { op_id, object, op } => {
+                    Some(state.apply_request(*op_id, *object, op))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    metrics.in_flight.add(-(count as i64));
+    for reply in &replies {
+        match reply {
+            WireMsg::Fault { .. } => metrics.faults.incr(),
+            _ => metrics.responses.incr(),
+        }
+    }
+    Some(replies)
+}
+
 fn handle_connection<T: Transport>(
     mut transport: T,
     state: &Arc<Mutex<ServerState>>,
@@ -190,39 +238,29 @@ fn handle_connection<T: Transport>(
 ) {
     let metrics = Arc::clone(&state.lock().expect("server state poisoned").metrics);
     while !shutdown.load(Ordering::SeqCst) {
-        match transport.recv_timeout(POLL) {
-            Ok(Some(WireMsg::Request { op_id, object, op })) => {
-                metrics.requests.incr();
-                // Raised before taking the state lock so the gauge counts
-                // requests queued behind the linearization point too.
-                metrics.in_flight.add(1);
-                let reply = state
-                    .lock()
-                    .expect("server state poisoned")
-                    .apply_request(op_id, object, &op);
-                metrics.in_flight.add(-1);
-                match &reply {
-                    WireMsg::Fault { .. } => metrics.faults.incr(),
-                    _ => metrics.responses.incr(),
-                }
-                if transport.send(&reply).is_err() {
-                    return;
-                }
+        let reply = match transport.recv_timeout(POLL) {
+            Ok(Some(request @ WireMsg::Request { .. })) => {
+                apply_requests(state, &metrics, std::slice::from_ref(&request))
+                    .and_then(|mut replies| replies.pop())
+            }
+            Ok(Some(WireMsg::Batch(requests))) => {
+                apply_requests(state, &metrics, &requests).map(WireMsg::Batch)
             }
             Ok(Some(WireMsg::StatsQuery)) => {
-                let stats = {
-                    let state = state.lock().expect("server state poisoned");
-                    state.metrics.stats(state.clock)
-                };
-                if transport.send(&WireMsg::StatsReply { stats }).is_err() {
-                    return;
-                }
+                let state = state.lock().expect("server state poisoned");
+                Some(WireMsg::StatsReply {
+                    stats: state.metrics.stats(state.clock),
+                })
             }
             // Clients only send requests; anything else is a confused peer.
-            Ok(Some(_)) => return,
-            Ok(None) => {}
+            Ok(Some(_)) => None,
+            Ok(None) => continue,
             // Disconnect or garbage: drop the connection, keep the server.
             Err(_) => return,
+        };
+        match reply {
+            Some(reply) if transport.send(&reply).is_ok() => {}
+            _ => return,
         }
     }
 }
@@ -497,6 +535,117 @@ mod tests {
                 object: 0,
                 kind: LowOpKind::Write,
             }]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_batch_is_applied_in_order_and_answered_with_one_frame() {
+        use regemu_workloads::conform::ConformLog;
+        let dir = std::env::temp_dir().join(format!("regemu-serve-batch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log_path = dir.join("node0.conform");
+        let mut t = Topology::new(1);
+        for _ in 0..4 {
+            t.add_object_per_server(ObjectKind::Register);
+        }
+        let node = ServerNode::new(&t, ServerId::new(0));
+        let (handle, connector) = serve_channel(node, Some(log_path.as_path())).unwrap();
+        let mut conn = connector.connect().unwrap();
+
+        // Four writes, then four reads of the same registers.
+        let writes = (0..4).map(|i| request(i, i, BaseOp::Write(Value::new(1, 10 + i))));
+        let reads = (0..4).map(|i| request(4 + i, i, BaseOp::Read));
+        conn.send(&WireMsg::Batch(writes.chain(reads).collect()))
+            .unwrap();
+        let WireMsg::Batch(replies) = recv(&mut conn) else {
+            panic!("a batch must be answered with a batch");
+        };
+        let expected: Vec<WireMsg> = (0..8)
+            .map(|i| WireMsg::Response {
+                op_id: i,
+                clock: i + 1,
+                response: if i < 4 {
+                    BaseResponse::WriteAck
+                } else {
+                    BaseResponse::ReadValue(Value::new(1, 10 + i - 4))
+                },
+            })
+            .collect();
+        assert_eq!(replies, expected);
+        // Exactly one reply frame.
+        assert_eq!(conn.recv_timeout(Duration::from_millis(50)).unwrap(), None);
+
+        // A request the server cannot apply becomes a fault item; the rest
+        // of the batch is still applied.
+        conn.send(&WireMsg::Batch(vec![
+            request(8, 0, BaseOp::Read),
+            request(9, 7, BaseOp::Read),
+            request(10, 1, BaseOp::Read),
+        ]))
+        .unwrap();
+        let WireMsg::Batch(replies) = recv(&mut conn) else {
+            panic!("a batch must be answered with a batch");
+        };
+        assert_eq!(
+            replies,
+            vec![
+                WireMsg::Response {
+                    op_id: 8,
+                    clock: 9,
+                    response: BaseResponse::ReadValue(Value::new(1, 10)),
+                },
+                WireMsg::Fault {
+                    op_id: 9,
+                    code: FaultCode::NotHosted,
+                },
+                WireMsg::Response {
+                    op_id: 10,
+                    clock: 10,
+                    response: BaseResponse::ReadValue(Value::new(1, 11)),
+                },
+            ]
+        );
+
+        // A batch carrying anything but requests is a confused peer: the
+        // connection drops and nothing is applied.
+        conn.send(&WireMsg::Batch(vec![
+            request(11, 0, BaseOp::Read),
+            WireMsg::Fault {
+                op_id: 12,
+                code: FaultCode::Crashed,
+            },
+        ]))
+        .unwrap();
+        assert!(conn.recv_timeout(Duration::from_secs(5)).is_err());
+        assert_eq!(handle.applied(), 10);
+        handle.join().unwrap();
+
+        // Every applied request has its own `respond` line and clock tick.
+        let log = ConformLog::load(&log_path).unwrap();
+        assert!(log.complete);
+        assert_eq!(log.final_clock, 10);
+        let clocks: Vec<u64> = log
+            .records
+            .iter()
+            .map(|record| match record {
+                ConformRecord::Respond { clock, .. } => *clock,
+                other => panic!("unexpected server record {other:?}"),
+            })
+            .collect();
+        assert_eq!(clocks, (1..=10).collect::<Vec<u64>>());
+        assert_eq!(
+            log.records[..8]
+                .iter()
+                .filter(|r| matches!(
+                    r,
+                    ConformRecord::Respond {
+                        kind: LowOpKind::Write,
+                        ..
+                    }
+                ))
+                .count(),
+            4
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

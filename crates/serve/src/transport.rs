@@ -158,8 +158,9 @@ impl TcpTransport {
 
     /// Wraps an accepted stream (server side).
     pub fn from_stream(stream: TcpStream) -> Result<Self, ServeError> {
-        // Frames are tiny (≤ 68 bytes); batching them behind Nagle's
-        // algorithm would put the 40 ms ACK-delay right on the quorum path.
+        // Frames are small (a batch is at most a few kilobytes); holding them
+        // behind Nagle's algorithm would put the 40 ms ACK-delay right on
+        // the quorum path.
         stream.set_nodelay(true)?;
         let peer = stream
             .peer_addr()
@@ -301,10 +302,10 @@ mod tests {
             object: 0,
             op: BaseOp::Write(Value::new(2, 5)),
         };
+        let mut bytes = msg1.encode_frame();
+        bytes.extend_from_slice(&msg2.encode_frame());
         let writer = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let mut bytes = msg1.encode_frame();
-            bytes.extend_from_slice(&msg2.encode_frame());
             // Dribble the two frames out in 3-byte slices to force
             // reassembly, with both frames sharing reads.
             for piece in bytes.chunks(3) {
