@@ -64,15 +64,22 @@ impl HighHistory {
     /// Returns `true` if no two writes are concurrent (write-sequential
     /// schedule).
     pub fn is_write_sequential(&self) -> bool {
-        let writes = self.writes();
-        for (i, a) in writes.iter().enumerate() {
-            for b in writes.iter().skip(i + 1) {
-                if a.concurrent_with(b) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.write_sequence().is_some()
+    }
+
+    /// The writes in invocation order if no two are concurrent, else `None`.
+    ///
+    /// In invocation order it suffices that each write precedes the next:
+    /// every later write is invoked no earlier than the next one, so it is
+    /// preceded too. (This takes each write to return no earlier than it was
+    /// invoked, as every recorded history does.)
+    pub(crate) fn write_sequence(&self) -> Option<Vec<HighInterval>> {
+        let mut writes = self.writes();
+        writes.sort_by_key(|w| w.invoked_at);
+        writes
+            .windows(2)
+            .all(|pair| pair[0].precedes(&pair[1]))
+            .then_some(writes)
     }
 
     /// The write operations sorted by their real-time order. Only meaningful

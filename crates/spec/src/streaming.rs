@@ -770,12 +770,11 @@ mod tests {
         }
         let mut points: Vec<(Time, u8, Point)> = Vec::new();
         for (i, iv) in h.ops().iter().enumerate() {
-            // At equal times, returns sort before invokes: `precedes` is
-            // strict, so a return at t and an invoke at t are concurrent,
-            // and the simulator never produces ties anyway.
-            points.push((iv.invoked_at, 1, Point::Invoke(i)));
+            // At equal times, invokes sort before returns: `precedes` is
+            // strict, so a return at t and an invoke at t are concurrent.
+            points.push((iv.invoked_at, 0, Point::Invoke(i)));
             if let Some((t, _)) = iv.returned {
-                points.push((t, 0, Point::Return(i)));
+                points.push((t, 1, Point::Return(i)));
             }
         }
         points.sort_by_key(|&(t, kind, _)| (t, kind));

@@ -531,7 +531,7 @@ fn condition_of(check: ConsistencyCheck) -> Option<Condition> {
 ///
 /// The streaming checker is fed the same synthesized event stream a
 /// simulated run would produce: invokes and returns ordered by stamp, with
-/// returns first at equal stamps.
+/// invokes first at equal stamps.
 pub fn check_history(history: &HighHistory, check: ConsistencyCheck) -> ConformVerdict {
     let spec = SequentialSpec::register();
     let complete_ops = history.ops().iter().filter(|o| o.is_complete()).count();
@@ -569,13 +569,18 @@ pub fn check_history(history: &HighHistory, check: ConsistencyCheck) -> ConformV
 }
 
 /// Renders a history as the event stream the streaming checker consumes:
-/// sorted by time, returns before invokes at equal times.
+/// sorted by time, invokes before returns at equal times. Precedence is
+/// strict (`a ≺ b` iff `a` returned *before* `b` was invoked), so an
+/// operation invoked at the stamp another returns at is concurrent with it;
+/// the streaming checker sees exactly that only if the invoke arrives while
+/// the other operation is still open. (Merged logs of separate processes
+/// can share a stamp; a single simulated run never does.)
 fn event_stream(history: &HighHistory) -> Vec<Event> {
     let mut events: Vec<(Time, u8, Event)> = Vec::new();
     for interval in history.ops() {
         events.push((
             interval.invoked_at,
-            1,
+            0,
             Event::Invoke {
                 time: interval.invoked_at,
                 client: interval.client,
@@ -586,7 +591,7 @@ fn event_stream(history: &HighHistory) -> Vec<Event> {
         if let Some((returned_at, response)) = interval.returned {
             events.push((
                 returned_at,
-                0,
+                1,
                 Event::Return {
                     time: returned_at,
                     client: interval.client,
@@ -768,6 +773,31 @@ mod tests {
             verdict.agrees(),
             "offline and streaming must agree: {verdict}"
         );
+    }
+
+    #[test]
+    fn an_invoke_at_a_return_stamp_is_concurrent_for_both_checkers() {
+        // Two processes stamp the write's return and the read's invoke alike
+        // (5): the operations are concurrent, so the read may return the
+        // initial value under every condition.
+        let writer = ConformLog::from_text(
+            "regemu-conform v1\ninvoke 1 0 0 write 1\nreturn 5 0 0 ack\nend\n",
+        )
+        .unwrap();
+        let reader = ConformLog::from_text(
+            "regemu-conform v1\ninvoke 5 0 0 read\nreturn 6 0 0 value 0\nend\n",
+        )
+        .unwrap();
+        let history = merge_logs(&[writer, reader]);
+        for check in [
+            ConsistencyCheck::WsSafe,
+            ConsistencyCheck::WsRegular,
+            ConsistencyCheck::Atomic,
+        ] {
+            let verdict = check_history(&history, check);
+            assert!(verdict.is_consistent(), "{verdict}");
+            assert!(verdict.agrees(), "{verdict}");
+        }
     }
 
     #[test]

@@ -6,17 +6,20 @@
 //!
 //! * under `Ring(1024)` the peak retained-event count never exceeds the
 //!   capacity, and the configured consistency condition is still verified —
-//!   *online*, with complete coverage (the offline checkers are quadratic in
-//!   run length and could not check a run this long);
+//!   *online*, with complete coverage (the offline checkers need the `Full`
+//!   log, which keeps every event in memory);
 //! * under `Digest` zero events are retained;
 //! * the `RunMetrics` of the bounded runs are byte-identical to the `Full`
 //!   run of the same seed, and match the closed-form golden values.
 //!
 //! CI runs the same assertions with a reduced operation count via the
 //! `REGEMU_SOAK_OPS` environment variable; the non-ignored smoke test keeps
-//! a small version in every local `cargo test`.
+//! a small version in every local `cargo test`. A second ignored test,
+//! `offline_checkers_scale_linearly`, guards the other side: checking a
+//! `Full` recording offline stays near-linear in its length.
 
 use regemu::prelude::*;
+use std::time::Instant;
 
 /// Workload size of the ignored soak (the smoke test uses a fixed small
 /// count). Overridable with `REGEMU_SOAK_OPS` for CI.
@@ -55,10 +58,9 @@ fn run(ops: usize, mode: RecordingModeSpec, check: ConsistencyCheck) -> (RunRepo
 }
 
 fn soak(ops: usize, expect_million: bool) {
-    // Full recording is metrics-only here on purpose: offline checking is
-    // O(reads × writes) and would dominate the soak; proving verdict
-    // agreement at scale is the online checker's job below (and the
-    // property suite's at small scale).
+    // Full recording is metrics-only here on purpose: the soak is about the
+    // bounded modes, and proving verdict agreement at scale is the online
+    // checker's job below (and the property suite's at small scale).
     let (full, full_total, full_peak) = run(ops, RecordingModeSpec::Full, ConsistencyCheck::None);
     let (ring, ring_total, ring_peak) = run(
         ops,
@@ -154,4 +156,59 @@ fn soak_smoke_bounded_recording() {
 fn soak_million_step_ring_is_bounded_and_checked() {
     let ops = soak_ops();
     soak(ops, ops >= DEFAULT_SOAK_OPS);
+}
+
+/// Scaling guard for the `soak-smoke` CI job: the offline checkers are
+/// near-linear in run length, so checking 4× the operations may take at
+/// most 8× as long (near-linear reads 4–5×, a quadratic checker about 16×).
+/// A ratio of two timings on the same box, so the box's speed cancels out;
+/// only the check is timed, not the run that records the schedule.
+#[test]
+#[ignore = "timing; run with --release --ignored"]
+fn offline_checkers_scale_linearly() {
+    let spec = SequentialSpec::register();
+    for (kind, check) in [
+        (
+            EmulationKind::AbdMaxRegisterAtomic,
+            ConsistencyCheck::Atomic,
+        ),
+        (EmulationKind::SpaceOptimal, ConsistencyCheck::WsRegular),
+    ] {
+        let best_of_three = |ops: usize| {
+            let mut run = Scenario::new(Params::new(4, 1, 5).unwrap())
+                .emulation(kind)
+                .workload(WorkloadSpec::RandomMixed {
+                    readers: 2,
+                    total: ops,
+                    write_percent: 50,
+                })
+                .recording(RecordingModeSpec::Full)
+                .check(ConsistencyCheck::None)
+                .seed(7)
+                .build();
+            run.run().expect("scaling scenario completes");
+            let history = HighHistory::from_run(run.history());
+            assert_eq!(history.len(), ops);
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    let verdict = match check {
+                        ConsistencyCheck::Atomic => check_linearizable(&history, &spec),
+                        _ => check_ws_regular(&history, &spec),
+                    };
+                    let elapsed = start.elapsed();
+                    assert!(verdict.is_ok(), "{kind}/{check}: {verdict:?}");
+                    elapsed
+                })
+                .min()
+                .expect("three timings")
+        };
+        let (small, large) = (best_of_three(4_000), best_of_three(16_000));
+        let ratio = large.as_secs_f64() / small.as_secs_f64();
+        eprintln!("{kind}/{check}: 4 k ops {small:?}, 16 k ops {large:?}, ratio {ratio:.1}");
+        assert!(
+            ratio <= 8.0,
+            "{kind}/{check}: 4 k ops took {small:?}, 16 k ops {large:?}: ratio {ratio:.1}"
+        );
+    }
 }
