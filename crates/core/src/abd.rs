@@ -24,8 +24,7 @@ use crate::drivers::{MaxDriver, MaxOutcome};
 use crate::quorum::ServerQuorumTracker;
 use crate::timestamp;
 use regemu_bounds::Params;
-use regemu_fpsm::{ClientProtocol, Context, Delivery, HighOp, HighResponse, ObjectId, Value};
-use std::collections::BTreeMap;
+use regemu_fpsm::{ClientProtocol, Context, Delivery, HighOp, HighResponse, Value};
 
 /// Which phase of the two-phase quorum protocol the client is in.
 #[derive(Debug)]
@@ -33,29 +32,25 @@ enum Phase {
     /// No high-level operation in progress.
     Idle,
     /// Phase 1: `read-max` from `n - f` servers.
-    Query {
-        op: HighOp,
-        quorum: ServerQuorumTracker,
-    },
+    Query { op: HighOp },
     /// Phase 2: `write-max` to `n - f` servers, then return `response`.
-    Update {
-        response: HighResponse,
-        quorum: ServerQuorumTracker,
-    },
+    Update { response: HighResponse },
 }
 
 /// The ABD client protocol, generic over the per-server [`MaxDriver`]s.
 pub struct AbdClient {
-    params: Params,
     /// 0-based writer index, or `None` for a read-only client.
     writer_index: Option<usize>,
     /// When `true`, reads perform a write-back phase before returning, which
     /// upgrades the guarantee from (WS-)regular to atomic.
     read_write_back: bool,
     drivers: Vec<Box<dyn MaxDriver>>,
-    /// Routing table from base object to the driver responsible for it.
-    object_to_driver: BTreeMap<ObjectId, usize>,
+    /// Routing table from base object (by index) to the driver responsible
+    /// for it.
+    object_to_driver: Vec<Option<usize>>,
     phase: Phase,
+    /// The servers that answered the current phase; reset when one starts.
+    quorum: ServerQuorumTracker,
     /// Fault injection (see [`AbdClient::skipping_update`]): when `true`,
     /// writes acknowledge after the query phase without running the update
     /// round.
@@ -86,19 +81,22 @@ impl AbdClient {
             "ABD needs exactly one driver per server (n = {})",
             params.n
         );
-        let mut object_to_driver = BTreeMap::new();
+        let mut object_to_driver = Vec::new();
         for (i, d) in drivers.iter().enumerate() {
             for b in d.objects() {
-                object_to_driver.insert(b, i);
+                if object_to_driver.len() <= b.index() {
+                    object_to_driver.resize(b.index() + 1, None);
+                }
+                object_to_driver[b.index()] = Some(i);
             }
         }
         AbdClient {
-            params,
             writer_index,
             read_write_back,
             drivers,
             object_to_driver,
             phase: Phase::Idle,
+            quorum: ServerQuorumTracker::new(params.n - params.f),
             skip_update: false,
             drop_acks_after: None,
             processed: 0,
@@ -126,19 +124,13 @@ impl AbdClient {
         self
     }
 
-    fn quorum_size(&self) -> usize {
-        self.params.n - self.params.f
-    }
-
     fn start_query(&mut self, op: HighOp, ctx: &mut Context<'_>) {
         for d in &mut self.drivers {
             d.reset();
             d.start_read_max(ctx);
         }
-        self.phase = Phase::Query {
-            op,
-            quorum: ServerQuorumTracker::new(self.quorum_size()),
-        };
+        self.phase = Phase::Query { op };
+        self.quorum.reset();
     }
 
     fn start_update(&mut self, value: Value, response: HighResponse, ctx: &mut Context<'_>) {
@@ -146,10 +138,8 @@ impl AbdClient {
             d.reset();
             d.start_write_max(value, ctx);
         }
-        self.phase = Phase::Update {
-            response,
-            quorum: ServerQuorumTracker::new(self.quorum_size()),
-        };
+        self.phase = Phase::Update { response };
+        self.quorum.reset();
     }
 }
 
@@ -169,26 +159,25 @@ impl ClientProtocol for AbdClient {
             }
             self.processed += 1;
         }
-        let Some(&driver_index) = self.object_to_driver.get(&delivery.object) else {
+        let Some(&Some(driver_index)) = self.object_to_driver.get(delivery.object.index()) else {
             return;
         };
         let outcome = self.drivers[driver_index].on_response(&delivery, ctx);
         let Some(outcome) = outcome else { return };
         let server = self.drivers[driver_index].server();
 
-        match &mut self.phase {
+        match self.phase {
             Phase::Idle => {}
-            Phase::Query { op, quorum } => {
+            Phase::Query { op } => {
                 let value = match outcome {
                     MaxOutcome::ReadMax(v) => Some(v),
                     MaxOutcome::WriteMaxDone => None,
                 };
-                quorum.record(server, value);
-                if !quorum.satisfied() {
+                self.quorum.record(server, value);
+                if !self.quorum.satisfied() {
                     return;
                 }
-                let best = quorum.best();
-                let op = *op;
+                let best = self.quorum.best();
                 match op {
                     HighOp::Write(payload) => {
                         if self.skip_update {
@@ -211,10 +200,9 @@ impl ClientProtocol for AbdClient {
                     }
                 }
             }
-            Phase::Update { response, quorum } => {
-                quorum.record(server, None);
-                if quorum.satisfied() {
-                    let response = *response;
+            Phase::Update { response } => {
+                self.quorum.record(server, None);
+                if self.quorum.satisfied() {
                     self.phase = Phase::Idle;
                     ctx.complete(response);
                 }

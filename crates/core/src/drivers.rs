@@ -19,7 +19,6 @@
 //! register-bank rows of Table 1.
 
 use regemu_fpsm::{BaseOp, BaseResponse, Context, Delivery, ObjectId, OpId, ServerId, Value};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Completion of a per-server max primitive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -285,8 +284,14 @@ pub struct BankMaxDriver {
     registers: Vec<ObjectId>,
     own_slot: Option<usize>,
     phase: Option<BankPhase>,
-    pending: BTreeMap<OpId, ObjectId>,
-    outstanding: BTreeSet<ObjectId>,
+    /// The current collect's reads: the id of the first (one read per
+    /// register, triggered back to back, so the ids are contiguous), which
+    /// are still unanswered, and how many.
+    collect_base: u64,
+    collect_live: Vec<bool>,
+    collect_left: usize,
+    /// The pending read or write of the own slot.
+    own_op: Option<OpId>,
     best: Value,
     target: Value,
 }
@@ -309,11 +314,13 @@ impl BankMaxDriver {
         }
         BankMaxDriver {
             server,
+            collect_live: vec![false; registers.len()],
             registers,
             own_slot,
             phase: None,
-            pending: BTreeMap::new(),
-            outstanding: BTreeSet::new(),
+            collect_base: 0,
+            collect_left: 0,
+            own_op: None,
             best: Value::INITIAL,
             target: Value::INITIAL,
         }
@@ -331,42 +338,48 @@ impl MaxDriver for BankMaxDriver {
 
     fn start_read_max(&mut self, ctx: &mut Context<'_>) {
         self.phase = Some(BankPhase::Collect);
-        self.pending.clear();
-        self.outstanding = self.registers.iter().copied().collect();
+        self.own_op = None;
         self.best = Value::INITIAL;
-        for b in &self.registers {
+        for (i, b) in self.registers.iter().enumerate() {
             let op = ctx.trigger(*b, BaseOp::Read);
-            self.pending.insert(op, *b);
+            if i == 0 {
+                self.collect_base = op.index();
+            }
         }
+        self.collect_live.fill(true);
+        self.collect_left = self.registers.len();
     }
 
     fn start_write_max(&mut self, value: Value, ctx: &mut Context<'_>) {
         let slot = self
             .own_slot
             .expect("write-max on a register bank requires an own slot (writers only)");
+        self.reset();
         self.phase = Some(BankPhase::ReadOwn);
-        self.pending.clear();
         self.target = value;
-        let own = self.registers[slot];
-        let op = ctx.trigger(own, BaseOp::Read);
-        self.pending.insert(op, own);
+        self.own_op = Some(ctx.trigger(self.registers[slot], BaseOp::Read));
     }
 
     fn on_response(&mut self, delivery: &Delivery, ctx: &mut Context<'_>) -> Option<MaxOutcome> {
-        let object = self.pending.remove(&delivery.op_id)?;
         match self.phase? {
             BankPhase::Collect => {
+                let index = delivery.op_id.index().checked_sub(self.collect_base)?;
+                let live = self.collect_live.get_mut(usize::try_from(index).ok()?)?;
+                if !std::mem::take(live) {
+                    return None;
+                }
                 if let BaseResponse::ReadValue(v) = delivery.response {
                     self.best = self.best.max(v);
                 }
-                self.outstanding.remove(&object);
-                if self.outstanding.is_empty() {
+                self.collect_left -= 1;
+                if self.collect_left == 0 {
                     self.phase = None;
                     Some(MaxOutcome::ReadMax(self.best))
                 } else {
                     None
                 }
             }
+            BankPhase::ReadOwn | BankPhase::WriteOwn if self.own_op != Some(delivery.op_id) => None,
             BankPhase::ReadOwn => {
                 let current = match delivery.response {
                     BaseResponse::ReadValue(v) => v,
@@ -375,17 +388,17 @@ impl MaxDriver for BankMaxDriver {
                 if current >= self.target {
                     // The own slot already stores a value at least as large.
                     self.phase = None;
+                    self.own_op = None;
                     return Some(MaxOutcome::WriteMaxDone);
                 }
                 let slot = self.own_slot.expect("checked in start_write_max");
-                let own = self.registers[slot];
-                let op = ctx.trigger(own, BaseOp::Write(self.target));
-                self.pending.insert(op, own);
+                self.own_op = Some(ctx.trigger(self.registers[slot], BaseOp::Write(self.target)));
                 self.phase = Some(BankPhase::WriteOwn);
                 None
             }
             BankPhase::WriteOwn => {
                 self.phase = None;
+                self.own_op = None;
                 Some(MaxOutcome::WriteMaxDone)
             }
         }
@@ -393,8 +406,9 @@ impl MaxDriver for BankMaxDriver {
 
     fn reset(&mut self) {
         self.phase = None;
-        self.pending.clear();
-        self.outstanding.clear();
+        self.collect_live.fill(false);
+        self.collect_left = 0;
+        self.own_op = None;
     }
 
     fn flavour(&self) -> &'static str {

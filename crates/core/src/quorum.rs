@@ -1,23 +1,28 @@
 //! Quorum bookkeeping helpers shared by the emulation protocols.
 //!
-//! Two kinds of quorums appear in the constructions:
+//! Two kinds of quorums appear in the constructions, both of the form "wait
+//! until `n - f` servers have fully answered":
 //!
-//! * **server quorums** — "wait until `n - f` servers have fully answered"
-//!   (the `collect()` of Algorithm 2 and both phases of ABD); tracked by
-//!   [`ServerQuorumTracker`];
-//! * **register write quorums** — "wait until `|R_i| - f` of my registers
-//!   acknowledged" (line 11 of Algorithm 2); tracked by
-//!   [`RegisterQuorumTracker`].
+//! * **server quorums** — both phases of ABD, where each server answers one
+//!   per-server primitive; tracked by [`ServerQuorumTracker`];
+//! * **scans** — the `collect()` of Algorithm 2, where a server has answered
+//!   once every register it hosts has; tracked by [`ScanTracker`].
+//!
+//! Both live for a whole run and are re-armed between phases
+//! ([`ServerQuorumTracker::reset`], [`ScanTracker::restart`]) instead of
+//! being rebuilt: their state is dense flags indexed by server and object
+//! plus counters, so after the first phase re-arming allocates nothing.
 
 use regemu_fpsm::{ObjectId, ServerId, Value};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Tracks completion of per-server tasks until a threshold of servers is
 /// reached, accumulating the maximum [`Value`] observed along the way.
 #[derive(Clone, Debug, Default)]
 pub struct ServerQuorumTracker {
     threshold: usize,
-    completed: BTreeSet<ServerId>,
+    /// `completed[s]` once server `s` recorded; grown on demand.
+    completed: Vec<bool>,
+    completed_count: usize,
     best: Value,
 }
 
@@ -27,9 +32,18 @@ impl ServerQuorumTracker {
     pub fn new(threshold: usize) -> Self {
         ServerQuorumTracker {
             threshold,
-            completed: BTreeSet::new(),
+            completed: Vec::new(),
+            completed_count: 0,
             best: Value::INITIAL,
         }
+    }
+
+    /// Forgets every recorded server and value, keeping the threshold: the
+    /// tracker starts the next phase as if just created.
+    pub fn reset(&mut self) {
+        self.completed.fill(false);
+        self.completed_count = 0;
+        self.best = Value::INITIAL;
     }
 
     /// Records that `server` completed its task, folding `value` (if any)
@@ -38,17 +52,22 @@ impl ServerQuorumTracker {
         if let Some(v) = value {
             self.best = self.best.max(v);
         }
-        self.completed.insert(server);
+        if server.index() >= self.completed.len() {
+            self.completed.resize(server.index() + 1, false);
+        }
+        if !std::mem::replace(&mut self.completed[server.index()], true) {
+            self.completed_count += 1;
+        }
     }
 
     /// Number of servers recorded so far.
     pub fn completed_count(&self) -> usize {
-        self.completed.len()
+        self.completed_count
     }
 
     /// Returns `true` once the threshold has been reached.
     pub fn satisfied(&self) -> bool {
-        self.completed.len() >= self.threshold
+        self.completed_count >= self.threshold
     }
 
     /// The maximum value observed across all recorded servers.
@@ -56,58 +75,31 @@ impl ServerQuorumTracker {
         self.best
     }
 
-    /// The servers recorded so far.
-    pub fn completed(&self) -> &BTreeSet<ServerId> {
-        &self.completed
+    /// The servers recorded so far, in server order.
+    pub fn completed(&self) -> impl Iterator<Item = ServerId> + '_ {
+        self.completed
+            .iter()
+            .enumerate()
+            .filter(|(_, done)| **done)
+            .map(|(s, _)| ServerId::new(s))
     }
 }
 
-/// Tracks write acknowledgements from a fixed set of registers until a
-/// threshold is reached.
-#[derive(Clone, Debug, Default)]
-pub struct RegisterQuorumTracker {
-    threshold: usize,
-    acked: BTreeSet<ObjectId>,
-}
-
-impl RegisterQuorumTracker {
-    /// Creates a tracker satisfied after `threshold` distinct registers ack.
-    pub fn new(threshold: usize) -> Self {
-        RegisterQuorumTracker {
-            threshold,
-            acked: BTreeSet::new(),
-        }
-    }
-
-    /// Records an acknowledgement from `register`.
-    pub fn record(&mut self, register: ObjectId) {
-        self.acked.insert(register);
-    }
-
-    /// Registers that have acknowledged.
-    pub fn acked(&self) -> &BTreeSet<ObjectId> {
-        &self.acked
-    }
-
-    /// Number of distinct registers that have acknowledged.
-    pub fn acked_count(&self) -> usize {
-        self.acked.len()
-    }
-
-    /// Returns `true` once the threshold has been reached.
-    pub fn satisfied(&self) -> bool {
-        self.acked.len() >= self.threshold
-    }
-}
-
-/// Tracks a `collect()`-style scan: for every server, the set of registers
-/// that still have to respond; a server's scan is complete once all of its
+/// Tracks a `collect()`-style scan: for every server, the registers that
+/// still have to respond; a server's scan is complete once all of its
 /// registers responded. Satisfied once `threshold` servers completed.
+///
+/// The groups must name each server at most once and each register in at
+/// most one group, as a placement does.
 #[derive(Clone, Debug, Default)]
 pub struct ScanTracker {
     threshold: usize,
-    outstanding: BTreeMap<ServerId, BTreeSet<ObjectId>>,
-    completed: BTreeSet<ServerId>,
+    /// Registers each server still waits for, indexed by server.
+    remaining: Vec<usize>,
+    /// The server each outstanding register belongs to, indexed by object;
+    /// `None` once it responded or when it is not part of the scan.
+    outstanding: Vec<Option<ServerId>>,
+    completed: usize,
     best: Value,
     values: Vec<Value>,
 }
@@ -115,25 +107,45 @@ pub struct ScanTracker {
 impl ScanTracker {
     /// Creates a scan over the given `(server, registers)` groups; servers
     /// with no registers count as completed immediately.
-    pub fn new<I>(threshold: usize, groups: I) -> Self
+    pub fn new<'a, I>(threshold: usize, groups: I) -> Self
     where
-        I: IntoIterator<Item = (ServerId, Vec<ObjectId>)>,
+        I: IntoIterator<Item = &'a (ServerId, Vec<ObjectId>)>,
     {
-        let mut outstanding = BTreeMap::new();
-        let mut completed = BTreeSet::new();
+        let mut scan = ScanTracker {
+            threshold,
+            ..ScanTracker::default()
+        };
+        scan.restart(groups);
+        scan
+    }
+
+    /// Starts a new scan over `groups` with the same threshold, in the state
+    /// [`ScanTracker::new`] creates. Registers the previous scan still
+    /// waited for — those of servers that never answered — are forgotten.
+    pub fn restart<'a, I>(&mut self, groups: I)
+    where
+        I: IntoIterator<Item = &'a (ServerId, Vec<ObjectId>)>,
+    {
+        self.remaining.fill(0);
+        self.outstanding.fill(None);
+        self.completed = 0;
+        self.best = Value::INITIAL;
+        self.values.clear();
         for (server, registers) in groups {
             if registers.is_empty() {
-                completed.insert(server);
-            } else {
-                outstanding.insert(server, registers.into_iter().collect());
+                self.completed += 1;
+                continue;
             }
-        }
-        ScanTracker {
-            threshold,
-            outstanding,
-            completed,
-            best: Value::INITIAL,
-            values: Vec::new(),
+            if self.remaining.len() <= server.index() {
+                self.remaining.resize(server.index() + 1, 0);
+            }
+            self.remaining[server.index()] = registers.len();
+            for b in registers {
+                if self.outstanding.len() <= b.index() {
+                    self.outstanding.resize(b.index() + 1, None);
+                }
+                self.outstanding[b.index()] = Some(*server);
+            }
         }
     }
 
@@ -141,25 +153,27 @@ impl ScanTracker {
     pub fn record(&mut self, server: ServerId, register: ObjectId, value: Value) {
         self.best = self.best.max(value);
         self.values.push(value);
-        if let Some(waiting) = self.outstanding.get_mut(&server) {
-            waiting.remove(&register);
-            if waiting.is_empty() {
-                self.outstanding.remove(&server);
-                self.completed.insert(server);
+        let Some(waiting) = self.outstanding.get_mut(register.index()) else {
+            return;
+        };
+        if *waiting == Some(server) {
+            *waiting = None;
+            self.remaining[server.index()] -= 1;
+            if self.remaining[server.index()] == 0 {
+                self.completed += 1;
             }
         }
     }
 
     /// Returns `true` once enough servers completed their scans.
     pub fn satisfied(&self) -> bool {
-        self.completed.len() >= self.threshold
+        self.completed >= self.threshold
     }
 
     /// Number of servers whose scan completed.
     pub fn completed_count(&self) -> usize {
-        self.completed.len()
+        self.completed
     }
-
     /// The maximum value observed so far (over *all* responses, including
     /// those from servers whose scan is still incomplete).
     pub fn best(&self) -> Value {
@@ -194,20 +208,13 @@ mod tests {
         q.record(ServerId::new(2), None);
         assert!(q.satisfied());
         assert_eq!(q.best(), Value::new(9, 9));
-        assert!(q.completed().contains(&ServerId::new(2)));
-    }
-
-    #[test]
-    fn register_quorum_counts_distinct_registers() {
-        let mut q = RegisterQuorumTracker::new(3);
-        q.record(ObjectId::new(0));
-        q.record(ObjectId::new(0));
-        q.record(ObjectId::new(1));
-        assert_eq!(q.acked_count(), 2);
+        assert_eq!(
+            q.completed().collect::<Vec<_>>(),
+            vec![ServerId::new(0), ServerId::new(2)]
+        );
+        q.reset();
+        assert_eq!((q.completed_count(), q.best()), (0, Value::INITIAL));
         assert!(!q.satisfied());
-        q.record(ObjectId::new(2));
-        assert!(q.satisfied());
-        assert!(q.acked().contains(&ObjectId::new(2)));
     }
 
     #[test]
@@ -217,7 +224,7 @@ mod tests {
             (ServerId::new(1), vec![ObjectId::new(2)]),
             (ServerId::new(2), vec![]),
         ];
-        let mut scan = ScanTracker::new(2, groups);
+        let mut scan = ScanTracker::new(2, &groups);
         // The empty server counts immediately.
         assert_eq!(scan.completed_count(), 1);
         assert!(!scan.satisfied());
@@ -236,8 +243,31 @@ mod tests {
     }
 
     #[test]
+    fn restart_forgets_registers_of_servers_that_never_answered() {
+        let first = vec![
+            (ServerId::new(0), vec![ObjectId::new(0)]),
+            (ServerId::new(1), vec![ObjectId::new(1)]),
+        ];
+        let mut scan = ScanTracker::new(1, &first);
+        scan.record(ServerId::new(0), ObjectId::new(0), Value::new(4, 4));
+        assert!(scan.satisfied());
+        // Server 1 never answered; the next scan no longer holds object 1.
+        let second = vec![
+            (ServerId::new(0), vec![ObjectId::new(0)]),
+            (ServerId::new(1), vec![ObjectId::new(2)]),
+        ];
+        scan.restart(&second);
+        assert_eq!((scan.completed_count(), scan.best()), (0, Value::INITIAL));
+        scan.record(ServerId::new(1), ObjectId::new(1), Value::new(1, 1));
+        assert_eq!(scan.completed_count(), 0, "a leftover register counted");
+        scan.record(ServerId::new(1), ObjectId::new(2), Value::new(2, 2));
+        assert!(scan.satisfied());
+        assert_eq!(scan.read_set().len(), 2);
+    }
+
+    #[test]
     fn zero_threshold_is_immediately_satisfied() {
-        let scan = ScanTracker::new(0, Vec::<(ServerId, Vec<ObjectId>)>::new());
+        let scan = ScanTracker::new(0, &[]);
         assert!(scan.satisfied());
         let q = ServerQuorumTracker::new(0);
         assert!(q.satisfied());

@@ -89,7 +89,6 @@ enum Phase {
     /// Running `collect()` on behalf of `op`.
     Collecting {
         op: HighOp,
-        scan: ScanTracker,
     },
     /// A write has triggered its low-level writes and waits for
     /// `|R_j| - f` acknowledgements.
@@ -110,18 +109,26 @@ pub struct SpaceOptimalClient {
 
     /// `tsVal` — the timestamped value of this writer's latest write.
     ts_val: Value,
-    /// `wrSet` — registers of `R_j` whose most recent low-level write by this
-    /// client has been acknowledged. Initially all of `R_j` (nothing pending).
-    wr_set: BTreeSet<ObjectId>,
-    /// `coverSet` — registers of `R_j` still covered by one of this client's
-    /// earlier low-level writes; the client must not write to them again
-    /// until that write responds.
-    cover_set: BTreeSet<ObjectId>,
+    /// `wrSet` as flags over the slots of `R_j`: the registers whose most
+    /// recent low-level write by this client has been acknowledged.
+    /// Initially all of `R_j` (nothing pending).
+    wr_set: Vec<bool>,
+    /// `|wrSet|`.
+    wr_count: usize,
+    /// `coverSet` as flags over the slots of `R_j`: registers still covered
+    /// by one of this client's earlier low-level writes; the client must not
+    /// write to them again until that write responds.
+    cover_set: Vec<bool>,
 
-    /// Low-level reads belonging to the current `collect()`.
-    read_ops: BTreeMap<OpId, ObjectId>,
-    /// Low-level writes (across high-level operations) awaiting a response.
-    write_ops: BTreeMap<OpId, ObjectId>,
+    /// The current `collect()`: its scan, the id of its first low-level read
+    /// (one read per register, triggered back to back in scan order, so the
+    /// ids are contiguous) and which of those reads are still unanswered.
+    scan: ScanTracker,
+    read_base: u64,
+    read_live: Vec<bool>,
+    /// Low-level writes (across high-level operations) awaiting a response,
+    /// with the slot in `R_j` each one writes. At most one per register.
+    write_ops: Vec<(OpId, usize)>,
 
     /// **Ablation knob** — extra acknowledgements the writer is allowed to
     /// skip: the write returns after `|R_j| - f - slack` acks instead of
@@ -137,20 +144,17 @@ pub struct SpaceOptimalClient {
 impl SpaceOptimalClient {
     /// Creates the protocol for writer `writer_index` (0-based, `< k`).
     pub fn writer(shared: Arc<SharedLayout>, writer_index: usize) -> Self {
-        let my_set = shared.layout().registers_for_writer(writer_index).to_vec();
-        let wr_set = my_set.iter().copied().collect();
-        SpaceOptimalClient {
-            shared,
-            writer_index: Some(writer_index),
-            my_set,
-            ts_val: Value::INITIAL,
-            wr_set,
-            cover_set: BTreeSet::new(),
-            read_ops: BTreeMap::new(),
-            write_ops: BTreeMap::new(),
-            write_quorum_slack: 0,
-            phase: Phase::Idle,
-        }
+        let mut client = Self::reader(shared);
+        client.writer_index = Some(writer_index);
+        client.my_set = client
+            .shared
+            .layout()
+            .registers_for_writer(writer_index)
+            .to_vec();
+        client.wr_set = vec![true; client.my_set.len()];
+        client.wr_count = client.my_set.len();
+        client.cover_set = vec![false; client.my_set.len()];
+        client
     }
 
     /// **For ablation studies only.** Returns a writer that waits for `slack`
@@ -170,15 +174,19 @@ impl SpaceOptimalClient {
 
     /// Creates the protocol for a read-only client.
     pub fn reader(shared: Arc<SharedLayout>) -> Self {
+        let scan = ScanTracker::new(shared.params().n - shared.params().f, shared.scan_groups());
         SpaceOptimalClient {
             shared,
             writer_index: None,
             my_set: Vec::new(),
             ts_val: Value::INITIAL,
-            wr_set: BTreeSet::new(),
-            cover_set: BTreeSet::new(),
-            read_ops: BTreeMap::new(),
-            write_ops: BTreeMap::new(),
+            wr_set: Vec::new(),
+            wr_count: 0,
+            cover_set: Vec::new(),
+            scan,
+            read_base: 0,
+            read_live: Vec::new(),
+            write_ops: Vec::new(),
             write_quorum_slack: 0,
             phase: Phase::Idle,
         }
@@ -186,12 +194,13 @@ impl SpaceOptimalClient {
 
     /// The registers currently covered by this client's own pending writes —
     /// at most `f` of them once a write completes (Observation 3).
-    pub fn covered_registers(&self) -> &BTreeSet<ObjectId> {
-        &self.cover_set
-    }
-
-    fn read_quorum_size(&self) -> usize {
-        self.shared.params().n - self.shared.params().f
+    pub fn covered_registers(&self) -> BTreeSet<ObjectId> {
+        self.my_set
+            .iter()
+            .zip(&self.cover_set)
+            .filter(|(_, covered)| **covered)
+            .map(|(b, _)| *b)
+            .collect()
     }
 
     fn write_quorum_size(&self) -> usize {
@@ -201,32 +210,32 @@ impl SpaceOptimalClient {
     /// Lines 20–24: trigger a read on every register of the layout and wait
     /// for `n - f` complete per-server scans.
     fn start_collect(&mut self, op: HighOp, ctx: &mut Context<'_>) {
-        let scan = ScanTracker::new(
-            self.read_quorum_size(),
-            self.shared.scan_groups().iter().cloned(),
-        );
-        self.read_ops.clear();
+        self.scan.restart(self.shared.scan_groups());
+        self.read_live.clear();
         for (_, registers) in self.shared.scan_groups() {
             for b in registers {
                 let op_id = ctx.trigger(*b, BaseOp::Read);
-                self.read_ops.insert(op_id, *b);
+                if self.read_live.is_empty() {
+                    self.read_base = op_id.index();
+                }
+                debug_assert_eq!(op_id.index(), self.read_base + self.read_live.len() as u64);
+                self.read_live.push(true);
             }
         }
-        self.phase = Phase::Collecting { op, scan };
+        self.phase = Phase::Collecting { op };
         // Degenerate layouts (or a threshold of zero) may already be
         // satisfied; handle the transition immediately.
         self.maybe_finish_collect(ctx);
     }
 
     fn maybe_finish_collect(&mut self, ctx: &mut Context<'_>) {
-        let Phase::Collecting { op, scan } = &self.phase else {
+        let Phase::Collecting { op } = self.phase else {
             return;
         };
-        if !scan.satisfied() {
+        if !self.scan.satisfied() {
             return;
         }
-        let op = *op;
-        let best = scan.best();
+        let best = self.scan.best();
         match op {
             HighOp::Read => {
                 self.phase = Phase::Idle;
@@ -241,19 +250,15 @@ impl SpaceOptimalClient {
                 // Lines 6–7: registers that never acknowledged the previous
                 // write remain covered; start the new round with an empty
                 // acknowledgement set.
-                self.cover_set = self
-                    .my_set
-                    .iter()
-                    .copied()
-                    .filter(|b| !self.wr_set.contains(b))
-                    .collect();
-                self.wr_set.clear();
+                for (covered, acked) in self.cover_set.iter_mut().zip(&mut self.wr_set) {
+                    *covered = !std::mem::take(acked);
+                }
+                self.wr_count = 0;
                 // Lines 8–10: write to every register of R_j that is not
                 // covered by one of our own pending writes.
-                for b in self.my_set.clone() {
-                    if !self.cover_set.contains(&b) {
-                        let op_id = ctx.trigger(b, BaseOp::Write(self.ts_val));
-                        self.write_ops.insert(op_id, b);
+                for slot in 0..self.my_set.len() {
+                    if !self.cover_set[slot] {
+                        self.trigger_write(slot, ctx);
                     }
                 }
                 self.phase = Phase::Writing;
@@ -267,7 +272,7 @@ impl SpaceOptimalClient {
         if !matches!(self.phase, Phase::Writing) {
             return;
         }
-        if self.wr_set.len() >= self.write_quorum_size() {
+        if self.wr_count >= self.write_quorum_size() {
             self.phase = Phase::Idle;
             ctx.complete(HighResponse::WriteAck);
         }
@@ -276,17 +281,29 @@ impl SpaceOptimalClient {
     /// Lines 29–34: handle a low-level write acknowledgement. Active in every
     /// phase — acknowledgements of writes from *previous* high-level
     /// operations can arrive at any time.
-    fn on_write_ack(&mut self, register: ObjectId, ctx: &mut Context<'_>) {
-        if self.cover_set.remove(&register) {
+    fn on_write_ack(&mut self, slot: usize, ctx: &mut Context<'_>) {
+        if std::mem::take(&mut self.cover_set[slot]) {
             // The old covering write finally landed; immediately refresh the
             // register with our current value (it stays covered by the new
             // write until that one responds).
-            let op_id = ctx.trigger(register, BaseOp::Write(self.ts_val));
-            self.write_ops.insert(op_id, register);
+            self.trigger_write(slot, ctx);
         } else {
-            self.wr_set.insert(register);
+            if !std::mem::replace(&mut self.wr_set[slot], true) {
+                self.wr_count += 1;
+            }
             self.maybe_finish_write(ctx);
         }
+    }
+
+    /// Writes `tsVal` to slot `slot` of `R_j`, which has no write of this
+    /// client pending.
+    fn trigger_write(&mut self, slot: usize, ctx: &mut Context<'_>) {
+        let op_id = ctx.trigger(self.my_set[slot], BaseOp::Write(self.ts_val));
+        self.write_ops.push((op_id, slot));
+        debug_assert!(
+            self.write_ops.len() <= self.my_set.len(),
+            "two own writes pending on one register"
+        );
     }
 }
 
@@ -303,17 +320,29 @@ impl ClientProtocol for SpaceOptimalClient {
     fn on_response(&mut self, delivery: Delivery, ctx: &mut Context<'_>) {
         match delivery.response {
             BaseResponse::ReadValue(value) => {
-                if self.read_ops.remove(&delivery.op_id).is_some() {
-                    if let Phase::Collecting { scan, .. } = &mut self.phase {
-                        scan.record(delivery.server, delivery.object, value);
+                // Responses to reads of an earlier collect fall outside the
+                // current id range (or were answered) and are ignored.
+                let live = delivery
+                    .op_id
+                    .index()
+                    .checked_sub(self.read_base)
+                    .and_then(|i| self.read_live.get_mut(usize::try_from(i).ok()?));
+                if let Some(live @ true) = live {
+                    *live = false;
+                    if matches!(self.phase, Phase::Collecting { .. }) {
+                        self.scan.record(delivery.server, delivery.object, value);
                         self.maybe_finish_collect(ctx);
                     }
-                    // Stale responses from an earlier collect are ignored.
                 }
             }
             BaseResponse::WriteAck => {
-                if let Some(register) = self.write_ops.remove(&delivery.op_id) {
-                    self.on_write_ack(register, ctx);
+                let at = self
+                    .write_ops
+                    .iter()
+                    .position(|(id, _)| *id == delivery.op_id);
+                if let Some(at) = at {
+                    let (_, slot) = self.write_ops.swap_remove(at);
+                    self.on_write_ack(slot, ctx);
                 }
             }
             _ => {}

@@ -48,16 +48,24 @@ pub struct Context<'a> {
 }
 
 impl<'a> Context<'a> {
-    /// Creates a context for `client` at logical time `time`.
+    /// Creates a context for `client` at logical time `time` that collects
+    /// triggers into `triggers` (cleared first, so a caller can hand back
+    /// the buffer of an earlier callback and keep its capacity).
     ///
     /// This is called by the simulation engine; protocol code only consumes
     /// contexts.
-    pub(crate) fn new(client: ClientId, time: Time, next_op_id: &'a mut u64) -> Self {
+    pub(crate) fn new(
+        client: ClientId,
+        time: Time,
+        next_op_id: &'a mut u64,
+        mut triggers: Vec<(OpId, ObjectId, BaseOp)>,
+    ) -> Self {
+        triggers.clear();
         Context {
             client,
             time,
             next_op_id,
-            triggers: Vec::new(),
+            triggers,
             completion: None,
         }
     }
@@ -159,7 +167,7 @@ mod tests {
     #[test]
     fn context_assigns_increasing_op_ids() {
         let mut next = 5;
-        let mut ctx = Context::new(ClientId::new(1), 10, &mut next);
+        let mut ctx = Context::new(ClientId::new(1), 10, &mut next, Vec::new());
         let a = ctx.trigger(ObjectId::new(0), BaseOp::Read);
         let b = ctx.trigger(ObjectId::new(1), BaseOp::Write(Value::new(1, 1)));
         assert_eq!(a, OpId::new(5));
@@ -175,7 +183,7 @@ mod tests {
     #[test]
     fn context_records_completion() {
         let mut next = 0;
-        let mut ctx = Context::new(ClientId::new(0), 0, &mut next);
+        let mut ctx = Context::new(ClientId::new(0), 0, &mut next, Vec::new());
         assert!(!ctx.has_completed());
         ctx.complete(HighResponse::WriteAck);
         assert!(ctx.has_completed());
@@ -187,7 +195,7 @@ mod tests {
     #[should_panic(expected = "twice")]
     fn double_completion_panics() {
         let mut next = 0;
-        let mut ctx = Context::new(ClientId::new(0), 0, &mut next);
+        let mut ctx = Context::new(ClientId::new(0), 0, &mut next, Vec::new());
         ctx.complete(HighResponse::WriteAck);
         ctx.complete(HighResponse::ReadValue(1));
     }
@@ -196,7 +204,7 @@ mod tests {
     fn noop_protocol_completes_immediately() {
         let mut p = NoopProtocol;
         let mut next = 0;
-        let mut ctx = Context::new(ClientId::new(0), 0, &mut next);
+        let mut ctx = Context::new(ClientId::new(0), 0, &mut next, Vec::new());
         p.on_invoke(HighOp::Read, &mut ctx);
         let (triggers, completion) = ctx.into_effects();
         assert!(triggers.is_empty());

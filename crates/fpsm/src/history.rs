@@ -24,6 +24,17 @@
 //! [`crate::metrics::RunMetrics`] is a pure function of the run — byte
 //! identical across modes for the same seed. Peak memory is accounted in
 //! O(1) per push ([`History::peak_retained_events`]).
+//!
+//! ## Segmented retention
+//!
+//! The retained events live in fixed-size segments of 1024 events held in
+//! a deque. Growing the log allocates one segment at a time and never moves
+//! an event already recorded (a single growable buffer would copy the whole
+//! log on every doubling, holding old and new buffer at once). Eviction
+//! advances a cursor into the oldest segment and releases a segment once
+//! all of its events are gone; one released segment is kept as a spare, so
+//! a ring that evicts as fast as it records — and `Digest`, which evicts
+//! every event at once — allocates nothing per event.
 
 use crate::event::Event;
 use crate::ids::{ClientId, HighOpId, ObjectId, OpId, Time};
@@ -31,6 +42,66 @@ use crate::op::{HighOp, HighResponse};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+
+/// Events per segment of the retained log.
+const SEGMENT: usize = 1024;
+
+/// The retained suffix of the event stream, in segments of [`SEGMENT`]
+/// events (see the module docs). Every segment but the last is full; the
+/// first `head` events of the front segment are evicted.
+#[derive(Clone, Debug, Default)]
+struct EventLog {
+    segments: VecDeque<Vec<Event>>,
+    head: usize,
+    len: usize,
+    /// An emptied segment, reused by the next push that needs one.
+    spare: Vec<Event>,
+}
+
+impl EventLog {
+    fn push(&mut self, event: Event) {
+        match self.segments.back_mut() {
+            Some(last) if last.len() < SEGMENT => last.push(event),
+            _ => {
+                let mut segment = std::mem::take(&mut self.spare);
+                segment.reserve_exact(SEGMENT);
+                segment.push(event);
+                self.segments.push_back(segment);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Evicts the oldest events until at most `keep` remain, releasing the
+    /// segments they emptied; returns how many were evicted.
+    fn evict_to(&mut self, keep: usize) -> usize {
+        let evicted = self.len.saturating_sub(keep);
+        self.len -= evicted;
+        self.head += evicted;
+        while let Some(front) = self.segments.front() {
+            if self.head < front.len() {
+                break;
+            }
+            self.head -= front.len();
+            let mut segment = self.segments.pop_front().expect("front exists");
+            if self.spare.capacity() == 0 {
+                segment.clear();
+                self.spare = segment;
+            }
+        }
+        evicted
+    }
+
+    /// The retained events from the `start`-th on (`start <= len`).
+    fn iter_from(&self, start: usize) -> impl Iterator<Item = &Event> + '_ {
+        let at = self.head + start;
+        let offset = at % SEGMENT;
+        self.segments
+            .range(at / SEGMENT..)
+            .enumerate()
+            .flat_map(move |(i, segment)| segment[if i == 0 { offset } else { 0 }..].iter())
+    }
+}
 
 /// How much of the raw event stream a [`History`] retains.
 ///
@@ -173,9 +244,9 @@ impl IndexBitSet {
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct History {
     mode: RecordingMode,
-    /// The retained suffix of the event stream; slot 0 holds the event with
+    /// The retained suffix of the event stream; its first event has
     /// sequence number `dropped`.
-    events: VecDeque<Event>,
+    events: EventLog,
     /// Events recorded but no longer retained (evicted from the ring, or
     /// never stored in `Digest` mode).
     dropped: u64,
@@ -210,8 +281,10 @@ pub struct History {
     written: IndexBitSet,
     trigger_count: u64,
     respond_count: u64,
-    /// Clients with a high-level operation currently in progress.
-    open_clients: BTreeSet<ClientId>,
+    /// Flags, by client index, of clients with a high-level operation
+    /// currently in progress, and how many are set.
+    open_clients: Vec<bool>,
+    open_count: usize,
     max_contention: usize,
 }
 
@@ -250,10 +323,7 @@ impl History {
             RecordingMode::Digest => 0,
             RecordingMode::Ring(cap) => cap,
         };
-        while self.events.len() > keep {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
+        self.dropped += self.events.evict_to(keep) as u64;
     }
 
     /// Appends an event: updates the digests (in every mode), then retains
@@ -288,8 +358,13 @@ impl History {
                         self.invoked_reads += 1;
                     }
                 }
-                self.open_clients.insert(client);
-                self.max_contention = self.max_contention.max(self.open_clients.len());
+                if self.open_clients.len() <= client.index() {
+                    self.open_clients.resize(client.index() + 1, false);
+                }
+                if !std::mem::replace(&mut self.open_clients[client.index()], true) {
+                    self.open_count += 1;
+                }
+                self.max_contention = self.max_contention.max(self.open_count);
             }
             Event::Return {
                 time,
@@ -303,7 +378,9 @@ impl History {
                     }
                     interval.returned = Some((time, response));
                 }
-                self.open_clients.remove(&client);
+                if let Some(open) = self.open_clients.get_mut(client.index()) {
+                    self.open_count -= usize::from(std::mem::take(open));
+                }
             }
             Event::Trigger { object, op, .. } => {
                 self.trigger_count += 1;
@@ -321,16 +398,16 @@ impl History {
         // The retention policy lives in `apply_retention` alone; pushing
         // then evicting keeps the two call sites (per-event and
         // mode-switch) impossible to desynchronize.
-        self.events.push_back(event);
+        self.events.push(event);
         self.apply_retention();
-        self.peak_retained = self.peak_retained.max(self.events.len());
+        self.peak_retained = self.peak_retained.max(self.events.len);
     }
 
     /// The retained events, in the order they occurred. In
     /// [`RecordingMode::Full`] this is the complete run; in the bounded
     /// modes it is the current window (empty under `Digest`).
     pub fn events(&self) -> impl Iterator<Item = &Event> + '_ {
-        self.events.iter()
+        self.events.iter_from(0)
     }
 
     /// The events with sequence numbers `seq..total_events()`, or `None` if
@@ -347,18 +424,18 @@ impl History {
         }
         let start = usize::try_from(seq - self.dropped)
             .ok()?
-            .min(self.events.len());
-        Some(self.events.range(start..))
+            .min(self.events.len);
+        Some(self.events.iter_from(start))
     }
 
     /// Total number of events recorded over the run so far, retained or not.
     pub fn total_events(&self) -> u64 {
-        self.dropped + self.events.len() as u64
+        self.dropped + self.events.len as u64
     }
 
     /// Number of events currently retained.
     pub fn retained_events(&self) -> usize {
-        self.events.len()
+        self.events.len
     }
 
     /// Number of events recorded but no longer retained.
@@ -491,7 +568,7 @@ impl History {
     /// bounded modes use [`crate::sim::Simulation::pending_snapshot`].
     pub fn pending_low_level(&self) -> BTreeSet<OpId> {
         let mut pending = BTreeSet::new();
-        for e in &self.events {
+        for e in self.events() {
             match e {
                 Event::Trigger { op_id, .. } => {
                     pending.insert(*op_id);

@@ -11,7 +11,9 @@
 //!   (see the `regemu-serve` crate) drives a single one against remote
 //!   servers. Both call the same two entry points, [`ClientNode::on_invoke`]
 //!   and [`ClientNode::on_delivery`], and receive the protocol's effects as a
-//!   [`ClientEffects`] value to dispatch however they like.
+//!   [`ClientEffects`] value to dispatch however they like, then hand its
+//!   trigger buffer back with [`ClientNode::recycle`] so the next callback
+//!   reuses it.
 //! * [`ServerNode`] — the base objects the placement `δ` maps to one server,
 //!   with global-to-local object-id translation and an [`ServerNode::apply`]
 //!   step that realizes Assumption 1 (a low-level operation linearizes when
@@ -62,6 +64,9 @@ pub struct ClientNode {
     crashed: bool,
     /// High-level operation currently in progress, if any.
     current: Option<(HighOpId, HighOp)>,
+    /// Trigger buffer handed back through [`ClientNode::recycle`], reused by
+    /// the next callback.
+    spare: Vec<(OpId, ObjectId, BaseOp)>,
 }
 
 impl ClientNode {
@@ -72,6 +77,7 @@ impl ClientNode {
             protocol,
             crashed: false,
             current: None,
+            spare: Vec::new(),
         }
     }
 
@@ -126,7 +132,12 @@ impl ClientNode {
             self.client
         );
         self.current = Some((high_op, op));
-        let mut ctx = Context::new(self.client, time, next_op_id);
+        let mut ctx = Context::new(
+            self.client,
+            time,
+            next_op_id,
+            std::mem::take(&mut self.spare),
+        );
         self.protocol.on_invoke(op, &mut ctx);
         let (triggers, completion) = ctx.into_effects();
         ClientEffects {
@@ -144,13 +155,25 @@ impl ClientNode {
         next_op_id: &mut u64,
     ) -> ClientEffects {
         debug_assert!(!self.crashed, "delivery to crashed client {}", self.client);
-        let mut ctx = Context::new(self.client, time, next_op_id);
+        let mut ctx = Context::new(
+            self.client,
+            time,
+            next_op_id,
+            std::mem::take(&mut self.spare),
+        );
         self.protocol.on_response(delivery, &mut ctx);
         let (triggers, completion) = ctx.into_effects();
         ClientEffects {
             triggers,
             completion,
         }
+    }
+
+    /// Hands back the trigger buffer of an earlier [`ClientEffects`] once
+    /// its triggers are dispatched; the next callback fills it instead of
+    /// allocating a new one. Hosts that never call this just allocate.
+    pub fn recycle(&mut self, triggers: Vec<(OpId, ObjectId, BaseOp)>) {
+        self.spare = triggers;
     }
 
     /// Retires the current high-level operation, which the protocol completed

@@ -741,7 +741,7 @@ impl Simulation {
             triggers,
             completion,
         } = effects;
-        for (op_id, object, op) in triggers {
+        for &(op_id, object, op) in &triggers {
             let server = self.topology.server_of(object);
             debug_assert!(
                 self.topology.kind_of(object).supports(&op),
@@ -771,6 +771,7 @@ impl Simulation {
             self.pending.insert(pending);
             self.note_pending_inserted(&pending);
         }
+        self.clients[client.index()].recycle(triggers);
         if let Some(response) = completion {
             let (high_id, _op) = self.clients[client.index()].finish(response);
             self.time += 1;

@@ -80,6 +80,9 @@ pub struct LiveClient {
     /// outlive the operation that read them and are never dropped: a lost
     /// write acknowledgement would leave its register covered forever.
     replies: VecDeque<WireMsg>,
+    /// One server's requests of the round being dispatched; kept across
+    /// rounds for its capacity.
+    group: Vec<WireMsg>,
     /// The server `run_op` polls next. It persists across operations so
     /// every server is read in turn, not only the ones a quorum needed.
     next_poll: usize,
@@ -116,6 +119,7 @@ impl LiveClient {
             transports,
             in_flight: HashMap::new(),
             replies: VecDeque::new(),
+            group: Vec::new(),
             next_poll: 0,
             next_op_id: 0,
             next_high_id: 0,
@@ -300,16 +304,18 @@ impl LiveClient {
         }
         for server in 0..self.transports.len() {
             // This server's requests, in trigger order.
-            let group: Vec<WireMsg> = triggers
-                .iter()
-                .filter(|(_, object, _)| self.topology.server_of(*object).index() == server)
-                .map(|&(op_id, object, op)| WireMsg::Request {
-                    op_id: op_id.index(),
-                    object: object.index() as u64,
-                    op,
-                })
-                .collect();
-            for chunk in group.chunks(MAX_BATCH) {
+            self.group.clear();
+            self.group.extend(
+                triggers
+                    .iter()
+                    .filter(|(_, object, _)| self.topology.server_of(*object).index() == server)
+                    .map(|&(op_id, object, op)| WireMsg::Request {
+                        op_id: op_id.index(),
+                        object: object.index() as u64,
+                        op,
+                    }),
+            );
+            for chunk in self.group.chunks(MAX_BATCH) {
                 // A lone request travels as itself, so one-object-per-server
                 // rounds (ABD's) are unchanged on the wire.
                 let frame = match chunk {
@@ -323,6 +329,7 @@ impl LiveClient {
                 }
             }
         }
+        self.node.recycle(triggers);
         if let Some(response) = effects.completion {
             let (high, _op) = self.node.finish(response);
             if let Some((recorder, client)) = &self.recorder {
