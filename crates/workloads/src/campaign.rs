@@ -16,6 +16,13 @@
 //! parser and the merge ([`merge_shards`]). Frontier campaigns
 //! ([`crate::frontier`]) ride on it unchanged.
 //!
+//! A shard worker expands the case space once and runs its slice on one
+//! work-stealing pool, the one [`crate::sweep::run_sweep`] uses. Its
+//! `.progress` file and heartbeat are published first at `0/total`, then
+//! at most once per [`crate::status::HEARTBEAT_PACE`] (250 ms) by
+//! whichever worker thread finishes a case after the deadline, and last at
+//! `total/total` before the shard report is written.
+//!
 //! ## Determinism
 //!
 //! Every sweep case is a self-contained [`crate::Scenario`] value; a shard
@@ -50,11 +57,12 @@ pub use crate::engine::{
 use crate::json::{Json, JsonParser};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
-use crate::sweep::{run_sweep_range, CaseResult, EmulationKind, SweepConfig, WorkloadSpec};
+use crate::sweep::{run_cases, CaseResult, EmulationKind, SweepConfig, WorkloadSpec};
 use regemu_bounds::{parse_point, Params};
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// A sweep campaign's manifest: the engine's [`Manifest`] in the
 /// [`Dialect::Sweep`] dialect (`manifest.txt`).
@@ -314,18 +322,18 @@ pub fn load_config(spool: &Path) -> Result<SweepConfig, CampaignError> {
 // Worker
 // --------------------------------------------------------------------------
 
-/// Number of cases a worker runs between progress-file updates.
-const PROGRESS_CHUNK: usize = 8;
-
 /// Runs one shard of the campaign in `spool`: what `campaign worker` does
 /// on a sweep spool, also called in-process by [`run_campaign`] when no
 /// worker binary is configured.
 ///
 /// Reads the config and manifest from the spool, runs the shard's case
-/// range with `threads` sweep threads (`0` = one per core), streams `done
-/// total` counts into the shard's progress file, and atomically publishes
-/// the shard report. Re-running a shard simply overwrites its report with
-/// identical bytes — shards are pure functions of `(config, range)`.
+/// range on one pool of `threads` sweep threads (`0` = one per core),
+/// publishes `done total` counts into the shard's progress file and
+/// heartbeat (`0` first, then at most one per
+/// [`crate::status::HEARTBEAT_PACE`], `total` last), and atomically
+/// publishes the shard report. Re-running a shard simply overwrites its
+/// report with identical bytes — shards are pure functions of `(config,
+/// range)`.
 ///
 /// # Errors
 ///
@@ -346,24 +354,32 @@ pub fn run_shard(spool: &Path, shard: usize, threads: usize) -> Result<ShardRang
         .get(shard)
         .ok_or(CampaignError::UnknownShard(shard))?;
     let range = entry.range;
+    let cases = config.cases();
+    let cases = cases.get(range.start..range.end).ok_or_else(|| {
+        malformed(
+            &Dialect::Sweep.manifest_path(spool),
+            format!("shard {shard} lies outside the case space"),
+        )
+    })?;
 
-    let mut results: Vec<CaseResult> = Vec::with_capacity(range.len());
     // Progress files and heartbeats are advisory: a failed write must not
     // fail the shard. The writer warns once per shard and counts failures
     // into the heartbeat so the dashboard can surface a sick spool disk.
+    // A worker that finds the writer busy skips its paced publish rather
+    // than wait on another worker's file write.
+    let total = range.len() as u64;
     let mut beat =
         crate::status::HeartbeatWriter::new(spool, shard, Dialect::Sweep, entry.attempts);
-    beat.publish(0, range.len() as u64);
-    let mut at = range.start;
-    while at < range.end {
-        let to = (at + PROGRESS_CHUNK).min(range.end);
-        let chunk = run_sweep_range(&config, at, to);
-        results.extend(chunk.results().iter().cloned());
-        at = to;
-        beat.publish((at - range.start) as u64, range.len() as u64);
-    }
-
-    let report = crate::sweep::SweepReport::from_results(results);
+    beat.publish(0, total);
+    let beat = Mutex::new(beat);
+    let report = run_cases(&config, cases, |done| {
+        if let Ok(mut beat) = beat.try_lock() {
+            beat.publish_paced(done as u64, total);
+        }
+    });
+    beat.into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .publish(total, total);
     write_atomically(&shard_report_path(spool, shard), &report.to_json())?;
     Ok(range)
 }
@@ -653,6 +669,23 @@ mod tests {
         assert_eq!(rebuilt, report);
         assert_eq!(rebuilt.to_json(), json);
         assert_eq!(rebuilt.to_csv(), report.to_csv());
+    }
+
+    #[test]
+    fn multi_threaded_shards_end_on_a_full_heartbeat() {
+        let dir = tmp_dir("heartbeat");
+        let manifest = init_spool(&dir, &SweepConfig::quick(), 2).unwrap();
+        for entry in &manifest.shards {
+            let n = entry.range.len();
+            assert_eq!(run_shard(&dir, entry.range.index, 3).unwrap(), entry.range);
+            let progress = fs::read_to_string(shard_progress_path(&dir, entry.range.index));
+            assert_eq!(progress.unwrap(), format!("{n} {n}\n"));
+            let beat = crate::status::ShardHeartbeat::load(&dir, entry.range.index)
+                .unwrap()
+                .expect("the shard published a heartbeat");
+            assert_eq!((beat.done, beat.total), (n as u64, n as u64));
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -53,6 +53,7 @@ impl Json {
 }
 
 pub(crate) struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -60,6 +61,7 @@ pub(crate) struct JsonParser<'a> {
 impl<'a> JsonParser<'a> {
     pub(crate) fn new(text: &'a str) -> Self {
         JsonParser {
+            text,
             bytes: text.as_bytes(),
             at: 0,
         }
@@ -168,62 +170,47 @@ impl<'a> JsonParser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash in one go. Both
+            // are ASCII, so they never sit inside a multi-byte character and
+            // every run is whole UTF-8 of the input `&str`.
+            let run = self.bytes[self.at..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string".to_string())?;
+            out.push_str(
+                self.text
+                    .get(self.at..self.at + run)
+                    .ok_or("string splits a UTF-8 sequence".to_string())?,
+            );
+            self.at += run + 1;
+            if self.bytes[self.at - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.at)
-                .ok_or("unterminated string".to_string())?;
+                .ok_or("unterminated escape".to_string())?;
             self.at += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(self.at)
-                        .ok_or("unterminated escape".to_string())?;
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .ok_or("truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.at += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or(format!("invalid code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{}", char::from(other))),
-                    }
+                        .get(self.at..self.at + 4)
+                        .ok_or("truncated \\u escape".to_string())?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                    self.at += 4;
+                    out.push(char::from_u32(code).ok_or(format!("invalid code point {code:#x}"))?);
                 }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let start = self.at - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence".to_string())?;
-                    out.push_str(
-                        std::str::from_utf8(chunk).map_err(|e| format!("bad UTF-8: {e}"))?,
-                    );
-                    self.at = start + len;
-                }
+                other => return Err(format!("unknown escape \\{}", char::from(other))),
             }
         }
     }
@@ -252,6 +239,64 @@ impl<'a> JsonParser<'a> {
             text.parse()
                 .map(Json::Num)
                 .map_err(|_| format!("bad number {text:?}"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::campaign::report_cases_from_json;
+    use crate::sweep::{run_sweep, SweepConfig, SweepReport};
+    use std::path::Path;
+
+    /// Strings that break the parser's copied runs (quotes, backslashes,
+    /// escaped control characters) or carry multi-byte UTF-8 of every
+    /// width.
+    const AWKWARD: [&str; 6] = [
+        "say \"hi\"",
+        "back\\slash",
+        "line\nbreak\ttab",
+        "bell \u{1} ring",
+        "é → 🦀",
+        "",
+    ];
+
+    fn one_row_report(violation: &str, error: &str) -> SweepReport {
+        let mut config = SweepConfig::quick();
+        config.grid.truncate(1);
+        config.emulations.truncate(1);
+        config.workloads.truncate(1);
+        config.threads = 1;
+        let mut results = run_sweep(&config).results().to_vec();
+        assert_eq!(results.len(), 1);
+        results[0].violation = Some(violation.to_string());
+        results[0].error = Some(error.to_string());
+        SweepReport::from_results(results)
+    }
+
+    #[test]
+    fn awkward_strings_round_trip_byte_for_byte() {
+        let all = AWKWARD.concat();
+        for text in AWKWARD.iter().copied().chain([all.as_str()]) {
+            let reversed: String = text.chars().rev().collect();
+            let json = one_row_report(text, &reversed).to_json();
+            let parsed = report_cases_from_json(&json, Path::new("test")).unwrap();
+            assert_eq!(parsed[0].violation.as_deref(), Some(text));
+            assert_eq!(parsed[0].error.as_deref(), Some(reversed.as_str()));
+            assert_eq!(SweepReport::from_results(parsed).to_json(), json);
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_report_is_an_error() {
+        let all = AWKWARD.concat();
+        let json = one_row_report(&all, &all).to_json();
+        let end = json.trim_end().len();
+        for cut in (0..end).filter(|&cut| json.is_char_boundary(cut)) {
+            assert!(
+                report_cases_from_json(&json[..cut], Path::new("test")).is_err(),
+                "a report cut at byte {cut} of {end} parsed"
+            );
         }
     }
 }

@@ -102,8 +102,7 @@ pub use status::{
     ShardHealth, ShardHeartbeat, ShardStatusView, SpoolKind,
 };
 pub use sweep::{
-    run_sweep, run_sweep_range, CaseResult, EmulationKind, SweepCase, SweepConfig, SweepReport,
-    WorkloadSpec,
+    run_sweep, CaseResult, EmulationKind, SweepCase, SweepConfig, SweepReport, WorkloadSpec,
 };
 pub use table::{small_sweep, standard_sweep, TextTable};
 
@@ -132,8 +131,7 @@ pub mod prelude {
         ShardHealth, ShardHeartbeat, ShardStatusView, SpoolKind,
     };
     pub use crate::sweep::{
-        run_sweep, run_sweep_range, CaseResult, EmulationKind, SweepCase, SweepConfig, SweepReport,
-        WorkloadSpec,
+        run_sweep, CaseResult, EmulationKind, SweepCase, SweepConfig, SweepReport, WorkloadSpec,
     };
     pub use crate::table::{small_sweep, standard_sweep, TextTable};
 }

@@ -4,7 +4,10 @@
 //! Campaign workers (sweep, frontier, fuzz) publish a small, versioned
 //! `stats-NNNN.json` *heartbeat* next to each shard's `.progress` file:
 //! case throughput, retries consumed, fuzz corpus growth, and a wallclock
-//! last-update stamp. Heartbeats are **advisory** artifacts for humans and
+//! last-update stamp. A sweep shard publishes the pair first at `0/total`,
+//! then at most once per [`HEARTBEAT_PACE`] (250 ms) while its cases run,
+//! and last at `total/total` before its report; a fuzz shard publishes
+//! once per stream. Heartbeats are **advisory** artifacts for humans and
 //! dashboards — they are written with the same temp-file-plus-rename
 //! discipline as reports, but they are *never* read by the deterministic
 //! merge, so the wallclock stamps inside them cannot perturb campaign
@@ -23,10 +26,15 @@ use crate::frontier::FrontierConfig;
 use crate::json::{Json, JsonParser};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Version tag of the on-disk heartbeat format.
 pub const HEARTBEAT_VERSION: u32 = 1;
+
+/// Least time between two paced heartbeats
+/// ([`HeartbeatWriter::publish_paced`]): a quarter of the dashboard's
+/// default 1 s poll.
+pub const HEARTBEAT_PACE: Duration = Duration::from_millis(250);
 
 /// Path of a shard's heartbeat file inside a spool directory.
 pub fn stats_path(spool: &Path, shard: usize) -> PathBuf {
@@ -191,6 +199,8 @@ pub struct HeartbeatWriter {
     dialect: Dialect,
     retries: u64,
     started: Instant,
+    last_publish: Instant,
+    published: u64,
     write_failures: u64,
     warned: bool,
     generation: Option<u64>,
@@ -208,6 +218,8 @@ impl HeartbeatWriter {
             dialect,
             retries: u64::from(attempts),
             started: Instant::now(),
+            last_publish: Instant::now(),
+            published: 0,
             write_failures: 0,
             warned: false,
             generation: None,
@@ -238,6 +250,8 @@ impl HeartbeatWriter {
     /// Publishes the current pass state: the heartbeat and, in the sweep
     /// dialect, the shard's `done total` progress counter.
     pub fn publish(&mut self, done: u64, total: u64) {
+        self.published = done;
+        self.last_publish = Instant::now();
         if self.dialect == Dialect::Sweep {
             let path = shard_progress_path(&self.spool, self.shard);
             if let Err(e) = fs::write(&path, format!("{done} {total}\n")) {
@@ -266,6 +280,15 @@ impl HeartbeatWriter {
         let path = stats_path(&self.spool, self.shard);
         if let Err(e) = write_atomically(&path, &heartbeat.to_json()) {
             self.note_failure("heartbeat", &e);
+        }
+    }
+
+    /// Publishes like [`Self::publish`], but only when [`HEARTBEAT_PACE`]
+    /// has passed since the last publish and `done` exceeds the count it
+    /// published.
+    pub fn publish_paced(&mut self, done: u64, total: u64) {
+        if done > self.published && self.last_publish.elapsed() >= HEARTBEAT_PACE {
+            self.publish(done, total);
         }
     }
 }
@@ -775,6 +798,27 @@ mod tests {
         assert_eq!(done.done_units, done.total_units);
         let text = render_status(&spool, &done);
         assert!(text.contains("COMPLETE"), "{text}");
+        fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn paced_heartbeats_wait_for_the_pace_and_for_new_progress() {
+        let spool = temp_spool("paced");
+        let progress = shard_progress_path(&spool, 0);
+        let mut beat = HeartbeatWriter::new(&spool, 0, Dialect::Sweep, 0);
+        let started = Instant::now();
+        beat.publish(0, 10);
+        fs::remove_file(&progress).unwrap();
+        beat.publish_paced(1, 10);
+        if started.elapsed() < HEARTBEAT_PACE {
+            assert!(!progress.exists(), "published before the pace elapsed");
+        }
+        std::thread::sleep(HEARTBEAT_PACE);
+        beat.publish_paced(0, 10);
+        assert!(!progress.exists(), "published without new progress");
+        beat.publish_paced(2, 10);
+        assert_eq!(fs::read_to_string(&progress).unwrap(), "2 10\n");
+        assert_eq!(ShardHeartbeat::load(&spool, 0).unwrap().unwrap().done, 2);
         fs::remove_dir_all(&spool).ok();
     }
 

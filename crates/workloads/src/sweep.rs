@@ -610,31 +610,24 @@ fn csv_field(s: &str) -> String {
 /// count, including 1.
 pub fn run_sweep(config: &SweepConfig) -> SweepReport {
     let cases = config.cases();
-    run_cases(config, &cases)
+    run_cases(config, &cases, |_| {})
 }
 
-/// Runs a contiguous case-index range of `config`'s case space — one
-/// *shard* of the sweep — over the same worker pool as [`run_sweep`].
-///
-/// The returned report holds the cases of `start..end` (clamped to the case
-/// count), with their global case indices intact: concatenating the reports
-/// of a partition of `0..case_count` in range order reassembles the exact
-/// [`run_sweep`] report. This is the unit of work of the campaign layer
-/// ([`crate::campaign`]).
-pub fn run_sweep_range(config: &SweepConfig, start: usize, end: usize) -> SweepReport {
-    let cases = config.cases();
-    let end = end.min(cases.len());
-    let start = start.min(end);
-    run_cases(config, &cases[start..end])
-}
-
-/// Work-stealing pool shared by [`run_sweep`] and [`run_sweep_range`]: each
-/// case is hermetic, results land in slots indexed by position, so the
-/// output is identical for any worker count.
-fn run_cases(config: &SweepConfig, cases: &[SweepCase]) -> SweepReport {
+/// Work-stealing pool behind [`run_sweep`] and the campaign's shard worker
+/// ([`crate::campaign::run_shard`]): each case is hermetic, results land in
+/// slots indexed by position, so the output is identical for any worker
+/// count. The returned report holds `cases` with their global indices
+/// intact. After each case, the worker that ran it calls `on_done` with the
+/// number of cases finished so far.
+pub(crate) fn run_cases(
+    config: &SweepConfig,
+    cases: &[SweepCase],
+    on_done: impl Fn(usize) + Sync,
+) -> SweepReport {
     let workers = config.worker_count(cases.len());
     let slots: Mutex<Vec<Option<CaseResult>>> = Mutex::new(vec![None; cases.len()]);
     let cursor = AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -645,6 +638,7 @@ fn run_cases(config: &SweepConfig, cases: &[SweepCase]) -> SweepReport {
                 };
                 let result = run_case(case, config);
                 slots.lock().expect("sweep result lock")[i] = Some(result);
+                on_done(done.fetch_add(1, Ordering::Relaxed) + 1);
             });
         }
     });

@@ -51,27 +51,22 @@ fn any_partition_in_any_order_merges_byte_identically() {
     let case_count = config.case_count();
     assert_eq!(case_count, 32);
 
-    for shards in [1, 2, 7, case_count] {
-        for (variant, order) in orders(shards.min(case_count)).into_iter().enumerate() {
-            let dir = spool_dir(&format!("partition-{shards}-{variant}"));
-            let manifest = init_spool(&dir, &config, shards).unwrap();
-            assert_eq!(manifest.shards.len(), shards.min(case_count));
-            assert_eq!(manifest.fingerprint, config_fingerprint(&config));
-            for shard in order {
-                run_shard(&dir, shard, 1).unwrap();
+    for threads in [1, 2, 3] {
+        for shards in [1, 2, 7, case_count] {
+            for (variant, order) in orders(shards.min(case_count)).into_iter().enumerate() {
+                let dir = spool_dir(&format!("partition-{threads}-{shards}-{variant}"));
+                let manifest = init_spool(&dir, &config, shards).unwrap();
+                assert_eq!(manifest.shards.len(), shards.min(case_count));
+                assert_eq!(manifest.fingerprint, config_fingerprint(&config));
+                for shard in order {
+                    run_shard(&dir, shard, threads).unwrap();
+                }
+                let merged = merge_shards(&dir).unwrap();
+                let at = format!("{threads} threads, {shards} shards, order variant {variant}");
+                assert_eq!(merged.to_json(), single.to_json(), "JSON differs at {at}");
+                assert_eq!(merged.to_csv(), single.to_csv(), "CSV differs at {at}");
+                let _ = fs::remove_dir_all(&dir);
             }
-            let merged = merge_shards(&dir).unwrap();
-            assert_eq!(
-                merged.to_json(),
-                single.to_json(),
-                "JSON differs at {shards} shards (order variant {variant})"
-            );
-            assert_eq!(
-                merged.to_csv(),
-                single.to_csv(),
-                "CSV differs at {shards} shards (order variant {variant})"
-            );
-            let _ = fs::remove_dir_all(&dir);
         }
     }
 }
