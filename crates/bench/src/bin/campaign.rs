@@ -1,18 +1,19 @@
 //! `campaign` — every sharded campaign behind one binary: coordinate a
 //! sweep, frontier or fuzz campaign over a spool directory, run one unit
-//! of it as a worker, or watch it.
+//! of it as a worker, or watch it. Without a spool, `sweep` and `frontier`
+//! run in this process on one thread pool.
 //!
 //! ```text
 //! cargo run --release -p regemu-bench --bin campaign -- <SUBCOMMAND> [OPTIONS]
 //!
 //! SUBCOMMANDS:
-//!   sweep     run/resume a sharded parameter sweep          (needs --spool)
+//!   sweep     run/resume a sharded parameter sweep          (--spool optional)
 //!   frontier  map measured space against the paper's bounds (--spool optional)
 //!   fuzz      run/resume a sharded fuzz campaign            (needs --spool)
 //!   worker    run one (shard, round) unit of whatever campaign the spool holds
 //!   status    dashboard over any spool
 //!
-//! POOL OPTIONS (sweep, frontier, fuzz):
+//! POOL OPTIONS (sweep, frontier, fuzz; all but --quiet need --spool):
 //!   --spool DIR         spool directory (manifest, config, unit reports)
 //!   --shards N          shard count for a fresh campaign (default 4;
 //!                       resuming keeps the existing manifest's plan)
@@ -26,11 +27,22 @@
 //!   --quiet             no progress lines
 //!
 //! sweep OPTIONS:
-//!   --worker-threads N  sweep threads per worker (default 1)
+//!   --worker-threads N  sweep threads per worker (default 1; needs --spool)
 //!   --json PATH         merged report as JSON (- for stdout)
 //!   --csv PATH          merged report as CSV (- for stdout)
-//!   --quick --threads --seeds --grid --workload --schedulers --crash-plans
-//!   --crash-f --recording      sweep config for a fresh spool (as sweep_grid)
+//!   --quick             24-case grid (CI smoke) instead of the 96-case default
+//!   --threads N         sweep threads (default: one per CPU core without a
+//!                       spool; the per-worker count with one)
+//!   --seeds a,b,..      scheduler seeds
+//!   --grid k/f/n,..     parameter points
+//!   --workload a,b      workload labels
+//!   --schedulers a,b    scheduler axis (fair, round-robin, delayed,
+//!                       adversary-cover, adversary-silence; or "all")
+//!   --crash-plans a,b   crash-plan axis (none, crash-f; or "all")
+//!   --crash-f           shorthand for --crash-plans crash-f
+//!   --recording a,b     recording-mode axis (full, digest, ring:N)
+//!   Without a spool and without --json/--csv, one summary line per
+//!   emulation goes to stdout.
 //!
 //! frontier OPTIONS:
 //!   --grid k/f/n,..     parameter points (typed rejection of infeasible
@@ -87,7 +99,7 @@
 //! | `status` | always, torn and missing files included | — | usage | — |
 
 use regemu_bench::cli::{
-    accept_fuzz_flag, set_quiet, write_output, ConfigFlags, CONFIG_USAGE, FUZZ_USAGE,
+    accept_fuzz_flag, parse_list, set_quiet, write_output, ConfigFlags, CONFIG_USAGE, FUZZ_USAGE,
 };
 use regemu_bench::info;
 use regemu_core::EmulationKind;
@@ -105,7 +117,8 @@ use regemu_workloads::fuzz::campaign::{
 use regemu_workloads::fuzz::FuzzConfig;
 use regemu_workloads::status::{campaign_status, now_unix_ms, render_status};
 use regemu_workloads::{
-    detect_spool_kind, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepReport, WorkloadSpec,
+    detect_spool_kind, run_sweep, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepReport,
+    WorkloadSpec,
 };
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
@@ -160,25 +173,14 @@ fn number<T: FromStr>(args: &mut Args, flag: &str) -> T {
     parsed(args, flag, |v| v.parse().ok())
 }
 
-/// Parses `a,b,..`, naming the offending item on failure.
-fn items<T>(v: &str, flag: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
-    v.split(',')
-        .map(|s| parse(s.trim()).unwrap_or_else(|| fail(&format!("invalid {flag} item {s:?}"))))
-        .collect()
-}
-
-/// The flag's value as an `a,b,..` list, `all` standing for every value.
-fn list_or_all<T: Copy>(
+/// The flag's value as an `a,b,..` list (see [`parse_list`]).
+fn list<T: Clone>(
     args: &mut Args,
     flag: &str,
-    all: &[T],
-    parse: fn(&str) -> Option<T>,
+    every: &[T],
+    parse: impl Fn(&str) -> Option<T>,
 ) -> Vec<T> {
-    let v = value(args, flag);
-    if v.trim() == "all" {
-        return all.to_vec();
-    }
-    items(&v, flag, parse)
+    parse_list(flag, &value(args, flag), every, parse).unwrap_or_else(|e| fail(&e))
 }
 
 /// The pool flags every coordinator subcommand shares, collected straight
@@ -189,6 +191,8 @@ struct PoolFlags {
     worker_bin: Option<PathBuf>,
     in_process: bool,
     merge_only: bool,
+    /// The first flag seen that only means something with `--spool`.
+    spool_flag: Option<String>,
 }
 
 impl PoolFlags {
@@ -199,6 +203,7 @@ impl PoolFlags {
             worker_bin: None,
             in_process: false,
             merge_only: false,
+            spool_flag: None,
         }
     }
 
@@ -219,7 +224,19 @@ impl PoolFlags {
             }
             _ => return false,
         }
+        if !matches!(arg, "--spool" | "--quiet") {
+            self.spool_flag.get_or_insert_with(|| arg.to_string());
+        }
         true
+    }
+
+    /// The `--spool` directory. Without one there is no pool to shape, so a
+    /// pool flag is a usage error rather than silently ignored.
+    fn spool(&mut self) -> Option<PathBuf> {
+        if let (None, Some(flag)) = (&self.spool, &self.spool_flag) {
+            fail(&format!("{flag} needs --spool"));
+        }
+        self.spool.take()
     }
 
     /// The options for a run over `spool`; spawned workers are this very
@@ -304,14 +321,16 @@ fn sweep(args: &mut Args) {
             continue;
         }
         match arg.as_str() {
-            "--worker-threads" => worker_threads = Some(number(args, &arg)),
+            // The one pool flag only sweep takes.
+            "--worker-threads" => {
+                worker_threads = Some(number(args, &arg));
+                pool.spool_flag.get_or_insert(arg.clone());
+            }
             "--json" => json_out = Some(value(args, &arg)),
             "--csv" => csv_out = Some(value(args, &arg)),
             other => unknown(other),
         }
     }
-    let spool = pool.spool.take().unwrap_or_else(|| required("--spool"));
-
     let emit = |report: &SweepReport| {
         if let Some(path) = &json_out {
             write_output(path, &report.to_json(), "JSON");
@@ -322,6 +341,60 @@ fn sweep(args: &mut Args) {
         if !report.all_consistent() {
             std::process::exit(1);
         }
+    };
+
+    let Some(spool) = pool.spool() else {
+        // Single-process path: one thread pool of --threads threads.
+        let config = flags.into_config().unwrap_or_else(|e| fail(&e));
+        let started = Instant::now();
+        let report = run_sweep(&config);
+        let cases = config.case_count();
+        let consistent = report.results().iter().filter(|r| r.consistent).count();
+        info!(
+            "swept {cases} cases in {:.2?} ({} grid points x {} emulations x {} workloads x \
+             {} schedulers x {} crash plans x {} recordings x {} seeds): {consistent}/{cases} \
+             consistent",
+            started.elapsed(),
+            config.grid.len(),
+            config.emulations.len(),
+            config.workloads.len(),
+            config.schedulers.len(),
+            config.crash_plans.len(),
+            config.recordings.len(),
+            config.seeds.len(),
+        );
+        for failure in report.failures() {
+            let case = &failure.case;
+            let why = failure.error.as_ref().or(failure.violation.as_ref());
+            eprintln!(
+                "  FAIL case {} {} {} {} {} {} seed {}: {}",
+                case.index,
+                case.emulation,
+                case.params,
+                case.workload,
+                case.scheduler,
+                case.crashes,
+                case.seed,
+                why.map_or("inconsistent", String::as_str),
+            );
+        }
+        if json_out.is_none() && csv_out.is_none() {
+            // No sink: one summary line per emulation on stdout.
+            for kind in &config.emulations {
+                let rows = report
+                    .results()
+                    .iter()
+                    .filter(|r| r.case.emulation == *kind);
+                let ops: usize = rows.clone().map(|r| r.completed_ops).sum();
+                let max = rows.clone().map(|r| r.resource_consumption).max();
+                let (name, n) = (kind.name(), rows.count());
+                println!(
+                    "{name:>18}: {n} cases, {ops} ops completed, max consumption {}",
+                    max.unwrap_or(0)
+                );
+            }
+        }
+        return emit(&report);
     };
 
     if pool.merge_only {
@@ -350,8 +423,9 @@ fn sweep(args: &mut Args) {
         }
         Err(_) => flags.into_config().unwrap_or_else(|e| fail(&e)),
     };
-    // --worker-threads wins; a plain --threads (shared with sweep_grid)
-    // becomes the per-worker thread count rather than being dropped.
+    // --worker-threads wins; a plain --threads (the pool size of a
+    // spool-less sweep) becomes the per-worker thread count rather than
+    // being dropped.
     let options = pool.into_options(spool, worker_threads.or(flag_threads).unwrap_or(1));
 
     let started = Instant::now();
@@ -391,17 +465,15 @@ fn frontier(args: &mut Args) {
                     FrontierConfig::grid_from_spec(&value(args, &arg)).unwrap_or_else(|e| fail(&e));
             }
             "--emulations" => {
-                config.emulations =
-                    list_or_all(args, &arg, &EmulationKind::ALL, EmulationKind::from_name);
+                config.emulations = list(args, &arg, &EmulationKind::ALL, EmulationKind::from_name);
             }
-            "--seeds" => config.seeds = items(&value(args, &arg), &arg, |s| s.parse().ok()),
+            "--seeds" => config.seeds = list(args, &arg, &[], |s| s.parse().ok()),
             "--schedulers" => {
-                config.schedulers =
-                    list_or_all(args, &arg, &SchedulerSpec::ALL, SchedulerSpec::from_name);
+                config.schedulers = list(args, &arg, &SchedulerSpec::ALL, SchedulerSpec::from_name);
             }
             "--crash-plans" => {
                 config.crash_plans =
-                    list_or_all(args, &arg, &CrashPlanSpec::ALL, CrashPlanSpec::from_name);
+                    list(args, &arg, &CrashPlanSpec::ALL, CrashPlanSpec::from_name);
             }
             "--rounds" => {
                 config.workloads = vec![WorkloadSpec::WriteSequential {
@@ -447,7 +519,7 @@ fn frontier(args: &mut Args) {
     };
 
     let started = Instant::now();
-    let Some(spool) = pool.spool.take() else {
+    let Some(spool) = pool.spool() else {
         // Single-process path.
         let report = run_frontier(&config).unwrap_or_else(|e| fail(&e.to_string()));
         info!(
@@ -685,7 +757,7 @@ fn main() {
         "sweep" => (
             "sweep",
             format!(
-                "--spool DIR {POOL_USAGE} [--worker-threads N] [--json PATH] [--csv PATH] \
+                "[--spool DIR] {POOL_USAGE} [--worker-threads N] [--json PATH] [--csv PATH] \
                  {CONFIG_USAGE}"
             ),
             sweep,

@@ -1,11 +1,12 @@
 //! # regemu-bench — experiment harness
 //!
-//! Library backing the experiment binaries (`src/bin/*`) and Criterion
-//! benches (`benches/*`) that regenerate every table and figure of Chockler &
-//! Spiegelman (PODC 2017). Each public function in [`experiments`] produces
-//! the data behind one artifact of the paper; the binaries only print it.
+//! Library backing the experiment binaries (`src/bin/*`) that regenerate
+//! every table and figure of Chockler & Spiegelman (PODC 2017). Each public
+//! function in [`experiments`] produces the data behind one artifact of the
+//! paper; the `paper` binary only prints it, `paper NAME` one artifact and
+//! plain `paper` all of them, in this order:
 //!
-//! | paper artifact | function | binary |
+//! | paper artifact | function | `paper` artifact |
 //! |---|---|---|
 //! | Table 1 | [`experiments::table1`] | `table1` |
 //! | Figure 1 | [`experiments::figure1`] | `figure1` |
@@ -16,15 +17,16 @@
 //! | Theorem 7 | [`experiments::theorem7_bounded_storage`] | `theorem7_bounded_storage` |
 //! | Theorem 8 | [`experiments::theorem8_contention`] | `theorem8_contention` |
 //! | §5 time/space trade-off | [`experiments::cas_time_complexity`] | `cas_time_complexity` |
+//! | Algorithm 2's write quorum (ablation) | [`experiments::ablation_write_quorum`] | `ablation_quorum` |
 //!
-//! Beyond the per-artifact binaries, `sweep_grid` runs the parallel
-//! deterministic sweep harness ([`regemu_workloads::sweep`]) over a whole
-//! `(k, f, n) × emulation × workload × seed` grid and serializes the
-//! aggregated report to JSON/CSV — see the README's "Performance" section
-//! for the quickstart. The Criterion benches under `benches/` track the
-//! simulator's hot paths (`sim_engine`), the emulation protocols
-//! (`emulation_ops`), and the shared-memory and adversary layers; run them
-//! with `cargo bench -p regemu-bench`.
+//! Beside `paper`, the `campaign` binary runs the deterministic sweep
+//! harness ([`regemu_workloads::sweep`]) over a whole
+//! `(k, f, n) × emulation × workload × seed` grid — in this process
+//! (`campaign sweep`) or sharded over a spool directory (`campaign sweep
+//! --spool DIR`) — and serializes the aggregated report to JSON/CSV; see the
+//! README's "Performance" section for the quickstart. `fuzz_campaign` and
+//! the four live-service binaries make up the rest. Performance is measured
+//! by the separate `benchmark/` package (`bash benchmark/run.sh`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -107,12 +109,13 @@ pub mod serve_cli {
     }
 }
 
-/// Shared CLI parsing for the sweep and fuzz binaries (`sweep_grid`,
-/// `fuzz_campaign`, `campaign`): the flags that shape a
+/// Shared CLI parsing for the sweep and fuzz binaries (`campaign`,
+/// `fuzz_campaign`): the flags that shape a
 /// [`regemu_workloads::SweepConfig`] or a fuzz config are identical across
 /// them — plus the leveled progress logging every experiment binary routes
 /// through.
 pub mod cli {
+    use crate::serve_cli::parse_params;
     use regemu_bounds::Params;
     use regemu_workloads::fuzz::{FuzzConfig, FuzzEmulation};
     use regemu_workloads::{
@@ -184,6 +187,26 @@ pub mod cli {
         set_log_level(LogLevel::Off);
     }
 
+    /// Parses the `a,b,..` value of the list flag `flag`, each item trimmed
+    /// and run through `parse`. `all` stands for `every`, unless `every` is
+    /// empty: then the flag does not accept `all`. An empty value or an item
+    /// `parse` rejects is an error naming the flag.
+    pub fn parse_list<T: Clone>(
+        flag: &str,
+        value: &str,
+        every: &[T],
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        match value.trim() {
+            "" => Err(format!("{flag} needs at least one item")),
+            "all" if !every.is_empty() => Ok(every.to_vec()),
+            _ => value
+                .split(',')
+                .map(|s| parse(s.trim()).ok_or(format!("invalid {flag} item {s:?}")))
+                .collect(),
+        }
+    }
+
     /// Incrementally collected sweep-config flags.
     ///
     /// Feed every CLI argument to [`ConfigFlags::accept`]; arguments it
@@ -217,101 +240,39 @@ pub mod cli {
             arg: &str,
             args: &mut impl Iterator<Item = String>,
         ) -> Result<bool, String> {
-            let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
+            // The value of a list flag, parsed (see [`parse_list`]).
+            fn list<T: Clone>(
+                flag: &str,
+                args: &mut impl Iterator<Item = String>,
+                every: &[T],
+                parse: impl Fn(&str) -> Option<T>,
+            ) -> Result<Option<Vec<T>>, String> {
+                let value = args.next().ok_or(format!("{flag} needs a value"))?;
+                parse_list(flag, &value, every, parse).map(Some)
+            }
             match arg {
                 "--quick" => self.quick = true,
                 "--crash-f" => self.crash_f = true,
                 "--threads" => {
-                    let v = value("--threads")?;
-                    self.threads = Some(
-                        v.parse()
-                            .map_err(|_| format!("invalid thread count {v:?}"))?,
-                    );
+                    let v = args.next().ok_or("--threads needs a value")?;
+                    let threads = v
+                        .parse()
+                        .map_err(|_| format!("invalid thread count {v:?}"))?;
+                    self.threads = Some(threads);
                 }
-                "--seeds" => {
-                    let v = value("--seeds")?;
-                    let parsed: Vec<u64> = v
-                        .split(',')
-                        .map(|s| s.trim().parse().map_err(|_| format!("invalid seed {s:?}")))
-                        .collect::<Result<_, _>>()?;
-                    if parsed.is_empty() {
-                        return Err("--seeds needs at least one seed".to_string());
-                    }
-                    self.seeds = Some(parsed);
-                }
-                "--grid" => {
-                    let v = value("--grid")?;
-                    let parsed: Vec<Params> = v
-                        .split(',')
-                        .map(crate::serve_cli::parse_params)
-                        .collect::<Result<_, _>>()?;
-                    if parsed.is_empty() {
-                        return Err("--grid needs at least one k/f/n point".to_string());
-                    }
-                    self.grid = Some(parsed);
-                }
-                "--workload" => {
-                    let v = value("--workload")?;
-                    let parsed: Vec<WorkloadSpec> = v
-                        .split(',')
-                        .map(|s| {
-                            WorkloadSpec::from_label(s.trim())
-                                .ok_or(format!("unknown workload {s:?}"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if parsed.is_empty() {
-                        return Err("--workload needs at least one label".to_string());
-                    }
-                    self.workloads = Some(parsed);
-                }
+                "--seeds" => self.seeds = list(arg, args, &[], |s| s.parse().ok())?,
+                "--grid" => self.grid = list(arg, args, &[], |s| parse_params(s).ok())?,
+                "--workload" => self.workloads = list(arg, args, &[], WorkloadSpec::from_label)?,
                 "--schedulers" => {
-                    let v = value("--schedulers")?;
-                    let parsed: Vec<SchedulerSpec> = if v.trim() == "all" {
-                        SchedulerSpec::ALL.to_vec()
-                    } else {
-                        v.split(',')
-                            .map(|s| {
-                                SchedulerSpec::from_name(s.trim())
-                                    .ok_or(format!("unknown scheduler {s:?}"))
-                            })
-                            .collect::<Result<_, _>>()?
-                    };
-                    if parsed.is_empty() {
-                        return Err("--schedulers needs at least one scheduler".to_string());
-                    }
-                    self.schedulers = Some(parsed);
+                    self.schedulers =
+                        list(arg, args, &SchedulerSpec::ALL, SchedulerSpec::from_name)?;
                 }
                 "--crash-plans" => {
-                    let v = value("--crash-plans")?;
-                    let parsed: Vec<CrashPlanSpec> = if v.trim() == "all" {
-                        CrashPlanSpec::ALL.to_vec()
-                    } else {
-                        v.split(',')
-                            .map(|s| {
-                                CrashPlanSpec::from_name(s.trim())
-                                    .ok_or(format!("unknown crash plan {s:?}"))
-                            })
-                            .collect::<Result<_, _>>()?
-                    };
-                    if parsed.is_empty() {
-                        return Err("--crash-plans needs at least one crash plan".to_string());
-                    }
-                    self.crash_plans = Some(parsed);
+                    self.crash_plans =
+                        list(arg, args, &CrashPlanSpec::ALL, CrashPlanSpec::from_name)?;
                 }
                 "--recording" => {
-                    let v = value("--recording")?;
-                    let parsed: Vec<RecordingModeSpec> = v
-                        .split(',')
-                        .map(|s| {
-                            RecordingModeSpec::from_label(s.trim()).ok_or(format!(
-                                "unknown recording mode {s:?} (expected full, digest or ring:N)"
-                            ))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if parsed.is_empty() {
-                        return Err("--recording needs at least one mode".to_string());
-                    }
-                    self.recordings = Some(parsed);
+                    self.recordings = list(arg, args, &[], RecordingModeSpec::from_label)?;
                 }
                 _ => return Ok(false),
             }
@@ -333,24 +294,12 @@ pub mod cli {
             } else {
                 SweepConfig::standard()
             };
-            if let Some(threads) = self.threads {
-                config.threads = threads;
-            }
-            if let Some(seeds) = self.seeds {
-                config.seeds = seeds;
-            }
-            if let Some(grid) = self.grid {
-                config.grid = grid;
-            }
-            if let Some(workloads) = self.workloads {
-                config.workloads = workloads;
-            }
-            if let Some(schedulers) = self.schedulers {
-                config.schedulers = schedulers;
-            }
-            if let Some(recordings) = self.recordings {
-                config.recordings = recordings;
-            }
+            config.threads = self.threads.unwrap_or(config.threads);
+            config.seeds = self.seeds.unwrap_or(config.seeds);
+            config.grid = self.grid.unwrap_or(config.grid);
+            config.workloads = self.workloads.unwrap_or(config.workloads);
+            config.schedulers = self.schedulers.unwrap_or(config.schedulers);
+            config.recordings = self.recordings.unwrap_or(config.recordings);
             match (self.crash_plans, self.crash_f) {
                 (Some(_), true) => {
                     return Err("--crash-f conflicts with --crash-plans; pass one of them".into())
@@ -383,10 +332,7 @@ pub mod cli {
         let mut value = || args.next().ok_or(format!("{arg} needs a value"));
         match arg {
             "--params" => {
-                let parts: Vec<usize> = value()?
-                    .split(',')
-                    .map(|s| parse(s, arg, |s| s.parse().ok()))
-                    .collect::<Result<_, _>>()?;
+                let parts = parse_list(arg, &value()?, &[], |s| s.parse().ok())?;
                 let [k, f, n] = parts[..] else {
                     return Err("--params needs k,f,n".to_string());
                 };
@@ -451,7 +397,6 @@ pub mod experiments {
         SharedMaxRegister, SpaceOptimalEmulation,
     };
     use regemu_workloads::{ConsistencyCheck, Scenario, TextTable, WorkloadSpec};
-    use std::sync::Arc;
 
     /// Measures the resource consumption of the `kind` construction on a
     /// write-sequential workload (one write per writer, one read after
@@ -653,25 +598,16 @@ pub mod experiments {
         );
         for &m in ms {
             let bound = servers_needed_with_bounded_storage(k, f, m);
-            // Search for the smallest legal n whose layout respects the
-            // per-server budget.
-            let mut fitting = None;
-            for n in (2 * f + 1)..=(k * f + f + 1 + 2 * f) {
-                if let Ok(params) = Params::new(k, f, n) {
+            // The smallest legal n whose layout respects the per-server
+            // budget.
+            let fitting = ((2 * f + 1)..=(k * f + f + 1 + 2 * f))
+                .filter_map(|n| Params::new(k, f, n).ok())
+                .find(|&params| {
                     let (_, layout) = RegisterLayout::build(params);
-                    if layout.occupancy().values().all(|c| *c <= m) {
-                        fitting = Some(n);
-                        break;
-                    }
-                }
-            }
-            table.push_row([
-                m.to_string(),
-                bound.to_string(),
-                fitting
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-            ]);
+                    layout.occupancy().values().all(|c| *c <= m)
+                })
+                .map_or("-".to_string(), |params| params.n.to_string());
+            table.push_row([m.to_string(), bound.to_string(), fitting]);
         }
         table
     }
@@ -747,20 +683,17 @@ pub mod experiments {
             ],
         );
         for &threads in thread_counts {
-            let reg = Arc::new(CasMaxRegister::new(0));
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let reg = reg.clone();
-                    std::thread::spawn(move || {
+            let reg = CasMaxRegister::new(0);
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let reg = &reg;
+                    scope.spawn(move || {
                         for i in 0..writes_per_thread {
                             reg.write_max((t * writes_per_thread + i) as u64);
                         }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("writer thread");
-            }
+                    });
+                }
+            });
             let total_writes = threads * writes_per_thread;
             let attempts = reg.total_attempts();
             table.push_row([
@@ -826,8 +759,26 @@ mod tests {
             &["--grid", ""],                     // empty
             &["--workload", "no-such-workload"], // unknown label
             &["--workload", ""],                 // empty
+            &["--schedulers", "no-such-scheduler"],
+            &["--schedulers", ""],
+            &["--crash-plans", "crash-all"],
+            &["--crash-plans", ""],
+            &["--recording", "ring:"],
+            &["--recording", ""],
+            &["--seeds", "1,x"],
+            &["--seeds", ""],
         ] {
             assert!(parse_flags(args).is_err(), "{args:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn all_expands_only_where_the_flag_accepts_it() {
+        let config = parse_flags(&["--schedulers", "all", "--crash-plans", "all"]).unwrap();
+        assert_eq!(config.schedulers, regemu_workloads::SchedulerSpec::ALL);
+        assert_eq!(config.crash_plans, regemu_workloads::CrashPlanSpec::ALL);
+        for flag in ["--seeds", "--grid", "--workload", "--recording"] {
+            assert!(parse_flags(&[flag, "all"]).is_err(), "{flag} all");
         }
     }
 

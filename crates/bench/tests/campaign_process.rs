@@ -1,7 +1,8 @@
-//! End-to-end multi-process campaign: real `campaign_worker` processes
+//! End-to-end multi-process campaign: real `campaign worker` processes
 //! spawned over a spool directory, interrupted mid-campaign, retried after
 //! an injected worker crash — and the merged report stays byte-identical
-//! to the single-process sweep.
+//! to the single-process sweep, in this process or from `campaign sweep`
+//! with or without a spool.
 //!
 //! Cargo builds the worker binary for integration tests of this crate and
 //! exposes its path via `CARGO_BIN_EXE_campaign`.
@@ -10,6 +11,7 @@ use regemu_workloads::campaign::{run_campaign, CampaignOptions, ShardManifest, W
 use regemu_workloads::{run_sweep, SweepConfig};
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_campaign"))
@@ -22,6 +24,32 @@ fn spool_dir(tag: &str) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// Runs `campaign sweep --quick --threads 2` plus `extra` with JSON and
+/// CSV sinks, and returns what it wrote there.
+fn sweep_process(tag: &str, extra: &[&str]) -> (String, String) {
+    let (json, csv) = (
+        spool_dir(&format!("{tag}.json")),
+        spool_dir(&format!("{tag}.csv")),
+    );
+    let out = Command::new(worker_bin())
+        .args(["sweep", "--quick", "--threads", "2", "--quiet"])
+        .args(extra)
+        .arg("--json")
+        .arg(&json)
+        .arg("--csv")
+        .arg(&csv)
+        .output()
+        .expect("spawn campaign sweep");
+    assert!(out.status.success(), "{out:?}");
+    let written = (
+        fs::read_to_string(&json).unwrap(),
+        fs::read_to_string(&csv).unwrap(),
+    );
+    let _ = fs::remove_file(json);
+    let _ = fs::remove_file(csv);
+    written
 }
 
 fn quick_config() -> SweepConfig {
@@ -53,6 +81,19 @@ fn multi_process_campaign_is_byte_identical_resumable_and_retries() {
     assert_eq!(merged.to_json(), single.to_json());
     assert_eq!(merged.to_csv(), single.to_csv());
     let _ = fs::remove_dir_all(&dir);
+
+    // --- the same report from `campaign sweep`, without a spool and with
+    // a 7-shard in-process one ---------------------------------------------
+    let spooled = spool_dir("in-process");
+    let spool_arg = spooled.to_str().expect("utf-8 temp path");
+    let in_process = sweep_process(
+        "in-process",
+        &["--spool", spool_arg, "--in-process", "--shards", "7"],
+    );
+    let _ = fs::remove_dir_all(&spooled);
+    let here = sweep_process("here", &[]);
+    assert_eq!(here, (merged.to_json(), merged.to_csv()));
+    assert_eq!(here, in_process);
 
     // --- killed mid-campaign, then resumed -------------------------------
     let dir = spool_dir("resume");
@@ -98,4 +139,31 @@ fn multi_process_campaign_is_byte_identical_resumable_and_retries() {
         Ok(_) => panic!("campaign with an unspawnable worker must fail"),
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pool_flags_without_a_spool_are_usage_errors() {
+    for flags in [
+        ["--shards", "4"].as_slice(),
+        &["--workers", "2"],
+        &["--retries", "2"],
+        &["--worker-bin", "campaign"],
+        &["--in-process"],
+        &["--exit-after", "1"],
+        &["--merge-only"],
+        &["--worker-threads", "1"],
+    ] {
+        let out = Command::new(worker_bin())
+            .args(["sweep", "--quick", "--quiet"])
+            .args(flags)
+            .output()
+            .expect("spawn campaign sweep");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{} needs --spool", flags[0])),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?} ran the sweep");
+    }
 }

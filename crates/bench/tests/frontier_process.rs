@@ -55,6 +55,34 @@ fn infeasible_grid_points_are_rejected_with_a_typed_error() {
 }
 
 #[test]
+fn pool_flags_without_a_spool_are_usage_errors() {
+    // Without a spool these used to be ignored: a single-process run that
+    // exited 0 where `--exit-after 1` asked for a pause (exit 3).
+    for flags in [
+        ["--shards", "4", "--exit-after", "1"].as_slice(),
+        &["--workers", "2"],
+        &["--retries", "2"],
+        &["--worker-bin", "campaign"],
+        &["--in-process"],
+        &["--exit-after", "1"],
+        &["--merge-only"],
+    ] {
+        let out = Command::new(frontier_bin())
+            .args(["frontier", "--grid", GRID, "--quiet"])
+            .args(flags)
+            .output()
+            .expect("spawn campaign frontier");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{} needs --spool", flags[0])),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?} printed a table");
+    }
+}
+
+#[test]
 fn sharded_kill_resume_campaign_matches_the_single_process_table() {
     // Single-process reference.
     let single = temp_path("single.txt");

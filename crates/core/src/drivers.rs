@@ -150,7 +150,7 @@ pub struct CasMaxDriver {
     phase: Option<CasPhase>,
     target: Value,
     /// Number of CAS operations issued by the current `write-max`; exposed so
-    /// benches can measure the retry cost.
+    /// callers can measure the retry cost.
     attempts: u64,
 }
 

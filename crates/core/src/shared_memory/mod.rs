@@ -7,8 +7,8 @@
 //! that grows with contention (Section 5's discussion).
 //!
 //! This module provides executable counterparts of those constructions as
-//! ordinary concurrent Rust types, exercised by multi-threaded tests and
-//! Criterion benchmarks:
+//! ordinary concurrent Rust types, exercised by multi-threaded tests and by
+//! the `paper cas_time_complexity` artifact:
 //!
 //! * [`CasMaxRegister`] — Algorithm 1 verbatim over a single
 //!   compare-and-swap word;

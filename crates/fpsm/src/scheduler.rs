@@ -5,7 +5,7 @@
 //! trait captures exactly the contract the experiment layers rely on, so fair
 //! drivers, deterministic round-robins and adversarial block/unblock
 //! strategies are interchangeable everywhere a run is driven (scenarios,
-//! sweeps, examples, benches).
+//! sweeps, examples, the benchmark).
 //!
 //! Four implementations ship with the workspace:
 //!

@@ -514,7 +514,7 @@ impl Manifest {
 pub enum WorkerMode {
     /// Run units inside the coordinator process, one at a time (a sweep
     /// shard still uses the config's sweep thread pool). The zero-setup
-    /// path used by `sweep_grid --shards`.
+    /// path used by `campaign sweep --in-process`.
     InProcess,
     /// Spawn `<binary> worker --spool .. --shard .. --gen .. --threads ..`
     /// (the `campaign` binary of `regemu-bench`) as a separate OS process
