@@ -99,7 +99,8 @@
 //! | `status` | always, torn and missing files included | — | usage | — |
 
 use regemu_bench::cli::{
-    accept_fuzz_flag, parse_list, set_quiet, write_output, ConfigFlags, CONFIG_USAGE, FUZZ_USAGE,
+    accept_fuzz_flag, die, dispatch, fail, list, number, parsed, required, running, set_quiet,
+    unknown, value, write_output, Args, ConfigFlags, CONFIG_USAGE, FUZZ_USAGE,
 };
 use regemu_bench::info;
 use regemu_core::EmulationKind;
@@ -120,68 +121,15 @@ use regemu_workloads::{
     detect_spool_kind, run_sweep, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepReport,
     WorkloadSpec,
 };
-use std::fmt::Display;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-type Args = std::iter::Skip<std::env::Args>;
+const WORKER_USAGE: &str = "--spool DIR --shard I [--gen G] [--threads N]";
+const STATUS_USAGE: &str = "--spool DIR [--watch] [--interval-ms MS] [--stall-ms MS]";
 
 /// The usage fragment of the flags [`PoolFlags`] accepts.
 const POOL_USAGE: &str = "[--shards N] [--workers M] [--retries R] [--worker-bin PATH] \
      [--in-process] [--exit-after N] [--merge-only] [--quiet]";
-
-/// The subcommand being run and its usage line, for [`fail`] and [`die`].
-static CURRENT: OnceLock<(&'static str, String)> = OnceLock::new();
-
-fn name() -> &'static str {
-    CURRENT.get().map_or("", |(name, _)| name)
-}
-
-/// Usage error: message, usage line, then the subcommand's usage exit code
-/// (2, except under `fuzz`, where 2 means "failures found").
-fn fail(msg: &str) -> ! {
-    let Some((name, usage)) = CURRENT.get() else {
-        eprintln!("campaign: {msg}");
-        eprintln!("usage: campaign <sweep|frontier|fuzz|worker|status> [OPTIONS]");
-        std::process::exit(2);
-    };
-    eprintln!("campaign {name}: {msg}");
-    eprintln!("usage: campaign {name} {usage}");
-    std::process::exit(if *name == "fuzz" { 1 } else { 2 });
-}
-
-/// Runtime failure: exit 1 under every subcommand.
-fn die(what: impl Display) -> ! {
-    eprintln!("campaign {}: {what}", name());
-    std::process::exit(1);
-}
-
-fn value(args: &mut Args, flag: &str) -> String {
-    args.next()
-        .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-}
-
-/// The flag's value, run through `parse`.
-fn parsed<T>(args: &mut Args, flag: &str, parse: impl Fn(&str) -> Option<T>) -> T {
-    let v = value(args, flag);
-    parse(&v).unwrap_or_else(|| fail(&format!("invalid {flag} value {v:?}")))
-}
-
-fn number<T: FromStr>(args: &mut Args, flag: &str) -> T {
-    parsed(args, flag, |v| v.parse().ok())
-}
-
-/// The flag's value as an `a,b,..` list (see [`parse_list`]).
-fn list<T: Clone>(
-    args: &mut Args,
-    flag: &str,
-    every: &[T],
-    parse: impl Fn(&str) -> Option<T>,
-) -> Vec<T> {
-    parse_list(flag, &value(args, flag), every, parse).unwrap_or_else(|e| fail(&e))
-}
 
 /// The pool flags every coordinator subcommand shares, collected straight
 /// into the [`CampaignOptions`] they describe.
@@ -267,22 +215,13 @@ impl PoolFlags {
     }
 }
 
-fn required(flag: &str) -> ! {
-    fail(&format!("{flag} is required"))
-}
-
-fn unknown(option: &str) -> ! {
-    fail(&format!("unknown option {option:?}"))
-}
-
 /// Config flags that contradict an existing spool are an error, not a
 /// silent re-run of the old campaign.
-fn contradicts(spool: &Path) -> ! {
+fn contradicts(spool: &Path, kind: &str) -> ! {
     fail(&format!(
-        "spool {} was created for a different {} config than the flags passed; \
+        "spool {} was created for a different {kind} config than the flags passed; \
          drop the config flags to resume it, or use a fresh --spool",
         spool.display(),
-        name()
     ))
 }
 
@@ -290,17 +229,17 @@ fn contradicts(spool: &Path) -> ! {
 fn summary(complete: bool, total: usize, (run, reused, retried): (usize, usize, u32), t: Instant) {
     let done = if complete { total } else { run + reused };
     info!(
-        "campaign {}: {done}/{total} units done in {:.2?} ({run} run now, {reused} reused, \
+        "{}: {done}/{total} units done in {:.2?} ({run} run now, {reused} reused, \
          {retried} retried)",
-        name(),
+        running(),
         t.elapsed()
     );
 }
 
 fn paused() -> ! {
     info!(
-        "campaign {}: stopped early (--exit-after); rerun the same command to resume",
-        name()
+        "{}: stopped early (--exit-after); rerun the same command to resume",
+        running()
     );
     // Distinguish "paused" from success so scripts notice.
     std::process::exit(3);
@@ -411,7 +350,7 @@ fn sweep(args: &mut Args) {
             if any_config_flag {
                 let cli = flags.into_config().unwrap_or_else(|e| fail(&e));
                 if config_fingerprint(&cli) != config_fingerprint(&config) {
-                    contradicts(&spool);
+                    contradicts(&spool, "sweep");
                 }
             }
             info!(
@@ -540,7 +479,7 @@ fn frontier(args: &mut Args) {
         if any_config_flag
             && config_fingerprint(&config.to_sweep_config()) != config_fingerprint(&spooled)
         {
-            contradicts(&spool);
+            contradicts(&spool, "frontier");
         }
         config = FrontierConfig {
             threads: config.threads,
@@ -590,7 +529,7 @@ fn fuzz(args: &mut Args) {
         if pool.accept(&arg, args) {
             continue;
         }
-        if accept_fuzz_flag(&mut cli.fuzz, &arg, args).unwrap_or_else(|e| fail(&e)) {
+        if accept_fuzz_flag(&mut cli.fuzz, &arg, args) {
             any_config_flag = true;
             continue;
         }
@@ -636,7 +575,7 @@ fn fuzz(args: &mut Args) {
         Ok(config) => {
             if any_config_flag && fuzz_config_fingerprint(&cli) != fuzz_config_fingerprint(&config)
             {
-                contradicts(&spool);
+                contradicts(&spool, "fuzz");
             }
             info!(
                 "campaign fuzz: resuming spool {} ({} streams x {} generations)",
@@ -751,46 +690,40 @@ fn status(args: &mut Args) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let sub = args.next().unwrap_or_else(|| fail("missing subcommand"));
-    let (name, usage, run): (_, _, fn(&mut Args)) = match sub.as_str() {
-        "sweep" => (
-            "sweep",
-            format!(
-                "[--spool DIR] {POOL_USAGE} [--worker-threads N] [--json PATH] [--csv PATH] \
-                 {CONFIG_USAGE}"
+    dispatch(
+        "campaign",
+        &[
+            (
+                "sweep",
+                2,
+                format!(
+                    "[--spool DIR] {POOL_USAGE} [--worker-threads N] [--json PATH] \
+                     [--csv PATH] {CONFIG_USAGE}"
+                ),
+                sweep,
             ),
-            sweep,
-        ),
-        "frontier" => (
-            "frontier",
-            format!(
-                "[--spool DIR] {POOL_USAGE} [--grid k/f/n,..] [--emulations a,b|all] \
-                 [--seeds a,b,..] [--schedulers a,b|all] [--crash-plans a,b|all] [--rounds N] \
-                 [--threads N] [--text PATH] [--json PATH] [--csv PATH]"
+            (
+                "frontier",
+                2,
+                format!(
+                    "[--spool DIR] {POOL_USAGE} [--grid k/f/n,..] [--emulations a,b|all] \
+                     [--seeds a,b,..] [--schedulers a,b|all] [--crash-plans a,b|all] \
+                     [--rounds N] [--threads N] [--text PATH] [--json PATH] [--csv PATH]"
+                ),
+                frontier,
             ),
-            frontier,
-        ),
-        "fuzz" => (
-            "fuzz",
-            format!(
-                "--spool DIR {POOL_USAGE} [--seed-corpus DIR] [--out FILE] [--failures FILE] \
-                 {FUZZ_USAGE} [--streams N] [--generations G]"
+            // 2 means "failures found".
+            (
+                "fuzz",
+                1,
+                format!(
+                    "--spool DIR {POOL_USAGE} [--seed-corpus DIR] [--out FILE] \
+                     [--failures FILE] {FUZZ_USAGE} [--streams N] [--generations G]"
+                ),
+                fuzz,
             ),
-            fuzz,
-        ),
-        "worker" => (
-            "worker",
-            "--spool DIR --shard I [--gen G] [--threads N]".to_string(),
-            worker,
-        ),
-        "status" => (
-            "status",
-            "--spool DIR [--watch] [--interval-ms MS] [--stall-ms MS]".to_string(),
-            status,
-        ),
-        other => fail(&format!("unknown subcommand {other:?}")),
-    };
-    CURRENT.get_or_init(|| (name, usage));
-    run(&mut args);
+            ("worker", 2, WORKER_USAGE.into(), worker),
+            ("status", 2, STATUS_USAGE.into(), status),
+        ],
+    );
 }

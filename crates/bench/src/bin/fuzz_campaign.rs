@@ -20,16 +20,9 @@
 //! errors. The same seed always produces the same report, the same shrunk
 //! trace and the same exit status.
 
-use regemu_bench::cli::{accept_fuzz_flag, write_output, FUZZ_USAGE};
+use regemu_bench::cli::{accept_fuzz_flag, enter, fail, unknown, value, write_output, FUZZ_USAGE};
 use regemu_bench::info;
 use regemu_workloads::fuzz::{fuzz_and_shrink, replay, FuzzConfig, RecordedSchedule};
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fuzz_campaign: {msg}");
-    eprintln!("usage: fuzz_campaign {FUZZ_USAGE} [--stop-on-failure] [--out FILE] [--trace FILE]");
-    eprintln!("       fuzz_campaign replay TRACE");
-    std::process::exit(1);
-}
 
 fn run_replay(path: &str) -> ! {
     let text = std::fs::read_to_string(path)
@@ -42,6 +35,14 @@ fn run_replay(path: &str) -> ! {
 }
 
 fn main() {
+    enter(
+        "fuzz_campaign".into(),
+        format!(
+            "{FUZZ_USAGE} [--stop-on-failure] [--out FILE] [--trace FILE]\n       \
+             fuzz_campaign replay TRACE"
+        ),
+        1,
+    );
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("replay") {
         args.next();
@@ -60,18 +61,14 @@ fn main() {
     let mut trace_path: Option<String> = None;
 
     while let Some(arg) = args.next() {
-        if accept_fuzz_flag(&mut config, &arg, &mut args).unwrap_or_else(|e| fail(&e)) {
+        if accept_fuzz_flag(&mut config, &arg, &mut args) {
             continue;
         }
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-        };
         match arg.as_str() {
             "--stop-on-failure" => config.stop_on_failure = true,
-            "--out" => out = value("--out"),
-            "--trace" => trace_path = Some(value("--trace")),
-            other => fail(&format!("unknown option {other:?}")),
+            "--out" => out = value(&mut args, &arg),
+            "--trace" => trace_path = Some(value(&mut args, &arg)),
+            other => unknown(other),
         }
     }
 

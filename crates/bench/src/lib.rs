@@ -25,105 +25,149 @@
 //! (`campaign sweep`) or sharded over a spool directory (`campaign sweep
 //! --spool DIR`) — and serializes the aggregated report to JSON/CSV; see the
 //! README's "Performance" section for the quickstart. `fuzz_campaign` and
-//! the four live-service binaries make up the rest. Performance is measured
-//! by the separate `benchmark/` package (`bash benchmark/run.sh`).
+//! `serve`, the live replicated-register service (`serve node | client |
+//! load | stats | conform`), make up the rest. `campaign` and `serve` share
+//! one subcommand skeleton ([`cli::dispatch`], [`cli::fail`], ..).
+//! Performance is measured by the separate `benchmark/` package
+//! (`bash benchmark/run.sh`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-/// Shared CLI parsing for the live-service binaries (`serve_node`,
-/// `serve_client`, `load_gen`, `serve_conform`): `k/f/n` parameter points,
-/// comma-separated server lists, and address files written by `serve_node`
-/// and polled by the clients.
-pub mod serve_cli {
-    use regemu_bounds::Params;
-    use std::net::SocketAddr;
-    use std::path::Path;
-    use std::time::{Duration, Instant};
-
-    /// Parses a `K/F/N` parameter point (e.g. `4/1/3`).
-    pub fn parse_params(value: &str) -> Result<Params, String> {
-        let (k, f, n) = regemu_bounds::parse_point(value)?;
-        Params::new(k, f, n).map_err(|e| format!("invalid parameter point {value:?}: {e}"))
-    }
-
-    /// Parses a comma-separated list of server indices (e.g. `1,2`).
-    pub fn parse_server_list(value: &str) -> Result<Vec<usize>, String> {
-        value
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|_| format!("invalid server index {s:?}"))
-            })
-            .collect()
-    }
-
-    /// Reads the socket address a `serve_node --addr-file` wrote, polling
-    /// until the file appears and parses (the node may still be booting).
-    pub fn wait_for_addr(path: &Path, timeout: Duration) -> Result<SocketAddr, String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                if let Ok(addr) = text.trim().parse() {
-                    return Ok(addr);
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "no server address appeared in {} within {timeout:?}",
-                    path.display()
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    /// Renders one server's [`regemu_core::wire::NodeStats`] as a
-    /// single-line JSON object — the shape `serve_node --stats-every-ms`
-    /// dumps periodically and `serve_client --stats` prints per scrape.
-    pub fn node_stats_json(server: usize, stats: &regemu_core::wire::NodeStats) -> String {
-        format!(
-            "{{\"server\":{server},\"requests\":{},\"responses\":{},\"faults\":{},\
-             \"in_flight\":{},\"applied\":{}}}",
-            stats.requests, stats.responses, stats.faults, stats.in_flight, stats.applied
-        )
-    }
-
-    /// Resolves `--addr`/`--addr-file` arguments (in server order) into
-    /// socket addresses. `spec` holds either a literal address or an
-    /// `@`-prefixed file path.
-    pub fn resolve_addrs(specs: &[String], timeout: Duration) -> Result<Vec<SocketAddr>, String> {
-        specs
-            .iter()
-            .map(|spec| {
-                if let Some(file) = spec.strip_prefix('@') {
-                    wait_for_addr(Path::new(file), timeout)
-                } else {
-                    spec.parse()
-                        .map_err(|_| format!("invalid server address {spec:?}"))
-                }
-            })
-            .collect()
-    }
-}
-
-/// Shared CLI parsing for the sweep and fuzz binaries (`campaign`,
-/// `fuzz_campaign`): the flags that shape a
-/// [`regemu_workloads::SweepConfig`] or a fuzz config are identical across
-/// them — plus the leveled progress logging every experiment binary routes
-/// through.
+/// The command-line skeleton of the binaries: subcommand dispatch and the
+/// usage/runtime error exits (`dispatch`, `fail`, `die`), flag-value
+/// helpers (`value`, `parsed`, `list`, ..), the flags that shape a
+/// [`regemu_workloads::SweepConfig`] or a fuzz config (identical across
+/// `campaign` and `fuzz_campaign`), and the leveled progress logging every
+/// binary routes through.
 pub mod cli {
-    use crate::serve_cli::parse_params;
     use regemu_bounds::Params;
     use regemu_workloads::fuzz::{FuzzConfig, FuzzEmulation};
     use regemu_workloads::{
         ConsistencyCheck, CrashPlanSpec, RecordingModeSpec, SchedulerSpec, SweepConfig,
         WorkloadSpec,
     };
+    use std::fmt::Display;
+    use std::str::FromStr;
     use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::Once;
+    use std::sync::{Mutex, MutexGuard, Once, PoisonError};
+
+    /// The arguments after the program name (and, inside a subcommand,
+    /// after its name).
+    pub type Args = std::iter::Skip<std::env::Args>;
+
+    /// One job of a multi-job binary (`campaign sweep`, `serve node`, ..):
+    /// its name; the exit code of its usage errors, 2 or, where 2 reports a
+    /// finding (fuzz failures, a consistency violation), 1; its usage line
+    /// after `usage: PROGRAM NAME `; and the job, handed the arguments after
+    /// the name.
+    pub type Subcommand = (&'static str, i32, String, fn(&mut Args));
+
+    /// What runs, for [`fail`] and [`die`]: their message prefix
+    /// (`campaign sweep`), the usage line after it, and the usage exit code.
+    static CURRENT: Mutex<(String, String, i32)> = Mutex::new((String::new(), String::new(), 2));
+
+    fn current() -> MutexGuard<'static, (String, String, i32)> {
+        CURRENT.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// What runs: the prefix of its messages (`campaign sweep`).
+    pub fn running() -> String {
+        current().0.clone()
+    }
+
+    /// Names what runs from here on: the prefix of its messages, its usage
+    /// line and the exit code of its usage errors (see [`Subcommand`]).
+    pub fn enter(prefix: String, usage: String, usage_exit: i32) {
+        *current() = (prefix, usage, usage_exit);
+    }
+
+    /// Runs the subcommand the first argument names. Before one is chosen,
+    /// a usage error names `program` and lists every subcommand (exit 2).
+    pub fn dispatch(program: &str, subcommands: &[Subcommand]) {
+        let names: Vec<_> = subcommands.iter().map(|sub| sub.0).collect();
+        let usage = format!("<{}> [OPTIONS]", names.join("|"));
+        enter(program.into(), usage, 2);
+        let mut args = std::env::args().skip(1);
+        let name = args.next().unwrap_or_else(|| fail("missing subcommand"));
+        let Some((_, usage_exit, usage, run)) = subcommands.iter().find(|sub| sub.0 == name) else {
+            fail(&format!("unknown subcommand {name:?}"))
+        };
+        enter(format!("{program} {name}"), usage.clone(), *usage_exit);
+        run(&mut args);
+    }
+
+    /// Usage error: message, usage line, then the usage exit code.
+    pub fn fail(msg: &str) -> ! {
+        let (prefix, usage, code) = &*current();
+        eprintln!("{prefix}: {msg}");
+        eprintln!("usage: {prefix} {usage}");
+        std::process::exit(*code);
+    }
+
+    /// Runtime failure: exit 1.
+    pub fn die(what: impl Display) -> ! {
+        eprintln!("{}: {what}", current().0);
+        std::process::exit(1);
+    }
+
+    /// `flag is required`, as a usage error.
+    pub fn required(flag: &str) -> ! {
+        fail(&format!("{flag} is required"))
+    }
+
+    /// `unknown option`, as a usage error.
+    pub fn unknown(option: &str) -> ! {
+        fail(&format!("unknown option {option:?}"))
+    }
+
+    /// The flag's value.
+    pub fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+        args.next()
+            .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+    }
+
+    /// The flag's value, run through `parse`; a rejected value fails with
+    /// `what` and the value.
+    pub fn checked<T>(
+        args: &mut impl Iterator<Item = String>,
+        flag: &str,
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> T {
+        let v = value(args, flag);
+        parse(&v).unwrap_or_else(|| fail(&format!("{what} {v:?}")))
+    }
+
+    /// The flag's value, run through `parse`.
+    pub fn parsed<T>(
+        args: &mut impl Iterator<Item = String>,
+        flag: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> T {
+        checked(args, flag, &format!("invalid {flag} value"), parse)
+    }
+
+    /// The flag's value as a number.
+    pub fn number<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+        parsed(args, flag, |v| v.parse().ok())
+    }
+
+    /// The flag's value as an `a,b,..` list (see [`parse_list`]).
+    pub fn list<T: Clone>(
+        args: &mut impl Iterator<Item = String>,
+        flag: &str,
+        every: &[T],
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Vec<T> {
+        parse_list(flag, &value(args, flag), every, parse).unwrap_or_else(|e| fail(&e))
+    }
+
+    /// Parses a `K/F/N` parameter point (e.g. `4/1/3`).
+    pub fn parse_params(value: &str) -> Result<Params, String> {
+        let (k, f, n) = regemu_bounds::parse_point(value)?;
+        Params::new(k, f, n).map_err(|e| format!("invalid parameter point {value:?}: {e}"))
+    }
 
     /// Verbosity of the binaries' stderr progress lines, lowest first.
     ///
@@ -317,36 +361,37 @@ pub mod cli {
          [--check NAME] [--seed S] [--budget B]";
 
     /// Tries to consume `arg` as one of the flags that shape a
-    /// [`FuzzConfig`], shared by `fuzz_campaign` and `campaign fuzz`. Same
-    /// contract as [`ConfigFlags::accept`]: `Ok(true)` when consumed,
-    /// `Ok(false)` when the argument is not a fuzz-config flag, `Err` with a
-    /// message on a malformed value.
+    /// [`FuzzConfig`], shared by `fuzz_campaign` and `campaign fuzz`: `false`
+    /// when the argument is not a fuzz-config flag; a malformed value is a
+    /// usage error ([`fail`]).
     pub fn accept_fuzz_flag(
         config: &mut FuzzConfig,
         arg: &str,
         args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        fn parse<T>(v: &str, flag: &str, from: impl Fn(&str) -> Option<T>) -> Result<T, String> {
-            from(v.trim()).ok_or(format!("invalid {flag} value {v:?}"))
+    ) -> bool {
+        fn trimmed<T>(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> T {
+            parsed(args, flag, |v| parse(v.trim()))
         }
-        let mut value = || args.next().ok_or(format!("{arg} needs a value"));
         match arg {
             "--params" => {
-                let parts = parse_list(arg, &value()?, &[], |s| s.parse().ok())?;
-                let [k, f, n] = parts[..] else {
-                    return Err("--params needs k,f,n".to_string());
+                let [k, f, n] = list(args, arg, &[], |s| s.parse().ok())[..] else {
+                    fail("--params needs k,f,n")
                 };
-                config.params =
-                    Params::new(k, f, n).map_err(|e| format!("invalid parameters: {e}"))?;
+                config.params = Params::new(k, f, n)
+                    .unwrap_or_else(|e| fail(&format!("invalid parameters: {e}")));
             }
-            "--emulation" => config.emulation = parse(&value()?, arg, FuzzEmulation::from_name)?,
-            "--workload" => config.workload = parse(&value()?, arg, WorkloadSpec::from_label)?,
-            "--check" => config.check = parse(&value()?, arg, ConsistencyCheck::from_name)?,
-            "--seed" => config.seed = parse(&value()?, arg, |s| s.parse().ok())?,
-            "--budget" => config.budget = parse(&value()?, arg, |s| s.parse().ok())?,
-            _ => return Ok(false),
+            "--emulation" => config.emulation = trimmed(args, arg, FuzzEmulation::from_name),
+            "--workload" => config.workload = trimmed(args, arg, WorkloadSpec::from_label),
+            "--check" => config.check = trimmed(args, arg, ConsistencyCheck::from_name),
+            "--seed" => config.seed = trimmed(args, arg, |s| s.parse().ok()),
+            "--budget" => config.budget = trimmed(args, arg, |s| s.parse().ok()),
+            _ => return false,
         }
-        Ok(true)
+        true
     }
 
     /// Writes `payload` to `target` (`-` for stdout), exiting the process

@@ -10,26 +10,30 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 use std::time::Duration;
 
-fn node() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_serve_node"))
-}
-
-fn client() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_serve_client"))
-}
-
-fn stats() -> Command {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_serve_client"));
-    command.arg("--stats");
+fn serve(subcommand: &str) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_serve"));
+    command.arg(subcommand);
     command
 }
 
+fn node() -> Command {
+    serve("node")
+}
+
+fn client() -> Command {
+    serve("client")
+}
+
+fn stats() -> Command {
+    serve("stats")
+}
+
 fn load() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_load_gen"))
+    serve("load")
 }
 
 fn conform() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_serve_conform"))
+    serve("conform")
 }
 
 fn run(command: &mut Command) -> Output {
@@ -250,4 +254,52 @@ fn malformed_invocations_are_usage_errors() {
         ],
         "--stats-every-ms must be positive",
     );
+}
+
+#[test]
+fn conform_usage_errors_exit_1_not_the_violation_code() {
+    // Exit 2 means "violation found": a mistyped flag must not pass for one.
+    let out = run(conform().args(["--chek", "ws-safe", "--log", "x"]));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option \"--chek\""), "{stderr}");
+}
+
+/// `--params 4/1/3` and three literal addresses: flags are validated
+/// before anything is dialled.
+const FLEET: [&str; 8] = [
+    "--params",
+    "4/1/3",
+    "--addr",
+    "127.0.0.1:1",
+    "--addr",
+    "127.0.0.1:2",
+    "--addr",
+    "127.0.0.1:3",
+];
+
+#[test]
+fn hold_lists_beyond_n_are_usage_errors() {
+    for flag in ["--hold-servers", "--hold-writes"] {
+        let mut command = client();
+        command.args(FLEET);
+        usage_error(
+            command,
+            &[flag, "1,3"],
+            "server index 3 out of range for n = 3",
+        );
+    }
+}
+
+#[test]
+fn more_writers_than_k_is_a_usage_error() {
+    for subcommand in [client, load] {
+        let mut command = subcommand();
+        command.args(FLEET);
+        usage_error(
+            command,
+            &["--writers", "5"],
+            "5 writers but the emulation supports k = 4",
+        );
+    }
 }

@@ -404,7 +404,7 @@ pub struct FleetOutcome {
     pub histogram: LatencyHistogram,
     /// Completed operations per [`FleetOutcome::TIMELINE_BUCKET_MS`]-wide
     /// wall-clock bucket since the fleet started: the throughput timeline
-    /// `load_gen` puts in its JSON report. Bucket 0 covers the first
+    /// `serve load` puts in its JSON report. Bucket 0 covers the first
     /// interval; trailing buckets may be absent if no op landed there.
     pub timeline: Vec<u64>,
 }

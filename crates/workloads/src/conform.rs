@@ -7,7 +7,7 @@
 //! Lamport clock ([`ConformRecorder`]): within a process the stamps are exact
 //! real-time order; across processes they are made comparable by folding
 //! server clocks into the client clock and by seeding a later invocation's
-//! clock from an earlier log (`--clock-from` in the `serve_client` binary).
+//! clock from an earlier log (`serve client --clock-from`).
 //!
 //! [`merge_logs`] orders the client records of any number of logs into one
 //! [`HighHistory`], and [`check_history`] replays it through both the offline
@@ -22,10 +22,7 @@ use crate::campaign::CampaignError;
 use crate::runner::ConsistencyCheck;
 use regemu_fpsm::event::Event;
 use regemu_fpsm::{HighOp, HighResponse, Time};
-use regemu_spec::{
-    check_linearizable, check_ws_regular, check_ws_safe, Condition, HighHistory, SequentialSpec,
-    StreamingChecker, Violation,
-};
+use regemu_spec::{HighHistory, SequentialSpec, StreamingChecker, Violation};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -517,15 +514,6 @@ impl std::fmt::Display for ConformVerdict {
     }
 }
 
-fn condition_of(check: ConsistencyCheck) -> Option<Condition> {
-    match check {
-        ConsistencyCheck::None => None,
-        ConsistencyCheck::WsSafe => Some(Condition::WsSafety),
-        ConsistencyCheck::WsRegular => Some(Condition::WsRegularity),
-        ConsistencyCheck::Atomic => Some(Condition::Atomicity),
-    }
-}
-
 /// Replays `history` through the offline checker *and* the
 /// [`StreamingChecker`] for `check`, returning both verdicts.
 ///
@@ -533,9 +521,8 @@ fn condition_of(check: ConsistencyCheck) -> Option<Condition> {
 /// simulated run would produce: invokes and returns ordered by stamp, with
 /// invokes first at equal stamps.
 pub fn check_history(history: &HighHistory, check: ConsistencyCheck) -> ConformVerdict {
-    let spec = SequentialSpec::register();
     let complete_ops = history.ops().iter().filter(|o| o.is_complete()).count();
-    let Some(condition) = condition_of(check) else {
+    let Some(condition) = check.condition() else {
         return ConformVerdict {
             check,
             ops: history.len(),
@@ -546,14 +533,8 @@ pub fn check_history(history: &HighHistory, check: ConsistencyCheck) -> ConformV
         };
     };
 
-    let offline = match check {
-        ConsistencyCheck::WsSafe => check_ws_safe(history, &spec).err(),
-        ConsistencyCheck::WsRegular => check_ws_regular(history, &spec).err(),
-        ConsistencyCheck::Atomic => check_linearizable(history, &spec).err(),
-        ConsistencyCheck::None => None,
-    };
-
-    let mut checker = StreamingChecker::new(condition, spec);
+    let offline = check.check_offline(history);
+    let mut checker = StreamingChecker::new(condition, SequentialSpec::register());
     for event in event_stream(history) {
         checker.observe(&event);
     }
@@ -606,7 +587,7 @@ fn event_stream(history: &HighHistory) -> Vec<Event> {
 }
 
 /// Loads `paths`, merges them and checks the merged history: the complete
-/// `serve_conform` pipeline as one call.
+/// `serve conform` pipeline as one call.
 pub fn conform_verdict(
     paths: &[std::path::PathBuf],
     check: ConsistencyCheck,

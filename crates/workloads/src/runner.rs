@@ -17,7 +17,10 @@
 
 use regemu_bounds::Params;
 use regemu_fpsm::RunMetrics;
-use regemu_spec::{HighHistory, Violation};
+use regemu_spec::{
+    check_linearizable, check_ws_regular, check_ws_safe, Condition, HighHistory, SequentialSpec,
+    Violation,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -57,6 +60,30 @@ impl ConsistencyCheck {
     /// The inverse of [`ConsistencyCheck::name`].
     pub fn from_name(name: &str) -> Option<Self> {
         ConsistencyCheck::ALL.into_iter().find(|c| c.name() == name)
+    }
+
+    /// The condition this check verifies (`None` for
+    /// [`ConsistencyCheck::None`]), as the streaming checker takes it.
+    pub fn condition(self) -> Option<Condition> {
+        match self {
+            ConsistencyCheck::None => None,
+            ConsistencyCheck::WsSafe => Some(Condition::WsSafety),
+            ConsistencyCheck::WsRegular => Some(Condition::WsRegularity),
+            ConsistencyCheck::Atomic => Some(Condition::Atomicity),
+        }
+    }
+
+    /// Runs this check's offline checker over `history` against the
+    /// register specification: the first violation, or `None` when the
+    /// condition holds (always, for [`ConsistencyCheck::None`]).
+    pub fn check_offline(self, history: &HighHistory) -> Option<Violation> {
+        let spec = SequentialSpec::register();
+        match self {
+            ConsistencyCheck::None => None,
+            ConsistencyCheck::WsSafe => check_ws_safe(history, &spec).err(),
+            ConsistencyCheck::WsRegular => check_ws_regular(history, &spec).err(),
+            ConsistencyCheck::Atomic => check_linearizable(history, &spec).err(),
+        }
     }
 }
 

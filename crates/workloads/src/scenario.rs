@@ -56,10 +56,7 @@ use regemu_fpsm::{
     AdversarialScheduler, ClientId, CrashPlan, DelayedScheduler, FairDriver, History,
     RecordingMode, RoundRobinScheduler, RunMetrics, Scheduler, ServerId, SimError, Simulation,
 };
-use regemu_spec::{
-    check_linearizable, check_ws_regular, check_ws_safe, Condition, HighHistory, SequentialSpec,
-    StreamingChecker,
-};
+use regemu_spec::{HighHistory, SequentialSpec, StreamingChecker};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -635,7 +632,7 @@ impl Engine {
         // Under `Full` the report checks offline over the complete history;
         // under `Digest` nothing is retained to check. Only `Ring` needs the
         // online checker, draining the window as the run produces events.
-        let checker = match (recording, condition_of(check)) {
+        let checker = match (recording, check.condition()) {
             (RecordingMode::Ring(_), Some(condition)) => {
                 Some(StreamingChecker::new(condition, SequentialSpec::register()))
             }
@@ -892,7 +889,6 @@ impl Engine {
         let metrics = RunMetrics::capture(&self.sim);
         let history = HighHistory::from_run(self.sim.history());
         let completed_ops = self.sim.completed_high_count();
-        let spec = SequentialSpec::register();
         let (check_violation, check_coverage) = match (check, self.checker.take()) {
             // Nothing was requested: nothing could be missed.
             (ConsistencyCheck::None, _) => (None, CheckCoverage::Complete),
@@ -910,13 +906,7 @@ impl Engine {
             }
             // Full recording: check offline over the complete schedule.
             (_, None) if self.recording.is_full() => {
-                let violation = match check {
-                    ConsistencyCheck::None => unreachable!("handled above"),
-                    ConsistencyCheck::WsSafe => check_ws_safe(&history, &spec).err(),
-                    ConsistencyCheck::WsRegular => check_ws_regular(&history, &spec).err(),
-                    ConsistencyCheck::Atomic => check_linearizable(&history, &spec).err(),
-                };
-                (violation, CheckCoverage::Complete)
+                (check.check_offline(&history), CheckCoverage::Complete)
             }
             // `Digest` retains nothing: the requested check never ran.
             (_, None) => (None, CheckCoverage::NotRecorded),
@@ -932,16 +922,6 @@ impl Engine {
             check_coverage,
             history,
         }
-    }
-}
-
-/// Maps the requested check to the spec-crate condition it verifies.
-fn condition_of(check: ConsistencyCheck) -> Option<Condition> {
-    match check {
-        ConsistencyCheck::None => None,
-        ConsistencyCheck::WsSafe => Some(Condition::WsSafety),
-        ConsistencyCheck::WsRegular => Some(Condition::WsRegularity),
-        ConsistencyCheck::Atomic => Some(Condition::Atomicity),
     }
 }
 
