@@ -303,3 +303,27 @@ fn more_writers_than_k_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn a_missing_or_unknown_subcommand_is_a_usage_error() {
+    for (args, message) in [
+        (&[][..], "serve: missing subcommand"),
+        (&["nope"], "serve: unknown subcommand \"nope\""),
+        // The scrape is its own subcommand now, not a client mode.
+        (
+            &["client", "--stats"],
+            "serve client: unknown option \"--stats\"",
+        ),
+    ] {
+        let out = run(Command::new(env!("CARGO_BIN_EXE_serve")).args(args));
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let out = run(&mut Command::new(env!("CARGO_BIN_EXE_serve")));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("usage: serve <node|client|load|stats|conform> [OPTIONS]"),
+        "{stderr}"
+    );
+}
