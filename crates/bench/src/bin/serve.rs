@@ -135,14 +135,16 @@ fn typed<T: FromStr>(args: &mut Args, flag: &str, what: &str) -> T {
 
 /// A comma-separated list of server indices (e.g. `1,2`).
 fn servers(args: &mut Args, flag: &str) -> Vec<usize> {
-    let list = value(args, flag);
-    let items = list.split(',').map(str::trim).filter(|s| !s.is_empty());
     let index = |s: &str| {
-        s.parse()
-            .ok()
-            .unwrap_or_else(|| fail(&format!("invalid server index {s:?}")))
+        s.trim()
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("invalid server index {s:?}")))
     };
-    items.map(index).collect()
+    let list = value(args, flag);
+    list.split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(index)
+        .collect()
 }
 
 /// One node's counters as a single-line JSON object.
