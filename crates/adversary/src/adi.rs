@@ -181,7 +181,7 @@ impl AdversaryIteration {
             .events_since(*processed)
             .expect("the Ad_i adversary requires full event recording");
         for event in events {
-            tracker.observe(event, sim.topology());
+            tracker.observe(&event, sim.topology());
             *processed += 1;
         }
     }

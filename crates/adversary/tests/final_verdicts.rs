@@ -323,7 +323,7 @@ fn run(
         delivered.push(step);
     }
     Trace {
-        events: sim.history().events().copied().collect(),
+        events: sim.history().events().collect(),
         decisions: sim.decision_trace().to_vec(),
         delivered,
         left: sim.pending_ops().map(|p| p.op_id).collect(),

@@ -263,7 +263,7 @@ mod tests {
             let w = sim.invoke(c, HighOp::Write(1)).unwrap();
             let mut driver = FairDriver::new(seed);
             driver.run_until_complete(&mut sim, w, 100).unwrap();
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         assert_eq!(run(42), run(42));
     }
@@ -309,7 +309,7 @@ mod tests {
             sim.invoke(c, HighOp::Write(1)).unwrap();
             driver.run_until_quiescent(&mut sim, 100).unwrap();
             let ranks: Vec<u32> = sim.decision_trace().iter().map(|d| d.choice).collect();
-            (sim.history().events().copied().collect::<Vec<_>>(), ranks)
+            (sim.history().events().collect::<Vec<_>>(), ranks)
         };
         let (events, ranks) = run(FairDriver::new(3));
         assert_eq!(

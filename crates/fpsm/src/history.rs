@@ -27,79 +27,340 @@
 //!
 //! ## Segmented retention
 //!
-//! The retained events live in fixed-size segments of 1024 events held in
-//! a deque. Growing the log allocates one segment at a time and never moves
-//! an event already recorded (a single growable buffer would copy the whole
+//! The retained events live in fixed-size segments of 1024 *records* held
+//! in a deque. A record packs one event into 48 bytes, where an [`Event`]
+//! takes 88: the time, one 64-bit id (the low-level op of a trigger or
+//! response, the high-level op of an invocation or return), one [`Value`],
+//! the client, object and trigger's high-level op as 32-bit indices, and a
+//! one-byte tag for the variant and its operation or response kind. An
+//! event that does not fit — a CAS trigger, which carries two values, or
+//! one whose index needs more than 32 bits — is kept whole in one log-wide
+//! out-of-line deque, and its record holds only its position there; each
+//! segment counts its out-of-line events and pops them when it is
+//! released. Reading the log decodes every record back into the exact
+//! event, so [`History::events`] yields owned values.
+//!
+//! Growing the log allocates one segment at a time and never moves a
+//! record already written (a single growable buffer would copy the whole
 //! log on every doubling, holding old and new buffer at once). Eviction
 //! advances a cursor into the oldest segment and releases a segment once
-//! all of its events are gone; one released segment is kept as a spare, so
-//! a ring that evicts as fast as it records — and `Digest`, which evicts
-//! every event at once — allocates nothing per event.
+//! all of its records are gone; one released segment is kept as a spare,
+//! so a ring that evicts as fast as it records allocates nothing per
+//! event. A mode that retains nothing (`Digest`, `Ring(0)`) counts each
+//! event and packs none.
 
 use crate::event::Event;
-use crate::ids::{ClientId, HighOpId, ObjectId, OpId, Time};
-use crate::op::{HighOp, HighResponse};
+use crate::ids::{ClientId, HighOpId, ObjectId, OpId, ServerId, Time};
+use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-/// Events per segment of the retained log.
+/// Records per segment of the retained log.
 const SEGMENT: usize = 1024;
 
+/// [`Record::high_op`] of a trigger issued outside any high-level operation.
+const NO_HIGH_OP: u32 = u32::MAX;
+
+/// Which [`Event`] variant a [`Record`] holds, with its operation or
+/// response kind.
+#[derive(Clone, Copy, Debug)]
+#[repr(u8)]
+enum Tag {
+    InvokeWrite,
+    InvokeRead,
+    ReturnWriteAck,
+    ReturnReadValue,
+    TriggerRead,
+    TriggerWrite,
+    TriggerReadMax,
+    TriggerWriteMax,
+    RespondReadValue,
+    RespondWriteAck,
+    RespondMaxValue,
+    RespondWriteMaxAck,
+    RespondCasOld,
+    ServerCrash,
+    ClientCrash,
+    /// The event is the `id`-th ever stored in [`EventLog::out_of_line`].
+    OutOfLine,
+}
+
+/// One retained event, packed into 48 bytes (an [`Event`] takes 88). The
+/// fields a variant does not use are zero.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    time: Time,
+    /// The op id of a trigger or response, the high-op id of an invocation
+    /// or return, or the serial of an out-of-line event.
+    id: u64,
+    /// The value a trigger writes or a response carries, or the payload of
+    /// a high-level write or read (in `val`).
+    value: Value,
+    /// The client, or the server of a server crash.
+    client: u32,
+    object: u32,
+    /// A trigger's high-level operation, or [`NO_HIGH_OP`].
+    high_op: u32,
+    tag: Tag,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 48);
+
+impl Record {
+    /// A record with no object and no high-level operation.
+    fn new(time: Time, tag: Tag, id: u64, value: Value, client: u32) -> Record {
+        Record {
+            time,
+            id,
+            value,
+            client,
+            object: 0,
+            high_op: 0,
+            tag,
+        }
+    }
+
+    /// Packs `event`, or returns `None` if it does not fit: a CAS trigger
+    /// (two values), or an index that needs more than 32 bits.
+    fn pack(event: &Event) -> Option<Record> {
+        let narrow = |index: usize| u32::try_from(index).ok();
+        Some(match *event {
+            Event::Invoke {
+                time,
+                client,
+                high_op,
+                op,
+            } => {
+                let (tag, payload) = match op {
+                    HighOp::Write(payload) => (Tag::InvokeWrite, payload),
+                    HighOp::Read => (Tag::InvokeRead, 0),
+                };
+                let value = Value::from_payload(payload);
+                Record::new(time, tag, high_op.0, value, narrow(client.0)?)
+            }
+            Event::Return {
+                time,
+                client,
+                high_op,
+                response,
+            } => {
+                let (tag, payload) = match response {
+                    HighResponse::WriteAck => (Tag::ReturnWriteAck, 0),
+                    HighResponse::ReadValue(payload) => (Tag::ReturnReadValue, payload),
+                };
+                let value = Value::from_payload(payload);
+                Record::new(time, tag, high_op.0, value, narrow(client.0)?)
+            }
+            Event::Trigger {
+                time,
+                client,
+                high_op,
+                op_id,
+                object,
+                op,
+            } => {
+                let (tag, value) = match op {
+                    BaseOp::Read => (Tag::TriggerRead, Value::INITIAL),
+                    BaseOp::Write(value) => (Tag::TriggerWrite, value),
+                    BaseOp::ReadMax => (Tag::TriggerReadMax, Value::INITIAL),
+                    BaseOp::WriteMax(value) => (Tag::TriggerWriteMax, value),
+                    BaseOp::Cas { .. } => return None,
+                };
+                let high_op = match high_op {
+                    Some(id) => u32::try_from(id.0).ok().filter(|&id| id != NO_HIGH_OP)?,
+                    None => NO_HIGH_OP,
+                };
+                Record {
+                    object: narrow(object.0)?,
+                    high_op,
+                    ..Record::new(time, tag, op_id.0, value, narrow(client.0)?)
+                }
+            }
+            Event::Respond {
+                time,
+                client,
+                op_id,
+                object,
+                response,
+            } => {
+                let (tag, value) = match response {
+                    BaseResponse::ReadValue(value) => (Tag::RespondReadValue, value),
+                    BaseResponse::WriteAck => (Tag::RespondWriteAck, Value::INITIAL),
+                    BaseResponse::MaxValue(value) => (Tag::RespondMaxValue, value),
+                    BaseResponse::WriteMaxAck => (Tag::RespondWriteMaxAck, Value::INITIAL),
+                    BaseResponse::CasOld(value) => (Tag::RespondCasOld, value),
+                };
+                Record {
+                    object: narrow(object.0)?,
+                    ..Record::new(time, tag, op_id.0, value, narrow(client.0)?)
+                }
+            }
+            Event::ServerCrash { time, server } => {
+                Record::new(time, Tag::ServerCrash, 0, Value::INITIAL, narrow(server.0)?)
+            }
+            Event::ClientCrash { time, client } => {
+                Record::new(time, Tag::ClientCrash, 0, Value::INITIAL, narrow(client.0)?)
+            }
+        })
+    }
+}
+
+/// One segment of the log: up to [`SEGMENT`] records, and how many of them
+/// stand for out-of-line events.
+#[derive(Clone, Debug)]
+struct Segment {
+    records: Vec<Record>,
+    out_of_line: usize,
+}
+
 /// The retained suffix of the event stream, in segments of [`SEGMENT`]
-/// events (see the module docs). Every segment but the last is full; the
-/// first `head` events of the front segment are evicted.
+/// records (see the module docs). Every segment but the last is full; the
+/// first `head` records of the front segment are evicted.
 #[derive(Clone, Debug, Default)]
 struct EventLog {
-    segments: VecDeque<Vec<Event>>,
+    segments: VecDeque<Segment>,
     head: usize,
     len: usize,
-    /// An emptied segment, reused by the next push that needs one.
-    spare: Vec<Event>,
+    /// The events that do not pack into a [`Record`], in recording order;
+    /// a released segment pops its own from the front.
+    out_of_line: VecDeque<Event>,
+    /// Out-of-line events popped so far: the serial of the front one.
+    released_out_of_line: u64,
+    /// An emptied segment's records, reused by the next push that needs one.
+    spare: Vec<Record>,
 }
 
 impl EventLog {
     fn push(&mut self, event: Event) {
-        match self.segments.back_mut() {
-            Some(last) if last.len() < SEGMENT => last.push(event),
-            _ => {
-                let mut segment = std::mem::take(&mut self.spare);
-                segment.reserve_exact(SEGMENT);
-                segment.push(event);
-                self.segments.push_back(segment);
-            }
+        if self
+            .segments
+            .back()
+            .map_or(true, |last| last.records.len() == SEGMENT)
+        {
+            let mut records = std::mem::take(&mut self.spare);
+            records.reserve_exact(SEGMENT);
+            self.segments.push_back(Segment {
+                records,
+                out_of_line: 0,
+            });
         }
+        let last = self.segments.back_mut().expect("a segment with room");
+        let record = Record::pack(&event).unwrap_or_else(|| {
+            let serial = self.released_out_of_line + self.out_of_line.len() as u64;
+            self.out_of_line.push_back(event);
+            last.out_of_line += 1;
+            Record::new(event.time(), Tag::OutOfLine, serial, Value::INITIAL, 0)
+        });
+        last.records.push(record);
         self.len += 1;
     }
 
     /// Evicts the oldest events until at most `keep` remain, releasing the
-    /// segments they emptied; returns how many were evicted.
+    /// segments they emptied (with their out-of-line events); returns how
+    /// many were evicted.
     fn evict_to(&mut self, keep: usize) -> usize {
         let evicted = self.len.saturating_sub(keep);
         self.len -= evicted;
         self.head += evicted;
         while let Some(front) = self.segments.front() {
-            if self.head < front.len() {
+            if self.head < front.records.len() {
                 break;
             }
-            self.head -= front.len();
+            self.head -= front.records.len();
             let mut segment = self.segments.pop_front().expect("front exists");
+            self.out_of_line.drain(..segment.out_of_line);
+            self.released_out_of_line += segment.out_of_line as u64;
             if self.spare.capacity() == 0 {
-                segment.clear();
-                self.spare = segment;
+                segment.records.clear();
+                self.spare = segment.records;
             }
         }
         evicted
     }
 
     /// The retained events from the `start`-th on (`start <= len`).
-    fn iter_from(&self, start: usize) -> impl Iterator<Item = &Event> + '_ {
+    fn iter_from(&self, start: usize) -> impl Iterator<Item = Event> + '_ {
         let at = self.head + start;
         let offset = at % SEGMENT;
         self.segments
             .range(at / SEGMENT..)
             .enumerate()
-            .flat_map(move |(i, segment)| segment[if i == 0 { offset } else { 0 }..].iter())
+            .flat_map(move |(i, segment)| {
+                segment.records[if i == 0 { offset } else { 0 }..]
+                    .iter()
+                    .map(move |record| self.decode(record))
+            })
+    }
+
+    /// The event `record` stands for. Forced inline into the iteration:
+    /// called out of line, returning the event through memory made feeding
+    /// a run to the online WS-Regularity checker about 60 % dearer per
+    /// event.
+    #[inline(always)]
+    fn decode(&self, record: &Record) -> Event {
+        let Record {
+            time,
+            id,
+            value,
+            client,
+            object,
+            high_op,
+            tag,
+        } = *record;
+        let client = ClientId::new(client as usize);
+        let object = ObjectId::new(object as usize);
+        let op_id = OpId::new(id);
+        let high_op = (high_op != NO_HIGH_OP).then(|| HighOpId::new(u64::from(high_op)));
+        let trigger = |op| Event::Trigger {
+            time,
+            client,
+            high_op,
+            op_id,
+            object,
+            op,
+        };
+        let respond = |response| Event::Respond {
+            time,
+            client,
+            op_id,
+            object,
+            response,
+        };
+        let invoke = |op| Event::Invoke {
+            time,
+            client,
+            high_op: HighOpId::new(id),
+            op,
+        };
+        let ret = |response| Event::Return {
+            time,
+            client,
+            high_op: HighOpId::new(id),
+            response,
+        };
+        match tag {
+            Tag::InvokeWrite => invoke(HighOp::Write(value.val)),
+            Tag::InvokeRead => invoke(HighOp::Read),
+            Tag::ReturnWriteAck => ret(HighResponse::WriteAck),
+            Tag::ReturnReadValue => ret(HighResponse::ReadValue(value.val)),
+            Tag::TriggerRead => trigger(BaseOp::Read),
+            Tag::TriggerWrite => trigger(BaseOp::Write(value)),
+            Tag::TriggerReadMax => trigger(BaseOp::ReadMax),
+            Tag::TriggerWriteMax => trigger(BaseOp::WriteMax(value)),
+            Tag::RespondReadValue => respond(BaseResponse::ReadValue(value)),
+            Tag::RespondWriteAck => respond(BaseResponse::WriteAck),
+            Tag::RespondMaxValue => respond(BaseResponse::MaxValue(value)),
+            Tag::RespondWriteMaxAck => respond(BaseResponse::WriteMaxAck),
+            Tag::RespondCasOld => respond(BaseResponse::CasOld(value)),
+            Tag::ServerCrash => Event::ServerCrash {
+                time,
+                server: ServerId::new(client.0),
+            },
+            Tag::ClientCrash => Event::ClientCrash { time, client },
+            Tag::OutOfLine => self.out_of_line[(id - self.released_out_of_line) as usize],
+        }
     }
 }
 
@@ -317,13 +578,17 @@ impl History {
         self.apply_retention();
     }
 
-    fn apply_retention(&mut self) {
-        let keep = match self.mode {
+    /// How many events the recording mode retains.
+    fn keep(&self) -> usize {
+        match self.mode {
             RecordingMode::Full => usize::MAX,
             RecordingMode::Digest => 0,
             RecordingMode::Ring(cap) => cap,
-        };
-        self.dropped += self.events.evict_to(keep) as u64;
+        }
+    }
+
+    fn apply_retention(&mut self) {
+        self.dropped += self.events.evict_to(self.keep()) as u64;
     }
 
     /// Appends an event: updates the digests (in every mode), then retains
@@ -395,30 +660,39 @@ impl History {
             Event::ServerCrash { .. } | Event::ClientCrash { .. } => {}
         }
         self.last_time = event.time();
-        // The retention policy lives in `apply_retention` alone; pushing
-        // then evicting keeps the two call sites (per-event and
-        // mode-switch) impossible to desynchronize.
-        self.events.push(event);
-        self.apply_retention();
+        // The retention policy lives in `keep` alone; pushing then evicting
+        // keeps the two call sites (per-event and mode-switch) impossible
+        // to desynchronize. A mode that retains nothing has emptied the log
+        // already, so its events are counted and never packed.
+        if self.keep() == 0 {
+            self.dropped += 1;
+        } else {
+            self.events.push(event);
+            self.apply_retention();
+        }
         self.peak_retained = self.peak_retained.max(self.events.len);
     }
 
     /// The retained events, in the order they occurred. In
     /// [`RecordingMode::Full`] this is the complete run; in the bounded
     /// modes it is the current window (empty under `Digest`).
-    pub fn events(&self) -> impl Iterator<Item = &Event> + '_ {
+    ///
+    /// The events come back as owned values, decoded from the packed log
+    /// (see the module docs): iterate again rather than hold references.
+    pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
         self.events.iter_from(0)
     }
 
-    /// The events with sequence numbers `seq..total_events()`, or `None` if
-    /// part of that range has already been evicted — the caller missed
-    /// events and any incremental consumer (e.g. an online checker) should
-    /// treat its state as incomplete.
+    /// The events with sequence numbers `seq..total_events()`, as owned
+    /// values like [`History::events`], or `None` if part of that range has
+    /// already been evicted — the caller missed events and any incremental
+    /// consumer (e.g. an online checker) should treat its state as
+    /// incomplete.
     ///
     /// Draining `events_since(cursor)` after every simulation transition and
     /// advancing `cursor` to [`History::total_events`] never misses an event
     /// as long as the window capacity covers the events of one transition.
-    pub fn events_since(&self, seq: u64) -> Option<impl Iterator<Item = &Event> + '_> {
+    pub fn events_since(&self, seq: u64) -> Option<impl Iterator<Item = Event> + '_> {
         if seq < self.dropped {
             return None;
         }
@@ -571,10 +845,10 @@ impl History {
         for e in self.events() {
             match e {
                 Event::Trigger { op_id, .. } => {
-                    pending.insert(*op_id);
+                    pending.insert(op_id);
                 }
                 Event::Respond { op_id, .. } => {
-                    pending.remove(op_id);
+                    pending.remove(&op_id);
                 }
                 _ => {}
             }
@@ -615,8 +889,6 @@ impl History {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{BaseOp, BaseResponse};
-    use crate::value::Value;
 
     fn mk_events() -> Vec<Event> {
         vec![
@@ -808,7 +1080,7 @@ mod tests {
         assert_eq!(h.total_events(), 7);
         assert_eq!(h.evicted_events(), 4);
         // The window is the last three events, in order.
-        let times: Vec<Time> = h.events().map(Event::time).collect();
+        let times: Vec<Time> = h.events().map(|e| e.time()).collect();
         assert_eq!(times, vec![4, 5, 6]);
         // Digests are unaffected by the eviction.
         assert_eq!(h.high_intervals().len(), 2);
@@ -827,9 +1099,9 @@ mod tests {
         assert!(h.events_since(0).is_none());
         assert!(h.events_since(3).is_none());
         // The retained suffix starts at sequence number 4.
-        let tail: Vec<Time> = h.events_since(4).unwrap().map(Event::time).collect();
+        let tail: Vec<Time> = h.events_since(4).unwrap().map(|e| e.time()).collect();
         assert_eq!(tail, vec![4, 5, 6]);
-        let tail: Vec<Time> = h.events_since(6).unwrap().map(Event::time).collect();
+        let tail: Vec<Time> = h.events_since(6).unwrap().map(|e| e.time()).collect();
         assert_eq!(tail, vec![6]);
         // At (or past) the end the drain is empty but not a gap.
         assert_eq!(h.events_since(7).unwrap().count(), 0);

@@ -492,7 +492,7 @@ mod tests {
             sched.run_until_complete(&mut sim, w, 100).unwrap();
             sched.run_until_quiescent(&mut sim, 100).unwrap();
             assert_eq!(sim.pending_count(), 0);
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
     }
@@ -545,7 +545,7 @@ mod tests {
             sched.run_until_complete(&mut sim, w, 100).unwrap();
             sched.run_until_quiescent(&mut sim, 100).unwrap();
             assert_eq!(sim.pending_count(), 0);
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         assert_eq!(run(3, 7), run(3, 7));
         // Different seeds reorder deliveries (with overwhelming probability
@@ -583,7 +583,7 @@ mod tests {
             let mut sched = DelayedScheduler::new(3, 7).with_perturbation(ticks);
             sched.run_until_complete(&mut sim, w, 100).unwrap();
             sched.run_until_quiescent(&mut sim, 100).unwrap();
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         // Empty perturbation is the unperturbed scheduler, and any fixed
         // perturbation replays byte-identically.
@@ -667,7 +667,7 @@ mod tests {
                 s.run_until_complete(&mut sim, w, 100).unwrap();
                 s.run_until_quiescent(&mut sim, 100).unwrap();
             }
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         assert_eq!(run(true), run(false));
     }
@@ -684,7 +684,7 @@ mod tests {
                 let mut s = FairDriver::new(7);
                 s.run_until_complete(&mut sim, w, 100).unwrap();
             }
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         assert_eq!(run(true), run(false));
     }

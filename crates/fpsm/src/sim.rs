@@ -1249,7 +1249,7 @@ mod tests {
                     driver.step(&mut sim).unwrap();
                 }
             }
-            let events: Vec<&Event> = sim.history().events().collect();
+            let events: Vec<Event> = sim.history().events().collect();
             format!(
                 "{events:?}\ntime={} pending={} covered={} peaks={}/{}/{} done={}",
                 sim.time(),

@@ -132,7 +132,7 @@ proptest! {
                 .history()
                 .events()
                 .filter_map(|e| match e {
-                    Event::Respond { op_id, .. } => Some(*op_id),
+                    Event::Respond { op_id, .. } => Some(op_id),
                     _ => None,
                 })
                 .collect();
@@ -147,10 +147,10 @@ proptest! {
             for e in sim.history().events() {
                 match e {
                     Event::ServerCrash { server, .. } => {
-                        crashed.insert(*server);
+                        crashed.insert(server);
                     }
                     Event::Respond { object, .. } => {
-                        prop_assert!(!crashed.contains(&sim.topology().server_of(*object)));
+                        prop_assert!(!crashed.contains(&sim.topology().server_of(object)));
                     }
                     _ => {}
                 }
@@ -208,7 +208,7 @@ proptest! {
                 let op = sim.invoke(*c, HighOp::Write(i as u64 + 1)).unwrap();
                 driver.run_until_complete(&mut sim, op, 10_000).unwrap();
             }
-            sim.history().events().copied().collect::<Vec<_>>()
+            sim.history().events().collect::<Vec<_>>()
         };
         prop_assert_eq!(run(seed), run(seed));
     }

@@ -71,6 +71,7 @@ use crate::report::{Condition, Violation};
 use crate::sequential::SequentialSpec;
 use regemu_fpsm::history::HighInterval;
 use regemu_fpsm::{Event, HighOpId, Payload};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The final verdict of a [`StreamingChecker`].
@@ -344,8 +345,9 @@ impl StreamingChecker {
 
     /// Consumes one event. Only high-level events (`Invoke` / `Return`)
     /// affect the verdict; the rest are ignored, so the caller can feed the
-    /// raw mixed stream of a simulation run unchanged.
-    pub fn observe(&mut self, event: &Event) {
+    /// raw mixed stream of a simulation run unchanged, by reference or as
+    /// the owned values `History::events` yields.
+    pub fn observe(&mut self, event: impl Borrow<Event>) {
         // A linearizability violation is final (the failed fold is forced in
         // every linearization of any extension), but a WS violation is not:
         // a later pair of concurrent writes makes the whole schedule
@@ -356,7 +358,7 @@ impl StreamingChecker {
         if self.truncated || (self.violation.is_some() && verdict_is_final) {
             return;
         }
-        match *event {
+        match *event.borrow() {
             Event::Invoke {
                 time,
                 client,
@@ -783,7 +785,7 @@ mod tests {
             match p {
                 Point::Invoke(i) => {
                     let iv = h.ops()[i];
-                    checker.observe(&Event::Invoke {
+                    checker.observe(Event::Invoke {
                         time: iv.invoked_at,
                         client: iv.client,
                         high_op: HighOpId::new(i as u64),
@@ -793,7 +795,7 @@ mod tests {
                 Point::Return(i) => {
                     let iv = h.ops()[i];
                     let (t, response) = iv.returned.unwrap();
-                    checker.observe(&Event::Return {
+                    checker.observe(Event::Return {
                         time: t,
                         client: iv.client,
                         high_op: HighOpId::new(i as u64),
@@ -950,10 +952,10 @@ mod tests {
                 response: HighResponse::WriteAck,
             };
             t += 2;
-            checker.observe(&invoke);
-            checker.observe(&ret);
-            atomic.observe(&invoke);
-            atomic.observe(&ret);
+            checker.observe(invoke);
+            checker.observe(ret);
+            atomic.observe(invoke);
+            atomic.observe(ret);
         }
         // Sequential stream: everything folds as it completes.
         assert!(checker.window_len() <= 1);
@@ -1004,7 +1006,7 @@ mod tests {
         let spec = register();
         for condition in [Condition::WsRegularity, Condition::Atomicity] {
             let mut checker = StreamingChecker::new(condition, spec);
-            checker.observe(&Event::Invoke {
+            checker.observe(Event::Invoke {
                 time: 1,
                 client: ClientId::new(9),
                 high_op: HighOpId::new(0),
@@ -1013,13 +1015,13 @@ mod tests {
             let mut t = 2;
             let feed_writes = |checker: &mut StreamingChecker, t: &mut Time, base: u64| {
                 for i in 0..100u64 {
-                    checker.observe(&Event::Invoke {
+                    checker.observe(Event::Invoke {
                         time: *t,
                         client: ClientId::new(0),
                         high_op: HighOpId::new(base + i),
                         op: HighOp::Write(base + i),
                     });
-                    checker.observe(&Event::Return {
+                    checker.observe(Event::Return {
                         time: *t + 1,
                         client: ClientId::new(0),
                         high_op: HighOpId::new(base + i),
@@ -1034,7 +1036,7 @@ mod tests {
                 "{condition}: the pending read pins the window"
             );
             // The engine learns the client crashed: the window drains.
-            checker.observe(&Event::ClientCrash {
+            checker.observe(Event::ClientCrash {
                 time: t,
                 client: ClientId::new(9),
             });
@@ -1125,36 +1127,36 @@ mod tests {
         // online verdict must agree even though the abandoned write left
         // the open map.
         let mut checker = StreamingChecker::new(Condition::WsRegularity, register());
-        checker.observe(&Event::Invoke {
+        checker.observe(Event::Invoke {
             time: 0,
             client: ClientId::new(0),
             high_op: HighOpId::new(0),
             op: HighOp::Write(1),
         });
-        checker.observe(&Event::ClientCrash {
+        checker.observe(Event::ClientCrash {
             time: 1,
             client: ClientId::new(0),
         });
-        checker.observe(&Event::Invoke {
+        checker.observe(Event::Invoke {
             time: 2,
             client: ClientId::new(1),
             high_op: HighOpId::new(1),
             op: HighOp::Write(2),
         });
-        checker.observe(&Event::Return {
+        checker.observe(Event::Return {
             time: 3,
             client: ClientId::new(1),
             high_op: HighOpId::new(1),
             response: HighResponse::WriteAck,
         });
         // Any read value is fine now: not write-sequential.
-        checker.observe(&Event::Invoke {
+        checker.observe(Event::Invoke {
             time: 4,
             client: ClientId::new(2),
             high_op: HighOpId::new(2),
             op: HighOp::Read,
         });
-        checker.observe(&Event::Return {
+        checker.observe(Event::Return {
             time: 5,
             client: ClientId::new(2),
             high_op: HighOpId::new(2),
@@ -1171,25 +1173,25 @@ mod tests {
         // effect between the two reads — read 0 then read 5 is atomic.
         let feed = |values: [u64; 2]| {
             let mut checker = StreamingChecker::new(Condition::Atomicity, spec);
-            checker.observe(&Event::Invoke {
+            checker.observe(Event::Invoke {
                 time: 0,
                 client: ClientId::new(0),
                 high_op: HighOpId::new(0),
                 op: HighOp::Write(5),
             });
-            checker.observe(&Event::ClientCrash {
+            checker.observe(Event::ClientCrash {
                 time: 1,
                 client: ClientId::new(0),
             });
             for (i, v) in values.into_iter().enumerate() {
                 let id = HighOpId::new(1 + i as u64);
-                checker.observe(&Event::Invoke {
+                checker.observe(Event::Invoke {
                     time: 2 + 2 * i as Time,
                     client: ClientId::new(1),
                     high_op: id,
                     op: HighOp::Read,
                 });
-                checker.observe(&Event::Return {
+                checker.observe(Event::Return {
                     time: 3 + 2 * i as Time,
                     client: ClientId::new(1),
                     high_op: id,

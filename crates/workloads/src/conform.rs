@@ -536,7 +536,7 @@ pub fn check_history(history: &HighHistory, check: ConsistencyCheck) -> ConformV
     let offline = check.check_offline(history);
     let mut checker = StreamingChecker::new(condition, SequentialSpec::register());
     for event in event_stream(history) {
-        checker.observe(&event);
+        checker.observe(event);
     }
     let outcome = checker.into_outcome();
     ConformVerdict {

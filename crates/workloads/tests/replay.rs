@@ -62,7 +62,7 @@ fn run(kind: EmulationKind, mut scheduler: Box<dyn Scheduler>, env_seed: u64) ->
 
 fn observed(sim: &Simulation) -> (Vec<Event>, Vec<DecisionRecord>) {
     (
-        sim.history().events().copied().collect(),
+        sim.history().events().collect(),
         sim.decision_trace().to_vec(),
     )
 }

@@ -53,8 +53,7 @@ impl Scheduler for Recording {
         let result = self.inner.step(sim);
         let mut seen = self.seen.borrow_mut();
         let known = seen.events.len();
-        seen.events
-            .extend(sim.history().events().skip(known).copied());
+        seen.events.extend(sim.history().events().skip(known));
         seen.decisions = sim.decision_trace().to_vec();
         result
     }
