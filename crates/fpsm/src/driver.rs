@@ -12,12 +12,11 @@
 //! public API.
 
 use crate::error::SimError;
-use crate::ids::{OpId, ServerId, Time};
+use crate::ids::{ClientId, OpId, ServerId, Time};
 use crate::scheduler::{BlockStrategy, Scheduler};
 use crate::sim::{PendingOp, Simulation};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A plan of server crashes to inject at given logical times.
 ///
@@ -45,17 +44,40 @@ impl CrashPlan {
         self.entries.iter().map(|(_, s)| *s)
     }
 
-    /// Returns the servers whose crash time has been reached and removes them
-    /// from the plan.
-    pub(crate) fn due(&mut self, now: Time) -> Vec<ServerId> {
-        let (due, rest): (Vec<_>, Vec<_>) = self.entries.iter().partition(|(t, _)| *t <= now);
-        self.entries = rest;
-        due.into_iter().map(|(_, s)| s).collect()
+    /// Removes and returns the first server, in insertion order, whose crash
+    /// time has been reached. Allocates nothing, and does nothing on an
+    /// empty plan.
+    pub(crate) fn pop_due(&mut self, now: Time) -> Option<ServerId> {
+        let i = self.entries.iter().position(|&(at, _)| at <= now)?;
+        Some(self.entries.remove(i).1)
     }
 
     /// Number of crashes still scheduled.
     pub fn remaining(&self) -> usize {
         self.entries.len()
+    }
+}
+
+/// What the step loop keeps of a deliverable operation: everything the
+/// choosers and the re-check read, in a third of a [`PendingOp`]'s bytes.
+#[derive(Debug)]
+pub(crate) struct Candidate {
+    pub(crate) op_id: OpId,
+    pub(crate) client: ClientId,
+    pub(crate) server: ServerId,
+    pub(crate) triggered_at: Time,
+}
+
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 32);
+
+impl From<&PendingOp> for Candidate {
+    fn from(p: &PendingOp) -> Self {
+        Candidate {
+            op_id: p.op_id,
+            client: p.client,
+            server: p.server,
+            triggered_at: p.triggered_at,
+        }
     }
 }
 
@@ -65,17 +87,20 @@ impl CrashPlan {
 ///
 /// A scheduler supplies only what differs: *admission* — a [`BlockStrategy`]
 /// for [`crate::AdversarialScheduler`], nothing for the others — and
-/// *choice* among the admitted candidates.
+/// *choice* among the admitted candidates, by index.
 ///
-/// The candidate list is kept across steps. Each step drops the entries that
-/// left the pending set or whose server crashed — whoever caused that: this
-/// scheduler, its crash plan, or anything else holding the simulation — and
-/// then judges only the operations triggered since the previous step, asking
-/// the strategy about each once. Ids are allocated in ascending order, so the
-/// list is, element for element, the one a walk over
-/// [`Simulation::deliverable_ops`] would build — at a cost of O(candidates)
-/// instead of O(pending window), however many operations are withheld or
-/// stranded on a crashed server.
+/// The candidate list is kept across steps, and outside the choice a step
+/// only does work for what changed: it judges the operations triggered since
+/// the previous step, asking the strategy about each once, and after its own
+/// delivery it removes the delivered entry itself (one `memmove` of the
+/// entries behind it). The whole list is re-checked — entries that left
+/// the pending set or whose server crashed are dropped — only when the
+/// simulation's `deliverable_epoch` moved since the loop last saw it: after
+/// a crash-plan crash, or when anything else holding the simulation
+/// delivered, dropped or crashed in between. Ids are allocated in ascending
+/// order, so the list is, element for element, the one a walk over
+/// [`Simulation::deliverable_ops`] would build, however many operations are
+/// withheld or stranded on a crashed server.
 ///
 /// The memory of which operations were judged belongs to one run: a step
 /// loop, and so every scheduler built on it, is bound to one [`Simulation`].
@@ -83,11 +108,12 @@ impl CrashPlan {
 pub(crate) struct StepLoop {
     pub(crate) crash_plan: CrashPlan,
     pub(crate) steps: u64,
-    /// Deliverable operations that were admitted, ascending by id. Copies:
-    /// nothing in a [`PendingOp`] changes while it is pending.
-    candidates: Vec<PendingOp>,
+    /// Deliverable operations that were admitted, ascending by id.
+    candidates: Vec<Candidate>,
     /// Every operation with a smaller id has been judged already.
     watermark: OpId,
+    /// The simulation's `deliverable_epoch` when the list was last exact.
+    epoch: u64,
 }
 
 impl StepLoop {
@@ -95,31 +121,48 @@ impl StepLoop {
         &mut self,
         sim: &mut Simulation,
         mut strategy: Option<&mut dyn BlockStrategy>,
-        choose: impl FnOnce(&[PendingOp]) -> Option<OpId>,
+        choose: impl FnOnce(&[Candidate]) -> Option<usize>,
     ) -> Result<bool, SimError> {
-        for server in self.crash_plan.due(sim.time()) {
+        // Each crash advances the time; an entry that only a crash of this
+        // step brings due waits for the next step.
+        let now = sim.time();
+        while let Some(server) = self.crash_plan.pop_due(now) {
             sim.crash_server(server)?;
         }
         debug_assert!(
             sim.next_op_id() >= self.watermark,
             "a scheduler is bound to one Simulation"
         );
-        let deliverable = |p: &PendingOp| !sim.is_server_crashed(p.server);
-        self.candidates
-            .retain(|p| sim.pending_op(p.op_id).is_some_and(deliverable));
+        if self.epoch != sim.deliverable_epoch {
+            self.candidates
+                .retain(|c| sim.pending_op(c.op_id).is_some() && !sim.is_server_crashed(c.server));
+            self.epoch = sim.deliverable_epoch;
+        }
         self.candidates.extend(
             sim.pending_ops_from(self.watermark)
-                .filter(|p| deliverable(p) && !strategy.as_mut().is_some_and(|s| s.blocks(sim, p)))
-                .copied(),
+                .filter(|p| {
+                    !sim.is_server_crashed(p.server)
+                        && !strategy.as_mut().is_some_and(|s| s.blocks(sim, p))
+                })
+                .map(Candidate::from),
         );
         self.watermark = sim.next_op_id();
-        let Some(chosen) = choose(&self.candidates) else {
+        let Some(index) = choose(&self.candidates) else {
             return Ok(false);
         };
-        sim.deliver(chosen)?;
+        sim.deliver(self.candidates[index].op_id)?;
+        self.candidates.remove(index);
+        self.epoch = sim.deliverable_epoch;
         self.steps += 1;
         Ok(true)
     }
+}
+
+/// The index of a uniformly drawn element of a slice of `len`, as
+/// `SliceRandom::choose` draws it: one value from the seeded stream, and
+/// none when the slice is empty.
+pub(crate) fn draw_index(rng: &mut StdRng, len: usize) -> Option<usize> {
+    (len > 0).then(|| rng.gen_range(0..len))
 }
 
 /// A pseudo-random fair driver: [`crate::AdversarialScheduler`] with nothing
@@ -183,11 +226,12 @@ impl Scheduler for FairDriver {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
         let (rng, replay) = (&mut self.rng, &mut self.replay);
         self.core.step(sim, None, |ops| {
-            let drawn = ops.choose(rng)?;
-            let chosen = replay
-                .next()
-                .map_or(drawn, |rank| &ops[rank as usize % ops.len()]);
-            Some(chosen.op_id)
+            let drawn = draw_index(rng, ops.len())?;
+            Some(
+                replay
+                    .next()
+                    .map_or(drawn, |rank| rank as usize % ops.len()),
+            )
         })
     }
 
@@ -200,12 +244,15 @@ impl Scheduler for FairDriver {
 mod tests {
     use super::*;
     use crate::client::{ClientProtocol, Context, Delivery};
+    use crate::event::Event;
     use crate::ids::ObjectId;
     use crate::object::ObjectKind;
     use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};
+    use crate::scheduler::{AdversarialScheduler, DelayedScheduler, RoundRobinScheduler};
     use crate::sim::SimConfig;
     use crate::topology::Topology;
     use crate::value::Value;
+    use rand::seq::SliceRandom;
 
     /// Writes to all targets and completes once a majority of acks arrived.
     struct MajorityWriter {
@@ -326,8 +373,191 @@ mod tests {
         assert_eq!(plan.remaining(), 2);
         assert_eq!(plan.servers().count(), 2);
         let mut plan = plan;
-        let due = plan.due(6);
-        assert_eq!(due, vec![ServerId::new(0)]);
+        assert_eq!(plan.pop_due(6), Some(ServerId::new(0)));
+        assert_eq!(plan.pop_due(6), None);
         assert_eq!(plan.remaining(), 1);
+        assert_eq!(plan.pop_due(9), Some(ServerId::new(1)));
+        assert_eq!(plan.pop_due(u64::MAX), None);
+        assert_eq!(plan.remaining(), 0);
+    }
+
+    #[test]
+    fn crashes_due_together_happen_in_insertion_order() {
+        let mut plan = CrashPlan::none()
+            .crash_at(9, ServerId::new(4))
+            .crash_at(3, ServerId::new(2))
+            .crash_at(3, ServerId::new(0));
+        assert_eq!(plan.pop_due(3), Some(ServerId::new(2)));
+        assert_eq!(plan.pop_due(3), Some(ServerId::new(0)));
+        assert_eq!(plan.pop_due(3), None);
+
+        // Through a step: both crash before the delivery, in plan order.
+        let (mut sim, objs) = build(5, 2);
+        spawn_writer(&mut sim, &objs);
+        let plan = CrashPlan::none()
+            .crash_at(0, ServerId::new(3))
+            .crash_at(0, ServerId::new(1));
+        let mut driver = FairDriver::new(1).with_crash_plan(plan);
+        assert!(driver.step(&mut sim).unwrap());
+        let crashed: Vec<ServerId> = sim
+            .history()
+            .events()
+            .filter_map(|e| match e {
+                Event::ServerCrash { server, .. } => Some(server),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashed, vec![ServerId::new(3), ServerId::new(1)]);
+        assert_eq!(driver.core.crash_plan.remaining(), 0);
+    }
+
+    #[test]
+    fn a_due_crash_beyond_the_fault_budget_fails_the_step_before_any_delivery() {
+        let (mut sim, objs) = build(3, 1);
+        spawn_writer(&mut sim, &objs);
+        let pending = sim.pending_count();
+        let plan = CrashPlan::none()
+            .crash_at(0, ServerId::new(0))
+            .crash_at(0, ServerId::new(1));
+        let mut driver = FairDriver::new(1).with_crash_plan(plan);
+        let result = driver.step(&mut sim);
+        assert!(
+            matches!(
+                result,
+                Err(SimError::FaultBudgetExceeded {
+                    f: 1,
+                    already_crashed: 1
+                })
+            ),
+            "{result:?}"
+        );
+        assert_eq!(driver.steps(), 0);
+        assert_eq!(sim.pending_count(), pending);
+        assert_eq!(sim.history().respond_count(), 0);
+    }
+
+    fn spawn_writer(sim: &mut Simulation, objs: &[ObjectId]) -> ClientId {
+        let c = sim.register_client(Box::new(MajorityWriter {
+            targets: objs.to_vec(),
+            acks: 0,
+        }));
+        sim.invoke(c, HighOp::Write(1)).unwrap();
+        c
+    }
+
+    /// Withholds every third operation.
+    #[derive(Debug)]
+    struct EveryThird;
+
+    impl BlockStrategy for EveryThird {
+        fn blocks(&mut self, _sim: &Simulation, op: &PendingOp) -> bool {
+            op.op_id.index() % 3 == 0
+        }
+    }
+
+    /// One interference between steps, drawn from `noise`: deliver or drop
+    /// a pending operation, crash server 3 or client 3, or nothing. Counts
+    /// what it did in `done` (deliver, drop, server crash, client crash).
+    fn interfere(sim: &mut Simulation, noise: &mut StdRng, done: &mut [u32; 4]) {
+        let kind = noise.gen_range(0..12usize);
+        match kind {
+            0 => {
+                let ops: Vec<OpId> = sim.deliverable_ops().map(|p| p.op_id).collect();
+                if let Some(&op) = ops.choose(noise) {
+                    sim.deliver(op).unwrap();
+                }
+            }
+            1 => {
+                let ops: Vec<OpId> = sim.pending_ops().map(|p| p.op_id).collect();
+                if let Some(&op) = ops.choose(noise) {
+                    sim.drop_pending(op).unwrap();
+                }
+            }
+            2 => sim.crash_server(ServerId::new(3)).unwrap(),
+            3 => sim.crash_client(ClientId::new(3)).unwrap(),
+            _ => return,
+        }
+        done[kind] += 1;
+    }
+
+    /// Drives four writers at `(n, f) = (5, 2)` under the scheduler `make`
+    /// builds, with a crash plan that fires mid-run and one that never
+    /// does, each with and without interference between steps. After every
+    /// step the loop's candidate ids must equal a rebuild from scratch: the
+    /// deliverable operations the scheduler admits that the loop has judged
+    /// (ids below its watermark; the delivery may have triggered more).
+    fn assert_candidates_match_a_rebuild<S: Scheduler>(
+        make: impl Fn(CrashPlan) -> S,
+        core: impl Fn(&S) -> &StepLoop,
+        admits: impl Fn(&PendingOp) -> bool,
+    ) {
+        let plans = [
+            CrashPlan::none().crash_at(60, ServerId::new(1)),
+            CrashPlan::none().crash_at(Time::MAX, ServerId::new(0)),
+        ];
+        for plan in plans {
+            for interfering in [false, true] {
+                let (mut sim, objs) = build(5, 2);
+                let clients: Vec<ClientId> =
+                    (0..4).map(|_| spawn_writer(&mut sim, &objs)).collect();
+                let mut sched = make(plan.clone());
+                let mut noise = StdRng::seed_from_u64(5);
+                let mut done = [0; 4];
+                let mut delivered = 0;
+                for step in 0..300 {
+                    for &c in &clients {
+                        // Busy and crashed clients refuse; that is fine.
+                        let _ = sim.invoke(c, HighOp::Write(step));
+                    }
+                    if interfering {
+                        interfere(&mut sim, &mut noise, &mut done);
+                    }
+                    delivered += u32::from(sched.step(&mut sim).unwrap());
+                    let kept = core(&sched);
+                    let rebuilt: Vec<OpId> = sim
+                        .deliverable_ops()
+                        .filter(|p| p.op_id < kept.watermark && admits(p))
+                        .map(|p| p.op_id)
+                        .collect();
+                    let ids: Vec<OpId> = kept.candidates.iter().map(|c| c.op_id).collect();
+                    assert_eq!(
+                        ids, rebuilt,
+                        "step {step}, {plan:?}, interfering: {interfering}"
+                    );
+                }
+                // The adversary starves writers once a crash leaves it too few
+                // unwithheld acks, so its runs stop early.
+                assert!(delivered > 40, "{delivered} deliveries");
+                let fires = plan.servers().all(|s| s == ServerId::new(1));
+                assert_eq!(sim.is_server_crashed(ServerId::new(1)), fires);
+                if interfering {
+                    assert!(done.iter().all(|&n| n > 0), "{done:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_scheduler_keeps_its_candidates_equal_to_a_rebuild() {
+        assert_candidates_match_a_rebuild(
+            |plan| FairDriver::new(3).with_crash_plan(plan),
+            |s| &s.core,
+            |_| true,
+        );
+        assert_candidates_match_a_rebuild(
+            |plan| RoundRobinScheduler::new(1).with_crash_plan(plan),
+            |s| &s.core,
+            |_| true,
+        );
+        assert_candidates_match_a_rebuild(
+            |plan| DelayedScheduler::new(2, 7).with_crash_plan(plan),
+            |s| &s.core,
+            |_| true,
+        );
+        assert_candidates_match_a_rebuild(
+            |plan| AdversarialScheduler::new(4, Box::new(EveryThird)).with_crash_plan(plan),
+            |s| &s.core,
+            |p| p.op_id.index() % 3 != 0,
+        );
     }
 }

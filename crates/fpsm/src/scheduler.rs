@@ -22,18 +22,18 @@
 //! All four take the same step, written once in [`crate::driver`]: crash the
 //! servers that are due, bring a candidate list kept across steps up to date,
 //! choose from it, deliver. A scheduler supplies only which operations it
-//! admits — judged once per operation — and which candidate it chooses, so a
-//! step costs O(candidates) however many operations are withheld or stranded
-//! on a crashed server. The kept list remembers which operations of *one* run
-//! were judged: a scheduler instance is bound to one
-//! [`crate::sim::Simulation`].
+//! admits — judged once per operation — and which candidate it chooses. The
+//! list is re-checked only after something outside the loop delivered,
+//! dropped or crashed, so a step never revisits the operations withheld or
+//! stranded on a crashed server, however many there are. The kept list
+//! remembers which operations of *one* run were judged: a scheduler instance
+//! is bound to one [`crate::sim::Simulation`].
 
-use crate::driver::{CrashPlan, StepLoop};
+use crate::driver::{draw_index, Candidate, CrashPlan, StepLoop};
 use crate::error::SimError;
 use crate::ids::{HighOpId, OpId};
 use crate::sim::{PendingOp, Simulation};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// A run driver: decides which deliverable pending operation happens next.
@@ -168,7 +168,7 @@ pub trait Scheduler {
 #[derive(Debug)]
 pub struct RoundRobinScheduler {
     next_client: u64,
-    core: StepLoop,
+    pub(crate) core: StepLoop,
 }
 
 impl RoundRobinScheduler {
@@ -199,15 +199,16 @@ impl Scheduler for RoundRobinScheduler {
             // Pick the candidate whose client is closest after the cursor
             // (wrapping), oldest op id first within a client.
             let start = self.next_client.checked_rem(clients)?;
-            let (_, op_id, client) = candidates
+            let (_, index, client) = candidates
                 .iter()
-                .map(|p| {
-                    let distance = (p.client.index() as u64 + clients - start) % clients;
-                    (distance, p.op_id, p.client)
+                .enumerate()
+                .map(|(i, c)| {
+                    let distance = (c.client.index() as u64 + clients - start) % clients;
+                    (distance, i, c.client)
                 })
                 .min()?;
             self.next_client = client.index() as u64 + 1;
-            Some(op_id)
+            Some(index)
         })
     }
 
@@ -238,7 +239,7 @@ pub struct DelayedScheduler {
     seed: u64,
     max_delay: u64,
     perturbation: Vec<u64>,
-    core: StepLoop,
+    pub(crate) core: StepLoop,
 }
 
 impl DelayedScheduler {
@@ -310,11 +311,16 @@ fn delay(seed: u64, max_delay: u64, perturbation: &[u64], op: OpId) -> u64 {
 impl Scheduler for DelayedScheduler {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
         self.core.step(sim, None, |candidates| {
-            let ready = |p: &PendingOp| {
-                let delay = delay(self.seed, self.max_delay, &self.perturbation, p.op_id);
-                (p.triggered_at + delay, p.op_id)
+            let ready = |(i, c): (usize, &Candidate)| {
+                let delay = delay(self.seed, self.max_delay, &self.perturbation, c.op_id);
+                (c.triggered_at + delay, i)
             };
-            candidates.iter().map(ready).min().map(|(_, id)| id)
+            candidates
+                .iter()
+                .enumerate()
+                .map(ready)
+                .min()
+                .map(|(_, i)| i)
         })
     }
 
@@ -334,10 +340,12 @@ impl Scheduler for DelayedScheduler {
 /// The verdict is on an *operation*, the way `Ad_i` withholds one: the
 /// scheduler asks about each operation once, at its first step after the
 /// operation was triggered (unless its server has crashed by then), and the
-/// answer stands until the operation leaves the pending set. A pick
-/// therefore costs O(operations the scheduler is willing to deliver),
-/// however many are withheld — and withheld operations piling up is exactly
-/// what the covering adversary is for. Per-step choices, such as replaying a
+/// answer stands until the operation leaves the pending set. A step
+/// therefore never looks at an operation withheld earlier: its cost is the
+/// draw among the operations the scheduler is willing to deliver and a
+/// `memmove` of the entries behind the one delivered, however many are
+/// withheld — and withheld operations piling up is exactly what the
+/// covering adversary is for. Per-step choices, such as replaying a
 /// recorded schedule, belong to the scheduler's choice instead:
 /// [`crate::FairDriver::replaying`].
 pub trait BlockStrategy: std::fmt::Debug {
@@ -360,7 +368,9 @@ pub trait BlockStrategy: std::fmt::Debug {
 /// The list of operations the scheduler is willing to deliver is the shared
 /// step loop's, kept across steps: the strategy is asked about each
 /// operation once, and the list holds exactly the deliverable operations it
-/// did not block, in ascending id order.
+/// did not block, in ascending id order. The list is re-checked only when
+/// an operation left the pending set or a server crashed behind the loop's
+/// back, so a step's cost does not grow with the withheld pile.
 ///
 /// An instance is bound to one [`Simulation`]: its RNG stream and its memory
 /// of which operations it has judged both belong to that run.
@@ -368,7 +378,7 @@ pub trait BlockStrategy: std::fmt::Debug {
 pub struct AdversarialScheduler {
     rng: StdRng,
     strategy: Box<dyn BlockStrategy>,
-    core: StepLoop,
+    pub(crate) core: StepLoop,
 }
 
 impl AdversarialScheduler {
@@ -401,7 +411,7 @@ impl AdversarialScheduler {
 impl Scheduler for AdversarialScheduler {
     fn step(&mut self, sim: &mut Simulation) -> Result<bool, SimError> {
         self.core.step(sim, Some(self.strategy.as_mut()), |ops| {
-            ops.choose(&mut self.rng).map(|p| p.op_id)
+            draw_index(&mut self.rng, ops.len())
         })
     }
 

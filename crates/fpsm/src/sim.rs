@@ -241,6 +241,11 @@ pub struct Simulation {
     peak_covered_on_one_server: usize,
     /// Maximum number of simultaneously pending low-level operations.
     peak_pending: usize,
+    /// Bumped whenever an operation stops being deliverable: it left the
+    /// pending set (delivered or dropped), or its server crashed. A step
+    /// loop that reads the same value as at its last step knows that its
+    /// candidate list is still exact (see [`crate::driver`]).
+    pub(crate) deliverable_epoch: u64,
     /// Sampled telemetry hook, attached at construction only when
     /// [`regemu_obs::enabled`] is on. Observation-only: nothing in the
     /// simulator reads it back, so behaviour — and every deterministic
@@ -278,6 +283,7 @@ impl Simulation {
             peak_covered: 0,
             peak_covered_on_one_server: 0,
             peak_pending: 0,
+            deliverable_epoch: 0,
             telemetry: regemu_obs::enabled().then(SimTelemetry::attached),
         }
     }
@@ -656,6 +662,7 @@ impl Simulation {
             }
         }
         self.server_crashed[server.index()] = true;
+        self.deliverable_epoch += 1;
         for obj in self.topology.objects_on(server) {
             self.objects[obj.index()].crash();
         }
@@ -720,6 +727,7 @@ impl Simulation {
     /// Updates the incremental coverage accounting after `op` left the
     /// pending set (delivered or dropped).
     fn note_pending_removed(&mut self, op: &PendingOp) {
+        self.deliverable_epoch += 1;
         if !op.is_covering_write() {
             return;
         }

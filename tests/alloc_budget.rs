@@ -94,11 +94,50 @@ fn allocations_per_trigger(kind: EmulationKind, mode: RecordingMode) -> f64 {
     allocs as f64 / triggers as f64
 }
 
+/// Allocations per trigger of a fair `(4,1,5)` run of `kind` driven through
+/// [`drive`] by a fair driver whose crash plan holds one crash scheduled past
+/// the run's end, so the plan stays non-empty and is consulted on every
+/// step. `drive` cannot be paused after a warm-up, so the warm-up is a
+/// second run of the first quarter of the operations, and the reading is
+/// what the full run allocated beyond it.
+fn allocations_per_trigger_with_a_pending_crash(kind: EmulationKind) -> f64 {
+    let params = Params::new(4, 1, 5).expect("valid parameters");
+    let run = |total: usize| {
+        let emulation = kind.build(params);
+        let workload = WorkloadSpec::RandomMixed {
+            readers: 2,
+            total,
+            write_percent: 50,
+        }
+        .instantiate(params.k, 7);
+        let plan = CrashPlan::none().crash_at(Time::MAX, ServerId::new(0));
+        let mut driver = FairDriver::new(7).with_crash_plan(plan);
+        let allocs_before = allocations();
+        let report = drive(
+            emulation.as_ref(),
+            &workload,
+            &mut driver,
+            ConsistencyCheck::None,
+            100_000,
+            false,
+        )
+        .expect("the run completes");
+        assert_eq!(report.completed_ops, total);
+        (
+            allocations() - allocs_before,
+            report.metrics.low_level_triggers,
+        )
+    };
+    let (warm_up_allocs, warm_up_triggers) = run(OPS / 4);
+    let (allocs, triggers) = run(OPS);
+    (allocs - warm_up_allocs) as f64 / (triggers - warm_up_triggers) as f64
+}
+
 #[test]
 fn steady_state_step_path_stays_within_the_allocation_budget() {
     // One thread per construction: the counter is per thread, so the runs
     // do not see each other's allocations.
-    let readings: Vec<(EmulationKind, RecordingMode, f64)> = std::thread::scope(|scope| {
+    let readings: Vec<(EmulationKind, String, f64)> = std::thread::scope(|scope| {
         let runs: Vec<_> = EmulationKind::ALL
             .into_iter()
             .map(|kind| {
@@ -108,7 +147,14 @@ fn steady_state_step_path_stays_within_the_allocation_budget() {
                         RecordingMode::Digest,
                         RecordingMode::Ring(64),
                     ]
-                    .map(|mode| (kind, mode, allocations_per_trigger(kind, mode)))
+                    .map(|mode| (kind, mode.to_string(), allocations_per_trigger(kind, mode)))
+                    .into_iter()
+                    .chain([(
+                        kind,
+                        "full, crash pending".to_string(),
+                        allocations_per_trigger_with_a_pending_crash(kind),
+                    )])
+                    .collect::<Vec<_>>()
                 })
             })
             .collect();
