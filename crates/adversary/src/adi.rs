@@ -183,6 +183,11 @@ impl AdversaryIteration {
         for event in events {
             tracker.observe(&event, sim.topology());
             *processed += 1;
+            debug_assert_eq!(
+                tracker.check_lemma2_invariants(sim.topology()),
+                Ok(()),
+                "Lemma 2 after event {processed}: {event:?}"
+            );
         }
     }
 

@@ -249,8 +249,12 @@ impl CoveringTracker {
         false
     }
 
-    /// Sanity checks corresponding to Lemma 2 claims 5, 6, 8 and 11; used by
-    /// the test-suite to validate the bookkeeping on real runs.
+    /// Sanity checks corresponding to Lemma 2 claims 5, 6, 8 and 11.
+    /// [`AdversaryIteration::run`](crate::adi::AdversaryIteration::run)
+    /// checks them after every event it observes when debug assertions are
+    /// on, so every debug-built `Ad_i` run (the lower-bound campaign tests,
+    /// `paper figure2_coverage` in a debug build) validates the bookkeeping
+    /// step by step.
     pub fn check_lemma2_invariants(&self, topology: &Topology) -> Result<(), String> {
         if self.q.len() > self.f {
             return Err(format!("|Q_i| = {} exceeds f = {}", self.q.len(), self.f));

@@ -1,7 +1,8 @@
-//! `campaign` — every sharded campaign behind one binary: coordinate a
-//! sweep, frontier or fuzz campaign over a spool directory, run one unit
-//! of it as a worker, or watch it. Without a spool, `sweep` and `frontier`
-//! run in this process on one thread pool.
+//! `campaign` — every campaign behind one binary: coordinate a sweep,
+//! frontier or fuzz campaign over a spool directory, run one unit of it as
+//! a worker, watch it, or replay a shrunk fuzz trace. Without a spool,
+//! `sweep` and `frontier` run in this process on one thread pool, and
+//! `fuzz` runs one fuzzer and shrinks its first failure.
 //!
 //! ```text
 //! cargo run --release -p regemu-bench --bin campaign -- <SUBCOMMAND> [OPTIONS]
@@ -9,9 +10,11 @@
 //! SUBCOMMANDS:
 //!   sweep     run/resume a sharded parameter sweep          (--spool optional)
 //!   frontier  map measured space against the paper's bounds (--spool optional)
-//!   fuzz      run/resume a sharded fuzz campaign            (needs --spool)
+//!   fuzz      fuzz schedules, or run/resume a sharded fuzz campaign
+//!                                                          (--spool optional)
 //!   worker    run one (shard, round) unit of whatever campaign the spool holds
 //!   status    dashboard over any spool
+//!   replay    re-execute a recorded trace and print its verdict
 //!
 //! POOL OPTIONS (sweep, frontier, fuzz; all but --quiet need --spool):
 //!   --spool DIR         spool directory (manifest, config, unit reports)
@@ -57,21 +60,27 @@
 //!   --json PATH / --csv PATH   frontier table as JSON / CSV
 //!
 //! fuzz OPTIONS:
-//!   --seed-corpus DIR   import DIR's *.trace files (e.g. a previous
-//!                       campaign's corpus-*.trace) as generation-0 seeds
 //!   --out FILE          campaign report (- for stdout, default)
-//!   --failures FILE     merged failure artifact (- for stdout)
 //!   --params k,f,n      parameter point (default 1,1,3)
 //!   --emulation NAME    construction or seeded bug (default space-optimal)
 //!   --workload LABEL    workload shape (default write-seq/r1+read)
 //!   --check NAME        consistency condition (default ws-regular)
 //!   --seed S            campaign master seed
 //!   --budget B          TOTAL iteration budget across all streams
+//!   with --spool only:
+//!   --seed-corpus DIR   import DIR's *.trace files (e.g. a previous
+//!                       campaign's corpus-*.trace) as generation-0 seeds
+//!   --failures FILE     merged failure artifact (- for stdout)
 //!   --streams N         fuzzing streams (default 8; the determinism unit)
 //!   --generations G     corpus-exchange generations per stream (default 2)
+//!   without --spool only:
+//!   --stop-on-failure   stop at the first failure
+//!   --trace FILE        the shrunk repro of the first failure, as a
+//!                       `regemu-trace v1` file (its report goes to stderr)
 //!
 //! worker OPTIONS:   --spool DIR --shard I [--gen G] [--threads N]
 //! status OPTIONS:   --spool DIR [--watch] [--interval-ms MS] [--stall-ms MS]
+//! replay OPTIONS:   TRACE
 //! ```
 //!
 //! Merged artifacts are **byte-identical** for any shard count, worker
@@ -94,9 +103,13 @@
 //! |---|---|---|---|---|
 //! | `sweep` | merged, all cases consistent | run/merge failed or inconsistent case | usage | paused (`--exit-after`) |
 //! | `frontier` | table within every upper bound | bound exceeded or run failed | usage, infeasible grid point | paused |
-//! | `fuzz` | completed clean | usage or I/O error | merged failure set non-empty | paused |
+//! | `fuzz` | completed clean | usage or I/O error | a failure found (merged set non-empty) | paused |
 //! | `worker` | unit published | unit failed (coordinator retries) | usage | — |
 //! | `status` | always, torn and missing files included | — | usage | — |
+//! | `replay` | the trace passes | usage, unreadable or malformed trace | the trace fails | — |
+//!
+//! The same seed always produces the same fuzz report, the same shrunk
+//! trace and the same exit status.
 
 use regemu_bench::cli::{
     accept_fuzz_flag, die, dispatch, fail, list, number, parsed, required, running, set_quiet,
@@ -115,7 +128,7 @@ use regemu_workloads::fuzz::campaign::{
     fuzz_config_fingerprint, import_seed_corpus, load_fuzz_config, merge_fuzz_campaign,
     run_fuzz_campaign, run_fuzz_shard_gen, FuzzCampaignConfig, FuzzCampaignReport,
 };
-use regemu_workloads::fuzz::FuzzConfig;
+use regemu_workloads::fuzz::{fuzz_and_shrink, replay, FuzzConfig, RecordedSchedule};
 use regemu_workloads::status::{campaign_status, now_unix_ms, render_status};
 use regemu_workloads::{
     detect_spool_kind, run_sweep, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepReport,
@@ -522,9 +535,12 @@ fn fuzz(args: &mut Args) {
     let mut seed_corpus_dir: Option<PathBuf> = None;
     let mut out = "-".to_string();
     let mut failures_out: Option<String> = None;
+    let mut trace_out: Option<String> = None;
     let default_params = regemu_bounds::Params::new(1, 1, 3).expect("default parameters");
     let mut cli = FuzzCampaignConfig::new(FuzzConfig::new(default_params));
     let mut any_config_flag = false;
+    // The first flag seen that only means something without `--spool`.
+    let mut solo_flag: Option<String> = None;
     while let Some(arg) = args.next() {
         if pool.accept(&arg, args) {
             continue;
@@ -539,11 +555,27 @@ fn fuzz(args: &mut Args) {
             "--failures" => failures_out = Some(value(args, &arg)),
             "--streams" => cli = cli.streams(number(args, &arg)),
             "--generations" => cli = cli.generations(number(args, &arg)),
+            "--stop-on-failure" => cli.fuzz.stop_on_failure = true,
+            "--trace" => trace_out = Some(value(args, &arg)),
             other => unknown(other),
+        }
+        match arg.as_str() {
+            "--seed-corpus" | "--failures" | "--streams" | "--generations" => {
+                pool.spool_flag.get_or_insert(arg.clone());
+            }
+            "--stop-on-failure" | "--trace" => {
+                solo_flag.get_or_insert(arg.clone());
+            }
+            _ => {}
         }
         any_config_flag |= matches!(arg.as_str(), "--streams" | "--generations");
     }
-    let spool = pool.spool.take().unwrap_or_else(|| required("--spool"));
+    let Some(spool) = pool.spool() else {
+        return fuzz_in_process(cli.fuzz, &out, trace_out);
+    };
+    if let Some(flag) = solo_flag {
+        fail(&format!("{flag} does not combine with --spool"));
+    }
 
     let emit = |report: &FuzzCampaignReport| {
         write_output(&out, &report.to_text(), "fuzz campaign report");
@@ -610,6 +642,44 @@ fn fuzz(args: &mut Args) {
         Some(report) => emit(&report),
         None => paused(),
     }
+}
+
+/// The spool-less fuzz run: one fuzzer in this process; the first failure
+/// is shrunk, its report goes to stderr and its trace to `trace_out`.
+fn fuzz_in_process(config: FuzzConfig, out: &str, trace_out: Option<String>) {
+    let (report, shrunk) = fuzz_and_shrink(config);
+    write_output(out, &report.to_text(), "fuzz report");
+    let Some(failure) = shrunk else {
+        info!(
+            "campaign fuzz: clean — {} iterations, corpus {}",
+            report.iterations, report.corpus_size
+        );
+        return;
+    };
+    eprint!("{}", failure.to_text());
+    if let Some(path) = trace_out {
+        write_output(&path, &failure.trace.to_text(), "shrunk trace");
+        eprintln!("replay with: {}", failure.replay_command(&path));
+    }
+    std::process::exit(2);
+}
+
+/// Re-executes a recorded trace and prints its verdict: exit 0 when it
+/// passes, 2 when it fails.
+fn replay_trace(args: &mut Args) {
+    let path = args
+        .next()
+        .unwrap_or_else(|| fail("replay needs a trace file"));
+    if args.next().is_some() {
+        fail("replay takes exactly one trace file");
+    }
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| die(format!("cannot read trace {path}: {e}")));
+    let schedule = RecordedSchedule::from_text(&text)
+        .unwrap_or_else(|e| die(format!("malformed trace {path}: {e}")));
+    let outcome = replay(&schedule).unwrap_or_else(|e| die(format!("cannot replay: {e}")));
+    println!("verdict {}", outcome.verdict);
+    std::process::exit(if outcome.kind.is_some() { 2 } else { 0 });
 }
 
 fn worker(args: &mut Args) {
@@ -712,16 +782,18 @@ fn main() {
                 ),
                 frontier,
             ),
-            // 2 means "failures found".
+            // 2 means "failures found" (for replay: "the trace fails").
             (
                 "fuzz",
                 1,
                 format!(
-                    "--spool DIR {POOL_USAGE} [--seed-corpus DIR] [--out FILE] \
-                     [--failures FILE] {FUZZ_USAGE} [--streams N] [--generations G]"
+                    "[--spool DIR] {POOL_USAGE} [--seed-corpus DIR] [--out FILE] \
+                     [--failures FILE] {FUZZ_USAGE} [--streams N] [--generations G] \
+                     [--stop-on-failure] [--trace FILE]"
                 ),
                 fuzz,
             ),
+            ("replay", 1, "TRACE".into(), replay_trace),
             ("worker", 2, WORKER_USAGE.into(), worker),
             ("status", 2, STATUS_USAGE.into(), status),
         ],

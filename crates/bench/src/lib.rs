@@ -24,9 +24,10 @@
 //! `(k, f, n) × emulation × workload × seed` grid — in this process
 //! (`campaign sweep`) or sharded over a spool directory (`campaign sweep
 //! --spool DIR`) — and serializes the aggregated report to JSON/CSV; see the
-//! README's "Performance" section for the quickstart. `fuzz_campaign` and
-//! `serve`, the live replicated-register service (`serve node | client |
-//! load | stats | conform`), make up the rest. `campaign` and `serve` share
+//! README's "Performance" section for the quickstart; `campaign fuzz` and
+//! `campaign replay` fuzz schedules and replay shrunk traces. `serve`, the
+//! live replicated-register service (`serve node | client | load | stats |
+//! conform`), makes up the rest. `campaign` and `serve` share
 //! one subcommand skeleton ([`cli::dispatch`], [`cli::fail`], ..).
 //! Performance is measured by the separate `benchmark/` package
 //! (`bash benchmark/run.sh`).
@@ -38,7 +39,7 @@
 /// usage/runtime error exits (`dispatch`, `fail`, `die`), flag-value
 /// helpers (`value`, `parsed`, `list`, ..), the flags that shape a
 /// [`regemu_workloads::SweepConfig`] or a fuzz config (identical across
-/// `campaign` and `fuzz_campaign`), and the leveled progress logging every
+/// `campaign`'s subcommands), and the leveled progress logging every
 /// binary routes through.
 pub mod cli {
     use regemu_bounds::Params;
@@ -361,7 +362,7 @@ pub mod cli {
          [--check NAME] [--seed S] [--budget B]";
 
     /// Tries to consume `arg` as one of the flags that shape a
-    /// [`FuzzConfig`], shared by `fuzz_campaign` and `campaign fuzz`: `false`
+    /// [`FuzzConfig`], shared by `campaign fuzz` with and without a spool: `false`
     /// when the argument is not a fuzz-config flag; a malformed value is a
     /// usage error ([`fail`]).
     pub fn accept_fuzz_flag(

@@ -1,7 +1,7 @@
-//! End-to-end fuzz-campaign processes: `fuzz_campaign replay` exit codes,
-//! and real `fuzz_worker` processes spawned over a spool directory with
-//! interruption, resume and retry — merging byte-identically to the
-//! in-process campaign.
+//! End-to-end fuzz processes: the spool-less `campaign fuzz` and `campaign
+//! replay` exit codes, and real `campaign worker` processes spawned over a
+//! spool directory with interruption, resume and retry — merging
+//! byte-identically to the in-process campaign.
 //!
 //! Cargo builds the binaries for integration tests of this crate and
 //! exposes their paths via `CARGO_BIN_EXE_*`.
@@ -17,7 +17,7 @@ use regemu_workloads::fuzz::{
 };
 use std::fs;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn spool_dir(tag: &str) -> PathBuf {
     let dir =
@@ -26,13 +26,20 @@ fn spool_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// `fuzz_campaign replay` is the triage entry point scripts build on, so its
+fn campaign(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// `campaign replay` is the triage entry point scripts build on, so its
 /// exit codes are contract: `0` for a passing trace, `2` for a failing one,
 /// `1` for a malformed file — and a malformed file must produce a
 /// line-numbered parse error, never a panic.
 #[test]
 fn replay_exit_codes_are_contract() {
-    let bin = env!("CARGO_BIN_EXE_fuzz_campaign");
+    let bin = env!("CARGO_BIN_EXE_campaign");
     let dir = spool_dir("replay");
     fs::create_dir_all(&dir).unwrap();
 
@@ -86,6 +93,93 @@ fn replay_exit_codes_are_contract() {
         "parse errors must carry a line number"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Without `--spool`, `campaign fuzz` runs one fuzzer in this process: its
+/// report is the library's `fuzz_and_shrink` report byte for byte, a clean
+/// construction exits 0, and a seeded bug exits 2 with its shrunk trace
+/// written to `--trace` — a trace `campaign replay` then fails again (2).
+#[test]
+fn spool_less_fuzz_and_replay_exit_codes() {
+    let dir = spool_dir("solo");
+    fs::create_dir_all(&dir).unwrap();
+    let common = ["fuzz", "--params", "1,1,3", "--budget", "120", "--quiet"];
+
+    let clean = campaign(&[&common[..], &["--emulation", "space-optimal"]].concat());
+    assert_eq!(clean.status.code(), Some(0), "a clean construction exits 0");
+    let (reference, _) =
+        fuzz_and_shrink(FuzzConfig::new(Params::new(1, 1, 3).unwrap()).budget(120));
+    assert_eq!(String::from_utf8_lossy(&clean.stdout), reference.to_text());
+
+    let trace = dir.join("weak.trace");
+    let trace_arg = trace.to_str().unwrap();
+    let found = campaign(
+        &[
+            &common[..],
+            &[
+                "--emulation",
+                "faulty-weak-quorum",
+                "--stop-on-failure",
+                "--trace",
+                trace_arg,
+            ],
+        ]
+        .concat(),
+    );
+    assert_eq!(found.status.code(), Some(2), "a seeded bug exits 2");
+    let stderr = String::from_utf8_lossy(&found.stderr);
+    assert!(
+        stderr.contains(&format!("campaign replay {trace_arg}")),
+        "{stderr}"
+    );
+
+    let replayed = campaign(&["replay", trace_arg]);
+    assert_eq!(
+        replayed.status.code(),
+        Some(2),
+        "the shrunk trace fails again"
+    );
+    assert!(String::from_utf8_lossy(&replayed.stdout).starts_with("verdict violation"));
+    let missing = campaign(&["replay", dir.join("missing.trace").to_str().unwrap()]);
+    assert_eq!(
+        missing.status.code(),
+        Some(1),
+        "a missing trace is an I/O error"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The flags that shape a sharded campaign are usage errors (exit 1, the
+/// fuzz usage code) without `--spool`, and the flags of the one-process run
+/// are usage errors with one.
+#[test]
+fn fuzz_pool_flags_need_a_spool() {
+    for flag in [
+        &["--streams", "2"][..],
+        &["--generations", "2"],
+        &["--failures", "-"],
+        &["--seed-corpus", "/tmp"],
+        &["--shards", "2"],
+    ] {
+        let out = campaign(&[&["fuzz", "--budget", "1"], flag].concat());
+        assert_eq!(out.status.code(), Some(1), "{flag:?} without --spool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{} needs --spool", flag[0])),
+            "{stderr}"
+        );
+    }
+    let dir = spool_dir("solo-flags");
+    let out = campaign(&[
+        "fuzz",
+        "--spool",
+        dir.to_str().unwrap(),
+        "--trace",
+        "t.trace",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--trace does not combine with --spool"));
+    assert!(!dir.exists(), "a usage error touches no spool");
 }
 
 /// One sequential test running the whole multi-process fuzz story (the

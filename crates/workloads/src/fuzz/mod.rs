@@ -633,7 +633,7 @@ pub fn replay(schedule: &RecordedSchedule) -> Result<ReplayOutcome, String> {
 }
 
 /// Runs a whole campaign and shrinks the first failure (if any): the
-/// one-call form used by the `fuzz_campaign` binary and CI.
+/// one-call form behind a spool-less `campaign fuzz` and CI.
 pub fn fuzz_and_shrink(config: FuzzConfig) -> (FuzzReport, Option<FailureReport>) {
     let report = Fuzzer::new(config.clone()).run();
     let shrunk = report

@@ -207,7 +207,7 @@ pub struct FailureReport {
 impl FailureReport {
     /// The command line that replays the repro from its trace file.
     pub fn replay_command(&self, trace_path: &str) -> String {
-        format!("fuzz_campaign replay {trace_path}")
+        format!("campaign replay {trace_path}")
     }
 
     /// Deterministic text rendering: header lines followed by the embedded
@@ -310,7 +310,7 @@ mod tests {
         assert_eq!(outcome.kind, Some(kind));
         assert_eq!(outcome.verdict, report.verdict);
         let text = report.to_text();
-        assert!(text.contains("fuzz_campaign replay"));
+        assert!(text.contains("campaign replay"));
         assert!(text.contains("regemu-trace v1"));
     }
 

@@ -82,7 +82,7 @@ fn every_found_failure_shrinks_to_a_replayable_repro() {
         // The report names the replay command for triage.
         assert!(failure
             .replay_command("repro.trace")
-            .contains("fuzz_campaign replay repro.trace"));
+            .contains("campaign replay repro.trace"));
     }
 }
 
