@@ -157,7 +157,7 @@ pub fn demonstrate_quorum_ablation(
 
 /// Identifiers used by the layout-size ablation below.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LayoutAblation {
+pub(crate) enum LayoutAblation {
     /// The paper's layout (`y = zf + f + 1` registers per full set).
     PaperSized,
     /// A set shrunk by one register: the write quorum `|R| - f` and the at
@@ -173,7 +173,7 @@ pub enum LayoutAblation {
 /// `|R| - f (acks) - f (servers outside the read quorum) - (z-1)·f (covered by
 /// the other writers of the set)`. The paper's `y` makes this exactly 1; one
 /// register fewer makes it 0 — the value can vanish.
-pub fn guaranteed_visible_registers(params: Params, ablation: LayoutAblation) -> isize {
+pub(crate) fn guaranteed_visible_registers(params: Params, ablation: LayoutAblation) -> isize {
     let z = params.z() as isize;
     let f = params.f as isize;
     let size = match ablation {

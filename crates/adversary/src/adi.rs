@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 
 /// Outcome of one adversary-driven write extension.
 #[derive(Clone, Debug)]
-pub struct IterationOutcome {
+pub(crate) struct IterationOutcome {
     /// The writer client used for this iteration.
     pub client: ClientId,
     /// The completed high-level write.
@@ -48,7 +48,7 @@ pub struct IterationOutcome {
 /// One `Ad_i` iteration: a fresh writer extends the run with one complete
 /// high-level write under adversarial scheduling.
 #[derive(Debug)]
-pub struct AdversaryIteration {
+pub(crate) struct AdversaryIteration {
     protected: BTreeSet<ServerId>,
     f: usize,
     previous_writers: BTreeSet<ClientId>,
@@ -61,7 +61,7 @@ impl AdversaryIteration {
     ///
     /// `previous_writers` is `C(t_{i-1})` and `old_pending` the covering
     /// writes inherited from earlier iterations.
-    pub fn new(
+    pub(crate) fn new(
         protected: BTreeSet<ServerId>,
         f: usize,
         previous_writers: BTreeSet<ClientId>,
@@ -77,7 +77,7 @@ impl AdversaryIteration {
     }
 
     /// Overrides the step budget after which the iteration gives up.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
+    pub(crate) fn with_max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
         self
     }
@@ -93,7 +93,7 @@ impl AdversaryIteration {
     /// Returns [`SimError::Stuck`] if the write does not return within the
     /// step budget — which would mean the emulation is not obstruction-free
     /// under the adversary, contradicting Lemma 3.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         sim: &mut Simulation,
         client: ClientId,

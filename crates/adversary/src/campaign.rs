@@ -123,19 +123,19 @@ impl LowerBoundCampaign {
     }
 
     /// Overrides the protected set `F` (must have `f + 1` servers).
-    pub fn with_protected(mut self, protected: BTreeSet<ServerId>) -> Self {
+    pub(crate) fn with_protected(mut self, protected: BTreeSet<ServerId>) -> Self {
         self.protected = protected;
         self
     }
 
     /// Overrides the number of adversary-driven writes (defaults to `k`).
-    pub fn with_writes(mut self, writes: usize) -> Self {
+    pub(crate) fn with_writes(mut self, writes: usize) -> Self {
         self.writes = writes;
         self
     }
 
     /// The protected set used by this campaign.
-    pub fn protected(&self) -> &BTreeSet<ServerId> {
+    pub(crate) fn protected(&self) -> &BTreeSet<ServerId> {
         &self.protected
     }
 

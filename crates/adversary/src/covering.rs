@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Incremental tracker of the Definition 1 sets for one adversary iteration.
 #[derive(Clone, Debug)]
-pub struct CoveringTracker {
+pub(crate) struct CoveringTracker {
     /// The protected server set `F` (|F| = f + 1).
     protected: BTreeSet<ServerId>,
     /// Failure threshold `f`.
@@ -64,7 +64,7 @@ impl CoveringTracker {
     /// `previous_writers` is `C(t_{i-1})`; `covered_at_checkpoint` together
     /// with `pending_old_writes` describes the covering writes inherited from
     /// the previous iterations (all of which the adversary keeps blocking).
-    pub fn new(
+    pub(crate) fn new(
         protected: BTreeSet<ServerId>,
         f: usize,
         previous_writers: BTreeSet<ClientId>,
@@ -103,13 +103,13 @@ impl CoveringTracker {
     }
 
     /// The protected set `F`.
-    pub fn protected(&self) -> &BTreeSet<ServerId> {
+    pub(crate) fn protected(&self) -> &BTreeSet<ServerId> {
         &self.protected
     }
 
     /// Feeds one run event to the tracker. Only trigger/respond events of
     /// write-class operations matter; everything else is ignored.
-    pub fn observe(&mut self, event: &Event, topology: &Topology) {
+    pub(crate) fn observe(&mut self, event: &Event, topology: &Topology) {
         match event {
             Event::Trigger {
                 client,
@@ -167,7 +167,7 @@ impl CoveringTracker {
     }
 
     /// `Cov_i(t)` — registers newly covered since the checkpoint.
-    pub fn newly_covered(&self) -> BTreeSet<ObjectId> {
+    pub(crate) fn newly_covered(&self) -> BTreeSet<ObjectId> {
         self.pending_new_writes
             .keys()
             .filter(|b| !self.covered_at_checkpoint.contains(b))
@@ -176,7 +176,7 @@ impl CoveringTracker {
     }
 
     /// `Cov(t)` — every currently covered register (old and new).
-    pub fn covered(&self) -> BTreeSet<ObjectId> {
+    pub(crate) fn covered(&self) -> BTreeSet<ObjectId> {
         self.pending_new_writes
             .keys()
             .chain(self.pending_old_writes.keys())
@@ -185,27 +185,27 @@ impl CoveringTracker {
     }
 
     /// `Tr_i(t)` — registers with a post-checkpoint write trigger.
-    pub fn triggered(&self) -> &BTreeSet<ObjectId> {
+    pub(crate) fn triggered(&self) -> &BTreeSet<ObjectId> {
         &self.triggered
     }
 
     /// `Rr_i(t)` — registers whose post-checkpoint write responded.
-    pub fn responded(&self) -> &BTreeSet<ObjectId> {
+    pub(crate) fn responded(&self) -> &BTreeSet<ObjectId> {
         &self.responded
     }
 
     /// `Q_i(t)`.
-    pub fn q(&self) -> &BTreeSet<ServerId> {
+    pub(crate) fn q(&self) -> &BTreeSet<ServerId> {
         &self.q
     }
 
     /// `F_i(t)`.
-    pub fn f_responded(&self) -> &BTreeSet<ServerId> {
+    pub(crate) fn f_responded(&self) -> &BTreeSet<ServerId> {
         &self.f_responded
     }
 
     /// `M_i(t)` — covered servers of `F` that have not responded yet.
-    pub fn m(&self, topology: &Topology) -> BTreeSet<ServerId> {
+    pub(crate) fn m(&self, topology: &Topology) -> BTreeSet<ServerId> {
         self.newly_covered()
             .into_iter()
             .map(|b| topology.server_of(b))
@@ -215,7 +215,7 @@ impl CoveringTracker {
 
     /// `G_i(t)` — `M_i(t)` while `|Q_i| < |F_i|`, empty otherwise
     /// (Definition 1.7).
-    pub fn g(&self, topology: &Topology) -> BTreeSet<ServerId> {
+    pub(crate) fn g(&self, topology: &Topology) -> BTreeSet<ServerId> {
         if self.q.len() < self.f_responded.len() {
             self.m(topology)
         } else {
@@ -225,7 +225,7 @@ impl CoveringTracker {
 
     /// Definition 2: is the pending write `op_id` (by `client`, on `object`)
     /// currently blocked by the adversary?
-    pub fn is_blocked(
+    pub(crate) fn is_blocked(
         &self,
         op_id: OpId,
         client: ClientId,
@@ -255,7 +255,7 @@ impl CoveringTracker {
     /// on, so every debug-built `Ad_i` run (the lower-bound campaign tests,
     /// `paper figure2_coverage` in a debug build) validates the bookkeeping
     /// step by step.
-    pub fn check_lemma2_invariants(&self, topology: &Topology) -> Result<(), String> {
+    pub(crate) fn check_lemma2_invariants(&self, topology: &Topology) -> Result<(), String> {
         if self.q.len() > self.f {
             return Err(format!("|Q_i| = {} exceeds f = {}", self.q.len(), self.f));
         }

@@ -40,25 +40,25 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ablation;
-pub mod adi;
-pub mod campaign;
-pub mod covering;
-pub mod partition;
+pub(crate) mod ablation;
+pub(crate) mod adi;
+pub(crate) mod campaign;
+pub(crate) mod covering;
+pub(crate) mod partition;
 pub mod strategy;
 
-pub use ablation::{demonstrate_quorum_ablation, AblationOutcome};
-pub use adi::{AdversaryIteration, IterationOutcome};
-pub use campaign::{CampaignReport, IterationReport, LowerBoundCampaign};
-pub use covering::CoveringTracker;
-pub use partition::{demonstrate_partition, PartitionOutcome, QuorumEmulation};
-pub use strategy::{CoverWrites, SilenceServers};
+pub use ablation::demonstrate_quorum_ablation;
+pub use campaign::LowerBoundCampaign;
+pub use partition::demonstrate_partition;
+pub use strategy::CoverWrites;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::adi::AdversaryIteration;
-    pub use crate::campaign::{CampaignReport, LowerBoundCampaign};
-    pub use crate::covering::CoveringTracker;
+    
+    
+    pub use crate::campaign::LowerBoundCampaign;
+    
     pub use crate::partition::demonstrate_partition;
-    pub use crate::strategy::{CoverWrites, SilenceServers};
+    pub use crate::strategy::CoverWrites;
+    
 }

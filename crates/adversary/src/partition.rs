@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 /// standard single-phase-write / single-phase-read construction: correct for
 /// `n ≥ 2f + 1`, necessarily unsafe for `n ≤ 2f`.
 #[derive(Debug)]
-pub struct QuorumEmulation {
+pub(crate) struct QuorumEmulation {
     /// Number of servers.
     pub n: usize,
     /// Failure threshold.
@@ -41,7 +41,7 @@ pub struct QuorumEmulation {
 
 impl QuorumEmulation {
     /// Builds the emulation over `n` servers, one max-register each.
-    pub fn new(n: usize, f: usize) -> Self {
+    pub(crate) fn new(n: usize, f: usize) -> Self {
         assert!(
             n > f,
             "need more servers than failures for the quorum to be nonempty"
@@ -58,14 +58,14 @@ impl QuorumEmulation {
 
     /// A fresh simulation of the emulation (without a fault budget: the
     /// demonstration only delays messages, it never crashes servers).
-    pub fn build_simulation(&self) -> Simulation {
+    pub(crate) fn build_simulation(&self) -> Simulation {
         Simulation::new(self.topology.clone(), SimConfig::unchecked())
     }
 
     /// Client protocol: writes `write-max` to all servers and returns after
     /// `n - f` acks; reads `read-max` from all servers and returns the
     /// maximum after `n - f` replies.
-    pub fn client(&self) -> QuorumClient {
+    pub(crate) fn client(&self) -> QuorumClient {
         QuorumClient {
             objects: self.objects.clone(),
             quorum: self.n - self.f,
@@ -78,7 +78,7 @@ impl QuorumEmulation {
 
 /// The client protocol of [`QuorumEmulation`].
 #[derive(Debug)]
-pub struct QuorumClient {
+pub(crate) struct QuorumClient {
     objects: Vec<ObjectId>,
     quorum: usize,
     acked: BTreeSet<ObjectId>,

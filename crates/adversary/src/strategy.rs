@@ -40,7 +40,7 @@ pub struct SilenceServers {
 
 impl SilenceServers {
     /// Silences exactly the given servers.
-    pub fn new(servers: impl IntoIterator<Item = ServerId>) -> Self {
+    pub(crate) fn new(servers: impl IntoIterator<Item = ServerId>) -> Self {
         SilenceServers {
             servers: servers.into_iter().collect(),
         }
@@ -54,7 +54,7 @@ impl SilenceServers {
     }
 
     /// The silenced servers.
-    pub fn servers(&self) -> &BTreeSet<ServerId> {
+    pub(crate) fn servers(&self) -> &BTreeSet<ServerId> {
         &self.servers
     }
 }
@@ -80,7 +80,7 @@ pub struct CoverWrites {
 
 impl CoverWrites {
     /// Blocks write responses on exactly the given servers.
-    pub fn new(servers: impl IntoIterator<Item = ServerId>) -> Self {
+    pub(crate) fn new(servers: impl IntoIterator<Item = ServerId>) -> Self {
         CoverWrites {
             servers: servers.into_iter().collect(),
         }
@@ -92,7 +92,7 @@ impl CoverWrites {
     }
 
     /// The servers whose write responses are withheld.
-    pub fn servers(&self) -> &BTreeSet<ServerId> {
+    pub(crate) fn servers(&self) -> &BTreeSet<ServerId> {
         &self.servers
     }
 }

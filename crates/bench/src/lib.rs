@@ -62,7 +62,7 @@ pub mod cli {
     /// finding (fuzz failures, a consistency violation), 1; its usage line
     /// after `usage: PROGRAM NAME `; and the job, handed the arguments after
     /// the name.
-    pub type Subcommand = (&'static str, i32, String, fn(&mut Args));
+    pub(crate) type Subcommand = (&'static str, i32, String, fn(&mut Args));
 
     /// What runs, for [`fail`] and [`die`]: their message prefix
     /// (`campaign sweep`), the usage line after it, and the usage exit code.
@@ -79,7 +79,7 @@ pub mod cli {
 
     /// Names what runs from here on: the prefix of its messages, its usage
     /// line and the exit code of its usage errors (see [`Subcommand`]).
-    pub fn enter(prefix: String, usage: String, usage_exit: i32) {
+    pub(crate) fn enter(prefix: String, usage: String, usage_exit: i32) {
         *current() = (prefix, usage, usage_exit);
     }
 
@@ -222,7 +222,7 @@ pub mod cli {
     }
 
     /// Overrides the progress-log level (flags beat the environment).
-    pub fn set_log_level(level: LogLevel) {
+    pub(crate) fn set_log_level(level: LogLevel) {
         log_level(); // settle the env default first so it cannot clobber this
         LEVEL.store(level as u8, Ordering::Relaxed);
     }
@@ -236,7 +236,7 @@ pub mod cli {
     /// and run through `parse`. `all` stands for `every`, unless `every` is
     /// empty: then the flag does not accept `all`. An empty value or an item
     /// `parse` rejects is an error naming the flag.
-    pub fn parse_list<T: Clone>(
+    pub(crate) fn parse_list<T: Clone>(
         flag: &str,
         value: &str,
         every: &[T],
@@ -447,7 +447,7 @@ pub mod experiments {
     /// Measures the resource consumption of the `kind` construction on a
     /// write-sequential workload (one write per writer, one read after
     /// each), verifying WS-Regularity along the way.
-    pub fn measured_consumption(kind: EmulationKind, params: Params, seed: u64) -> usize {
+    pub(crate) fn measured_consumption(kind: EmulationKind, params: Params, seed: u64) -> usize {
         let report = Scenario::new(params)
             .emulation(kind)
             .workload(WorkloadSpec::WriteSequential {

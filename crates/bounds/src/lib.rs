@@ -112,7 +112,7 @@ impl Params {
 
     /// Number of register sets `m = ⌈k / z⌉` used by the upper-bound
     /// construction.
-    pub fn register_set_count(&self) -> usize {
+    pub(crate) fn register_set_count(&self) -> usize {
         self.k.div_ceil(self.z())
     }
 
@@ -154,7 +154,7 @@ pub fn parse_point(text: &str) -> Result<(usize, usize, usize), String> {
 
 /// Minimum number of servers for any `f`-tolerant WS-Safe obstruction-free
 /// emulation (Theorem 5): `2f + 1`.
-pub fn min_servers(f: usize) -> usize {
+pub(crate) fn min_servers(f: usize) -> usize {
     2 * f + 1
 }
 
@@ -188,7 +188,7 @@ pub fn register_upper_bound(p: Params) -> usize {
 
 /// The simplest corollary of Theorem 1: at least `kf + f + 1` registers are
 /// needed regardless of how many servers are available.
-pub fn register_lower_bound_any_n(k: usize, f: usize) -> usize {
+pub(crate) fn register_lower_bound_any_n(k: usize, f: usize) -> usize {
     k * f + f + 1
 }
 
@@ -201,7 +201,7 @@ pub fn max_register_from_registers_lower_bound(k: usize) -> usize {
 
 /// Theorem 6 — with exactly `n = 2f + 1` servers, every server must store at
 /// least `k` registers.
-pub fn per_server_lower_bound_minimal_n(k: usize) -> usize {
+pub(crate) fn per_server_lower_bound_minimal_n(k: usize) -> usize {
     k
 }
 
@@ -216,14 +216,14 @@ pub fn servers_needed_with_bounded_storage(k: usize, f: usize, m: usize) -> usiz
 /// The matching upper bound discussed for the special case `n = 2f + 1`: each
 /// server implements a `k`-writer max-register from `k` base registers, for a
 /// total of `(2f + 1)·k` registers.
-pub fn special_case_minimal_n_upper_bound(k: usize, f: usize) -> usize {
+pub(crate) fn special_case_minimal_n_upper_bound(k: usize, f: usize) -> usize {
     (2 * f + 1) * k
 }
 
 /// The smallest `n` at which the bounds flatten out: for `n ≥ kf + f + 1`
 /// both the lower and the upper bound equal `kf + f + 1` and adding servers
 /// no longer helps.
-pub fn saturation_server_count(k: usize, f: usize) -> usize {
+pub(crate) fn saturation_server_count(k: usize, f: usize) -> usize {
     k * f + f + 1
 }
 
@@ -328,7 +328,7 @@ impl BoundClass {
     }
 
     /// The paper's lower bound on base objects for this class at `p`.
-    pub fn lower_bound(self, p: Params) -> usize {
+    pub(crate) fn lower_bound(self, p: Params) -> usize {
         match self {
             BoundClass::MaxRegister => max_register_bound(p.f),
             BoundClass::Cas => cas_bound(p.f),
@@ -337,7 +337,7 @@ impl BoundClass {
     }
 
     /// The upper bound (construction budget) for this class at `p`.
-    pub fn upper_bound(self, p: Params) -> usize {
+    pub(crate) fn upper_bound(self, p: Params) -> usize {
         match self {
             BoundClass::MaxRegister => max_register_bound(p.f),
             BoundClass::Cas => cas_bound(p.f),
@@ -393,13 +393,13 @@ impl BoundVerdict {
     }
 
     /// How far the measurement overshoots the upper bound (`0` when within).
-    pub fn excess(&self) -> usize {
+    pub(crate) fn excess(&self) -> usize {
         self.measured.saturating_sub(self.upper)
     }
 
     /// `true` when an adversarial schedule drove the measurement all the way
     /// up to (or past) the lower-bound frontier.
-    pub fn reaches_lower(&self) -> bool {
+    pub(crate) fn reaches_lower(&self) -> bool {
         self.measured >= self.lower
     }
 

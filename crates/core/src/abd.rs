@@ -38,7 +38,7 @@ enum Phase {
 }
 
 /// The ABD client protocol, generic over the per-server [`MaxDriver`]s.
-pub struct AbdClient {
+pub(crate) struct AbdClient {
     /// 0-based writer index, or `None` for a read-only client.
     writer_index: Option<usize>,
     /// When `true`, reads perform a write-back phase before returning, which
@@ -69,7 +69,7 @@ impl AbdClient {
     /// `drivers` must contain one driver per server (the quorum size is
     /// computed as `n - f` over their number). `writer_index` is required for
     /// clients that will invoke high-level writes.
-    pub fn new(
+    pub(crate) fn new(
         params: Params,
         writer_index: Option<usize>,
         read_write_back: bool,
@@ -108,7 +108,7 @@ impl AbdClient {
     /// phase, *skipping the update round entirely*, so the written value
     /// never reaches any server. This breaks even WS-Safety and exists only
     /// so the schedule fuzzer has a known bug to find.
-    pub fn skipping_update(mut self) -> Self {
+    pub(crate) fn skipping_update(mut self) -> Self {
         self.skip_update = true;
         self
     }
@@ -119,7 +119,7 @@ impl AbdClient {
     /// later one, so an operation still in flight past the threshold never
     /// completes. Safety is untouched — the run simply wedges — which makes
     /// this the seeded bug only a stuck detector can catch.
-    pub fn dropping_acks_after(mut self, threshold: u64) -> Self {
+    pub(crate) fn dropping_acks_after(mut self, threshold: u64) -> Self {
         self.drop_acks_after = Some(threshold);
         self
     }

@@ -66,7 +66,7 @@ pub trait MaxDriver {
 
 /// Driver for a server hosting a single native max-register.
 #[derive(Debug)]
-pub struct NativeMaxDriver {
+pub(crate) struct NativeMaxDriver {
     server: ServerId,
     object: ObjectId,
     pending: Option<OpId>,
@@ -74,7 +74,7 @@ pub struct NativeMaxDriver {
 
 impl NativeMaxDriver {
     /// Creates a driver for the max-register `object` hosted on `server`.
-    pub fn new(server: ServerId, object: ObjectId) -> Self {
+    pub(crate) fn new(server: ServerId, object: ObjectId) -> Self {
         NativeMaxDriver {
             server,
             object,
@@ -143,7 +143,7 @@ enum CasPhase {
 /// value grows monotonically, but its length depends on contention — the
 /// time/space trade-off discussed in Section 5.
 #[derive(Debug)]
-pub struct CasMaxDriver {
+pub(crate) struct CasMaxDriver {
     server: ServerId,
     object: ObjectId,
     pending: Option<OpId>,
@@ -156,7 +156,7 @@ pub struct CasMaxDriver {
 
 impl CasMaxDriver {
     /// Creates a driver for the CAS `object` hosted on `server`.
-    pub fn new(server: ServerId, object: ObjectId) -> Self {
+    pub(crate) fn new(server: ServerId, object: ObjectId) -> Self {
         CasMaxDriver {
             server,
             object,
@@ -168,7 +168,7 @@ impl CasMaxDriver {
     }
 
     /// Number of CAS operations issued by the most recent `write-max`.
-    pub fn attempts(&self) -> u64 {
+    pub(crate) fn attempts(&self) -> u64 {
         self.attempts
     }
 

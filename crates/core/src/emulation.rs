@@ -441,7 +441,7 @@ impl SpaceOptimalEmulation {
     }
 
     /// The shared layout handle given to every client protocol.
-    pub fn shared_layout(&self) -> Arc<SharedLayout> {
+    pub(crate) fn shared_layout(&self) -> Arc<SharedLayout> {
         self.shared.clone()
     }
 }

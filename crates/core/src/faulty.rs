@@ -94,13 +94,13 @@ impl FaultyKind {
 /// [`SpaceOptimalEmulation`] whose writers wait for one acknowledgement too
 /// few (quorum slack 1). See [`FaultyKind::WeakQuorumWrite`].
 #[derive(Debug)]
-pub struct WeakQuorumEmulation {
+pub(crate) struct WeakQuorumEmulation {
     inner: SpaceOptimalEmulation,
 }
 
 impl WeakQuorumEmulation {
     /// Creates the faulty emulation.
-    pub fn new(params: Params) -> Self {
+    pub(crate) fn new(params: Params) -> Self {
         WeakQuorumEmulation {
             inner: SpaceOptimalEmulation::new(params),
         }
@@ -140,13 +140,13 @@ impl Emulation for WeakQuorumEmulation {
 /// [`AbdMaxRegisterEmulation`] whose writers acknowledge after the query
 /// phase without ever writing. See [`FaultyKind::SkippedUpdateRound`].
 #[derive(Debug)]
-pub struct SkippedUpdateEmulation {
+pub(crate) struct SkippedUpdateEmulation {
     inner: AbdMaxRegisterEmulation,
 }
 
 impl SkippedUpdateEmulation {
     /// Creates the faulty emulation.
-    pub fn new(params: Params) -> Self {
+    pub(crate) fn new(params: Params) -> Self {
         SkippedUpdateEmulation {
             inner: AbdMaxRegisterEmulation::new(params, false),
         }
@@ -190,13 +190,13 @@ impl Emulation for SkippedUpdateEmulation {
 /// [`AbdMaxRegisterEmulation`] whose writers stop processing responses after
 /// `2(n - f)` deliveries. See [`FaultyKind::DroppedAcks`].
 #[derive(Debug)]
-pub struct DroppedAcksEmulation {
+pub(crate) struct DroppedAcksEmulation {
     inner: AbdMaxRegisterEmulation,
 }
 
 impl DroppedAcksEmulation {
     /// Creates the faulty emulation.
-    pub fn new(params: Params) -> Self {
+    pub(crate) fn new(params: Params) -> Self {
         DroppedAcksEmulation {
             inner: AbdMaxRegisterEmulation::new(params, false),
         }

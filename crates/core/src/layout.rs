@@ -38,7 +38,7 @@ impl RegisterLayout {
     /// # Panics
     ///
     /// Panics if the topology does not have exactly `params.n` servers.
-    pub fn install(params: Params, topology: &mut Topology) -> Self {
+    pub(crate) fn install(params: Params, topology: &mut Topology) -> Self {
         assert_eq!(
             topology.server_count(),
             params.n,
@@ -91,28 +91,28 @@ impl RegisterLayout {
     }
 
     /// The parameters this layout was built for.
-    pub fn params(&self) -> Params {
+    pub(crate) fn params(&self) -> Params {
         self.params
     }
 
     /// The register sets `R_0..R_{m-1}`.
-    pub fn sets(&self) -> &[Vec<ObjectId>] {
+    pub(crate) fn sets(&self) -> &[Vec<ObjectId>] {
         &self.sets
     }
 
     /// Number of register sets `m`.
-    pub fn set_count(&self) -> usize {
+    pub(crate) fn set_count(&self) -> usize {
         self.sets.len()
     }
 
     /// Total number of base registers in the layout — the resource
     /// consumption of the construction (equals Theorem 3's formula).
-    pub fn total_registers(&self) -> usize {
+    pub(crate) fn total_registers(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
 
     /// All registers of the layout, in set order.
-    pub fn all_registers(&self) -> Vec<ObjectId> {
+    pub(crate) fn all_registers(&self) -> Vec<ObjectId> {
         self.sets.iter().flatten().copied().collect()
     }
 
@@ -122,7 +122,7 @@ impl RegisterLayout {
     /// # Panics
     ///
     /// Panics if `writer >= k`.
-    pub fn set_for_writer(&self, writer: usize) -> usize {
+    pub(crate) fn set_for_writer(&self, writer: usize) -> usize {
         assert!(
             writer < self.params.k,
             "writer index {writer} out of range (k = {})",
@@ -138,19 +138,19 @@ impl RegisterLayout {
 
     /// The servers hosting the registers of set `i`, parallel to
     /// [`RegisterLayout::sets`].
-    pub fn servers_of_set(&self, i: usize) -> &[ServerId] {
+    pub(crate) fn servers_of_set(&self, i: usize) -> &[ServerId] {
         &self.servers[i]
     }
 
     /// Writers assigned to set `i` (0-based writer indices).
-    pub fn writers_of_set(&self, i: usize) -> Vec<usize> {
+    pub(crate) fn writers_of_set(&self, i: usize) -> Vec<usize> {
         (0..self.params.k)
             .filter(|w| self.set_for_writer(*w) == i)
             .collect()
     }
 
     /// The write-quorum size for a writer of set `i`: `|R_i| - f`.
-    pub fn write_quorum_size(&self, i: usize) -> usize {
+    pub(crate) fn write_quorum_size(&self, i: usize) -> usize {
         self.sets[i].len() - self.params.f
     }
 

@@ -50,45 +50,60 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod abd;
+pub(crate) mod abd;
 pub mod drivers;
-pub mod emulation;
-pub mod faulty;
+pub(crate) mod emulation;
+pub(crate) mod faulty;
 pub mod layout;
 pub mod quorum;
-pub mod shared_memory;
+pub(crate) mod shared_memory;
 pub mod timestamp;
 pub mod upper_bound;
 pub mod wire;
 
-pub use abd::AbdClient;
-pub use drivers::{BankMaxDriver, CasMaxDriver, MaxDriver, MaxOutcome, NativeMaxDriver};
-pub use emulation::{
-    all_emulations, register_based_emulations, AbdCasEmulation, AbdMaxRegisterEmulation, Emulation,
-    EmulationKind, RegisterBankEmulation, SpaceOptimalEmulation,
-};
+pub use emulation::all_emulations;
+pub use emulation::register_based_emulations;
+pub use emulation::AbdCasEmulation;
+pub use emulation::AbdMaxRegisterEmulation;
+pub use emulation::Emulation;
+pub use emulation::EmulationKind;
+pub use emulation::RegisterBankEmulation;
+pub use emulation::SpaceOptimalEmulation;
 pub use faulty::FaultyKind;
 pub use layout::RegisterLayout;
-pub use shared_memory::{
-    CasMaxRegister, CollectMaxRegister, CollectWriter, FetchMaxRegister, SharedMaxRegister,
-};
-pub use upper_bound::{SharedLayout, SpaceOptimalClient};
-pub use wire::{decode_frame, FaultCode, FrameError, WireMsg, MAX_FRAME_LEN, WIRE_VERSION};
+pub use shared_memory::CasMaxRegister;
+pub use shared_memory::CollectMaxRegister;
+pub use shared_memory::CollectWriter;
+pub use shared_memory::FetchMaxRegister;
+pub use shared_memory::SharedMaxRegister;
+pub use upper_bound::SharedLayout;
+pub use upper_bound::SpaceOptimalClient;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::abd::AbdClient;
-    pub use crate::drivers::{BankMaxDriver, CasMaxDriver, MaxDriver, NativeMaxDriver};
-    pub use crate::emulation::{
-        all_emulations, AbdCasEmulation, AbdMaxRegisterEmulation, Emulation, EmulationKind,
-        RegisterBankEmulation, SpaceOptimalEmulation,
-    };
+    
+    
+    
+    
+    
+    pub use crate::emulation::all_emulations;
+    pub use crate::emulation::AbdCasEmulation;
+    pub use crate::emulation::AbdMaxRegisterEmulation;
+    pub use crate::emulation::Emulation;
+    pub use crate::emulation::EmulationKind;
+    pub use crate::emulation::RegisterBankEmulation;
+    pub use crate::emulation::SpaceOptimalEmulation;
     pub use crate::faulty::FaultyKind;
     pub use crate::layout::RegisterLayout;
-    pub use crate::shared_memory::{
-        CasMaxRegister, CollectMaxRegister, FetchMaxRegister, SharedMaxRegister,
-    };
-    pub use crate::upper_bound::{SharedLayout, SpaceOptimalClient};
-    pub use crate::wire::{decode_frame, FaultCode, FrameError, WireMsg};
+    pub use crate::shared_memory::CasMaxRegister;
+    pub use crate::shared_memory::CollectMaxRegister;
+    pub use crate::shared_memory::FetchMaxRegister;
+    pub use crate::shared_memory::SharedMaxRegister;
+    pub use crate::upper_bound::SharedLayout;
+    pub use crate::upper_bound::SpaceOptimalClient;
+    
+    
+    
+    
     pub use regemu_bounds::Params;
 }

@@ -183,7 +183,7 @@ impl ScanTracker {
     /// The maximum value observed, restricted to nothing — alias of
     /// [`ScanTracker::best`] kept for readability at call sites that follow
     /// the paper's `max(rdSet)` notation.
-    pub fn max_of_read_set(&self) -> Value {
+    pub(crate) fn max_of_read_set(&self) -> Value {
         self.best
     }
 

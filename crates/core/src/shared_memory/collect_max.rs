@@ -97,12 +97,12 @@ impl CollectWriter {
     }
 
     /// Reads the maximum over all slots.
-    pub fn read_max(&self) -> u64 {
+    pub(crate) fn read_max(&self) -> u64 {
         self.shared.collect()
     }
 
     /// The writer index of this handle.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.index
     }
 }

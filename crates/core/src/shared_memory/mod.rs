@@ -22,7 +22,8 @@ mod collect_max;
 mod fetch_max;
 
 pub use cas_max::CasMaxRegister;
-pub use collect_max::{CollectMaxRegister, CollectWriter};
+pub use collect_max::CollectMaxRegister;
+pub use collect_max::CollectWriter;
 pub use fetch_max::FetchMaxRegister;
 
 /// The common interface of the shared-memory max-register implementations.

@@ -10,17 +10,17 @@
 //! [`Value`]: regemu_fpsm::Value
 
 /// Number of low bits reserved for the writer index.
-pub const WRITER_BITS: u32 = 16;
+pub(crate) const WRITER_BITS: u32 = 16;
 
 /// Maximum number of writers distinguishable by a timestamp.
-pub const MAX_WRITERS: usize = (1 << WRITER_BITS) - 1;
+pub(crate) const MAX_WRITERS: usize = (1 << WRITER_BITS) - 1;
 
 /// Composes a timestamp from a round number and a 0-based writer index.
 ///
 /// # Panics
 ///
 /// Panics if `writer >= MAX_WRITERS`.
-pub fn compose(round: u64, writer: usize) -> u64 {
+pub(crate) fn compose(round: u64, writer: usize) -> u64 {
     assert!(
         writer < MAX_WRITERS,
         "writer index {writer} exceeds the timestamp capacity"
@@ -29,13 +29,13 @@ pub fn compose(round: u64, writer: usize) -> u64 {
 }
 
 /// The round number encoded in a timestamp.
-pub fn round_of(ts: u64) -> u64 {
+pub(crate) fn round_of(ts: u64) -> u64 {
     ts >> WRITER_BITS
 }
 
 /// The 0-based writer index encoded in a timestamp, if any (the initial
 /// timestamp 0 encodes no writer).
-pub fn writer_of(ts: u64) -> Option<usize> {
+pub(crate) fn writer_of(ts: u64) -> Option<usize> {
     let low = ts & ((1 << WRITER_BITS) - 1);
     if low == 0 {
         None

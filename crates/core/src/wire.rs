@@ -22,7 +22,7 @@ use regemu_fpsm::op::{BaseOp, BaseResponse};
 use regemu_fpsm::value::Value;
 
 /// Version byte carried in every frame, after the message tag.
-pub const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 1;
 
 /// Version byte carried by `Stats` frames ([`WireMsg::StatsQuery`] /
 /// [`WireMsg::StatsReply`], tag 4), introduced after [`WIRE_VERSION`] 1
@@ -33,12 +33,12 @@ pub const WIRE_VERSION: u8 = 1;
 /// frame cleanly as [`FrameError::BadVersion`] instead of misparsing it —
 /// see `old_version_peers_reject_stats_frames_cleanly` in this module's
 /// tests for the executable proof.
-pub const STATS_VERSION: u8 = 2;
+pub(crate) const STATS_VERSION: u8 = 2;
 
 /// Version byte carried by [`WireMsg::Batch`] frames (tag 5), gated like
 /// [`STATS_VERSION`]: version-1 and version-2 peers reject a batch as
 /// [`FrameError::BadVersion`] before they look at its tag.
-pub const BATCH_VERSION: u8 = 3;
+pub(crate) const BATCH_VERSION: u8 = 3;
 
 /// Most items one [`WireMsg::Batch`] may carry. Senders split larger groups
 /// into several batches; a decoder rejects a larger count as
@@ -55,7 +55,7 @@ const MAX_MSG_LEN: usize = 51;
 ///
 /// Anything claiming more is garbage or a framing error, and rejecting it
 /// early keeps a corrupt peer from making us buffer unbounded data.
-pub const MAX_FRAME_LEN: usize = 4 + MAX_BATCH * (1 + MAX_MSG_LEN);
+pub(crate) const MAX_FRAME_LEN: usize = 4 + MAX_BATCH * (1 + MAX_MSG_LEN);
 
 /// Per-node telemetry counters carried by a [`WireMsg::StatsReply`].
 ///

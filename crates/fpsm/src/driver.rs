@@ -217,7 +217,7 @@ impl FairDriver {
     }
 
     /// Number of delivery steps executed so far.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.core.steps
     }
 }

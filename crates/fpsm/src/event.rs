@@ -83,7 +83,7 @@ pub enum Event {
 
 impl Event {
     /// The logical time at which the event occurred.
-    pub fn time(&self) -> Time {
+    pub(crate) fn time(&self) -> Time {
         match self {
             Event::Invoke { time, .. }
             | Event::Return { time, .. }
@@ -95,7 +95,7 @@ impl Event {
     }
 
     /// The client involved in the event, if any.
-    pub fn client(&self) -> Option<ClientId> {
+    pub(crate) fn client(&self) -> Option<ClientId> {
         match self {
             Event::Invoke { client, .. }
             | Event::Return { client, .. }
@@ -107,17 +107,17 @@ impl Event {
     }
 
     /// Returns `true` for events concerning high-level operations.
-    pub fn is_high_level(&self) -> bool {
+    pub(crate) fn is_high_level(&self) -> bool {
         matches!(self, Event::Invoke { .. } | Event::Return { .. })
     }
 
     /// Returns `true` for events concerning low-level operations.
-    pub fn is_low_level(&self) -> bool {
+    pub(crate) fn is_low_level(&self) -> bool {
         matches!(self, Event::Trigger { .. } | Event::Respond { .. })
     }
 
     /// Returns `true` for crash events.
-    pub fn is_crash(&self) -> bool {
+    pub(crate) fn is_crash(&self) -> bool {
         matches!(self, Event::ServerCrash { .. } | Event::ClientCrash { .. })
     }
 }

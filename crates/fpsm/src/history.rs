@@ -564,7 +564,7 @@ impl History {
     }
 
     /// The active recording mode.
-    pub fn recording_mode(&self) -> RecordingMode {
+    pub(crate) fn recording_mode(&self) -> RecordingMode {
         self.mode
     }
 
@@ -729,7 +729,7 @@ impl History {
     /// "length" is ambiguous between [`History::total_events`] (recorded)
     /// and [`History::retained_events`] (still held) — callers must pick
     /// the one that matches how they consume [`History::events`].
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total_events() == 0
     }
 
@@ -745,7 +745,7 @@ impl History {
 
     /// The interval of a specific high-level operation, if it was invoked
     /// and has not been evicted.
-    pub fn interval_of(&self, high_op: HighOpId) -> Option<&HighInterval> {
+    pub(crate) fn interval_of(&self, high_op: HighOpId) -> Option<&HighInterval> {
         self.intervals.get(&high_op)
     }
 
@@ -777,7 +777,7 @@ impl History {
     /// Returns `false` (and evicts nothing) when the operation is unknown,
     /// already evicted, or still open — evicting an open interval would
     /// desynchronize the open-write digest.
-    pub fn evict_interval(&mut self, high_op: HighOpId) -> bool {
+    pub(crate) fn evict_interval(&mut self, high_op: HighOpId) -> bool {
         match self.intervals.get(&high_op) {
             Some(interval) if interval.is_complete() => {
                 self.intervals.remove(&high_op);
@@ -794,7 +794,7 @@ impl History {
     }
 
     /// Number of intervals removed with [`History::evict_interval`].
-    pub fn evicted_intervals(&self) -> u64 {
+    pub(crate) fn evicted_intervals(&self) -> u64 {
         self.evicted_intervals
     }
 
@@ -812,13 +812,13 @@ impl History {
 
     /// The set of base objects on which at least one low-level operation was
     /// triggered — the *resource consumption* of the run (Section 2).
-    pub fn touched_objects(&self) -> BTreeSet<ObjectId> {
+    pub(crate) fn touched_objects(&self) -> BTreeSet<ObjectId> {
         self.touched.iter().map(ObjectId::new).collect()
     }
 
     /// The set of base objects on which at least one low-level *write-class*
     /// operation was triggered.
-    pub fn written_objects(&self) -> BTreeSet<ObjectId> {
+    pub(crate) fn written_objects(&self) -> BTreeSet<ObjectId> {
         self.written.iter().map(ObjectId::new).collect()
     }
 
@@ -828,7 +828,7 @@ impl History {
     }
 
     /// Number of low-level operations that responded so far.
-    pub fn respond_count(&self) -> u64 {
+    pub(crate) fn respond_count(&self) -> u64 {
         self.respond_count
     }
 
@@ -862,26 +862,26 @@ impl History {
     /// good), so the answer covers the whole run even after interval
     /// eviction. Events must be pushed in time order, which the simulator
     /// guarantees.
-    pub fn is_write_sequential(&self) -> bool {
+    pub(crate) fn is_write_sequential(&self) -> bool {
         !self.writes_overlapped
     }
 
     /// Returns `true` if the run is write-only (no high-level reads
     /// invoked). Counted incrementally, so the answer covers evicted
     /// intervals too.
-    pub fn is_write_only(&self) -> bool {
+    pub(crate) fn is_write_only(&self) -> bool {
         self.invoked_reads == 0
     }
 
     /// Maximum number of clients with an incomplete high-level operation at
     /// any single point of the run — the *point contention* (Appendix C).
-    pub fn point_contention(&self) -> usize {
+    pub(crate) fn point_contention(&self) -> usize {
         self.max_contention
     }
 
     /// The largest time stamp recorded, i.e. the length of the run in steps.
     /// Tracked incrementally, so it is exact in every recording mode.
-    pub fn end_time(&self) -> Time {
+    pub(crate) fn end_time(&self) -> Time {
         self.last_time
     }
 }

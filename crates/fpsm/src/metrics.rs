@@ -103,7 +103,7 @@ impl RunMetrics {
 
     /// The set of servers hosting at least one covered object,
     /// `δ(Cov(now))`.
-    pub fn covered_servers(&self) -> BTreeSet<ServerId> {
+    pub(crate) fn covered_servers(&self) -> BTreeSet<ServerId> {
         self.covered_per_server.keys().copied().collect()
     }
 
@@ -120,13 +120,13 @@ impl RunMetrics {
     }
 
     /// Maximum number of touched objects on any single server.
-    pub fn max_touched_per_server(&self) -> usize {
+    pub(crate) fn max_touched_per_server(&self) -> usize {
         self.touched_per_server.values().copied().max().unwrap_or(0)
     }
 
     /// Minimum number of touched objects over the servers that were touched
     /// at all.
-    pub fn min_touched_per_server(&self) -> usize {
+    pub(crate) fn min_touched_per_server(&self) -> usize {
         self.touched_per_server.values().copied().min().unwrap_or(0)
     }
 }

@@ -46,7 +46,7 @@ pub struct ClientEffects {
 
 impl ClientEffects {
     /// `true` when the callback neither triggered nor completed anything.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.triggers.is_empty() && self.completion.is_none()
     }
 }
@@ -82,23 +82,23 @@ impl ClientNode {
     }
 
     /// The client this node belongs to.
-    pub fn client(&self) -> ClientId {
+    pub(crate) fn client(&self) -> ClientId {
         self.client
     }
 
     /// The protocol's human-readable name (for logs and assertions).
-    pub fn protocol_name(&self) -> &'static str {
+    pub(crate) fn protocol_name(&self) -> &'static str {
         self.protocol.name()
     }
 
     /// `true` once [`ClientNode::crash`] has been called.
-    pub fn is_crashed(&self) -> bool {
+    pub(crate) fn is_crashed(&self) -> bool {
         self.crashed
     }
 
     /// Marks the client as crashed. Idempotent; a crashed node must not be
     /// handed further invocations or deliveries.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.crashed = true;
     }
 
@@ -282,12 +282,12 @@ impl ServerNode {
     }
 
     /// Number of base objects hosted here.
-    pub fn object_count(&self) -> usize {
+    pub(crate) fn object_count(&self) -> usize {
         self.objects.len()
     }
 
     /// `true` if the placement maps `object` to this server.
-    pub fn hosts(&self, object: ObjectId) -> bool {
+    pub(crate) fn hosts(&self, object: ObjectId) -> bool {
         self.local
             .get(object.index())
             .map(|slot| slot.is_some())
@@ -295,18 +295,18 @@ impl ServerNode {
     }
 
     /// The hosted base object with global id `object`, if any.
-    pub fn object(&self, object: ObjectId) -> Option<&BaseObject> {
+    pub(crate) fn object(&self, object: ObjectId) -> Option<&BaseObject> {
         let idx = (*self.local.get(object.index())?)?;
         self.objects.get(idx)
     }
 
     /// Iterates over the hosted base objects in global-id order.
-    pub fn objects(&self) -> impl Iterator<Item = &BaseObject> {
+    pub(crate) fn objects(&self) -> impl Iterator<Item = &BaseObject> {
         self.objects.iter()
     }
 
     /// Total low-level operations applied across the hosted objects.
-    pub fn applied_ops(&self) -> u64 {
+    pub(crate) fn applied_ops(&self) -> u64 {
         self.objects
             .iter()
             .map(|o| o.applied_writes() + o.applied_reads())

@@ -28,7 +28,7 @@ pub enum ObjectKind {
 
 impl ObjectKind {
     /// Returns `true` if `op` is part of this object kind's interface.
-    pub fn supports(&self, op: &BaseOp) -> bool {
+    pub(crate) fn supports(&self, op: &BaseOp) -> bool {
         matches!(
             (self, op),
             (ObjectKind::Register, BaseOp::Read)
@@ -40,7 +40,7 @@ impl ObjectKind {
     }
 
     /// All object kinds, in the order of Table 1.
-    pub const ALL: [ObjectKind; 3] = [
+    pub(crate) const ALL: [ObjectKind; 3] = [
         ObjectKind::MaxRegister,
         ObjectKind::Cas,
         ObjectKind::Register,
@@ -100,7 +100,7 @@ pub struct BaseObject {
 
 impl BaseObject {
     /// Creates a fresh base object holding the initial value `v0`.
-    pub fn new(id: ObjectId, server: ServerId, kind: ObjectKind) -> Self {
+    pub(crate) fn new(id: ObjectId, server: ServerId, kind: ObjectKind) -> Self {
         BaseObject {
             id,
             server,
@@ -113,17 +113,17 @@ impl BaseObject {
     }
 
     /// The object's identifier.
-    pub fn id(&self) -> ObjectId {
+    pub(crate) fn id(&self) -> ObjectId {
         self.id
     }
 
     /// The server this object is mapped to by `δ`.
-    pub fn server(&self) -> ServerId {
+    pub(crate) fn server(&self) -> ServerId {
         self.server
     }
 
     /// The primitive type this object supports.
-    pub fn kind(&self) -> ObjectKind {
+    pub(crate) fn kind(&self) -> ObjectKind {
         self.kind
     }
 
@@ -134,7 +134,7 @@ impl BaseObject {
     }
 
     /// Whether the object has crashed.
-    pub fn is_crashed(&self) -> bool {
+    pub(crate) fn is_crashed(&self) -> bool {
         self.crashed
     }
 
@@ -144,12 +144,12 @@ impl BaseObject {
     }
 
     /// Number of read-class operations that have taken effect.
-    pub fn applied_reads(&self) -> u64 {
+    pub(crate) fn applied_reads(&self) -> u64 {
         self.applied_reads
     }
 
     /// Marks the object as crashed (invoked when its server crashes).
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.crashed = true;
     }
 
@@ -163,7 +163,7 @@ impl BaseObject {
     /// Returns [`ObjectError::Crashed`] if the object has crashed and
     /// [`ObjectError::UnsupportedOp`] if `op` is not part of the object's
     /// interface.
-    pub fn apply(&mut self, op: &BaseOp) -> Result<BaseResponse, ObjectError> {
+    pub(crate) fn apply(&mut self, op: &BaseOp) -> Result<BaseResponse, ObjectError> {
         if self.crashed {
             return Err(ObjectError::Crashed(self.id));
         }

@@ -48,7 +48,7 @@ impl BaseOp {
     }
 
     /// Returns the value this operation attempts to install, if any.
-    pub fn written_value(&self) -> Option<Value> {
+    pub(crate) fn written_value(&self) -> Option<Value> {
         match self {
             BaseOp::Write(v) | BaseOp::WriteMax(v) => Some(*v),
             BaseOp::Cas { new, .. } => Some(*new),
@@ -86,7 +86,7 @@ pub enum BaseResponse {
 
 impl BaseResponse {
     /// Returns the value carried by the response, if any.
-    pub fn value(&self) -> Option<Value> {
+    pub(crate) fn value(&self) -> Option<Value> {
         match self {
             BaseResponse::ReadValue(v) | BaseResponse::MaxValue(v) | BaseResponse::CasOld(v) => {
                 Some(*v)
@@ -96,7 +96,7 @@ impl BaseResponse {
     }
 
     /// Returns `true` if this is an acknowledgement of a write-class operation.
-    pub fn is_write_ack(&self) -> bool {
+    pub(crate) fn is_write_ack(&self) -> bool {
         matches!(self, BaseResponse::WriteAck | BaseResponse::WriteMaxAck)
     }
 }

@@ -187,7 +187,7 @@ impl RoundRobinScheduler {
     }
 
     /// Number of delivery steps executed so far.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.core.steps
     }
 }
@@ -275,7 +275,7 @@ impl DelayedScheduler {
     }
 
     /// Number of delivery steps executed so far.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.core.steps
     }
 
@@ -398,12 +398,12 @@ impl AdversarialScheduler {
     }
 
     /// Number of delivery steps executed so far.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.core.steps
     }
 
     /// The strategy driving the block decisions.
-    pub fn strategy(&self) -> &dyn BlockStrategy {
+    pub(crate) fn strategy(&self) -> &dyn BlockStrategy {
         self.strategy.as_ref()
     }
 }

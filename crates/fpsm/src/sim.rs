@@ -310,7 +310,7 @@ impl Simulation {
     }
 
     /// The configuration of the simulation.
-    pub fn config(&self) -> SimConfig {
+    pub(crate) fn config(&self) -> SimConfig {
         self.config
     }
 
@@ -425,7 +425,7 @@ impl Simulation {
     /// caller that remembers [`Simulation::next_op_id`] from its last visit
     /// sees exactly the operations triggered since, without walking the ones
     /// it already knows (see [`crate::AdversarialScheduler`]).
-    pub fn pending_ops_from(&self, from: OpId) -> impl Iterator<Item = &PendingOp> {
+    pub(crate) fn pending_ops_from(&self, from: OpId) -> impl Iterator<Item = &PendingOp> {
         self.pending.iter_from(from)
     }
 
@@ -468,7 +468,7 @@ impl Simulation {
 
     /// Number of currently covered base objects, `|Cov(now)|` — objects with
     /// at least one pending covering write. O(1): maintained incrementally.
-    pub fn covered_count_now(&self) -> usize {
+    pub(crate) fn covered_count_now(&self) -> usize {
         self.covered_now
     }
 
@@ -481,13 +481,13 @@ impl Simulation {
 
     /// Peak number of covered objects on any *single* server over the run so
     /// far — the per-server occupancy pressure of Theorem 6.
-    pub fn peak_covered_on_one_server(&self) -> usize {
+    pub(crate) fn peak_covered_on_one_server(&self) -> usize {
         self.peak_covered_on_one_server
     }
 
     /// Peak number of simultaneously pending low-level operations over the
     /// run so far.
-    pub fn peak_pending_count(&self) -> usize {
+    pub(crate) fn peak_pending_count(&self) -> usize {
         self.peak_pending
     }
 

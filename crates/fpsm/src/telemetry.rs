@@ -38,7 +38,7 @@ struct Shared {
 /// The sampled telemetry hook a [`crate::sim::Simulation`] carries when
 /// global telemetry is enabled.
 #[derive(Debug)]
-pub struct SimTelemetry {
+pub(crate) struct SimTelemetry {
     invokes: u64,
     deliveries: u64,
     drops: u64,
@@ -55,10 +55,10 @@ pub struct SimTelemetry {
 
 impl SimTelemetry {
     /// Events tallied locally between flushes to the shared registry.
-    pub const SAMPLE_EVERY: u64 = 1024;
+    pub(crate) const SAMPLE_EVERY: u64 = 1024;
 
     /// Attaches to the process-global registry under the `sim.*` namespace.
-    pub fn attached() -> Self {
+    pub(crate) fn attached() -> Self {
         Self::for_registry(regemu_obs::global())
     }
 
@@ -88,25 +88,25 @@ impl SimTelemetry {
 
     /// Notes a high-level invocation. `time` is the simulation's logical
     /// clock after the transition; `depth` the pending-set size.
-    pub fn note_invoke(&mut self, time: Time, depth: usize) {
+    pub(crate) fn note_invoke(&mut self, time: Time, depth: usize) {
         self.invokes += 1;
         self.note(time, depth);
     }
 
     /// Notes a delivery.
-    pub fn note_delivery(&mut self, time: Time, depth: usize) {
+    pub(crate) fn note_delivery(&mut self, time: Time, depth: usize) {
         self.deliveries += 1;
         self.note(time, depth);
     }
 
     /// Notes a dropped pending operation.
-    pub fn note_drop(&mut self, time: Time, depth: usize) {
+    pub(crate) fn note_drop(&mut self, time: Time, depth: usize) {
         self.drops += 1;
         self.note(time, depth);
     }
 
     /// Notes a server or client crash.
-    pub fn note_crash(&mut self, time: Time, depth: usize) {
+    pub(crate) fn note_crash(&mut self, time: Time, depth: usize) {
         self.crashes += 1;
         self.note(time, depth);
     }
@@ -124,7 +124,7 @@ impl SimTelemetry {
 
     /// Publishes the local tallies to the shared registry and resets them.
     /// Called automatically at sample boundaries and on drop.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if self.events_since_flush == 0 {
             return;
         }

@@ -49,7 +49,7 @@ impl Topology {
     }
 
     /// Adds a new server and returns its identifier.
-    pub fn add_server(&mut self) -> ServerId {
+    pub(crate) fn add_server(&mut self) -> ServerId {
         let id = ServerId::new(self.servers);
         self.servers += 1;
         id
@@ -100,7 +100,7 @@ impl Topology {
     }
 
     /// Returns `true` if the given object id exists.
-    pub fn contains_object(&self, object: ObjectId) -> bool {
+    pub(crate) fn contains_object(&self, object: ObjectId) -> bool {
         object.index() < self.objects.len()
     }
 
@@ -115,7 +115,7 @@ impl Topology {
     }
 
     /// `δ⁻¹(S')` for a set of servers `S'`.
-    pub fn objects_on_servers<I>(&self, servers: I) -> Vec<ObjectId>
+    pub(crate) fn objects_on_servers<I>(&self, servers: I) -> Vec<ObjectId>
     where
         I: IntoIterator<Item = ServerId>,
     {
@@ -142,12 +142,12 @@ impl Topology {
     }
 
     /// The maximum per-server occupancy over all servers.
-    pub fn max_occupancy(&self) -> usize {
+    pub(crate) fn max_occupancy(&self) -> usize {
         self.servers().map(|s| self.occupancy(s)).max().unwrap_or(0)
     }
 
     /// Number of objects of each kind, in the order of [`ObjectKind::ALL`].
-    pub fn count_by_kind(&self, kind: ObjectKind) -> usize {
+    pub(crate) fn count_by_kind(&self, kind: ObjectKind) -> usize {
         self.objects.iter().filter(|(k, _)| *k == kind).count()
     }
 }

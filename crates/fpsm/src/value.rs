@@ -44,7 +44,7 @@ impl Value {
     }
 
     /// Creates an un-versioned value carrying just a payload (timestamp 0).
-    pub const fn from_payload(val: Payload) -> Self {
+    pub(crate) const fn from_payload(val: Payload) -> Self {
         Value { ts: 0, val }
     }
 
@@ -54,7 +54,7 @@ impl Value {
     }
 
     /// Returns the maximum of `self` and `other` under the lexicographic order.
-    pub fn max(self, other: Value) -> Value {
+    pub(crate) fn max(self, other: Value) -> Value {
         if self >= other {
             self
         } else {

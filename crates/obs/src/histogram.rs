@@ -72,7 +72,7 @@ impl LatencyHistogram {
     }
 
     /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
@@ -103,7 +103,7 @@ impl LatencyHistogram {
     /// Value at quantile `q` (clamped to `[0, 1]`): the upper bound of the
     /// first bucket whose cumulative count reaches `q * count`. Returns 0 on
     /// an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }

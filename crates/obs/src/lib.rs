@@ -48,22 +48,29 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod histogram;
-pub mod registry;
-pub mod snapshot;
+pub(crate) mod histogram;
+pub(crate) mod registry;
+pub(crate) mod snapshot;
 
 pub use histogram::LatencyHistogram;
-pub use registry::{
-    enabled, global, init_from_env, set_enabled, Counter, Gauge, HistogramCell, Registry,
-    ScopeTimer,
-};
-pub use snapshot::{HistogramSummary, Snapshot};
+pub use registry::enabled;
+pub use registry::global;
+pub use registry::set_enabled;
+pub use registry::Counter;
+pub use registry::Gauge;
+pub use registry::Registry;
 
 /// Convenient glob import of the most frequently used items.
-pub mod prelude {
-    pub use crate::histogram::LatencyHistogram;
-    pub use crate::registry::{
-        enabled, global, set_enabled, Counter, Gauge, HistogramCell, Registry, ScopeTimer,
-    };
-    pub use crate::snapshot::{HistogramSummary, Snapshot};
+pub(crate) mod prelude {
+    
+    
+    
+    
+    
+    
+    
+    
+    
+    
+    
 }

@@ -18,7 +18,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A fresh counter at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Counter(AtomicU64::new(0))
     }
 
@@ -44,7 +44,7 @@ pub struct Gauge(AtomicI64);
 
 impl Gauge {
     /// A fresh gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge(AtomicI64::new(0))
     }
 
@@ -75,7 +75,7 @@ pub struct HistogramCell(Mutex<LatencyHistogram>);
 
 impl HistogramCell {
     /// A fresh, empty cell.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HistogramCell(Mutex::new(LatencyHistogram::new()))
     }
 
@@ -85,12 +85,12 @@ impl HistogramCell {
     }
 
     /// Folds a whole histogram in (e.g. a worker thread's local one).
-    pub fn merge(&self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&self, other: &LatencyHistogram) {
         self.lock().merge(other);
     }
 
     /// An owned copy of the current state.
-    pub fn snapshot(&self) -> LatencyHistogram {
+    pub(crate) fn snapshot(&self) -> LatencyHistogram {
         self.lock().clone()
     }
 
@@ -107,14 +107,14 @@ impl HistogramCell {
 /// handling, report publication) — never inside the deterministic simulator
 /// paths (see the non-perturbation contract in the crate docs).
 #[derive(Debug)]
-pub struct ScopeTimer {
+pub(crate) struct ScopeTimer {
     cell: Arc<HistogramCell>,
     started: Instant,
 }
 
 impl ScopeTimer {
     /// Starts timing into `cell`.
-    pub fn new(cell: Arc<HistogramCell>) -> Self {
+    pub(crate) fn new(cell: Arc<HistogramCell>) -> Self {
         ScopeTimer {
             cell,
             started: Instant::now(),
@@ -165,7 +165,7 @@ impl Registry {
     }
 
     /// Starts a [`ScopeTimer`] recording into the histogram named `name`.
-    pub fn scope(&self, name: &str) -> ScopeTimer {
+    pub(crate) fn scope(&self, name: &str) -> ScopeTimer {
         ScopeTimer::new(self.histogram(name))
     }
 
@@ -193,7 +193,7 @@ impl Registry {
     /// Drops every metric. Existing handles keep working but are no longer
     /// reachable from the registry; tests use this to start from a clean
     /// slate.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         lock(&self.counters).clear();
         lock(&self.gauges).clear();
         lock(&self.histograms).clear();
@@ -234,7 +234,7 @@ pub fn enabled() -> bool {
 
 /// Process-edge helper: enables telemetry when the `REGEMU_TELEMETRY`
 /// environment variable is `1`, `on` or `true`. Returns the resulting state.
-pub fn init_from_env() -> bool {
+pub(crate) fn init_from_env() -> bool {
     let on = std::env::var("REGEMU_TELEMETRY")
         .map(|v| matches!(v.as_str(), "1" | "on" | "true"))
         .unwrap_or(false);

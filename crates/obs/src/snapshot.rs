@@ -21,7 +21,7 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     /// Summarizes a histogram.
-    pub fn of(h: &LatencyHistogram) -> Self {
+    pub(crate) fn of(h: &LatencyHistogram) -> Self {
         HistogramSummary {
             count: h.count(),
             p50: h.p50(),
@@ -51,7 +51,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// `true` when no metric has been registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
@@ -64,7 +64,7 @@ impl Snapshot {
     }
 
     /// The value of gauge `name`, if registered.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
+    pub(crate) fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 

@@ -88,21 +88,42 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod client;
-pub mod server;
-pub mod transport;
+pub(crate) mod client;
+pub(crate) mod server;
+pub(crate) mod transport;
 
-pub use client::{run_fleet, scrape_stats, ClientOptions, FleetOutcome, FleetSpec, LiveClient};
+pub use client::run_fleet;
+pub use client::scrape_stats;
+pub use client::ClientOptions;
+pub use client::FleetOutcome;
+pub use client::FleetSpec;
+pub use client::LiveClient;
 pub use regemu_obs::LatencyHistogram;
-pub use server::{node_stats, serve_channel, serve_tcp, ChannelConnector, ServerHandle};
-pub use transport::{ChannelTransport, ServeError, TcpTransport, Transport};
+pub use server::node_stats;
+pub use server::serve_channel;
+pub use server::serve_tcp;
+pub use server::ChannelConnector;
+pub use server::ServerHandle;
+pub use transport::ServeError;
+pub use transport::TcpTransport;
+pub use transport::Transport;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::client::{
-        run_fleet, scrape_stats, ClientOptions, FleetOutcome, FleetSpec, LiveClient,
-    };
-    pub use crate::server::{node_stats, serve_channel, serve_tcp, ChannelConnector, ServerHandle};
-    pub use crate::transport::{ChannelTransport, ServeError, TcpTransport, Transport};
+    pub use crate::client::run_fleet;
+    pub use crate::client::scrape_stats;
+    pub use crate::client::ClientOptions;
+    
+    pub use crate::client::FleetSpec;
+    pub use crate::client::LiveClient;
+    pub use crate::server::node_stats;
+    pub use crate::server::serve_channel;
+    pub use crate::server::serve_tcp;
+    pub use crate::server::ChannelConnector;
+    pub use crate::server::ServerHandle;
+    
+    pub use crate::transport::ServeError;
+    pub use crate::transport::TcpTransport;
+    pub use crate::transport::Transport;
     pub use regemu_obs::LatencyHistogram;
 }

@@ -154,7 +154,7 @@ impl ServerHandle {
     }
 
     /// Asks the accept loop and every connection handler to stop.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 

@@ -92,7 +92,7 @@ pub struct ChannelTransport {
 impl ChannelTransport {
     /// Creates a connected pair. `a` and `b` name the two endpoints (each
     /// side reports the *other* as its peer).
-    pub fn pair(a: &str, b: &str) -> (ChannelTransport, ChannelTransport) {
+    pub(crate) fn pair(a: &str, b: &str) -> (ChannelTransport, ChannelTransport) {
         let (a_tx, b_rx) = mpsc::channel();
         let (b_tx, a_rx) = mpsc::channel();
         (
@@ -157,7 +157,7 @@ impl TcpTransport {
     }
 
     /// Wraps an accepted stream (server side).
-    pub fn from_stream(stream: TcpStream) -> Result<Self, ServeError> {
+    pub(crate) fn from_stream(stream: TcpStream) -> Result<Self, ServeError> {
         // Frames are small (a batch is at most a few kilobytes); holding them
         // behind Nagle's algorithm would put the 40 ms ACK-delay right on
         // the quorum path.

@@ -39,7 +39,7 @@ impl HighHistory {
     }
 
     /// Returns `true` if the schedule is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 
@@ -87,7 +87,7 @@ impl HighHistory {
     ///
     /// Incomplete writes sort after all complete ones (they can only be
     /// ordered last in a write-sequential schedule).
-    pub fn sequential_writes(&self) -> Vec<HighInterval> {
+    pub(crate) fn sequential_writes(&self) -> Vec<HighInterval> {
         let mut writes = self.writes();
         writes.sort_by_key(|w| match w.returned {
             Some((t, _)) => (0u8, t),
@@ -128,7 +128,7 @@ impl HighHistory {
     }
 
     /// Convenience builder: a complete write interval.
-    pub fn write(
+    pub(crate) fn write(
         client: usize,
         value: Payload,
         invoked_at: Time,
@@ -144,7 +144,7 @@ impl HighHistory {
     }
 
     /// Convenience builder: a complete read interval returning `value`.
-    pub fn read(
+    pub(crate) fn read(
         client: usize,
         value: Payload,
         invoked_at: Time,

@@ -94,7 +94,7 @@ fn check(history: &HighHistory, spec: &SequentialSpec, condition: Condition) -> 
 /// `q-1` is the index of the last write the read does not precede. The value
 /// observed at position `j` is the sequential-specification state after the
 /// first `j` writes.
-pub fn legal_read_values(
+pub(crate) fn legal_read_values(
     writes: &[HighInterval],
     read: &HighInterval,
     spec: &SequentialSpec,

@@ -75,7 +75,7 @@ impl SequentialSpec {
     }
 
     /// Returns `true` if `response` is legal for `op` applied in `state`.
-    pub fn allows(&self, state: Payload, op: HighOp, response: HighResponse) -> bool {
+    pub(crate) fn allows(&self, state: Payload, op: HighOp, response: HighResponse) -> bool {
         self.step(state, op).1 == response
     }
 }

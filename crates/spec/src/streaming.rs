@@ -202,7 +202,7 @@ impl StreamingChecker {
     }
 
     /// The condition this checker verifies.
-    pub fn condition(&self) -> Condition {
+    pub(crate) fn condition(&self) -> Condition {
         match &self.mode {
             Mode::Ws { condition, .. } => *condition,
             Mode::Atomic { .. } => Condition::Atomicity,
@@ -236,18 +236,18 @@ impl StreamingChecker {
     }
 
     /// Returns `true` once a gap was reported.
-    pub fn saw_gap(&self) -> bool {
+    pub(crate) fn saw_gap(&self) -> bool {
         self.truncated
     }
 
     /// The first violation detected so far, if any.
-    pub fn violation(&self) -> Option<&Violation> {
+    pub(crate) fn violation(&self) -> Option<&Violation> {
         self.violation.as_ref()
     }
 
     /// Number of operations currently retained (open + unfolded window +
     /// abandoned writes).
-    pub fn window_len(&self) -> usize {
+    pub(crate) fn window_len(&self) -> usize {
         match &self.mode {
             // Open ops are stored inside the atomic window itself.
             Mode::Atomic {
@@ -300,7 +300,7 @@ impl StreamingChecker {
     /// Fed automatically from [`regemu_fpsm::Event::ClientCrash`] events;
     /// callers driving the checker directly may also signal it explicitly.
     /// Unknown or already-completed operations are ignored.
-    pub fn abandon(&mut self, op: HighOpId) {
+    pub(crate) fn abandon(&mut self, op: HighOpId) {
         let Some(open) = self.open.remove(&op) else {
             return;
         };

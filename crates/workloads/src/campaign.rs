@@ -50,10 +50,14 @@
 //! ```
 
 use crate::engine::{self, fingerprint, malformed, write_atomically, Campaign};
-pub use crate::engine::{
-    plan_shards, CampaignError, CampaignOptions, Dialect, Manifest, ShardEntry, ShardRange,
-    WorkerMode, FORMAT_VERSION,
-};
+pub use crate::engine::CampaignError;
+pub use crate::engine::CampaignOptions;
+pub use crate::engine::Dialect;
+pub(crate) use crate::engine::Manifest;
+pub use crate::engine::ShardEntry;
+pub(crate) use crate::engine::ShardRange;
+pub use crate::engine::WorkerMode;
+pub(crate) use crate::engine::FORMAT_VERSION;
 use crate::json::{Json, JsonParser};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
@@ -79,7 +83,7 @@ pub type ShardManifest = Manifest;
 /// config. `threads` is deliberately excluded: worker-pool size never
 /// affects results, so resuming a campaign with a different thread count is
 /// legal.
-pub fn config_to_text(config: &SweepConfig) -> String {
+pub(crate) fn config_to_text(config: &SweepConfig) -> String {
     let mut out = format!("regemu-sweep-config v{FORMAT_VERSION}\n");
     let join = |items: Vec<String>| items.join(" ");
     out.push_str(&format!(
@@ -143,7 +147,7 @@ pub fn config_to_text(config: &SweepConfig) -> String {
 ///
 /// The returned config has `threads = 0` (one worker thread per core);
 /// campaign workers override it from their own CLI.
-pub fn config_from_text(text: &str) -> Result<SweepConfig, String> {
+pub(crate) fn config_from_text(text: &str) -> Result<SweepConfig, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty config")?;
     if header != format!("regemu-sweep-config v{FORMAT_VERSION}") {
@@ -253,7 +257,7 @@ pub fn shard_report_path(spool: &Path, shard: usize) -> PathBuf {
 
 /// Path of a shard's `done total` progress counter inside a spool
 /// directory.
-pub fn shard_progress_path(spool: &Path, shard: usize) -> PathBuf {
+pub(crate) fn shard_progress_path(spool: &Path, shard: usize) -> PathBuf {
     spool.join(format!("shard-{shard:04}.progress"))
 }
 
@@ -479,7 +483,7 @@ pub fn report_cases_from_json(json: &str, file: &Path) -> Result<Vec<CaseResult>
 
 /// Reads and validates one shard's report file: it must parse and must
 /// cover exactly the shard's case range, in order.
-pub fn load_shard_report(
+pub(crate) fn load_shard_report(
     spool: &Path,
     range: ShardRange,
 ) -> Result<Vec<CaseResult>, CampaignError> {

@@ -68,7 +68,7 @@ pub enum LowOpKind {
 
 impl LowOpKind {
     /// Stable name used in log files.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             LowOpKind::Read => "read",
             LowOpKind::Write => "write",
@@ -79,7 +79,7 @@ impl LowOpKind {
     }
 
     /// The inverse of [`LowOpKind::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         match name {
             "read" => Some(LowOpKind::Read),
             "write" => Some(LowOpKind::Write),
@@ -192,7 +192,7 @@ impl ConformLog {
     /// Parses the text format. Errors are line-numbered; parsing never
     /// panics. A log without a trailing `end` parses with
     /// [`ConformLog::complete`]` == false`.
-    pub fn from_text(text: &str) -> Result<ConformLog, String> {
+    pub(crate) fn from_text(text: &str) -> Result<ConformLog, String> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
             Some((_, header)) if header.trim() == CONFORM_HEADER => {}
@@ -301,7 +301,7 @@ impl ConformLog {
     }
 
     /// Renders the log in the text format.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(CONFORM_HEADER);
         out.push('\n');
@@ -346,7 +346,7 @@ impl ConformRecorder {
     }
 
     /// Draws the next stamp (strictly increasing).
-    pub fn stamp(&self) -> u64 {
+    pub(crate) fn stamp(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -356,7 +356,7 @@ impl ConformRecorder {
     }
 
     /// The current clock value.
-    pub fn clock(&self) -> u64 {
+    pub(crate) fn clock(&self) -> u64 {
         self.clock.load(Ordering::SeqCst)
     }
 

@@ -68,7 +68,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 /// Version tag of the on-disk manifest and config formats.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Errors raised by the campaign layer.
 #[derive(Debug)]
@@ -188,12 +188,12 @@ pub struct ShardRange {
 
 impl ShardRange {
     /// Number of indices in the shard.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Returns `true` for a shard with no indices.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.start == self.end
     }
 }
@@ -201,7 +201,7 @@ impl ShardRange {
 /// Splits `count` indices into `shards` contiguous, balanced ranges (the
 /// first `count % shards` ranges hold one extra). A shard count larger than
 /// `count` is clamped, so no shard is empty unless the space itself is.
-pub fn plan_shards(count: usize, shards: usize) -> Vec<ShardRange> {
+pub(crate) fn plan_shards(count: usize, shards: usize) -> Vec<ShardRange> {
     let shards = shards.max(1).min(count.max(1));
     let base = count / shards;
     let extra = count % shards;
@@ -233,7 +233,7 @@ pub enum Dialect {
 
 impl Dialect {
     /// Lower-case name, also the `kind` worker heartbeats carry.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Dialect::Sweep => "sweep",
             Dialect::Fuzz => "fuzz",
@@ -256,7 +256,7 @@ impl Dialect {
     }
 
     /// Path of the manifest inside a spool directory.
-    pub fn manifest_path(self, spool: &Path) -> PathBuf {
+    pub(crate) fn manifest_path(self, spool: &Path) -> PathBuf {
         spool.join(match self {
             Dialect::Sweep => "manifest.txt",
             Dialect::Fuzz => "fuzz-manifest.txt",
@@ -264,7 +264,7 @@ impl Dialect {
     }
 
     /// Path of the canonical config text inside a spool directory.
-    pub fn config_path(self, spool: &Path) -> PathBuf {
+    pub(crate) fn config_path(self, spool: &Path) -> PathBuf {
         spool.join(match self {
             Dialect::Sweep => "config.txt",
             Dialect::Fuzz => "fuzz-config.txt",
@@ -272,7 +272,7 @@ impl Dialect {
     }
 
     /// Path of the report that proves unit `(shard, round)` finished.
-    pub fn unit_report_path(self, spool: &Path, shard: usize, round: usize) -> PathBuf {
+    pub(crate) fn unit_report_path(self, spool: &Path, shard: usize, round: usize) -> PathBuf {
         spool.join(match self {
             Dialect::Sweep => format!("shard-{shard:04}.json"),
             Dialect::Fuzz => format!("fuzz-shard-{shard:04}-{round:02}.txt"),
@@ -314,7 +314,7 @@ pub struct Manifest {
 impl Manifest {
     /// Plans a fresh manifest: `units` indices split into `shards` shards
     /// of `rounds` rounds each.
-    pub fn plan(
+    pub(crate) fn plan(
         dialect: Dialect,
         fingerprint: String,
         units: usize,
@@ -479,7 +479,7 @@ impl Manifest {
 
     /// Atomically writes the manifest into the spool (temp file + rename),
     /// so a coordinator killed mid-write never leaves a torn manifest.
-    pub fn store(&self, spool: &Path) -> Result<(), CampaignError> {
+    pub(crate) fn store(&self, spool: &Path) -> Result<(), CampaignError> {
         write_atomically(&self.dialect.manifest_path(spool), &self.to_text())
     }
 
@@ -500,7 +500,7 @@ impl Manifest {
     }
 
     /// Units finished so far, summed over shards.
-    pub fn units_done(&self) -> usize {
+    pub(crate) fn units_done(&self) -> usize {
         self.shards.iter().map(|s| s.rounds_done).sum()
     }
 }

@@ -129,7 +129,7 @@ impl From<CampaignError> for FrontierError {
 }
 
 /// The Table-1 row a construction's measurements are judged against.
-pub fn bound_class_of(kind: EmulationKind) -> BoundClass {
+pub(crate) fn bound_class_of(kind: EmulationKind) -> BoundClass {
     match kind {
         EmulationKind::AbdMaxRegister | EmulationKind::AbdMaxRegisterAtomic => {
             BoundClass::MaxRegister
@@ -215,7 +215,7 @@ impl FrontierConfig {
     /// Builds a grid from raw `(k, f, n)` triples, rejecting every
     /// infeasible point with a typed [`FrontierError::InfeasiblePoint`]
     /// (never silently skipping it).
-    pub fn grid_from_raw(points: &[(usize, usize, usize)]) -> Result<Vec<Params>, FrontierError> {
+    pub(crate) fn grid_from_raw(points: &[(usize, usize, usize)]) -> Result<Vec<Params>, FrontierError> {
         points
             .iter()
             .map(|&(k, f, n)| {
@@ -345,7 +345,7 @@ pub struct FrontierRow {
 impl FrontierRow {
     /// The `2f + 1` max-register/CAS bound at this row's parameters — the
     /// separation column of Table 1.
-    pub fn rmw_bound(&self) -> usize {
+    pub(crate) fn rmw_bound(&self) -> usize {
         max_register_bound(self.params.f)
     }
 }
@@ -453,7 +453,7 @@ impl FrontierReport {
     }
 
     /// `true` when the table has no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 

@@ -76,7 +76,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the fuzz-campaign spool formats.
-pub const FUZZ_FORMAT_VERSION: u32 = 1;
+pub(crate) const FUZZ_FORMAT_VERSION: u32 = 1;
 
 /// What a fuzz campaign explores and how the exploration is split.
 ///
@@ -120,7 +120,7 @@ impl FuzzCampaignConfig {
 
     /// The seed of stream `s`: the master seed and the stream index mixed
     /// through the SplitMix64 finalizer, so streams explore independently.
-    pub fn stream_seed(&self, stream: usize) -> u64 {
+    pub(crate) fn stream_seed(&self, stream: usize) -> u64 {
         let mut x = self
             .fuzz
             .seed
@@ -131,7 +131,7 @@ impl FuzzCampaignConfig {
     }
 
     /// The iteration budget of stream `s` (its slice of the total).
-    pub fn stream_budget(&self, stream: usize) -> usize {
+    pub(crate) fn stream_budget(&self, stream: usize) -> usize {
         plan_shards(self.fuzz.budget, self.streams)
             .get(stream)
             .map(ShardRange::len)
@@ -139,7 +139,7 @@ impl FuzzCampaignConfig {
     }
 
     /// The iteration budget of generation `g` within stream `s`.
-    pub fn generation_budget(&self, stream: usize, generation: usize) -> usize {
+    pub(crate) fn generation_budget(&self, stream: usize, generation: usize) -> usize {
         plan_shards(self.stream_budget(stream), self.generations)
             .get(generation)
             .map(ShardRange::len)
@@ -148,7 +148,7 @@ impl FuzzCampaignConfig {
 
     /// The [`FuzzConfig`] stream `s` runs: the campaign config with the
     /// stream's derived seed and slice of the budget.
-    pub fn stream_config(&self, stream: usize) -> FuzzConfig {
+    pub(crate) fn stream_config(&self, stream: usize) -> FuzzConfig {
         let mut config = self.fuzz.clone();
         config.seed = self.stream_seed(stream);
         config.budget = self.stream_budget(stream);
@@ -158,7 +158,7 @@ impl FuzzCampaignConfig {
 }
 
 /// Serializes a [`FuzzCampaignConfig`] as canonical line-based text.
-pub fn fuzz_config_to_text(config: &FuzzCampaignConfig) -> String {
+pub(crate) fn fuzz_config_to_text(config: &FuzzCampaignConfig) -> String {
     format!(
         "regemu-fuzz-campaign-config v{FUZZ_FORMAT_VERSION}\n\
          params {} {} {}\n\
@@ -189,7 +189,7 @@ pub fn fuzz_config_to_text(config: &FuzzCampaignConfig) -> String {
 /// # Errors
 ///
 /// Returns a message naming the first malformed line.
-pub fn fuzz_config_from_text(text: &str) -> Result<FuzzCampaignConfig, String> {
+pub(crate) fn fuzz_config_from_text(text: &str) -> Result<FuzzCampaignConfig, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty fuzz-campaign config")?;
     if header != format!("regemu-fuzz-campaign-config v{FUZZ_FORMAT_VERSION}") {
@@ -253,12 +253,12 @@ pub fn fuzz_config_fingerprint(config: &FuzzCampaignConfig) -> String {
 // --------------------------------------------------------------------------
 
 /// Path of a published corpus entry.
-pub fn corpus_entry_path(spool: &Path, stream: usize, gen: usize, seq: usize) -> PathBuf {
+pub(crate) fn corpus_entry_path(spool: &Path, stream: usize, gen: usize, seq: usize) -> PathBuf {
     spool.join(format!("corpus-{stream:04}-{gen:02}-{seq:04}.trace"))
 }
 
 /// Path of a stream's per-generation failure file.
-pub fn failures_path(spool: &Path, stream: usize, gen: usize) -> PathBuf {
+pub(crate) fn failures_path(spool: &Path, stream: usize, gen: usize) -> PathBuf {
     spool.join(format!("failures-{stream:04}-{gen:02}.txt"))
 }
 
@@ -268,7 +268,7 @@ pub fn fuzz_shard_report_path(spool: &Path, shard: usize, gen: usize) -> PathBuf
 }
 
 /// Path of an imported generation-0 seed entry ([`import_seed_corpus`]).
-pub fn seed_entry_path(spool: &Path, seq: usize) -> PathBuf {
+pub(crate) fn seed_entry_path(spool: &Path, seq: usize) -> PathBuf {
     spool.join(format!("seed-{seq:04}.trace"))
 }
 
@@ -417,7 +417,7 @@ pub fn import_seed_corpus(spool: &Path, dir: &Path) -> Result<usize, CampaignErr
 /// # Errors
 ///
 /// Fails on I/O errors or a malformed seed entry.
-pub fn seed_corpus(spool: &Path) -> Result<Vec<FuzzCase>, CampaignError> {
+pub(crate) fn seed_corpus(spool: &Path) -> Result<Vec<FuzzCase>, CampaignError> {
     let mut cases = Vec::new();
     read_cases(&mut cases, |seq| seed_entry_path(spool, seq))?;
     Ok(cases)
@@ -845,7 +845,7 @@ pub fn merge_fuzz_campaign(spool: &Path) -> Result<FuzzCampaignReport, CampaignE
 pub type FuzzCampaignOptions = CampaignOptions;
 
 /// What a [`run_fuzz_campaign`] invocation did.
-pub type FuzzCampaignOutcome = Outcome<FuzzCampaignReport>;
+pub(crate) type FuzzCampaignOutcome = Outcome<FuzzCampaignReport>;
 
 /// Runs (or resumes) a sharded fuzz campaign to completion: initializes the
 /// spool, revalidates completed `(shard, generation)` units, executes the

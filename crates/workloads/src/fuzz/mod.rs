@@ -41,17 +41,19 @@
 //! ```
 
 pub mod campaign;
-pub mod mutate;
-pub mod shrink;
-pub mod trace;
+pub(crate) mod mutate;
+pub(crate) mod shrink;
+pub(crate) mod trace;
 
-pub use campaign::{
-    init_fuzz_spool, merge_fuzz_campaign, run_fuzz_campaign, run_fuzz_shard_gen,
-    FuzzCampaignConfig, FuzzCampaignOptions, FuzzCampaignOutcome, FuzzCampaignReport, FuzzManifest,
-    MergedFailure,
-};
-pub use mutate::MutationStream;
-pub use shrink::{shrink_case, shrink_failure, FailureReport};
+pub use campaign::merge_fuzz_campaign;
+pub use campaign::run_fuzz_campaign;
+pub use campaign::FuzzCampaignConfig;
+pub use campaign::FuzzCampaignOptions;
+pub(crate) use campaign::FuzzCampaignReport;
+pub(crate) use mutate::MutationStream;
+pub use shrink::shrink_case;
+pub use shrink::shrink_failure;
+pub(crate) use shrink::FailureReport;
 pub use trace::RecordedSchedule;
 
 use crate::generator::{Issuer, Workload};
@@ -259,7 +261,7 @@ pub enum FailureKind {
 
 impl FailureKind {
     /// Stable single-token label used in traces and reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             FailureKind::Stuck => "stuck".to_string(),
             FailureKind::Violation(c) => format!("violation:{c}"),
@@ -451,7 +453,7 @@ impl Fuzzer {
     }
 
     /// The config under fuzz.
-    pub fn config(&self) -> &FuzzConfig {
+    pub(crate) fn config(&self) -> &FuzzConfig {
         &self.config
     }
 
@@ -466,7 +468,7 @@ impl Fuzzer {
     }
 
     /// Mutants executed so far (excludes the seed case and ingests).
-    pub fn iterations(&self) -> usize {
+    pub(crate) fn iterations(&self) -> usize {
         self.iterations
     }
 
@@ -491,7 +493,7 @@ impl Fuzzer {
     /// corpus and mutation-stream state (the incremental form [`Fuzzer::run`]
     /// is built on; sharded campaigns call this once per generation). The
     /// first call also executes the un-mutated seed case (iteration 0).
-    pub fn run_iterations(&mut self, count: usize) {
+    pub(crate) fn run_iterations(&mut self, count: usize) {
         if !self.seeded {
             self.seeded = true;
             self.observe(self.seed_case.clone(), 0);
@@ -516,7 +518,7 @@ impl Fuzzer {
     }
 
     /// The report over everything run so far.
-    pub fn report(&self) -> FuzzReport {
+    pub(crate) fn report(&self) -> FuzzReport {
         FuzzReport {
             config: self.config.clone(),
             iterations: self.iterations,

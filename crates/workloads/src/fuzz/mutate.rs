@@ -14,18 +14,18 @@ use regemu_fpsm::Time;
 
 /// A deterministic SplitMix64 stream of mutation choices.
 #[derive(Clone, Debug)]
-pub struct MutationStream {
+pub(crate) struct MutationStream {
     state: u64,
 }
 
 impl MutationStream {
     /// A stream seeded from the master seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         MutationStream { state: seed }
     }
 
     /// The next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -34,7 +34,7 @@ impl MutationStream {
     }
 
     /// The next draw reduced to `0..bound` (`0` when `bound` is `0`).
-    pub fn next_below(&mut self, bound: usize) -> usize {
+    pub(crate) fn next_below(&mut self, bound: usize) -> usize {
         if bound == 0 {
             return 0;
         }
@@ -48,7 +48,7 @@ impl MutationStream {
 
 /// Structural limits a mutant must respect.
 #[derive(Clone, Copy, Debug)]
-pub struct MutationBounds {
+pub(crate) struct MutationBounds {
     /// Number of servers (crash targets are `0..n`).
     pub n: usize,
     /// Fault budget: at most `f` distinct crashed servers.
@@ -59,7 +59,7 @@ pub struct MutationBounds {
 
 /// Derives a mutant of `base` — optionally splicing from `donor` — using the
 /// deterministic stream.
-pub fn mutate(
+pub(crate) fn mutate(
     base: &FuzzCase,
     donor: Option<&FuzzCase>,
     bounds: &MutationBounds,

@@ -106,7 +106,7 @@ impl RecordedSchedule {
     /// # Errors
     ///
     /// Returns a message when the emulation name is unknown.
-    pub fn config(&self) -> Result<FuzzConfig, String> {
+    pub(crate) fn config(&self) -> Result<FuzzConfig, String> {
         let emulation = FuzzEmulation::from_name(&self.emulation)
             .ok_or_else(|| format!("unknown emulation {:?}", self.emulation))?;
         Ok(FuzzConfig {

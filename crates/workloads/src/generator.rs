@@ -60,7 +60,7 @@ impl Workload {
     }
 
     /// Number of distinct reader clients referenced by the workload.
-    pub fn reader_count(&self) -> usize {
+    pub(crate) fn reader_count(&self) -> usize {
         self.readers
     }
 
@@ -70,12 +70,12 @@ impl Workload {
     }
 
     /// Returns `true` if the workload is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 
     /// Number of write operations.
-    pub fn write_count(&self) -> usize {
+    pub(crate) fn write_count(&self) -> usize {
         self.ops.iter().filter(|o| o.op.is_write()).count()
     }
 

@@ -71,67 +71,115 @@
 
 pub mod campaign;
 pub mod conform;
-pub mod engine;
+pub(crate) mod engine;
 pub mod frontier;
 pub mod fuzz;
-pub mod generator;
+pub(crate) mod generator;
 mod json;
 pub mod runner;
 pub mod scenario;
 pub mod status;
 pub mod sweep;
-pub mod table;
+pub(crate) mod table;
 
-pub use conform::{
-    check_history, conform_verdict, merge_logs, ConformLog, ConformRecord, ConformRecorder,
-    ConformVerdict, LowOpKind,
-};
-pub use frontier::{
-    run_frontier, run_frontier_campaign, FrontierConfig, FrontierError, FrontierReport, FrontierRow,
-};
-pub use fuzz::{
-    fuzz_and_shrink, merge_fuzz_campaign, replay, run_fuzz_campaign, FailureKind, FailureReport,
-    FuzzCampaignConfig, FuzzCampaignOptions, FuzzCampaignReport, FuzzCase, FuzzConfig,
-    FuzzEmulation, FuzzReport, Fuzzer, RecordedSchedule,
-};
-pub use generator::{Issuer, Workload, WorkloadOp};
-pub use runner::{CheckCoverage, ConsistencyCheck, RunReport};
-pub use scenario::{drive, CrashPlanSpec, RecordingModeSpec, Scenario, ScenarioRun, SchedulerSpec};
-pub use status::{
-    campaign_status, detect_spool_kind, render_status, stats_path, CampaignStatusReport,
-    ShardHealth, ShardHeartbeat, ShardStatusView, SpoolKind,
-};
-pub use sweep::{
-    run_sweep, CaseResult, EmulationKind, SweepCase, SweepConfig, SweepReport, WorkloadSpec,
-};
-pub use table::{small_sweep, standard_sweep, TextTable};
+pub use frontier::run_frontier;
+pub use frontier::FrontierConfig;
+pub use frontier::FrontierRow;
+pub use fuzz::fuzz_and_shrink;
+pub use fuzz::merge_fuzz_campaign;
+pub use fuzz::replay;
+pub use fuzz::run_fuzz_campaign;
+pub use fuzz::FailureKind;
+pub use fuzz::FuzzCampaignConfig;
+pub use fuzz::FuzzCampaignOptions;
+pub use fuzz::FuzzCase;
+pub use fuzz::FuzzConfig;
+pub use fuzz::FuzzEmulation;
+pub use fuzz::FuzzReport;
+pub use fuzz::Fuzzer;
+pub use fuzz::RecordedSchedule;
+pub use generator::Issuer;
+pub use generator::Workload;
+pub use generator::WorkloadOp;
+pub use runner::CheckCoverage;
+pub use runner::ConsistencyCheck;
+pub use runner::RunReport;
+pub use scenario::drive;
+pub use scenario::CrashPlanSpec;
+pub use scenario::RecordingModeSpec;
+pub use scenario::Scenario;
+pub use scenario::ScenarioRun;
+pub use scenario::SchedulerSpec;
+pub use status::detect_spool_kind;
+pub use status::SpoolKind;
+pub use sweep::run_sweep;
+pub use sweep::EmulationKind;
+pub use sweep::SweepConfig;
+pub use sweep::SweepReport;
+pub use sweep::WorkloadSpec;
+pub use table::small_sweep;
+pub use table::standard_sweep;
+pub use table::TextTable;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::conform::{
-        check_history, conform_verdict, merge_logs, ConformLog, ConformRecord, ConformRecorder,
-        ConformVerdict,
-    };
-    pub use crate::frontier::{
-        run_frontier, run_frontier_campaign, FrontierConfig, FrontierError, FrontierReport,
-        FrontierRow,
-    };
-    pub use crate::fuzz::{
-        fuzz_and_shrink, merge_fuzz_campaign, replay, run_fuzz_campaign, FailureKind,
-        FailureReport, FuzzCampaignConfig, FuzzCampaignOptions, FuzzCampaignReport, FuzzCase,
-        FuzzConfig, FuzzEmulation, FuzzReport, Fuzzer, RecordedSchedule,
-    };
-    pub use crate::generator::{Issuer, Workload, WorkloadOp};
-    pub use crate::runner::{CheckCoverage, ConsistencyCheck, RunReport};
-    pub use crate::scenario::{
-        drive, CrashPlanSpec, RecordingModeSpec, Scenario, ScenarioRun, SchedulerSpec,
-    };
-    pub use crate::status::{
-        campaign_status, detect_spool_kind, render_status, stats_path, CampaignStatusReport,
-        ShardHealth, ShardHeartbeat, ShardStatusView, SpoolKind,
-    };
-    pub use crate::sweep::{
-        run_sweep, CaseResult, EmulationKind, SweepCase, SweepConfig, SweepReport, WorkloadSpec,
-    };
-    pub use crate::table::{small_sweep, standard_sweep, TextTable};
+    
+    
+    
+    
+    
+    
+    
+    pub use crate::frontier::run_frontier;
+    
+    pub use crate::frontier::FrontierConfig;
+    
+    
+    pub use crate::frontier::FrontierRow;
+    pub use crate::fuzz::fuzz_and_shrink;
+    pub use crate::fuzz::merge_fuzz_campaign;
+    pub use crate::fuzz::replay;
+    pub use crate::fuzz::run_fuzz_campaign;
+    pub use crate::fuzz::FailureKind;
+    
+    pub use crate::fuzz::FuzzCampaignConfig;
+    pub use crate::fuzz::FuzzCampaignOptions;
+    
+    pub use crate::fuzz::FuzzCase;
+    pub use crate::fuzz::FuzzConfig;
+    pub use crate::fuzz::FuzzEmulation;
+    
+    pub use crate::fuzz::Fuzzer;
+    pub use crate::fuzz::RecordedSchedule;
+    pub use crate::generator::Issuer;
+    pub use crate::generator::Workload;
+    pub use crate::generator::WorkloadOp;
+    pub use crate::runner::CheckCoverage;
+    pub use crate::runner::ConsistencyCheck;
+    pub use crate::runner::RunReport;
+    pub use crate::scenario::drive;
+    pub use crate::scenario::CrashPlanSpec;
+    pub use crate::scenario::RecordingModeSpec;
+    pub use crate::scenario::Scenario;
+    pub use crate::scenario::ScenarioRun;
+    pub use crate::scenario::SchedulerSpec;
+    
+    pub use crate::status::detect_spool_kind;
+    
+    
+    
+    
+    
+    
+    pub use crate::status::SpoolKind;
+    pub use crate::sweep::run_sweep;
+    
+    pub use crate::sweep::EmulationKind;
+    
+    pub use crate::sweep::SweepConfig;
+    
+    pub use crate::sweep::WorkloadSpec;
+    pub use crate::table::small_sweep;
+    pub use crate::table::standard_sweep;
+    pub use crate::table::TextTable;
 }

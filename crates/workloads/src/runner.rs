@@ -40,7 +40,7 @@ pub enum ConsistencyCheck {
 
 impl ConsistencyCheck {
     /// Every check kind, in escalation order.
-    pub const ALL: [ConsistencyCheck; 4] = [
+    pub(crate) const ALL: [ConsistencyCheck; 4] = [
         ConsistencyCheck::None,
         ConsistencyCheck::WsSafe,
         ConsistencyCheck::WsRegular,
@@ -48,7 +48,7 @@ impl ConsistencyCheck {
     ];
 
     /// Stable short name used in config files and CLI flags.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ConsistencyCheck::None => "none",
             ConsistencyCheck::WsSafe => "ws-safe",
@@ -64,7 +64,7 @@ impl ConsistencyCheck {
 
     /// The condition this check verifies (`None` for
     /// [`ConsistencyCheck::None`]), as the streaming checker takes it.
-    pub fn condition(self) -> Option<Condition> {
+    pub(crate) fn condition(self) -> Option<Condition> {
         match self {
             ConsistencyCheck::None => None,
             ConsistencyCheck::WsSafe => Some(Condition::WsSafety),
@@ -76,7 +76,7 @@ impl ConsistencyCheck {
     /// Runs this check's offline checker over `history` against the
     /// register specification: the first violation, or `None` when the
     /// condition holds (always, for [`ConsistencyCheck::None`]).
-    pub fn check_offline(self, history: &HighHistory) -> Option<Violation> {
+    pub(crate) fn check_offline(self, history: &HighHistory) -> Option<Violation> {
         let spec = SequentialSpec::register();
         match self {
             ConsistencyCheck::None => None,
@@ -117,7 +117,7 @@ pub enum CheckCoverage {
 impl CheckCoverage {
     /// Stable short name used in reports: `complete`, `truncated`,
     /// `unrecorded`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CheckCoverage::Complete => "complete",
             CheckCoverage::Truncated => "truncated",

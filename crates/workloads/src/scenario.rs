@@ -184,7 +184,7 @@ impl CrashPlanSpec {
     /// Builds the concrete server [`CrashPlan`] for a parameter point.
     /// [`CrashPlanSpec::CrashClients`] crashes no servers — its client
     /// crashes are delivered through [`CrashPlanSpec::client_crashes`].
-    pub fn instantiate(self, params: Params) -> CrashPlan {
+    pub(crate) fn instantiate(self, params: Params) -> CrashPlan {
         match self {
             CrashPlanSpec::None | CrashPlanSpec::CrashClients => CrashPlan::none(),
             CrashPlanSpec::CrashF => {
@@ -202,7 +202,7 @@ impl CrashPlanSpec {
     /// crash fires once the simulation clock passes `time` *and* the
     /// issuer's client has been registered by the workload (a client that
     /// never issues anything cannot crash — there is nothing to crash).
-    pub fn client_crashes(self, params: Params) -> Vec<(regemu_fpsm::Time, Issuer)> {
+    pub(crate) fn client_crashes(self, params: Params) -> Vec<(regemu_fpsm::Time, Issuer)> {
         match self {
             CrashPlanSpec::None | CrashPlanSpec::CrashF => Vec::new(),
             CrashPlanSpec::CrashClients => {
@@ -212,7 +212,7 @@ impl CrashPlanSpec {
     }
 
     /// Stable short name used in reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CrashPlanSpec::None => "none",
             CrashPlanSpec::CrashF => "crash-f",
@@ -359,7 +359,7 @@ impl Scenario {
 
     /// Sets the per-operation delivery budget before the run is declared
     /// stuck.
-    pub fn max_steps_per_op(mut self, max_steps: u64) -> Self {
+    pub(crate) fn max_steps_per_op(mut self, max_steps: u64) -> Self {
         self.max_steps_per_op = max_steps;
         self
     }
@@ -388,17 +388,17 @@ impl Scenario {
     }
 
     /// The parameter point of the scenario.
-    pub fn params(&self) -> Params {
+    pub(crate) fn params(&self) -> Params {
         self.params
     }
 
     /// The scheduler dimension of the scenario.
-    pub fn scheduler_spec(&self) -> SchedulerSpec {
+    pub(crate) fn scheduler_spec(&self) -> SchedulerSpec {
         self.scheduler
     }
 
     /// The recording dimension of the scenario.
-    pub fn recording_spec(&self) -> RecordingModeSpec {
+    pub(crate) fn recording_spec(&self) -> RecordingModeSpec {
         self.recording
     }
 
@@ -520,7 +520,7 @@ impl ScenarioRun {
     }
 
     /// The recording mode the run records under.
-    pub fn recording_mode(&self) -> RecordingMode {
+    pub(crate) fn recording_mode(&self) -> RecordingMode {
         self.engine.sim.recording_mode()
     }
 
@@ -545,7 +545,7 @@ impl ScenarioRun {
     /// # Errors
     ///
     /// Fails if the client is unknown.
-    pub fn crash_client(&mut self, client: ClientId) -> Result<(), SimError> {
+    pub(crate) fn crash_client(&mut self, client: ClientId) -> Result<(), SimError> {
         self.engine.crash_client(client)
     }
 

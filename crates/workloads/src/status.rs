@@ -29,12 +29,12 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Version tag of the on-disk heartbeat format.
-pub const HEARTBEAT_VERSION: u32 = 1;
+pub(crate) const HEARTBEAT_VERSION: u32 = 1;
 
 /// Least time between two paced heartbeats
 /// ([`HeartbeatWriter::publish_paced`]): a quarter of the dashboard's
 /// default 1 s poll.
-pub const HEARTBEAT_PACE: Duration = Duration::from_millis(250);
+pub(crate) const HEARTBEAT_PACE: Duration = Duration::from_millis(250);
 
 /// Path of a shard's heartbeat file inside a spool directory.
 pub fn stats_path(spool: &Path, shard: usize) -> PathBuf {
@@ -53,7 +53,7 @@ pub fn now_unix_ms() -> u64 {
 
 /// One shard's heartbeat, as persisted in `stats-NNNN.json`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ShardHeartbeat {
+pub(crate) struct ShardHeartbeat {
     /// Heartbeat format version ([`HEARTBEAT_VERSION`]).
     pub version: u32,
     /// Spool kind the writer was running: `"sweep"` (also used by frontier
@@ -109,7 +109,7 @@ fn req_u64(json: &Json, key: &str) -> Result<u64, String> {
 
 impl ShardHeartbeat {
     /// Serializes the heartbeat as its on-disk JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"version\":{},\"kind\":{:?},\"shard\":{},\"done\":{},\"total\":{},",
@@ -138,7 +138,7 @@ impl ShardHeartbeat {
     ///
     /// Returns a message naming what is malformed; callers degrade the
     /// shard to [`ShardHealth::Unknown`] rather than failing.
-    pub fn from_json(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(text: &str) -> Result<Self, String> {
         let json = JsonParser::new(text).value()?;
         let version = u32::try_from(req_u64(&json, "version")?)
             .map_err(|_| "oversized version".to_string())?;
@@ -179,7 +179,7 @@ impl ShardHeartbeat {
     /// # Errors
     ///
     /// Returns a message when a file exists but is torn or malformed.
-    pub fn load(spool: &Path, shard: usize) -> Result<Option<Self>, String> {
+    pub(crate) fn load(spool: &Path, shard: usize) -> Result<Option<Self>, String> {
         let path = stats_path(spool, shard);
         match fs::read_to_string(&path) {
             Ok(text) => Self::from_json(&text).map(Some),
@@ -193,7 +193,7 @@ impl ShardHeartbeat {
 /// shard, absorbing advisory-write failures: the first failure is warned
 /// about on stderr, every failure is counted, and the count rides along in
 /// subsequent heartbeats.
-pub struct HeartbeatWriter {
+pub(crate) struct HeartbeatWriter {
     spool: PathBuf,
     shard: usize,
     dialect: Dialect,
@@ -211,7 +211,7 @@ pub struct HeartbeatWriter {
 impl HeartbeatWriter {
     /// Starts a pass over `shard` of the spool; `attempts` is the
     /// manifest's attempt counter at launch.
-    pub fn new(spool: &Path, shard: usize, dialect: Dialect, attempts: u32) -> Self {
+    pub(crate) fn new(spool: &Path, shard: usize, dialect: Dialect, attempts: u32) -> Self {
         HeartbeatWriter {
             spool: spool.to_path_buf(),
             shard,
@@ -229,7 +229,7 @@ impl HeartbeatWriter {
     }
 
     /// Sets the fuzz-only heartbeat fields for subsequent publishes.
-    pub fn set_fuzz_progress(&mut self, generation: u64, iterations: u64, corpus_entries: u64) {
+    pub(crate) fn set_fuzz_progress(&mut self, generation: u64, iterations: u64, corpus_entries: u64) {
         self.generation = Some(generation);
         self.iterations = Some(iterations);
         self.corpus_entries = Some(corpus_entries);
@@ -249,7 +249,7 @@ impl HeartbeatWriter {
 
     /// Publishes the current pass state: the heartbeat and, in the sweep
     /// dialect, the shard's `done total` progress counter.
-    pub fn publish(&mut self, done: u64, total: u64) {
+    pub(crate) fn publish(&mut self, done: u64, total: u64) {
         self.published = done;
         self.last_publish = Instant::now();
         if self.dialect == Dialect::Sweep {
@@ -286,7 +286,7 @@ impl HeartbeatWriter {
     /// Publishes like [`Self::publish`], but only when [`HEARTBEAT_PACE`]
     /// has passed since the last publish and `done` exceeds the count it
     /// published.
-    pub fn publish_paced(&mut self, done: u64, total: u64) {
+    pub(crate) fn publish_paced(&mut self, done: u64, total: u64) {
         if done > self.published && self.last_publish.elapsed() >= HEARTBEAT_PACE {
             self.publish(done, total);
         }
@@ -310,7 +310,7 @@ pub enum SpoolKind {
 
 impl SpoolKind {
     /// Lower-case display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpoolKind::Sweep => "sweep",
             SpoolKind::Frontier => "frontier",
@@ -355,7 +355,7 @@ pub enum ShardHealth {
 
 impl ShardHealth {
     /// Lower-case display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ShardHealth::Done => "done",
             ShardHealth::Running => "running",

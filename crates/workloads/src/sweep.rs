@@ -445,7 +445,7 @@ impl SweepReport {
     /// [`SweepConfig::cases`] order — this is how the campaign layer
     /// reassembles a report from per-shard files, after slotting every
     /// parsed result by its case index.
-    pub fn from_results(results: Vec<CaseResult>) -> Self {
+    pub(crate) fn from_results(results: Vec<CaseResult>) -> Self {
         SweepReport { results }
     }
 
@@ -460,7 +460,7 @@ impl SweepReport {
     }
 
     /// Returns `true` when the sweep ran no cases.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.results.is_empty()
     }
 

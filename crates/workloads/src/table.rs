@@ -40,7 +40,7 @@ impl TextTable {
     }
 
     /// The column headers.
-    pub fn headers(&self) -> &[String] {
+    pub(crate) fn headers(&self) -> &[String] {
         &self.headers
     }
 
