@@ -155,34 +155,6 @@ pub fn demonstrate_quorum_ablation(
     })
 }
 
-/// Identifiers used by the layout-size ablation below.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) enum LayoutAblation {
-    /// The paper's layout (`y = zf + f + 1` registers per full set).
-    PaperSized,
-    /// A set shrunk by one register: the write quorum `|R| - f` and the at
-    /// most `f` registers covered by *each* of the set's `z` writers no
-    /// longer leave a guaranteed uncovered, acknowledged register inside
-    /// every read quorum.
-    OneRegisterSmaller,
-}
-
-/// Computes, for a full register set of the given size, the worst-case number
-/// of acknowledged-and-visible registers a read quorum is guaranteed to
-/// contain after a write completes:
-/// `|R| - f (acks) - f (servers outside the read quorum) - (z-1)·f (covered by
-/// the other writers of the set)`. The paper's `y` makes this exactly 1; one
-/// register fewer makes it 0 — the value can vanish.
-pub(crate) fn guaranteed_visible_registers(params: Params, ablation: LayoutAblation) -> isize {
-    let z = params.z() as isize;
-    let f = params.f as isize;
-    let size = match ablation {
-        LayoutAblation::PaperSized => z * f + f + 1,
-        LayoutAblation::OneRegisterSmaller => z * f + f,
-    };
-    size - f - f - (z - 1) * f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,21 +205,6 @@ mod tests {
                 "k={k} f={f} n={n}"
             );
             assert!(unsafe_outcome.violates_ws_safety, "k={k} f={f} n={n}");
-        }
-    }
-
-    #[test]
-    fn guaranteed_visibility_margin_is_exactly_one_register() {
-        for (k, f, n) in [(2usize, 1usize, 4usize), (4, 2, 9), (6, 3, 13)] {
-            let p = params(k, f, n);
-            assert_eq!(
-                guaranteed_visible_registers(p, LayoutAblation::PaperSized),
-                1
-            );
-            assert_eq!(
-                guaranteed_visible_registers(p, LayoutAblation::OneRegisterSmaller),
-                0
-            );
         }
     }
 }

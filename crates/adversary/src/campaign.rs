@@ -122,23 +122,6 @@ impl LowerBoundCampaign {
         }
     }
 
-    /// Overrides the protected set `F` (must have `f + 1` servers).
-    pub(crate) fn with_protected(mut self, protected: BTreeSet<ServerId>) -> Self {
-        self.protected = protected;
-        self
-    }
-
-    /// Overrides the number of adversary-driven writes (defaults to `k`).
-    pub(crate) fn with_writes(mut self, writes: usize) -> Self {
-        self.writes = writes;
-        self
-    }
-
-    /// The protected set used by this campaign.
-    pub(crate) fn protected(&self) -> &BTreeSet<ServerId> {
-        &self.protected
-    }
-
     /// Runs the campaign and returns the per-iteration report.
     ///
     /// # Errors
@@ -258,21 +241,5 @@ mod tests {
         let report = LowerBoundCampaign::new(&emulation).run(&emulation).unwrap();
         assert!(report.satisfies_coverage_growth());
         assert_eq!(report.max_covered_on_one_server(), params.k);
-    }
-
-    #[test]
-    fn custom_protected_set_is_respected() {
-        let params = Params::new(2, 1, 4).unwrap();
-        let emulation = SpaceOptimalEmulation::new(params);
-        let protected: BTreeSet<ServerId> = [ServerId::new(0), ServerId::new(1)].into();
-        let campaign = LowerBoundCampaign::new(&emulation).with_protected(protected.clone());
-        assert_eq!(campaign.protected(), &protected);
-        let report = campaign.run(&emulation).unwrap();
-        assert!(report.coverage_always_avoids_protected(), "{report:?}");
-        for (server, covered) in &report.covered_per_server {
-            if protected.contains(&ServerId::new(*server)) {
-                assert_eq!(*covered, 0);
-            }
-        }
     }
 }

@@ -102,11 +102,6 @@ impl CoveringTracker {
         }
     }
 
-    /// The protected set `F`.
-    pub(crate) fn protected(&self) -> &BTreeSet<ServerId> {
-        &self.protected
-    }
-
     /// Feeds one run event to the tracker. Only trigger/respond events of
     /// write-class operations matter; everything else is ignored.
     pub(crate) fn observe(&mut self, event: &Event, topology: &Topology) {
@@ -173,35 +168,6 @@ impl CoveringTracker {
             .filter(|b| !self.covered_at_checkpoint.contains(b))
             .copied()
             .collect()
-    }
-
-    /// `Cov(t)` — every currently covered register (old and new).
-    pub(crate) fn covered(&self) -> BTreeSet<ObjectId> {
-        self.pending_new_writes
-            .keys()
-            .chain(self.pending_old_writes.keys())
-            .copied()
-            .collect()
-    }
-
-    /// `Tr_i(t)` — registers with a post-checkpoint write trigger.
-    pub(crate) fn triggered(&self) -> &BTreeSet<ObjectId> {
-        &self.triggered
-    }
-
-    /// `Rr_i(t)` — registers whose post-checkpoint write responded.
-    pub(crate) fn responded(&self) -> &BTreeSet<ObjectId> {
-        &self.responded
-    }
-
-    /// `Q_i(t)`.
-    pub(crate) fn q(&self) -> &BTreeSet<ServerId> {
-        &self.q
-    }
-
-    /// `F_i(t)`.
-    pub(crate) fn f_responded(&self) -> &BTreeSet<ServerId> {
-        &self.f_responded
     }
 
     /// `M_i(t)` — covered servers of `F` that have not responded yet.
@@ -300,6 +266,16 @@ mod tests {
     use super::*;
     use regemu_fpsm::{BaseOp, BaseResponse, HighOpId, ObjectKind, Value};
 
+    /// `Cov(t)`: every currently covered register, old and new.
+    fn covered(tracker: &CoveringTracker) -> BTreeSet<ObjectId> {
+        tracker
+            .pending_new_writes
+            .keys()
+            .chain(tracker.pending_old_writes.keys())
+            .copied()
+            .collect()
+    }
+
     fn topology(n: usize) -> Topology {
         let mut t = Topology::new(n);
         t.add_object_per_server(ObjectKind::Register);
@@ -342,10 +318,10 @@ mod tests {
             tracker.observe(&trigger(op, 9, srv), &t);
         }
         // Q grew to {0, 1} and froze before server 2 could join.
-        assert_eq!(tracker.q().len(), 2);
-        assert!(tracker.q().contains(&ServerId::new(0)));
-        assert!(tracker.q().contains(&ServerId::new(1)));
-        assert!(!tracker.q().contains(&ServerId::new(2)));
+        assert_eq!(tracker.q.len(), 2);
+        assert!(tracker.q.contains(&ServerId::new(0)));
+        assert!(tracker.q.contains(&ServerId::new(1)));
+        assert!(!tracker.q.contains(&ServerId::new(2)));
         tracker.check_lemma2_invariants(&t).unwrap();
     }
 
@@ -358,12 +334,12 @@ mod tests {
         tracker.observe(&trigger(1, 7, 4), &t);
         // Both protected servers are covered, none responded: M_i = {3, 4}.
         assert_eq!(tracker.m(&t).len(), 2);
-        assert!(tracker.f_responded().is_empty());
+        assert!(tracker.f_responded.is_empty());
         // One responds: it moves from M_i to F_i.
         tracker.observe(&respond(0, 7, 3), &t);
         assert_eq!(tracker.m(&t).len(), 1);
-        assert_eq!(tracker.f_responded().len(), 1);
-        assert!(tracker.f_responded().contains(&ServerId::new(3)));
+        assert_eq!(tracker.f_responded.len(), 1);
+        assert!(tracker.f_responded.contains(&ServerId::new(3)));
         // G_i = M_i because |Q_i| = 0 < |F_i| = 1.
         assert_eq!(tracker.g(&t), tracker.m(&t));
         tracker.check_lemma2_invariants(&t).unwrap();
@@ -394,7 +370,7 @@ mod tests {
         // (G_i is empty because |Q_i| ≥ |F_i|).
         assert!(!tracker.is_blocked(OpId::new(5), ClientId::new(9), ObjectId::new(3), &t));
         // Coverage counts both old and new covering writes.
-        assert_eq!(tracker.covered().len(), 3);
+        assert_eq!(covered(&tracker).len(), 3);
         assert_eq!(tracker.newly_covered().len(), 2);
     }
 
@@ -410,14 +386,14 @@ mod tests {
             vec![(OpId::new(50), ObjectId::new(1), old_client)],
         );
         tracker.observe(&trigger(0, 3, 0), &t);
-        assert_eq!(tracker.covered().len(), 2);
+        assert_eq!(covered(&tracker).len(), 2);
         tracker.observe(&respond(0, 3, 0), &t);
         assert_eq!(tracker.newly_covered().len(), 0);
-        assert_eq!(tracker.covered().len(), 1);
-        assert!(tracker.responded().contains(&ObjectId::new(0)));
+        assert_eq!(covered(&tracker).len(), 1);
+        assert!(tracker.responded.contains(&ObjectId::new(0)));
         // The old write responds too (if the environment ever allows it).
         tracker.observe(&respond(50, 0, 1), &t);
-        assert!(tracker.covered().is_empty());
+        assert!(covered(&tracker).is_empty());
     }
 
     #[test]

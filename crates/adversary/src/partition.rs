@@ -149,7 +149,7 @@ impl PartitionOutcome {
     }
 }
 
-/// Runs the partitioning schedule against [`QuorumEmulation`] with the given
+/// Runs the partitioning schedule against `QuorumEmulation` with the given
 /// `n` and `f`: the write hears only from servers `0..n-f`, the subsequent
 /// read hears only from servers `f..n`.
 ///

@@ -52,11 +52,6 @@ impl SilenceServers {
     pub fn highest(n: usize, count: usize) -> Self {
         Self::new((n.saturating_sub(count)..n).map(ServerId::new))
     }
-
-    /// The silenced servers.
-    pub(crate) fn servers(&self) -> &BTreeSet<ServerId> {
-        &self.servers
-    }
 }
 
 impl BlockStrategy for SilenceServers {
@@ -89,11 +84,6 @@ impl CoverWrites {
     /// Blocks write responses on the `count` highest-numbered of `n` servers.
     pub fn highest(n: usize, count: usize) -> Self {
         Self::new((n.saturating_sub(count)..n).map(ServerId::new))
-    }
-
-    /// The servers whose write responses are withheld.
-    pub(crate) fn servers(&self) -> &BTreeSet<ServerId> {
-        &self.servers
     }
 }
 
@@ -151,8 +141,8 @@ mod tests {
     fn silenced_set_construction() {
         let s = SilenceServers::highest(5, 2);
         let expect: BTreeSet<ServerId> = [ServerId::new(3), ServerId::new(4)].into();
-        assert_eq!(s.servers(), &expect);
+        assert_eq!(s.servers, expect);
         let c = CoverWrites::highest(3, 0);
-        assert!(c.servers().is_empty());
+        assert!(c.servers.is_empty());
     }
 }

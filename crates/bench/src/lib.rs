@@ -154,7 +154,7 @@ pub mod cli {
         parsed(args, flag, |v| v.parse().ok())
     }
 
-    /// The flag's value as an `a,b,..` list (see [`parse_list`]).
+    /// The flag's value as an `a,b,..` list (see `parse_list`).
     pub fn list<T: Clone>(
         args: &mut impl Iterator<Item = String>,
         flag: &str,
@@ -435,8 +435,9 @@ macro_rules! debug {
 pub mod experiments {
     use regemu_adversary::{demonstrate_partition, LowerBoundCampaign};
     use regemu_bounds::{
-        cas_bound, max_register_bound, max_register_from_registers_lower_bound,
-        register_lower_bound, register_upper_bound, servers_needed_with_bounded_storage, Params,
+        cas_bound, max_register_bound, max_register_from_registers_lower_bound, min_servers,
+        per_server_lower_bound_minimal_n, register_lower_bound, register_upper_bound,
+        saturation_server_count, servers_needed_with_bounded_storage, Params,
     };
     use regemu_core::{
         AbdMaxRegisterEmulation, CasMaxRegister, CollectMaxRegister, EmulationKind, RegisterLayout,
@@ -606,7 +607,7 @@ pub mod experiments {
             ],
         );
         for &k in ks {
-            let params = Params::new(k, f, 2 * f + 1).expect("n = 2f+1 is valid");
+            let params = Params::new(k, f, min_servers(f)).expect("n = 2f+1 is valid");
             let emulation = SpaceOptimalEmulation::new(params);
             let occupancy = emulation
                 .layout()
@@ -620,7 +621,7 @@ pub mod experiments {
                 .expect("campaign");
             table.push_row([
                 k.to_string(),
-                k.to_string(),
+                per_server_lower_bound_minimal_n(k).to_string(),
                 occupancy.to_string(),
                 report.max_covered_on_one_server().to_string(),
             ]);
@@ -646,7 +647,7 @@ pub mod experiments {
             let bound = servers_needed_with_bounded_storage(k, f, m);
             // The smallest legal n whose layout respects the per-server
             // budget.
-            let fitting = ((2 * f + 1)..=(k * f + f + 1 + 2 * f))
+            let fitting = (min_servers(f)..=saturation_server_count(k, f) + 2 * f)
                 .filter_map(|n| Params::new(k, f, n).ok())
                 .find(|&params| {
                     let (_, layout) = RegisterLayout::build(params);

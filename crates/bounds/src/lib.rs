@@ -89,10 +89,10 @@ impl Params {
         if f == 0 {
             return Err(ParamError::NoFaults);
         }
-        if n < 2 * f + 1 {
+        if n < min_servers(f) {
             return Err(ParamError::TooFewServers {
                 n,
-                required: 2 * f + 1,
+                required: min_servers(f),
             });
         }
         Ok(Params { k, f, n })
@@ -154,7 +154,7 @@ pub fn parse_point(text: &str) -> Result<(usize, usize, usize), String> {
 
 /// Minimum number of servers for any `f`-tolerant WS-Safe obstruction-free
 /// emulation (Theorem 5): `2f + 1`.
-pub(crate) fn min_servers(f: usize) -> usize {
+pub fn min_servers(f: usize) -> usize {
     2 * f + 1
 }
 
@@ -183,12 +183,12 @@ pub fn register_lower_bound(p: Params) -> usize {
 /// `kf + ⌈k / z⌉ · (f+1)` with `z = ⌊(n - (f+1)) / f⌋`.
 pub fn register_upper_bound(p: Params) -> usize {
     let Params { k, f, .. } = p;
-    k * f + p.k.div_ceil(p.z()) * (f + 1)
+    k * f + p.register_set_count() * (f + 1)
 }
 
 /// The simplest corollary of Theorem 1: at least `kf + f + 1` registers are
 /// needed regardless of how many servers are available.
-pub(crate) fn register_lower_bound_any_n(k: usize, f: usize) -> usize {
+pub fn register_lower_bound_any_n(k: usize, f: usize) -> usize {
     k * f + f + 1
 }
 
@@ -201,7 +201,7 @@ pub fn max_register_from_registers_lower_bound(k: usize) -> usize {
 
 /// Theorem 6 — with exactly `n = 2f + 1` servers, every server must store at
 /// least `k` registers.
-pub(crate) fn per_server_lower_bound_minimal_n(k: usize) -> usize {
+pub fn per_server_lower_bound_minimal_n(k: usize) -> usize {
     k
 }
 
@@ -216,14 +216,14 @@ pub fn servers_needed_with_bounded_storage(k: usize, f: usize, m: usize) -> usiz
 /// The matching upper bound discussed for the special case `n = 2f + 1`: each
 /// server implements a `k`-writer max-register from `k` base registers, for a
 /// total of `(2f + 1)·k` registers.
-pub(crate) fn special_case_minimal_n_upper_bound(k: usize, f: usize) -> usize {
+pub fn special_case_minimal_n_upper_bound(k: usize, f: usize) -> usize {
     (2 * f + 1) * k
 }
 
 /// The smallest `n` at which the bounds flatten out: for `n ≥ kf + f + 1`
 /// both the lower and the upper bound equal `kf + f + 1` and adding servers
 /// no longer helps.
-pub(crate) fn saturation_server_count(k: usize, f: usize) -> usize {
+pub fn saturation_server_count(k: usize, f: usize) -> usize {
     k * f + f + 1
 }
 
@@ -390,17 +390,6 @@ impl BoundVerdict {
     /// Unused headroom below the upper bound (`0` when at or over it).
     pub fn slack(&self) -> usize {
         self.upper.saturating_sub(self.measured)
-    }
-
-    /// How far the measurement overshoots the upper bound (`0` when within).
-    pub(crate) fn excess(&self) -> usize {
-        self.measured.saturating_sub(self.upper)
-    }
-
-    /// `true` when an adversarial schedule drove the measurement all the way
-    /// up to (or past) the lower-bound frontier.
-    pub(crate) fn reaches_lower(&self) -> bool {
-        self.measured >= self.lower
     }
 
     /// Stable one-word verdict for report columns: `ok` within the upper
@@ -612,15 +601,12 @@ mod tests {
         let v = BoundVerdict::judge(BoundClass::Register, p, 23);
         assert_eq!((v.lower, v.upper), (22, 25));
         assert!(v.within_upper());
-        assert!(v.reaches_lower());
         assert_eq!(v.slack(), 2);
-        assert_eq!(v.excess(), 0);
         assert_eq!(v.label(), "ok");
 
         let over = BoundVerdict::judge(BoundClass::MaxRegister, p, 9);
         assert_eq!((over.lower, over.upper), (5, 5));
         assert!(!over.within_upper());
-        assert_eq!(over.excess(), 4);
         assert_eq!(over.slack(), 0);
         assert_eq!(over.label(), "exceeds");
 

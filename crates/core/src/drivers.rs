@@ -6,15 +6,15 @@
 //! [`MaxDriver`] realizes those two primitives against whatever a given
 //! server actually stores:
 //!
-//! * [`NativeMaxDriver`] — the server stores a real max-register (1 object);
-//! * [`CasMaxDriver`] — the server stores a single CAS object; the driver runs
+//! * `NativeMaxDriver` — the server stores a real max-register (1 object);
+//! * `CasMaxDriver` — the server stores a single CAS object; the driver runs
 //!   Algorithm 1 (Appendix B) as a client-side retry loop;
 //! * [`BankMaxDriver`] — the server stores a bank of `k` plain read/write
 //!   registers, one per writer; `write-max` updates the caller's own slot and
 //!   `read-max` collects the whole bank (the construction behind the
 //!   `(2f+1)·k` special case for `n = 2f+1`).
 //!
-//! The ABD protocol in [`crate::abd`] is generic over the driver, which is how
+//! The ABD protocol in `crate::abd` is generic over the driver, which is how
 //! a single protocol implementation yields the max-register, CAS and
 //! register-bank rows of Table 1.
 
@@ -165,11 +165,6 @@ impl CasMaxDriver {
             target: Value::INITIAL,
             attempts: 0,
         }
-    }
-
-    /// Number of CAS operations issued by the most recent `write-max`.
-    pub(crate) fn attempts(&self) -> u64 {
-        self.attempts
     }
 
     fn probe(&mut self, ctx: &mut Context<'_>) {

@@ -95,11 +95,6 @@ impl RegisterLayout {
         self.params
     }
 
-    /// The register sets `R_0..R_{m-1}`.
-    pub(crate) fn sets(&self) -> &[Vec<ObjectId>] {
-        &self.sets
-    }
-
     /// Number of register sets `m`.
     pub(crate) fn set_count(&self) -> usize {
         self.sets.len()
@@ -136,22 +131,11 @@ impl RegisterLayout {
         &self.sets[self.set_for_writer(writer)]
     }
 
-    /// The servers hosting the registers of set `i`, parallel to
-    /// [`RegisterLayout::sets`].
-    pub(crate) fn servers_of_set(&self, i: usize) -> &[ServerId] {
-        &self.servers[i]
-    }
-
     /// Writers assigned to set `i` (0-based writer indices).
     pub(crate) fn writers_of_set(&self, i: usize) -> Vec<usize> {
         (0..self.params.k)
             .filter(|w| self.set_for_writer(*w) == i)
             .collect()
-    }
-
-    /// The write-quorum size for a writer of set `i`: `|R_i| - f`.
-    pub(crate) fn write_quorum_size(&self, i: usize) -> usize {
-        self.sets[i].len() - self.params.f
     }
 
     /// Number of layout registers hosted on each server.
@@ -217,9 +201,8 @@ mod tests {
         assert_eq!(layout.total_registers(), 25);
         assert_eq!(topology.object_count(), 25);
         for i in 0..5 {
-            assert_eq!(layout.sets()[i].len(), 5);
+            assert_eq!(layout.sets[i].len(), 5);
             assert_eq!(layout.writers_of_set(i), vec![i]);
-            assert_eq!(layout.write_quorum_size(i), 3);
         }
         let rendered = layout.render();
         assert!(rendered.contains("R_0"));
@@ -247,7 +230,7 @@ mod tests {
     fn sets_are_disjoint_and_spread_over_distinct_servers() {
         let (topology, l) = layout(7, 2, 8);
         let mut seen = std::collections::BTreeSet::new();
-        for (i, set) in l.sets().iter().enumerate() {
+        for (i, set) in l.sets.iter().enumerate() {
             for b in set {
                 assert!(seen.insert(*b), "register sets must be disjoint");
             }
@@ -256,7 +239,7 @@ mod tests {
                 set.iter().map(|b| topology.server_of(*b)).collect();
             assert_eq!(servers.len(), set.len());
             // And the recorded server list matches the topology.
-            for (b, s) in set.iter().zip(l.servers_of_set(i)) {
+            for (b, s) in set.iter().zip(&l.servers[i]) {
                 assert_eq!(topology.server_of(*b), *s);
             }
         }
@@ -299,9 +282,9 @@ mod tests {
         assert_eq!(l.params().z(), 2);
         assert_eq!(l.params().y(), 4);
         assert_eq!(l.set_count(), 3);
-        assert_eq!(l.sets()[0].len(), l.params().y());
-        assert_eq!(l.sets()[1].len(), l.params().y());
-        assert_eq!(l.sets()[2].len(), 1 + 1 + 1); // (k mod z)·f + f + 1
+        assert_eq!(l.sets[0].len(), l.params().y());
+        assert_eq!(l.sets[1].len(), l.params().y());
+        assert_eq!(l.sets[2].len(), 1 + 1 + 1); // (k mod z)·f + f + 1
         assert_eq!(l.writers_of_set(2), vec![4]);
     }
 

@@ -15,7 +15,7 @@
 //! * [`emulation::RegisterBankEmulation`] — the `(2f+1)·k` register
 //!   construction for the `n = 2f+1` special case (a `k`-slot max-register
 //!   bank per server);
-//! * [`shared_memory`] — real-threaded counterparts of the standard
+//! * `shared_memory` — real-threaded counterparts of the standard
 //!   shared-memory corollaries (Algorithm 1 over an `AtomicU64`, the
 //!   collect-based `k`-register max-register of Theorem 2, and a `fetch_max`
 //!   baseline).
@@ -29,6 +29,7 @@
 //! ## Example: one write, one read over the space-optimal construction
 //!
 //! ```
+//! use regemu_bounds::Params;
 //! use regemu_core::prelude::*;
 //! use regemu_fpsm::prelude::*;
 //!
@@ -61,49 +62,21 @@ pub mod timestamp;
 pub mod upper_bound;
 pub mod wire;
 
-pub use emulation::all_emulations;
 pub use emulation::register_based_emulations;
-pub use emulation::AbdCasEmulation;
-pub use emulation::AbdMaxRegisterEmulation;
-pub use emulation::Emulation;
-pub use emulation::EmulationKind;
-pub use emulation::RegisterBankEmulation;
-pub use emulation::SpaceOptimalEmulation;
-pub use faulty::FaultyKind;
-pub use layout::RegisterLayout;
-pub use shared_memory::CasMaxRegister;
-pub use shared_memory::CollectMaxRegister;
+pub use prelude::*;
 pub use shared_memory::CollectWriter;
-pub use shared_memory::FetchMaxRegister;
-pub use shared_memory::SharedMaxRegister;
-pub use upper_bound::SharedLayout;
-pub use upper_bound::SpaceOptimalClient;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    
-    
-    
-    
-    
-    pub use crate::emulation::all_emulations;
-    pub use crate::emulation::AbdCasEmulation;
-    pub use crate::emulation::AbdMaxRegisterEmulation;
-    pub use crate::emulation::Emulation;
-    pub use crate::emulation::EmulationKind;
-    pub use crate::emulation::RegisterBankEmulation;
-    pub use crate::emulation::SpaceOptimalEmulation;
+
+    pub use crate::emulation::{
+        all_emulations, AbdCasEmulation, AbdMaxRegisterEmulation, Emulation, EmulationKind,
+        RegisterBankEmulation, SpaceOptimalEmulation,
+    };
     pub use crate::faulty::FaultyKind;
     pub use crate::layout::RegisterLayout;
-    pub use crate::shared_memory::CasMaxRegister;
-    pub use crate::shared_memory::CollectMaxRegister;
-    pub use crate::shared_memory::FetchMaxRegister;
-    pub use crate::shared_memory::SharedMaxRegister;
-    pub use crate::upper_bound::SharedLayout;
-    pub use crate::upper_bound::SpaceOptimalClient;
-    
-    
-    
-    
-    pub use regemu_bounds::Params;
+    pub use crate::shared_memory::{
+        CasMaxRegister, CollectMaxRegister, FetchMaxRegister, SharedMaxRegister,
+    };
+    pub use crate::upper_bound::{SharedLayout, SpaceOptimalClient};
 }

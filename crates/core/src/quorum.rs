@@ -180,13 +180,6 @@ impl ScanTracker {
         self.best
     }
 
-    /// The maximum value observed, restricted to nothing — alias of
-    /// [`ScanTracker::best`] kept for readability at call sites that follow
-    /// the paper's `max(rdSet)` notation.
-    pub(crate) fn max_of_read_set(&self) -> Value {
-        self.best
-    }
-
     /// All values collected so far (the `rdSet` of Algorithm 2).
     pub fn read_set(&self) -> &[Value] {
         &self.values
@@ -234,7 +227,6 @@ mod tests {
         assert_eq!(scan.completed_count(), 2);
         assert!(scan.satisfied());
         assert_eq!(scan.best(), Value::new(3, 1));
-        assert_eq!(scan.max_of_read_set(), Value::new(3, 1));
         assert_eq!(scan.read_set().len(), 2);
         // Late responses from other servers still fold into the maximum.
         scan.record(ServerId::new(1), ObjectId::new(2), Value::new(8, 0));

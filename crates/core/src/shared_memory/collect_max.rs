@@ -95,16 +95,6 @@ impl CollectWriter {
     pub fn write_max(&self, value: u64) {
         self.shared.write_slot(self.index, value);
     }
-
-    /// Reads the maximum over all slots.
-    pub(crate) fn read_max(&self) -> u64 {
-        self.shared.collect()
-    }
-
-    /// The writer index of this handle.
-    pub(crate) fn index(&self) -> usize {
-        self.index
-    }
 }
 
 #[cfg(test)]
@@ -130,10 +120,10 @@ mod tests {
         w0.write_max(10);
         w1.write_max(4);
         w2.write_max(7);
-        assert_eq!(w1.read_max(), 10);
+        assert_eq!(m.read_max(), 10);
         w1.write_max(12);
-        assert_eq!(w0.read_max(), 12);
-        assert_eq!(w2.index(), 2);
+        assert_eq!(m.read_max(), 12);
+        assert_eq!(w2.index, 2);
     }
 
     #[test]
@@ -142,7 +132,7 @@ mod tests {
         let w = m.writer(0);
         w.write_max(9);
         w.write_max(3);
-        assert_eq!(w.read_max(), 9);
+        assert_eq!(m.read_max(), 9);
     }
 
     #[test]

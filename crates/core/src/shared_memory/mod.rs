@@ -22,8 +22,7 @@ mod collect_max;
 mod fetch_max;
 
 pub use cas_max::CasMaxRegister;
-pub use collect_max::CollectMaxRegister;
-pub use collect_max::CollectWriter;
+pub use collect_max::{CollectMaxRegister, CollectWriter};
 pub use fetch_max::FetchMaxRegister;
 
 /// The common interface of the shared-memory max-register implementations.
@@ -77,10 +76,11 @@ mod tests {
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let writer = reg.writer(t);
+                let reg = Arc::clone(&reg);
                 std::thread::spawn(move || {
                     for i in 0..200u64 {
                         writer.write_max(t as u64 * 1000 + i);
-                        assert!(writer.read_max() >= t as u64 * 1000 + i);
+                        assert!(reg.read_max() >= t as u64 * 1000 + i);
                     }
                 })
             })

@@ -33,17 +33,6 @@ pub(crate) fn round_of(ts: u64) -> u64 {
     ts >> WRITER_BITS
 }
 
-/// The 0-based writer index encoded in a timestamp, if any (the initial
-/// timestamp 0 encodes no writer).
-pub(crate) fn writer_of(ts: u64) -> Option<usize> {
-    let low = ts & ((1 << WRITER_BITS) - 1);
-    if low == 0 {
-        None
-    } else {
-        Some(low as usize - 1)
-    }
-}
-
 /// The timestamp a writer should use after observing `current`: one round
 /// higher, tagged with the writer's own index.
 pub fn next(current: u64, writer: usize) -> u64 {
@@ -58,8 +47,6 @@ mod tests {
     fn compose_and_decompose_roundtrip() {
         let ts = compose(7, 3);
         assert_eq!(round_of(ts), 7);
-        assert_eq!(writer_of(ts), Some(3));
-        assert_eq!(writer_of(0), None);
         assert_eq!(round_of(0), 0);
     }
 

@@ -151,7 +151,7 @@ pub enum WireMsg {
     },
     /// Client → server: ask for the node's telemetry counters.
     ///
-    /// Version-gated at [`STATS_VERSION`]: version-1 peers reject it as
+    /// Version-gated at `STATS_VERSION`: version-1 peers reject it as
     /// [`FrameError::BadVersion`] without touching the tag.
     StatsQuery,
     /// Server → client: the node's telemetry counters.
@@ -162,7 +162,7 @@ pub enum WireMsg {
     /// Either direction: several `Request`s for one server, or that
     /// server's replies (`Response` / `Fault`) to them, in request order.
     ///
-    /// Version-gated at [`BATCH_VERSION`]. Holds at most [`MAX_BATCH`]
+    /// Version-gated at `BATCH_VERSION`. Holds at most [`MAX_BATCH`]
     /// items, and only `Request`, `Response` and `Fault` items: a nested
     /// batch or a stats message decodes as [`FrameError::BadTag`].
     Batch(Vec<WireMsg>),
@@ -177,7 +177,7 @@ pub enum FrameError {
         /// Name of the field being decoded when the input ran out.
         field: &'static str,
     },
-    /// The length prefix claims more than [`MAX_FRAME_LEN`] bytes.
+    /// The length prefix claims more than `MAX_FRAME_LEN` bytes.
     Oversized {
         /// The claimed body length.
         len: usize,

@@ -71,12 +71,12 @@ impl<'a> Context<'a> {
     }
 
     /// The client this context belongs to.
-    pub(crate) fn client(&self) -> ClientId {
+    pub fn client(&self) -> ClientId {
         self.client
     }
 
     /// The current logical time (number of steps executed so far).
-    pub(crate) fn time(&self) -> Time {
+    pub fn time(&self) -> Time {
         self.time
     }
 

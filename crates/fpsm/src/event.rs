@@ -93,33 +93,6 @@ impl Event {
             | Event::ClientCrash { time, .. } => *time,
         }
     }
-
-    /// The client involved in the event, if any.
-    pub(crate) fn client(&self) -> Option<ClientId> {
-        match self {
-            Event::Invoke { client, .. }
-            | Event::Return { client, .. }
-            | Event::Trigger { client, .. }
-            | Event::Respond { client, .. }
-            | Event::ClientCrash { client, .. } => Some(*client),
-            Event::ServerCrash { .. } => None,
-        }
-    }
-
-    /// Returns `true` for events concerning high-level operations.
-    pub(crate) fn is_high_level(&self) -> bool {
-        matches!(self, Event::Invoke { .. } | Event::Return { .. })
-    }
-
-    /// Returns `true` for events concerning low-level operations.
-    pub(crate) fn is_low_level(&self) -> bool {
-        matches!(self, Event::Trigger { .. } | Event::Respond { .. })
-    }
-
-    /// Returns `true` for crash events.
-    pub(crate) fn is_crash(&self) -> bool {
-        matches!(self, Event::ServerCrash { .. } | Event::ClientCrash { .. })
-    }
 }
 
 impl fmt::Display for Event {
@@ -185,18 +158,12 @@ mod tests {
             op: BaseOp::Write(Value::new(1, 1)),
         };
         assert_eq!(e.time(), 3);
-        assert_eq!(e.client(), Some(ClientId::new(1)));
-        assert!(e.is_low_level());
-        assert!(!e.is_high_level());
-        assert!(!e.is_crash());
 
         let c = Event::ServerCrash {
             time: 9,
             server: ServerId::new(0),
         };
         assert_eq!(c.time(), 9);
-        assert_eq!(c.client(), None);
-        assert!(c.is_crash());
     }
 
     #[test]

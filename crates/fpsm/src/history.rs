@@ -723,30 +723,14 @@ impl History {
         self.peak_retained
     }
 
-    /// Returns `true` if nothing has been recorded.
-    ///
-    /// There is intentionally no `len()`: under the bounded recording modes
-    /// "length" is ambiguous between [`History::total_events`] (recorded)
-    /// and [`History::retained_events`] (still held) — callers must pick
-    /// the one that matches how they consume [`History::events`].
-    pub(crate) fn is_empty(&self) -> bool {
-        self.total_events() == 0
-    }
-
     /// All *retained* high-level operation intervals, in invocation order,
     /// borrowed from the incrementally-maintained digest. Available in every
     /// recording mode: intervals are part of the digests, sized by the
     /// number of high-level operations rather than by the run length — and
-    /// further boundable with [`History::evict_interval`] once a consumer
+    /// further boundable with `History::evict_interval` once a consumer
     /// (such as an online checker) is done with an operation.
     pub fn intervals(&self) -> impl Iterator<Item = &HighInterval> + '_ {
         self.intervals.values()
-    }
-
-    /// The interval of a specific high-level operation, if it was invoked
-    /// and has not been evicted.
-    pub(crate) fn interval_of(&self, high_op: HighOpId) -> Option<&HighInterval> {
-        self.intervals.get(&high_op)
     }
 
     /// Extracts the retained high-level operation intervals, in invocation
@@ -791,11 +775,6 @@ impl History {
     /// Number of intervals currently retained in the digest.
     pub fn retained_intervals(&self) -> usize {
         self.intervals.len()
-    }
-
-    /// Number of intervals removed with [`History::evict_interval`].
-    pub(crate) fn evicted_intervals(&self) -> u64 {
-        self.evicted_intervals
     }
 
     /// High-water mark of [`History::retained_intervals`] over the run — the
@@ -856,33 +835,10 @@ impl History {
         pending
     }
 
-    /// Returns `true` if no two high-level *writes* are concurrent — the
-    /// run is *write-sequential* (Section 2). Tracked incrementally (a
-    /// write invoked while another write is open breaks the property for
-    /// good), so the answer covers the whole run even after interval
-    /// eviction. Events must be pushed in time order, which the simulator
-    /// guarantees.
-    pub(crate) fn is_write_sequential(&self) -> bool {
-        !self.writes_overlapped
-    }
-
-    /// Returns `true` if the run is write-only (no high-level reads
-    /// invoked). Counted incrementally, so the answer covers evicted
-    /// intervals too.
-    pub(crate) fn is_write_only(&self) -> bool {
-        self.invoked_reads == 0
-    }
-
     /// Maximum number of clients with an incomplete high-level operation at
     /// any single point of the run — the *point contention* (Appendix C).
     pub(crate) fn point_contention(&self) -> usize {
         self.max_contention
-    }
-
-    /// The largest time stamp recorded, i.e. the length of the run in steps.
-    /// Tracked incrementally, so it is exact in every recording mode.
-    pub(crate) fn end_time(&self) -> Time {
-        self.last_time
     }
 }
 
@@ -973,8 +929,6 @@ mod tests {
         assert!(ivs[0].precedes(&ivs[1]));
         assert!(!ivs[1].precedes(&ivs[0]));
         assert!(!ivs[0].concurrent_with(&ivs[1]));
-        assert_eq!(h.interval_of(HighOpId::new(1)).unwrap().op, HighOp::Read);
-        assert!(h.interval_of(HighOpId::new(9)).is_none());
     }
 
     #[test]
@@ -989,36 +943,6 @@ mod tests {
         assert!(pending.contains(&OpId::new(1)));
         assert!(pending.contains(&OpId::new(2)));
         assert!(!pending.contains(&OpId::new(0)));
-    }
-
-    #[test]
-    fn write_sequential_and_write_only_detection() {
-        let h = mk_history();
-        assert!(h.is_write_sequential());
-        assert!(!h.is_write_only());
-
-        // Two overlapping writes are not write-sequential.
-        let mut h2 = History::new();
-        h2.push(Event::Invoke {
-            time: 1,
-            client: ClientId::new(0),
-            high_op: HighOpId::new(0),
-            op: HighOp::Write(1),
-        });
-        h2.push(Event::Invoke {
-            time: 2,
-            client: ClientId::new(1),
-            high_op: HighOpId::new(1),
-            op: HighOp::Write(2),
-        });
-        h2.push(Event::Return {
-            time: 3,
-            client: ClientId::new(0),
-            high_op: HighOpId::new(0),
-            response: HighResponse::WriteAck,
-        });
-        assert!(!h2.is_write_sequential());
-        assert!(h2.is_write_only());
     }
 
     #[test]
@@ -1044,13 +968,10 @@ mod tests {
     }
 
     #[test]
-    fn end_time_and_event_counts() {
+    fn total_and_retained_event_counts() {
         let h = mk_history();
-        assert_eq!(h.end_time(), 6);
         assert_eq!(h.total_events(), 7);
         assert_eq!(h.retained_events(), 7);
-        assert!(!h.is_empty());
-        assert!(History::new().is_empty());
     }
 
     #[test]
@@ -1062,7 +983,6 @@ mod tests {
         assert_eq!(digest.total_events(), 7);
         assert_eq!(digest.evicted_events(), 7);
         assert_eq!(digest.total_events(), full.total_events());
-        assert_eq!(digest.end_time(), full.end_time());
         assert_eq!(digest.high_intervals(), full.high_intervals());
         assert_eq!(digest.touched_objects(), full.touched_objects());
         assert_eq!(digest.written_objects(), full.written_objects());
@@ -1150,14 +1070,10 @@ mod tests {
         assert!(!h.evict_interval(HighOpId::new(1)), "still open");
         assert!(!h.evict_interval(HighOpId::new(9)), "unknown");
         assert_eq!(h.retained_intervals(), 1);
-        assert_eq!(h.evicted_intervals(), 1);
         assert_eq!(h.total_intervals(), 2);
         assert_eq!(h.peak_retained_intervals(), 2);
-        assert!(h.interval_of(HighOpId::new(0)).is_none());
         assert_eq!(h.high_intervals().len(), 1);
         // Scalar digests still answer for the whole run.
-        assert!(h.is_write_sequential());
-        assert!(!h.is_write_only());
         assert_eq!(h.point_contention(), 1);
         // A write invoked after the eviction still sees the earlier pending
         // read for contention, and write-sequentiality tracking continues.
@@ -1168,14 +1084,12 @@ mod tests {
             op: HighOp::Write(9),
         });
         assert_eq!(h.point_contention(), 2);
-        assert!(h.is_write_sequential());
         h.push(Event::Invoke {
             time: 8,
             client: ClientId::new(3),
             high_op: HighOpId::new(3),
             op: HighOp::Write(10),
         });
-        assert!(!h.is_write_sequential(), "two open writes are concurrent");
     }
 
     #[test]
@@ -1196,7 +1110,6 @@ mod tests {
             high_op: HighOpId::new(1),
             op: HighOp::Write(2),
         });
-        assert!(!h.is_write_sequential());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The crate provides:
 //!
 //! * [`topology::Topology`] — servers, base objects and the placement `δ`;
-//! * [`object::BaseObject`] — atomic read/write registers, max-registers and
+//! * `object::BaseObject` — atomic read/write registers, max-registers and
 //!   CAS objects;
 //! * [`client::ClientProtocol`] — the event-driven state-machine interface an
 //!   emulation algorithm implements at each client;
@@ -30,7 +30,7 @@
 //!   stream is retained is selected by a [`history::RecordingMode`] (`Full`,
 //!   `Digest`, `Ring`); the digests — and hence the metrics — are identical
 //!   in every mode;
-//! * [`telemetry::SimTelemetry`] — the sampled, observation-only telemetry
+//! * `telemetry::SimTelemetry` — the sampled, observation-only telemetry
 //!   hook the simulation attaches when `regemu_obs::enabled()` is on;
 //!   histories and reports are byte-identical with telemetry on or off (the
 //!   non-perturbation contract).
@@ -72,82 +72,26 @@ pub(crate) mod telemetry;
 pub(crate) mod topology;
 pub mod value;
 
-pub use client::ClientProtocol;
-pub use client::Context;
-pub use client::Delivery;
-pub use client::NoopProtocol;
-pub use driver::CrashPlan;
-pub use driver::FairDriver;
-pub use error::SimError;
 pub use event::Event;
-pub use history::History;
-pub use history::RecordingMode;
-pub use ids::ClientId;
-pub use ids::HighOpId;
-pub use ids::ObjectId;
-pub use ids::OpId;
-pub use ids::ServerId;
-pub use ids::Time;
-pub use metrics::RunMetrics;
-pub use node::ClientEffects;
-pub use node::ClientNode;
-pub use node::NodeError;
-pub use node::ServerNode;
 pub use object::ObjectError;
-pub use object::ObjectKind;
-pub use op::BaseOp;
-pub use op::BaseResponse;
-pub use op::HighOp;
-pub use op::HighResponse;
-pub use scheduler::AdversarialScheduler;
-pub use scheduler::BlockStrategy;
-pub use scheduler::DelayedScheduler;
-pub use scheduler::RoundRobinScheduler;
-pub use scheduler::Scheduler;
-pub use sim::DecisionRecord;
+pub use prelude::*;
 pub use sim::PendingOp;
-pub use sim::SimConfig;
-pub use sim::Simulation;
-pub use topology::Topology;
-pub use value::Payload;
-pub use value::Value;
 
 /// Convenient glob import of the most frequently used types.
 pub mod prelude {
-    pub use crate::client::ClientProtocol;
-    pub use crate::client::Context;
-    pub use crate::client::Delivery;
-    pub use crate::client::NoopProtocol;
-    pub use crate::driver::CrashPlan;
-    pub use crate::driver::FairDriver;
+    pub use crate::client::{ClientProtocol, Context, Delivery, NoopProtocol};
+    pub use crate::driver::{CrashPlan, FairDriver};
     pub use crate::error::SimError;
-    pub use crate::history::History;
-    pub use crate::history::RecordingMode;
-    pub use crate::ids::ClientId;
-    pub use crate::ids::HighOpId;
-    pub use crate::ids::ObjectId;
-    pub use crate::ids::OpId;
-    pub use crate::ids::ServerId;
-    pub use crate::ids::Time;
+    pub use crate::history::{History, RecordingMode};
+    pub use crate::ids::{ClientId, HighOpId, ObjectId, OpId, ServerId, Time};
     pub use crate::metrics::RunMetrics;
-    pub use crate::node::ClientEffects;
-    pub use crate::node::ClientNode;
-    pub use crate::node::NodeError;
-    pub use crate::node::ServerNode;
+    pub use crate::node::{ClientEffects, ClientNode, NodeError, ServerNode};
     pub use crate::object::ObjectKind;
-    pub use crate::op::BaseOp;
-    pub use crate::op::BaseResponse;
-    pub use crate::op::HighOp;
-    pub use crate::op::HighResponse;
-    pub use crate::scheduler::AdversarialScheduler;
-    pub use crate::scheduler::BlockStrategy;
-    pub use crate::scheduler::DelayedScheduler;
-    pub use crate::scheduler::RoundRobinScheduler;
-    pub use crate::scheduler::Scheduler;
-    pub use crate::sim::DecisionRecord;
-    pub use crate::sim::SimConfig;
-    pub use crate::sim::Simulation;
+    pub use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};
+    pub use crate::scheduler::{
+        AdversarialScheduler, BlockStrategy, DelayedScheduler, RoundRobinScheduler, Scheduler,
+    };
+    pub use crate::sim::{DecisionRecord, SimConfig, Simulation};
     pub use crate::topology::Topology;
-    pub use crate::value::Payload;
-    pub use crate::value::Value;
+    pub use crate::value::{Payload, Value};
 }

@@ -101,12 +101,6 @@ impl RunMetrics {
         self.covered.len()
     }
 
-    /// The set of servers hosting at least one covered object,
-    /// `δ(Cov(now))`.
-    pub(crate) fn covered_servers(&self) -> BTreeSet<ServerId> {
-        self.covered_per_server.keys().copied().collect()
-    }
-
     /// Peak number of covered objects over the whole run, `max_t |Cov(t)|`.
     pub fn peak_covered_count(&self) -> usize {
         self.peak_covered
@@ -122,12 +116,6 @@ impl RunMetrics {
     /// Maximum number of touched objects on any single server.
     pub(crate) fn max_touched_per_server(&self) -> usize {
         self.touched_per_server.values().copied().max().unwrap_or(0)
-    }
-
-    /// Minimum number of touched objects over the servers that were touched
-    /// at all.
-    pub(crate) fn min_touched_per_server(&self) -> usize {
-        self.touched_per_server.values().copied().min().unwrap_or(0)
     }
 }
 
@@ -179,7 +167,6 @@ mod tests {
         let before = RunMetrics::capture(&sim);
         assert_eq!(before.resource_consumption(), 3);
         assert_eq!(before.covered_count(), 3);
-        assert_eq!(before.covered_servers().len(), 3);
         assert_eq!(before.low_level_triggers, 3);
         assert_eq!(before.low_level_responses, 0);
         assert_eq!(before.point_contention, 1);
@@ -193,7 +180,6 @@ mod tests {
         assert_eq!(after.covered_count(), 2);
         assert_eq!(after.low_level_responses, 1);
         assert_eq!(after.max_touched_per_server(), 1);
-        assert_eq!(after.min_touched_per_server(), 1);
     }
 
     #[test]

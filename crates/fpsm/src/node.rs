@@ -44,12 +44,7 @@ pub struct ClientEffects {
     pub completion: Option<HighResponse>,
 }
 
-impl ClientEffects {
-    /// `true` when the callback neither triggered nor completed anything.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.triggers.is_empty() && self.completion.is_none()
-    }
-}
+impl ClientEffects {}
 
 /// One client's protocol state machine plus its run bookkeeping.
 ///
@@ -79,11 +74,6 @@ impl ClientNode {
             current: None,
             spare: Vec::new(),
         }
-    }
-
-    /// The client this node belongs to.
-    pub(crate) fn client(&self) -> ClientId {
-        self.client
     }
 
     /// The protocol's human-readable name (for logs and assertions).
@@ -267,7 +257,7 @@ impl ServerNode {
         let mut objects = Vec::new();
         for id in topology.objects_on(server) {
             local[id.index()] = Some(objects.len());
-            objects.push(BaseObject::new(id, server, topology.kind_of(id)));
+            objects.push(BaseObject::new(id, topology.kind_of(id)));
         }
         ServerNode {
             server,
@@ -279,38 +269,6 @@ impl ServerNode {
     /// The server this node realizes.
     pub fn server(&self) -> ServerId {
         self.server
-    }
-
-    /// Number of base objects hosted here.
-    pub(crate) fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// `true` if the placement maps `object` to this server.
-    pub(crate) fn hosts(&self, object: ObjectId) -> bool {
-        self.local
-            .get(object.index())
-            .map(|slot| slot.is_some())
-            .unwrap_or(false)
-    }
-
-    /// The hosted base object with global id `object`, if any.
-    pub(crate) fn object(&self, object: ObjectId) -> Option<&BaseObject> {
-        let idx = (*self.local.get(object.index())?)?;
-        self.objects.get(idx)
-    }
-
-    /// Iterates over the hosted base objects in global-id order.
-    pub(crate) fn objects(&self) -> impl Iterator<Item = &BaseObject> {
-        self.objects.iter()
-    }
-
-    /// Total low-level operations applied across the hosted objects.
-    pub(crate) fn applied_ops(&self) -> u64 {
-        self.objects
-            .iter()
-            .map(|o| o.applied_writes() + o.applied_reads())
-            .sum()
     }
 
     /// Applies `op` to the hosted object with global id `object`.
@@ -348,7 +306,6 @@ mod tests {
         let effects = node.on_invoke(HighOpId::new(0), HighOp::Write(7), 1, &mut next_op_id);
         assert!(effects.triggers.is_empty());
         assert_eq!(effects.completion, Some(HighResponse::WriteAck));
-        assert!(!effects.is_empty());
         assert_eq!(node.current(), Some((HighOpId::new(0), HighOp::Write(7))));
         let (high, op) = node.finish(HighResponse::WriteAck);
         assert_eq!((high, op), (HighOpId::new(0), HighOp::Write(7)));
@@ -371,23 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn server_node_hosts_exactly_its_placement_slice() {
-        let mut t = Topology::new(3);
-        let objs = t.add_object_per_server(ObjectKind::Register);
-        let extra = t.add_object(ObjectKind::MaxRegister, ServerId::new(1));
-        let node = ServerNode::new(&t, ServerId::new(1));
-        assert_eq!(node.server(), ServerId::new(1));
-        assert_eq!(node.object_count(), 2);
-        assert!(node.hosts(objs[1]));
-        assert!(node.hosts(extra));
-        assert!(!node.hosts(objs[0]));
-        assert!(node.object(objs[0]).is_none());
-        assert_eq!(node.object(extra).unwrap().kind(), ObjectKind::MaxRegister);
-        let hosted: Vec<_> = node.objects().map(|o| o.id()).collect();
-        assert_eq!(hosted, vec![objs[1], extra]);
-    }
-
-    #[test]
     fn server_node_applies_ops_and_translates_errors() {
         let mut t = Topology::new(2);
         let objs = t.add_object_per_server(ObjectKind::Register);
@@ -401,7 +341,6 @@ mod tests {
             node.apply(objs[0], &BaseOp::Read),
             Ok(BaseResponse::ReadValue(v))
         );
-        assert_eq!(node.applied_ops(), 2);
         // Object on the other server: not hosted here.
         assert_eq!(
             node.apply(objs[1], &BaseOp::Read),
@@ -421,8 +360,13 @@ mod tests {
     fn out_of_range_object_ids_are_not_hosted() {
         let mut t = Topology::new(1);
         t.add_object_per_server(ObjectKind::Register);
-        let node = ServerNode::new(&t, ServerId::new(0));
-        assert!(!node.hosts(ObjectId::new(99)));
-        assert!(node.object(ObjectId::new(99)).is_none());
+        let mut node = ServerNode::new(&t, ServerId::new(0));
+        assert_eq!(
+            node.apply(ObjectId::new(99), &BaseOp::Read),
+            Err(NodeError::NotHosted {
+                object: ObjectId::new(99),
+                server: ServerId::new(0),
+            })
+        );
     }
 }

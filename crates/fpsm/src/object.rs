@@ -9,7 +9,7 @@
 //!
 //! [Herlihy & Wing]: https://doi.org/10.1145/78969.78972
 
-use crate::ids::{ObjectId, ServerId};
+use crate::ids::ObjectId;
 use crate::op::{BaseOp, BaseResponse};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -38,13 +38,6 @@ impl ObjectKind {
                 | (ObjectKind::Cas, BaseOp::Cas { .. })
         )
     }
-
-    /// All object kinds, in the order of Table 1.
-    pub(crate) const ALL: [ObjectKind; 3] = [
-        ObjectKind::MaxRegister,
-        ObjectKind::Cas,
-        ObjectKind::Register,
-    ];
 }
 
 impl fmt::Display for ObjectKind {
@@ -90,41 +83,22 @@ impl std::error::Error for ObjectError {}
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BaseObject {
     id: ObjectId,
-    server: ServerId,
     kind: ObjectKind,
     value: Value,
     crashed: bool,
     applied_writes: u64,
-    applied_reads: u64,
 }
 
 impl BaseObject {
     /// Creates a fresh base object holding the initial value `v0`.
-    pub(crate) fn new(id: ObjectId, server: ServerId, kind: ObjectKind) -> Self {
+    pub(crate) fn new(id: ObjectId, kind: ObjectKind) -> Self {
         BaseObject {
             id,
-            server,
             kind,
             value: Value::INITIAL,
             crashed: false,
             applied_writes: 0,
-            applied_reads: 0,
         }
-    }
-
-    /// The object's identifier.
-    pub(crate) fn id(&self) -> ObjectId {
-        self.id
-    }
-
-    /// The server this object is mapped to by `δ`.
-    pub(crate) fn server(&self) -> ServerId {
-        self.server
-    }
-
-    /// The primitive type this object supports.
-    pub(crate) fn kind(&self) -> ObjectKind {
-        self.kind
     }
 
     /// The value currently stored (meaningful only for introspection/tests;
@@ -133,19 +107,9 @@ impl BaseObject {
         self.value
     }
 
-    /// Whether the object has crashed.
-    pub(crate) fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Number of write-class operations that have taken effect.
     pub fn applied_writes(&self) -> u64 {
         self.applied_writes
-    }
-
-    /// Number of read-class operations that have taken effect.
-    pub(crate) fn applied_reads(&self) -> u64 {
-        self.applied_reads
     }
 
     /// Marks the object as crashed (invoked when its server crashes).
@@ -174,19 +138,13 @@ impl BaseObject {
             });
         }
         let resp = match op {
-            BaseOp::Read => {
-                self.applied_reads += 1;
-                BaseResponse::ReadValue(self.value)
-            }
+            BaseOp::Read => BaseResponse::ReadValue(self.value),
             BaseOp::Write(v) => {
                 self.applied_writes += 1;
                 self.value = *v;
                 BaseResponse::WriteAck
             }
-            BaseOp::ReadMax => {
-                self.applied_reads += 1;
-                BaseResponse::MaxValue(self.value)
-            }
+            BaseOp::ReadMax => BaseResponse::MaxValue(self.value),
             BaseOp::WriteMax(v) => {
                 self.applied_writes += 1;
                 self.value = self.value.max(*v);
@@ -210,7 +168,7 @@ mod tests {
     use super::*;
 
     fn obj(kind: ObjectKind) -> BaseObject {
-        BaseObject::new(ObjectId::new(0), ServerId::new(0), kind)
+        BaseObject::new(ObjectId::new(0), kind)
     }
 
     #[test]
@@ -231,7 +189,6 @@ mod tests {
             BaseResponse::ReadValue(older)
         );
         assert_eq!(r.applied_writes(), 2);
-        assert_eq!(r.applied_reads(), 3);
     }
 
     #[test]
@@ -302,7 +259,6 @@ mod tests {
     fn crashed_objects_reject_everything() {
         let mut r = obj(ObjectKind::Register);
         r.crash();
-        assert!(r.is_crashed());
         assert_eq!(
             r.apply(&BaseOp::Read).unwrap_err(),
             ObjectError::Crashed(ObjectId::new(0))

@@ -46,15 +46,6 @@ impl BaseOp {
     pub fn is_read(&self) -> bool {
         !self.is_write()
     }
-
-    /// Returns the value this operation attempts to install, if any.
-    pub(crate) fn written_value(&self) -> Option<Value> {
-        match self {
-            BaseOp::Write(v) | BaseOp::WriteMax(v) => Some(*v),
-            BaseOp::Cas { new, .. } => Some(*new),
-            BaseOp::Read | BaseOp::ReadMax => None,
-        }
-    }
 }
 
 impl fmt::Display for BaseOp {
@@ -84,22 +75,7 @@ pub enum BaseResponse {
     CasOld(Value),
 }
 
-impl BaseResponse {
-    /// Returns the value carried by the response, if any.
-    pub(crate) fn value(&self) -> Option<Value> {
-        match self {
-            BaseResponse::ReadValue(v) | BaseResponse::MaxValue(v) | BaseResponse::CasOld(v) => {
-                Some(*v)
-            }
-            BaseResponse::WriteAck | BaseResponse::WriteMaxAck => None,
-        }
-    }
-
-    /// Returns `true` if this is an acknowledgement of a write-class operation.
-    pub(crate) fn is_write_ack(&self) -> bool {
-        matches!(self, BaseResponse::WriteAck | BaseResponse::WriteMaxAck)
-    }
-}
+impl BaseResponse {}
 
 impl fmt::Display for BaseResponse {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -195,33 +171,6 @@ mod tests {
         assert!(BaseOp::Read.is_read());
         assert!(BaseOp::ReadMax.is_read());
         assert!(!BaseOp::Read.is_write());
-    }
-
-    #[test]
-    fn written_value_extraction() {
-        let v = Value::new(2, 9);
-        assert_eq!(BaseOp::Write(v).written_value(), Some(v));
-        assert_eq!(BaseOp::WriteMax(v).written_value(), Some(v));
-        assert_eq!(
-            BaseOp::Cas {
-                expected: Value::INITIAL,
-                new: v
-            }
-            .written_value(),
-            Some(v)
-        );
-        assert_eq!(BaseOp::Read.written_value(), None);
-    }
-
-    #[test]
-    fn response_value_extraction() {
-        let v = Value::new(1, 5);
-        assert_eq!(BaseResponse::ReadValue(v).value(), Some(v));
-        assert_eq!(BaseResponse::MaxValue(v).value(), Some(v));
-        assert_eq!(BaseResponse::CasOld(v).value(), Some(v));
-        assert_eq!(BaseResponse::WriteAck.value(), None);
-        assert!(BaseResponse::WriteAck.is_write_ack());
-        assert!(!BaseResponse::ReadValue(v).is_write_ack());
     }
 
     #[test]

@@ -185,11 +185,6 @@ impl RoundRobinScheduler {
         self.core.crash_plan = plan;
         self
     }
-
-    /// Number of delivery steps executed so far.
-    pub(crate) fn steps(&self) -> u64 {
-        self.core.steps
-    }
 }
 
 impl Scheduler for RoundRobinScheduler {
@@ -272,11 +267,6 @@ impl DelayedScheduler {
     pub fn with_perturbation(mut self, ticks: Vec<u64>) -> Self {
         self.perturbation = ticks;
         self
-    }
-
-    /// Number of delivery steps executed so far.
-    pub(crate) fn steps(&self) -> u64 {
-        self.core.steps
     }
 
     /// The deterministic delay (in ticks) assigned to operation `op`,
@@ -395,16 +385,6 @@ impl AdversarialScheduler {
     pub fn with_crash_plan(mut self, plan: CrashPlan) -> Self {
         self.core.crash_plan = plan;
         self
-    }
-
-    /// Number of delivery steps executed so far.
-    pub(crate) fn steps(&self) -> u64 {
-        self.core.steps
-    }
-
-    /// The strategy driving the block decisions.
-    pub(crate) fn strategy(&self) -> &dyn BlockStrategy {
-        self.strategy.as_ref()
     }
 }
 
@@ -582,7 +562,6 @@ mod tests {
             let delivered = before.iter().find(|id| !after.contains(id)).unwrap();
             assert_eq!(*delivered, op);
         }
-        assert_eq!(sched.steps(), 3);
     }
 
     #[test]
@@ -651,7 +630,6 @@ mod tests {
         sched.run_until_quiescent(&mut sim, 100).unwrap();
         assert_eq!(sim.pending_count(), 1);
         assert_eq!(sim.pending_ops().next().unwrap().server, silenced);
-        assert_eq!(sched.strategy().name(), "block-strategy");
     }
 
     /// Never blocks anything.

@@ -205,7 +205,7 @@ pub struct DecisionRecord {
 /// The simulation of an asynchronous fault-prone shared-memory system.
 ///
 /// Per-client state lives in [`ClientNode`] — the same deployable unit a
-/// live client process hosts (see [`crate::node`]) — so the simulated and
+/// live client process hosts (see `crate::node`) — so the simulated and
 /// served executions run literally the same state-machine code.
 pub struct Simulation {
     topology: Topology,
@@ -259,7 +259,7 @@ impl Simulation {
     pub fn new(topology: Topology, config: SimConfig) -> Self {
         let objects: Vec<BaseObject> = topology
             .objects()
-            .map(|id| BaseObject::new(id, topology.server_of(id), topology.kind_of(id)))
+            .map(|id| BaseObject::new(id, topology.kind_of(id)))
             .collect();
         let server_crashed = vec![false; topology.server_count()];
         let cover_counts = vec![0; objects.len()];
@@ -309,11 +309,6 @@ impl Simulation {
         &self.topology
     }
 
-    /// The configuration of the simulation.
-    pub(crate) fn config(&self) -> SimConfig {
-        self.config
-    }
-
     /// Current logical time (number of steps executed so far).
     pub fn time(&self) -> Time {
         self.time
@@ -339,7 +334,7 @@ impl Simulation {
     }
 
     /// Evicts a completed high-level interval from the history's digest
-    /// (see [`History::evict_interval`]). Used by run engines that verify
+    /// (see `History::evict_interval`). Used by run engines that verify
     /// the run online and no longer need the folded operation for the
     /// report surface — together with a bounded [`RecordingMode`] this
     /// keeps the whole recording footprint proportional to the run's point
@@ -464,12 +459,6 @@ impl Simulation {
     /// O(events).
     pub fn pending_snapshot(&self) -> Vec<PendingOp> {
         self.pending.iter().copied().collect()
-    }
-
-    /// Number of currently covered base objects, `|Cov(now)|` — objects with
-    /// at least one pending covering write. O(1): maintained incrementally.
-    pub(crate) fn covered_count_now(&self) -> usize {
-        self.covered_now
     }
 
     /// Peak number of covered base objects over the whole run so far,
@@ -926,7 +915,6 @@ mod tests {
         let op_id = sim.pending_ops().next().unwrap().op_id;
         sim.crash_server(ServerId::new(0)).unwrap();
         assert!(sim.is_server_crashed(ServerId::new(0)));
-        assert!(sim.object(b).unwrap().is_crashed());
         assert_eq!(
             sim.deliver(op_id).unwrap_err(),
             SimError::ServerCrashed(ServerId::new(0))
@@ -980,7 +968,6 @@ mod tests {
         assert_eq!(h.high_intervals().len(), 1);
         assert!(h.high_intervals()[0].is_complete());
         assert_eq!(h.touched_objects().len(), 1);
-        assert!(h.is_write_sequential());
         assert!(sim.result_of(w).is_some());
         assert!(sim.time() >= 4);
     }
@@ -1262,7 +1249,7 @@ mod tests {
                 "{events:?}\ntime={} pending={} covered={} peaks={}/{}/{} done={}",
                 sim.time(),
                 sim.pending_count(),
-                sim.covered_count_now(),
+                sim.covered_now,
                 sim.peak_covered_count(),
                 sim.peak_covered_on_one_server(),
                 sim.peak_pending_count(),

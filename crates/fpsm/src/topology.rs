@@ -48,13 +48,6 @@ impl Topology {
         (0..self.objects.len()).map(ObjectId::new)
     }
 
-    /// Adds a new server and returns its identifier.
-    pub(crate) fn add_server(&mut self) -> ServerId {
-        let id = ServerId::new(self.servers);
-        self.servers += 1;
-        id
-    }
-
     /// Adds a base object of the given kind on `server` and returns its id.
     ///
     /// # Panics
@@ -99,31 +92,12 @@ impl Topology {
         self.objects[object.index()].0
     }
 
-    /// Returns `true` if the given object id exists.
-    pub(crate) fn contains_object(&self, object: ObjectId) -> bool {
-        object.index() < self.objects.len()
-    }
-
     /// `δ⁻¹({server})`: all objects hosted on `server`.
     pub fn objects_on(&self, server: ServerId) -> Vec<ObjectId> {
         self.objects
             .iter()
             .enumerate()
             .filter(|(_, (_, s))| *s == server)
-            .map(|(i, _)| ObjectId::new(i))
-            .collect()
-    }
-
-    /// `δ⁻¹(S')` for a set of servers `S'`.
-    pub(crate) fn objects_on_servers<I>(&self, servers: I) -> Vec<ObjectId>
-    where
-        I: IntoIterator<Item = ServerId>,
-    {
-        let set: BTreeSet<ServerId> = servers.into_iter().collect();
-        self.objects
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, s))| set.contains(s))
             .map(|(i, _)| ObjectId::new(i))
             .collect()
     }
@@ -139,16 +113,6 @@ impl Topology {
     /// Number of objects stored on `server` (`|δ⁻¹({s})|`).
     pub fn occupancy(&self, server: ServerId) -> usize {
         self.objects.iter().filter(|(_, s)| *s == server).count()
-    }
-
-    /// The maximum per-server occupancy over all servers.
-    pub(crate) fn max_occupancy(&self) -> usize {
-        self.servers().map(|s| self.occupancy(s)).max().unwrap_or(0)
-    }
-
-    /// Number of objects of each kind, in the order of [`ObjectKind::ALL`].
-    pub(crate) fn count_by_kind(&self, kind: ObjectKind) -> usize {
-        self.objects.iter().filter(|(k, _)| *k == kind).count()
     }
 }
 
@@ -171,9 +135,6 @@ mod tests {
         assert_eq!(t.kind_of(b2), ObjectKind::MaxRegister);
         assert_eq!(t.occupancy(ServerId::new(0)), 2);
         assert_eq!(t.occupancy(ServerId::new(1)), 0);
-        assert_eq!(t.max_occupancy(), 2);
-        assert_eq!(t.count_by_kind(ObjectKind::Register), 2);
-        assert_eq!(t.count_by_kind(ObjectKind::Cas), 0);
     }
 
     #[test]
@@ -185,8 +146,7 @@ mod tests {
             assert_eq!(t.server_of(*b), ServerId::new(i));
             assert_eq!(t.objects_on(ServerId::new(i)), vec![*b]);
         }
-        let subset = t.objects_on_servers([ServerId::new(1), ServerId::new(3)]);
-        assert_eq!(subset, vec![ids[1], ids[3]]);
+        let subset = vec![ids[1], ids[3]];
         let image = t.servers_of(subset);
         assert!(image.contains(&ServerId::new(1)) && image.contains(&ServerId::new(3)));
         assert_eq!(image.len(), 2);
@@ -203,18 +163,6 @@ mod tests {
         }
         let all: Vec<ObjectId> = t.objects().collect();
         assert!(t.servers_of(all.clone()).len() <= all.len());
-        let servers: Vec<ServerId> = t.servers().collect();
-        assert!(t.objects_on_servers(servers.clone()).len() >= servers.len());
-    }
-
-    #[test]
-    fn add_server_grows_the_system() {
-        let mut t = Topology::new(0);
-        let s0 = t.add_server();
-        let s1 = t.add_server();
-        assert_eq!(s0, ServerId::new(0));
-        assert_eq!(s1, ServerId::new(1));
-        assert_eq!(t.server_count(), 2);
     }
 
     #[test]

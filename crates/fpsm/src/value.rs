@@ -12,7 +12,7 @@
 //!
 //! Emulation algorithms use the timestamp component for version ordering
 //! (e.g. Algorithm 2 stores `TSVal = N × V`), while plain payloads can be
-//! stored with [`Value::from_payload`].
+//! stored with `Value::from_payload`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -71,11 +71,6 @@ impl LatencyHistogram {
         self.total
     }
 
-    /// `true` when nothing has been recorded.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Largest recorded sample (exact, not bucketed).
     pub fn max(&self) -> u64 {
         self.max

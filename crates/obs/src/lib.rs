@@ -1,9 +1,9 @@
 //! # regemu-obs — zero-dependency telemetry
 //!
 //! One registry for every subsystem's runtime metrics: named [`Counter`]s,
-//! [`Gauge`]s and [`LatencyHistogram`]s behind cheap `Arc` handles, plus
-//! span-style [`ScopeTimer`]s and a renderable [`Snapshot`]
-//! (aligned text, JSON, Prometheus-style exposition).
+//! [`Gauge`]s and [`LatencyHistogram`]s behind cheap `Arc` handles, plus a
+//! renderable `Snapshot` (aligned text, JSON, Prometheus-style
+//! exposition).
 //!
 //! ## The non-perturbation contract
 //!
@@ -16,14 +16,13 @@
 //!    metric value.
 //! 2. **Logical time inside, wallclock at the edge.** Deterministic code
 //!    (the simulator, sweep/fuzz execution) may count events and sample
-//!    logical clocks; wallclock readings ([`ScopeTimer`], heartbeat stamps,
-//!    rates) happen only at process edges — request handling, report
+//!    logical clocks; wallclock readings (latency samples, heartbeat
+//!    stamps, rates) happen only at process edges — request handling, report
 //!    publication, dashboards — whose outputs are advisory, not part of any
 //!    deterministic artifact.
 //!
 //! Collection is off by default: [`enabled`] gates the sampled hooks the
-//! hot loops attach, and [`set_enabled`] / [`init_from_env`]
-//! (`REGEMU_TELEMETRY=1`) switch it on. The golden-trace tests in
+//! hot loops attach, and [`set_enabled`] switches it on. The golden-trace tests in
 //! `regemu-fpsm` and `regemu-workloads` prove the contract by running the
 //! same scenarios with telemetry on and off and diffing the artifacts
 //! byte for byte.
@@ -53,24 +52,4 @@ pub(crate) mod registry;
 pub(crate) mod snapshot;
 
 pub use histogram::LatencyHistogram;
-pub use registry::enabled;
-pub use registry::global;
-pub use registry::set_enabled;
-pub use registry::Counter;
-pub use registry::Gauge;
-pub use registry::Registry;
-
-/// Convenient glob import of the most frequently used items.
-pub(crate) mod prelude {
-    
-    
-    
-    
-    
-    
-    
-    
-    
-    
-    
-}
+pub use registry::{enabled, global, set_enabled, Counter, Gauge, Registry};

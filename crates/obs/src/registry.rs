@@ -10,18 +10,12 @@ use crate::snapshot::{HistogramSummary, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A fresh counter at zero.
-    pub(crate) fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds `n` to the counter.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -43,11 +37,6 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// A fresh gauge at zero.
-    pub(crate) fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
     /// Sets the gauge to `v`.
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -74,19 +63,9 @@ impl Gauge {
 pub struct HistogramCell(Mutex<LatencyHistogram>);
 
 impl HistogramCell {
-    /// A fresh, empty cell.
-    pub(crate) fn new() -> Self {
-        HistogramCell(Mutex::new(LatencyHistogram::new()))
-    }
-
     /// Records one sample.
     pub fn record(&self, value: u64) {
         self.lock().record(value);
-    }
-
-    /// Folds a whole histogram in (e.g. a worker thread's local one).
-    pub(crate) fn merge(&self, other: &LatencyHistogram) {
-        self.lock().merge(other);
     }
 
     /// An owned copy of the current state.
@@ -97,35 +76,6 @@ impl HistogramCell {
     fn lock(&self) -> std::sync::MutexGuard<'_, LatencyHistogram> {
         // A poisoned histogram still holds valid counts.
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Times a scope and records the elapsed **microseconds** into a histogram
-/// cell when dropped.
-///
-/// Scope timers read the wallclock, so they belong at process edges (request
-/// handling, report publication) — never inside the deterministic simulator
-/// paths (see the non-perturbation contract in the crate docs).
-#[derive(Debug)]
-pub(crate) struct ScopeTimer {
-    cell: Arc<HistogramCell>,
-    started: Instant,
-}
-
-impl ScopeTimer {
-    /// Starts timing into `cell`.
-    pub(crate) fn new(cell: Arc<HistogramCell>) -> Self {
-        ScopeTimer {
-            cell,
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Drop for ScopeTimer {
-    fn drop(&mut self) {
-        self.cell
-            .record(self.started.elapsed().as_micros().min(u64::MAX as u128) as u64);
     }
 }
 
@@ -164,12 +114,7 @@ impl Registry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// Starts a [`ScopeTimer`] recording into the histogram named `name`.
-    pub(crate) fn scope(&self, name: &str) -> ScopeTimer {
-        ScopeTimer::new(self.histogram(name))
-    }
-
-    /// A point-in-time [`Snapshot`] of every registered metric.
+    /// A point-in-time `Snapshot` of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
         let counters = lock(&self.counters)
             .iter()
@@ -188,15 +133,6 @@ impl Registry {
             gauges,
             histograms,
         }
-    }
-
-    /// Drops every metric. Existing handles keep working but are no longer
-    /// reachable from the registry; tests use this to start from a clean
-    /// slate.
-    pub(crate) fn clear(&self) {
-        lock(&self.counters).clear();
-        lock(&self.gauges).clear();
-        lock(&self.histograms).clear();
     }
 }
 
@@ -232,18 +168,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Process-edge helper: enables telemetry when the `REGEMU_TELEMETRY`
-/// environment variable is `1`, `on` or `true`. Returns the resulting state.
-pub(crate) fn init_from_env() -> bool {
-    let on = std::env::var("REGEMU_TELEMETRY")
-        .map(|v| matches!(v.as_str(), "1" | "on" | "true"))
-        .unwrap_or(false);
-    if on {
-        set_enabled(true);
-    }
-    enabled()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,21 +191,10 @@ mod tests {
     fn histogram_cells_share_state_across_handles() {
         let r = Registry::new();
         r.histogram("lat").record(5);
-        let mut local = LatencyHistogram::new();
-        local.record(100);
-        r.histogram("lat").merge(&local);
+        r.histogram("lat").record(100);
         let snap = r.histogram("lat").snapshot();
         assert_eq!(snap.count(), 2);
         assert_eq!(snap.max(), 100);
-    }
-
-    #[test]
-    fn scope_timer_records_on_drop() {
-        let r = Registry::new();
-        {
-            let _t = r.scope("span");
-        }
-        assert_eq!(r.histogram("span").snapshot().count(), 1);
     }
 
     #[test]
@@ -294,18 +207,6 @@ mod tests {
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a.first", "z.last"]);
         assert_eq!(snap.gauges, vec![("m.mid".to_string(), -4)]);
-    }
-
-    #[test]
-    fn clear_resets_the_registry_view() {
-        let r = Registry::new();
-        let held = r.counter("kept");
-        held.add(9);
-        r.clear();
-        assert!(r.snapshot().counters.is_empty());
-        // The held handle still works; the name is simply re-registered fresh.
-        held.add(1);
-        assert_eq!(r.counter("kept").get(), 0);
     }
 
     #[test]

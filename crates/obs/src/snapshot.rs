@@ -50,22 +50,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// `true` when no metric has been registered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// The value of counter `name`, if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
-    }
-
-    /// The value of gauge `name`, if registered.
-    pub(crate) fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Renders as aligned `name value` text, one metric per line, counters
@@ -246,7 +236,5 @@ mod tests {
         let snap = sample();
         assert_eq!(snap.counter("sim.steps"), Some(1234));
         assert_eq!(snap.counter("absent"), None);
-        assert_eq!(snap.gauge("sim.pending"), Some(17));
-        assert!(!snap.is_empty());
     }
 }

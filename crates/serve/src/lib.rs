@@ -6,14 +6,14 @@
 //! over real transports, so a deployment-shaped run can be checked against
 //! the paper's consistency conditions with the existing machinery:
 //!
-//! * [`transport`] — the [`transport::Transport`] trait with an in-process
+//! * `transport` — the `transport::Transport` trait with an in-process
 //!   channel implementation and a length-prefixed `std::net` TCP
 //!   implementation (thread-per-connection; no async runtime);
-//! * [`server`] — [`server::serve_tcp`] / [`server::serve_channel`] host one
+//! * `server` — `server::serve_tcp` / `server::serve_channel` host one
 //!   paper server's base objects; applying a request under the state lock is
 //!   the linearization point (Assumption 1), also for each request of a
 //!   batch, which is applied in order under one lock acquisition;
-//! * [`client`] — [`client::LiveClient`] drives one emulation client,
+//! * `client` — `client::LiveClient` drives one emulation client,
 //!   sending one frame per server per protocol round (a
 //!   [`regemu_core::wire::WireMsg::Batch`] when the round addresses several
 //!   of that server's objects); [`client::run_fleet`] fans k writers plus
@@ -92,38 +92,13 @@ pub(crate) mod client;
 pub(crate) mod server;
 pub(crate) mod transport;
 
-pub use client::run_fleet;
-pub use client::scrape_stats;
-pub use client::ClientOptions;
 pub use client::FleetOutcome;
-pub use client::FleetSpec;
-pub use client::LiveClient;
-pub use regemu_obs::LatencyHistogram;
-pub use server::node_stats;
-pub use server::serve_channel;
-pub use server::serve_tcp;
-pub use server::ChannelConnector;
-pub use server::ServerHandle;
-pub use transport::ServeError;
-pub use transport::TcpTransport;
-pub use transport::Transport;
+pub use prelude::*;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::client::run_fleet;
-    pub use crate::client::scrape_stats;
-    pub use crate::client::ClientOptions;
-    
-    pub use crate::client::FleetSpec;
-    pub use crate::client::LiveClient;
-    pub use crate::server::node_stats;
-    pub use crate::server::serve_channel;
-    pub use crate::server::serve_tcp;
-    pub use crate::server::ChannelConnector;
-    pub use crate::server::ServerHandle;
-    
-    pub use crate::transport::ServeError;
-    pub use crate::transport::TcpTransport;
-    pub use crate::transport::Transport;
+    pub use crate::client::{run_fleet, scrape_stats, ClientOptions, FleetSpec, LiveClient};
+    pub use crate::server::{node_stats, serve_channel, serve_tcp, ChannelConnector, ServerHandle};
+    pub use crate::transport::{ServeError, TcpTransport, Transport};
     pub use regemu_obs::LatencyHistogram;
 }

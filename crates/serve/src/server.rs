@@ -127,7 +127,7 @@ impl ServerState {
 /// Handle to a running server (TCP or in-process).
 ///
 /// Dropping the handle does **not** stop the server; call
-/// [`ServerHandle::shutdown`] then [`ServerHandle::join`].
+/// `ServerHandle::shutdown` then [`ServerHandle::join`].
 pub struct ServerHandle {
     local_addr: Option<SocketAddr>,
     state: Arc<Mutex<ServerState>>,
@@ -159,7 +159,7 @@ impl ServerHandle {
     }
 
     /// Waits for all server threads to exit, then closes the conformance log
-    /// cleanly (`clock`/`end` trailer). Implies [`ServerHandle::shutdown`].
+    /// cleanly (`clock`/`end` trailer). Implies `ServerHandle::shutdown`.
     pub fn join(mut self) -> Result<(), ServeError> {
         self.shutdown();
         if let Some(accept) = self.accept.take() {

@@ -6,7 +6,7 @@
 //! schedule, in the interval representation convenient for checking.
 
 use regemu_fpsm::history::HighInterval;
-use regemu_fpsm::{ClientId, HighOp, HighOpId, HighResponse, History, Payload, Time};
+use regemu_fpsm::{ClientId, HighOp, HighOpId, HighResponse, History, Time};
 use serde::{Deserialize, Serialize};
 
 /// A schedule of high-level operations, represented as intervals.
@@ -36,11 +36,6 @@ impl HighHistory {
     /// Number of operations in the schedule.
     pub fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Returns `true` if the schedule is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// All write operations, in invocation order.
@@ -82,20 +77,6 @@ impl HighHistory {
             .then_some(writes)
     }
 
-    /// The write operations sorted by their real-time order. Only meaningful
-    /// for write-sequential schedules, where this order is total.
-    ///
-    /// Incomplete writes sort after all complete ones (they can only be
-    /// ordered last in a write-sequential schedule).
-    pub(crate) fn sequential_writes(&self) -> Vec<HighInterval> {
-        let mut writes = self.writes();
-        writes.sort_by_key(|w| match w.returned {
-            Some((t, _)) => (0u8, t),
-            None => (1u8, w.invoked_at),
-        });
-        writes
-    }
-
     /// Builder helper used pervasively in tests: append a complete operation.
     pub fn push_complete(
         &mut self,
@@ -126,11 +107,14 @@ impl HighHistory {
             returned: None,
         });
     }
+}
 
+#[cfg(test)]
+impl HighHistory {
     /// Convenience builder: a complete write interval.
     pub(crate) fn write(
         client: usize,
-        value: Payload,
+        value: regemu_fpsm::Payload,
         invoked_at: Time,
         returned_at: Time,
     ) -> HighInterval {
@@ -146,7 +130,7 @@ impl HighHistory {
     /// Convenience builder: a complete read interval returning `value`.
     pub(crate) fn read(
         client: usize,
-        value: Payload,
+        value: regemu_fpsm::Payload,
         invoked_at: Time,
         returned_at: Time,
     ) -> HighInterval {
@@ -177,20 +161,9 @@ mod tests {
     fn extraction_and_filters() {
         let h = sample();
         assert_eq!(h.len(), 4);
-        assert!(!h.is_empty());
         assert_eq!(h.writes().len(), 2);
         assert_eq!(h.complete_reads().len(), 1);
         assert!(h.is_write_sequential());
-    }
-
-    #[test]
-    fn sequential_writes_are_ordered_by_return_time() {
-        let mut h = HighHistory::default();
-        h.push_complete(0, HighOp::Write(2), HighResponse::WriteAck, 5, 6);
-        h.push_complete(1, HighOp::Write(1), HighResponse::WriteAck, 0, 2);
-        let seq = h.sequential_writes();
-        assert_eq!(seq[0].op, HighOp::Write(1));
-        assert_eq!(seq[1].op, HighOp::Write(2));
     }
 
     #[test]
@@ -199,15 +172,5 @@ mod tests {
         h.push_complete(0, HighOp::Write(1), HighResponse::WriteAck, 0, 5);
         h.push_complete(1, HighOp::Write(2), HighResponse::WriteAck, 2, 7);
         assert!(!h.is_write_sequential());
-    }
-
-    #[test]
-    fn incomplete_writes_sort_last() {
-        let mut h = HighHistory::default();
-        h.push_pending(0, HighOp::Write(9), 0);
-        h.push_complete(1, HighOp::Write(1), HighResponse::WriteAck, 1, 2);
-        let seq = h.sequential_writes();
-        assert_eq!(seq[0].op, HighOp::Write(1));
-        assert_eq!(seq[1].op, HighOp::Write(9));
     }
 }

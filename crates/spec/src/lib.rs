@@ -42,28 +42,14 @@ pub(crate) mod report;
 pub(crate) mod sequential;
 pub(crate) mod streaming;
 
-pub use history::HighHistory;
-pub use linearizability::check_linearizable;
-pub use regularity::check_ws_regular;
-pub use regularity::check_ws_safe;
-pub use report::CheckResult;
-pub use report::Condition;
-pub use report::Violation;
-pub use sequential::Semantics;
-pub use sequential::SequentialSpec;
-pub use streaming::StreamingChecker;
+pub use prelude::*;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
     pub use crate::history::HighHistory;
     pub use crate::linearizability::check_linearizable;
-    pub use crate::regularity::check_ws_regular;
-    pub use crate::regularity::check_ws_safe;
-    pub use crate::report::CheckResult;
-    pub use crate::report::Condition;
-    pub use crate::report::Violation;
-    pub use crate::sequential::Semantics;
-    pub use crate::sequential::SequentialSpec;
+    pub use crate::regularity::{check_ws_regular, check_ws_safe};
+    pub use crate::report::{CheckResult, Condition, Violation};
+    pub use crate::sequential::{Semantics, SequentialSpec};
     pub use crate::streaming::StreamingChecker;
-    
 }

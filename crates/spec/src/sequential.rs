@@ -73,11 +73,6 @@ impl SequentialSpec {
             HighOp::Read => (state, HighResponse::ReadValue(state)),
         }
     }
-
-    /// Returns `true` if `response` is legal for `op` applied in `state`.
-    pub(crate) fn allows(&self, state: Payload, op: HighOp, response: HighResponse) -> bool {
-        self.step(state, op).1 == response
-    }
 }
 
 #[cfg(test)]
@@ -104,14 +99,6 @@ mod tests {
         assert_eq!(spec.state_after([0]), 0);
         assert_eq!(spec.apply_write(7, 5), 7);
         assert_eq!(spec.apply_write(5, 7), 7);
-    }
-
-    #[test]
-    fn allows_matches_step() {
-        let spec = SequentialSpec::register();
-        assert!(spec.allows(4, HighOp::Read, HighResponse::ReadValue(4)));
-        assert!(!spec.allows(4, HighOp::Read, HighResponse::ReadValue(5)));
-        assert!(spec.allows(4, HighOp::Write(1), HighResponse::WriteAck));
     }
 
     #[test]

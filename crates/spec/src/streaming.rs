@@ -201,14 +201,6 @@ impl StreamingChecker {
         }
     }
 
-    /// The condition this checker verifies.
-    pub(crate) fn condition(&self) -> Condition {
-        match &self.mode {
-            Mode::Ws { condition, .. } => *condition,
-            Mode::Atomic { .. } => Condition::Atomicity,
-        }
-    }
-
     /// Records that part of the stream was lost (e.g. evicted from a ring
     /// buffer before it could be observed). Checking stops; the outcome
     /// will be marked incomplete.
@@ -233,16 +225,6 @@ impl StreamingChecker {
             writes.clear();
             abandoned_writes.clear();
         }
-    }
-
-    /// Returns `true` once a gap was reported.
-    pub(crate) fn saw_gap(&self) -> bool {
-        self.truncated
-    }
-
-    /// The first violation detected so far, if any.
-    pub(crate) fn violation(&self) -> Option<&Violation> {
-        self.violation.as_ref()
     }
 
     /// Number of operations currently retained (open + unfolded window +
@@ -1267,7 +1249,7 @@ mod tests {
         let spec = register();
         let mut checker = StreamingChecker::new(Condition::WsRegularity, spec);
         checker.note_gap();
-        assert!(checker.saw_gap());
+        assert!(checker.truncated);
         let outcome = checker.into_outcome();
         assert!(!outcome.complete);
         assert!(!outcome.is_consistent());
@@ -1278,7 +1260,7 @@ mod tests {
         h.push_complete(0, HighOp::Write(1), HighResponse::WriteAck, 0, 1);
         h.push_complete(1, HighOp::Read, HighResponse::ReadValue(9), 2, 3);
         let mut checker = stream(Condition::WsRegularity, spec, &h);
-        assert!(checker.violation().is_some());
+        assert!(checker.violation.is_some());
         checker.note_gap();
         let outcome = checker.into_outcome();
         assert!(outcome.violation.is_some());

@@ -10,16 +10,16 @@
 //! single-process [`crate::sweep::run_sweep`] of the same config.
 //!
 //! The spool protocol, the manifest, the worker pool and the retry policy
-//! are the shared campaign engine's ([`crate::engine`], re-exported here).
+//! are the shared campaign engine's (`crate::engine`, re-exported here).
 //! This module is the sweep *kind*: the canonical config text
-//! ([`config_to_text`]), the shard worker ([`run_shard`]), the shard-report
+//! (`config_to_text`), the shard worker ([`run_shard`]), the shard-report
 //! parser and the merge ([`merge_shards`]). Frontier campaigns
 //! ([`crate::frontier`]) ride on it unchanged.
 //!
 //! A shard worker expands the case space once and runs its slice on one
 //! work-stealing pool, the one [`crate::sweep::run_sweep`] uses. Its
 //! `.progress` file and heartbeat are published first at `0/total`, then
-//! at most once per [`crate::status::HEARTBEAT_PACE`] (250 ms) by
+//! at most once per `crate::status::HEARTBEAT_PACE` (250 ms) by
 //! whichever worker thread finishes a case after the deadline, and last at
 //! `total/total` before the shard report is written.
 //!
@@ -50,14 +50,8 @@
 //! ```
 
 use crate::engine::{self, fingerprint, malformed, write_atomically, Campaign};
-pub use crate::engine::CampaignError;
-pub use crate::engine::CampaignOptions;
-pub use crate::engine::Dialect;
-pub(crate) use crate::engine::Manifest;
-pub use crate::engine::ShardEntry;
-pub(crate) use crate::engine::ShardRange;
-pub use crate::engine::WorkerMode;
-pub(crate) use crate::engine::FORMAT_VERSION;
+pub use crate::engine::{CampaignError, CampaignOptions, Dialect, ShardEntry, WorkerMode};
+pub(crate) use crate::engine::{Manifest, ShardRange, FORMAT_VERSION};
 use crate::json::{Json, JsonParser};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
@@ -68,7 +62,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-/// A sweep campaign's manifest: the engine's [`Manifest`] in the
+/// A sweep campaign's manifest: the engine's `Manifest` in the
 /// [`Dialect::Sweep`] dialect (`manifest.txt`).
 pub type ShardManifest = Manifest;
 
@@ -334,7 +328,7 @@ pub fn load_config(spool: &Path) -> Result<SweepConfig, CampaignError> {
 /// range on one pool of `threads` sweep threads (`0` = one per core),
 /// publishes `done total` counts into the shard's progress file and
 /// heartbeat (`0` first, then at most one per
-/// [`crate::status::HEARTBEAT_PACE`], `total` last), and atomically
+/// `crate::status::HEARTBEAT_PACE`, `total` last), and atomically
 /// publishes the shard report. Re-running a shard simply overwrites its
 /// report with identical bytes — shards are pure functions of `(config,
 /// range)`.
@@ -566,7 +560,7 @@ pub struct CampaignOutcome {
 
 /// Runs (or resumes) a sharded campaign of `config` to completion:
 /// initializes the spool, revalidates and reuses completed shards, executes
-/// the incomplete ones under the engine's pool policy ([`crate::engine`]),
+/// the incomplete ones under the engine's pool policy (`crate::engine`),
 /// and merges the shard reports into the final [`crate::sweep::SweepReport`].
 ///
 /// # Errors

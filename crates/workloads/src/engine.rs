@@ -191,11 +191,6 @@ impl ShardRange {
     pub(crate) fn len(&self) -> usize {
         self.end - self.start
     }
-
-    /// Returns `true` for a shard with no indices.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
 }
 
 /// Splits `count` indices into `shards` contiguous, balanced ranges (the
@@ -285,7 +280,7 @@ impl Dialect {
 pub struct ShardEntry {
     /// The shard's index range.
     pub range: ShardRange,
-    /// Rounds completed so far ([`Manifest::rounds`] = shard finished).
+    /// Rounds completed so far (`Manifest::rounds` = shard finished).
     pub rounds_done: usize,
     /// Worker attempts consumed by the shard's current unit (its last one,
     /// once the shard has finished).
@@ -977,7 +972,7 @@ mod tests {
             let min = lens.iter().min().unwrap();
             assert!(max - min <= 1, "unbalanced plan {lens:?}");
             if count > 0 {
-                assert!(plan.iter().all(|r| !r.is_empty()));
+                assert!(plan.iter().all(|r| r.len() > 0));
             }
         }
     }

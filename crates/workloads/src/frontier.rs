@@ -215,7 +215,9 @@ impl FrontierConfig {
     /// Builds a grid from raw `(k, f, n)` triples, rejecting every
     /// infeasible point with a typed [`FrontierError::InfeasiblePoint`]
     /// (never silently skipping it).
-    pub(crate) fn grid_from_raw(points: &[(usize, usize, usize)]) -> Result<Vec<Params>, FrontierError> {
+    pub(crate) fn grid_from_raw(
+        points: &[(usize, usize, usize)],
+    ) -> Result<Vec<Params>, FrontierError> {
         points
             .iter()
             .map(|&(k, f, n)| {
@@ -450,11 +452,6 @@ impl FrontierReport {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// `true` when the table has no rows.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// `true` when every row's measured peak respects its upper bound — the

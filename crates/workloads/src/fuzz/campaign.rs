@@ -33,7 +33,7 @@
 //! ## The spool directory
 //!
 //! The spool protocol — manifest, worker pool, retry and resume — is the
-//! shared campaign engine's ([`crate::engine`], which lists every file of
+//! shared campaign engine's (`crate::engine`, which lists every file of
 //! both kinds). This module is the fuzz *kind*; its files are:
 //!
 //! | file | written by | contents |
@@ -276,7 +276,7 @@ pub(crate) fn seed_entry_path(spool: &Path, seq: usize) -> PathBuf {
 // The manifest and the engine hook
 // --------------------------------------------------------------------------
 
-/// A fuzz campaign's manifest: the engine's [`Manifest`] in the
+/// A fuzz campaign's manifest: the engine's `Manifest` in the
 /// [`Dialect::Fuzz`] dialect (`fuzz-manifest.txt`) — shards are stream
 /// ranges, rounds are generations.
 pub type FuzzManifest = Manifest;
@@ -850,7 +850,7 @@ pub(crate) type FuzzCampaignOutcome = Outcome<FuzzCampaignReport>;
 /// Runs (or resumes) a sharded fuzz campaign to completion: initializes the
 /// spool, revalidates completed `(shard, generation)` units, executes the
 /// rest generation by generation (the corpus-exchange barrier) under the
-/// engine's pool policy ([`crate::engine`]), and merges the failure files
+/// engine's pool policy (`crate::engine`), and merges the failure files
 /// into the final [`FuzzCampaignReport`].
 ///
 /// Units of the *same* generation run concurrently up to

@@ -7,10 +7,10 @@
 //! 1. **Record & replay** — every run can record its per-delivery scheduler
 //!    decisions ([`regemu_fpsm::DecisionRecord`]); a recorded stream replays
 //!    byte-identically through [`regemu_fpsm::FairDriver::replaying`]. The
-//!    [`RecordedSchedule`] text format ([`trace`]) makes traces portable, so
+//!    [`RecordedSchedule`] text format (`trace`) makes traces portable, so
 //!    external model checkers can feed schedules in and repros out.
 //! 2. **Coverage-guided exploration** — [`Fuzzer`] maintains a corpus of
-//!    schedules. Each iteration derives a mutant via [`mutate::mutate`]
+//!    schedules. Each iteration derives a mutant via `mutate::mutate`
 //!    (flip delivery decisions, splice prefixes, shift crash points,
 //!    truncate the workload, reseed the fair tail), executes it, and admits
 //!    it to the corpus only when its
@@ -21,7 +21,7 @@
 //!    [`ConsistencyCheck`] (or wedges), [`shrink::shrink_failure`]
 //!    delta-debugs the case — schedule prefix, crash plan, workload length,
 //!    tail seed — to a minimal still-failing repro and emits a
-//!    [`FailureReport`] with the replay command line and the trace file.
+//!    `FailureReport` with the replay command line and the trace file.
 //!
 //! The machinery is validated by a seeded-bug oracle suite
 //! (`tests/fuzz_detects_bugs.rs`): for every [`regemu_core::FaultyKind`]
@@ -45,15 +45,12 @@ pub(crate) mod mutate;
 pub(crate) mod shrink;
 pub(crate) mod trace;
 
-pub use campaign::merge_fuzz_campaign;
-pub use campaign::run_fuzz_campaign;
-pub use campaign::FuzzCampaignConfig;
-pub use campaign::FuzzCampaignOptions;
-pub(crate) use campaign::FuzzCampaignReport;
+pub use campaign::{
+    merge_fuzz_campaign, run_fuzz_campaign, FuzzCampaignConfig, FuzzCampaignOptions,
+};
 pub(crate) use mutate::MutationStream;
-pub use shrink::shrink_case;
-pub use shrink::shrink_failure;
 pub(crate) use shrink::FailureReport;
+pub use shrink::{shrink_case, shrink_failure};
 pub use trace::RecordedSchedule;
 
 use crate::generator::{Issuer, Workload};
@@ -450,11 +447,6 @@ impl Fuzzer {
             seeded: false,
             iterations: 0,
         }
-    }
-
-    /// The config under fuzz.
-    pub(crate) fn config(&self) -> &FuzzConfig {
-        &self.config
     }
 
     /// The corpus admitted so far (closed-form cases, admission order).

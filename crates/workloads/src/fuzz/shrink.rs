@@ -225,7 +225,7 @@ impl FailureReport {
     }
 }
 
-/// Shrinks a fuzzer-found failure and packages it as a [`FailureReport`].
+/// Shrinks a fuzzer-found failure and packages it as a `FailureReport`.
 pub fn shrink_failure(config: &FuzzConfig, failure: &FuzzFailure) -> FailureReport {
     let (case, verdict) = shrink_case(config, &failure.case, &failure.kind);
     FailureReport {

@@ -59,24 +59,9 @@ impl Workload {
         &self.ops
     }
 
-    /// Number of distinct reader clients referenced by the workload.
-    pub(crate) fn reader_count(&self) -> usize {
-        self.readers
-    }
-
     /// Number of operations.
     pub fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Returns `true` if the workload is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Number of write operations.
-    pub(crate) fn write_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.op.is_write()).count()
     }
 
     /// The write-sequential workload of the paper's lower-bound runs: each of
@@ -199,12 +184,16 @@ impl Workload {
 mod tests {
     use super::*;
 
+    fn writes(w: &Workload) -> usize {
+        w.ops().iter().filter(|o| o.op.is_write()).count()
+    }
+
     #[test]
     fn write_sequential_workload_shape() {
         let w = Workload::write_sequential(3, 2, true);
         assert_eq!(w.len(), 12);
-        assert_eq!(w.write_count(), 6);
-        assert_eq!(w.reader_count(), 1);
+        assert_eq!(writes(&w), 6);
+        assert_eq!(w.readers, 1);
         assert!(w.ops().iter().all(|o| o.sequential));
         // Values are distinct and increasing.
         let values: Vec<_> = w.ops().iter().filter_map(|o| o.op.payload()).collect();
@@ -214,16 +203,16 @@ mod tests {
         assert_eq!(values.len(), sorted.len());
 
         let no_reads = Workload::write_sequential(2, 1, false);
-        assert_eq!(no_reads.reader_count(), 0);
-        assert_eq!(no_reads.write_count(), no_reads.len());
+        assert_eq!(no_reads.readers, 0);
+        assert_eq!(writes(&no_reads), no_reads.len());
     }
 
     #[test]
     fn read_heavy_workload_shape() {
         let w = Workload::read_heavy(2, 4, 3, 2);
-        assert_eq!(w.write_count(), 4);
+        assert_eq!(writes(&w), 4);
         assert_eq!(w.len(), 4 * 4);
-        assert_eq!(w.reader_count(), 2);
+        assert_eq!(w.readers, 2);
     }
 
     #[test]
@@ -234,7 +223,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 50);
-        assert!(!a.is_empty());
     }
 
     #[test]

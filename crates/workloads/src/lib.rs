@@ -14,7 +14,7 @@
 //!   scheduler × crash-plan × recording × seed` grid out across worker
 //!   threads and aggregate the measurements into a deterministic
 //!   [`sweep::SweepReport`] (JSON/CSV serializable);
-//! * [`table`] — parameter sweeps and plain-text table rendering used by the
+//! * `table` — parameter sweeps and plain-text table rendering used by the
 //!   experiment binaries in `regemu-bench`;
 //! * [`fuzz`] — coverage-guided schedule fuzzing with record/replay traces
 //!   ([`fuzz::RecordedSchedule`]) and automatic failure shrinking
@@ -82,104 +82,25 @@ pub mod status;
 pub mod sweep;
 pub(crate) mod table;
 
-pub use frontier::run_frontier;
-pub use frontier::FrontierConfig;
-pub use frontier::FrontierRow;
-pub use fuzz::fuzz_and_shrink;
-pub use fuzz::merge_fuzz_campaign;
-pub use fuzz::replay;
-pub use fuzz::run_fuzz_campaign;
-pub use fuzz::FailureKind;
-pub use fuzz::FuzzCampaignConfig;
-pub use fuzz::FuzzCampaignOptions;
-pub use fuzz::FuzzCase;
-pub use fuzz::FuzzConfig;
-pub use fuzz::FuzzEmulation;
 pub use fuzz::FuzzReport;
-pub use fuzz::Fuzzer;
-pub use fuzz::RecordedSchedule;
-pub use generator::Issuer;
-pub use generator::Workload;
-pub use generator::WorkloadOp;
-pub use runner::CheckCoverage;
-pub use runner::ConsistencyCheck;
-pub use runner::RunReport;
-pub use scenario::drive;
-pub use scenario::CrashPlanSpec;
-pub use scenario::RecordingModeSpec;
-pub use scenario::Scenario;
-pub use scenario::ScenarioRun;
-pub use scenario::SchedulerSpec;
-pub use status::detect_spool_kind;
-pub use status::SpoolKind;
-pub use sweep::run_sweep;
-pub use sweep::EmulationKind;
-pub use sweep::SweepConfig;
+pub use prelude::*;
 pub use sweep::SweepReport;
-pub use sweep::WorkloadSpec;
-pub use table::small_sweep;
-pub use table::standard_sweep;
-pub use table::TextTable;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    
-    
-    
-    
-    
-    
-    
-    pub use crate::frontier::run_frontier;
-    
-    pub use crate::frontier::FrontierConfig;
-    
-    
-    pub use crate::frontier::FrontierRow;
-    pub use crate::fuzz::fuzz_and_shrink;
-    pub use crate::fuzz::merge_fuzz_campaign;
-    pub use crate::fuzz::replay;
-    pub use crate::fuzz::run_fuzz_campaign;
-    pub use crate::fuzz::FailureKind;
-    
-    pub use crate::fuzz::FuzzCampaignConfig;
-    pub use crate::fuzz::FuzzCampaignOptions;
-    
-    pub use crate::fuzz::FuzzCase;
-    pub use crate::fuzz::FuzzConfig;
-    pub use crate::fuzz::FuzzEmulation;
-    
-    pub use crate::fuzz::Fuzzer;
-    pub use crate::fuzz::RecordedSchedule;
-    pub use crate::generator::Issuer;
-    pub use crate::generator::Workload;
-    pub use crate::generator::WorkloadOp;
-    pub use crate::runner::CheckCoverage;
-    pub use crate::runner::ConsistencyCheck;
-    pub use crate::runner::RunReport;
-    pub use crate::scenario::drive;
-    pub use crate::scenario::CrashPlanSpec;
-    pub use crate::scenario::RecordingModeSpec;
-    pub use crate::scenario::Scenario;
-    pub use crate::scenario::ScenarioRun;
-    pub use crate::scenario::SchedulerSpec;
-    
-    pub use crate::status::detect_spool_kind;
-    
-    
-    
-    
-    
-    
-    pub use crate::status::SpoolKind;
-    pub use crate::sweep::run_sweep;
-    
-    pub use crate::sweep::EmulationKind;
-    
-    pub use crate::sweep::SweepConfig;
-    
-    pub use crate::sweep::WorkloadSpec;
-    pub use crate::table::small_sweep;
-    pub use crate::table::standard_sweep;
-    pub use crate::table::TextTable;
+
+    pub use crate::frontier::{run_frontier, FrontierConfig, FrontierRow};
+    pub use crate::fuzz::{
+        fuzz_and_shrink, merge_fuzz_campaign, replay, run_fuzz_campaign, FailureKind,
+        FuzzCampaignConfig, FuzzCampaignOptions, FuzzCase, FuzzConfig, FuzzEmulation, Fuzzer,
+        RecordedSchedule,
+    };
+    pub use crate::generator::{Issuer, Workload, WorkloadOp};
+    pub use crate::runner::{CheckCoverage, ConsistencyCheck, RunReport};
+    pub use crate::scenario::{
+        drive, CrashPlanSpec, RecordingModeSpec, Scenario, ScenarioRun, SchedulerSpec,
+    };
+    pub use crate::status::{detect_spool_kind, SpoolKind};
+    pub use crate::sweep::{run_sweep, EmulationKind, SweepConfig, WorkloadSpec};
+    pub use crate::table::{small_sweep, standard_sweep, TextTable};
 }

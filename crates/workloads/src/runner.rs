@@ -57,7 +57,7 @@ impl ConsistencyCheck {
         }
     }
 
-    /// The inverse of [`ConsistencyCheck::name`].
+    /// The inverse of `ConsistencyCheck::name`.
     pub fn from_name(name: &str) -> Option<Self> {
         ConsistencyCheck::ALL.into_iter().find(|c| c.name() == name)
     }

@@ -92,7 +92,7 @@ pub enum SchedulerSpec {
     /// [`regemu_adversary::CoverWrites`]).
     CoverAdversary,
     /// Fair scheduling, but *every* response from the `f` highest-numbered
-    /// servers is withheld forever ([`regemu_adversary::SilenceServers`]).
+    /// servers is withheld forever (`regemu_adversary::SilenceServers`).
     SilenceAdversary,
 }
 
@@ -220,7 +220,7 @@ impl CrashPlanSpec {
         }
     }
 
-    /// The inverse of [`CrashPlanSpec::name`], for CLI flags.
+    /// The inverse of `CrashPlanSpec::name`, for CLI flags.
     pub fn from_name(name: &str) -> Option<Self> {
         CrashPlanSpec::ALL.into_iter().find(|c| c.name() == name)
     }
@@ -387,21 +387,6 @@ impl Scenario {
         self
     }
 
-    /// The parameter point of the scenario.
-    pub(crate) fn params(&self) -> Params {
-        self.params
-    }
-
-    /// The scheduler dimension of the scenario.
-    pub(crate) fn scheduler_spec(&self) -> SchedulerSpec {
-        self.scheduler
-    }
-
-    /// The recording dimension of the scenario.
-    pub(crate) fn recording_spec(&self) -> RecordingModeSpec {
-        self.recording
-    }
-
     /// Materializes the scenario into a runnable [`ScenarioRun`].
     ///
     /// Building is cheap and side-effect free; a scenario can be built many
@@ -519,11 +504,6 @@ impl ScenarioRun {
         self.emulation.as_ref()
     }
 
-    /// The recording mode the run records under.
-    pub(crate) fn recording_mode(&self) -> RecordingMode {
-        self.engine.sim.recording_mode()
-    }
-
     /// Crashes a server mid-run (counted against the fault budget `f`).
     ///
     /// # Errors
@@ -531,22 +511,6 @@ impl ScenarioRun {
     /// Fails if the server is unknown or the fault budget is exhausted.
     pub fn crash_server(&mut self, server: ServerId) -> Result<(), SimError> {
         self.engine.sim.crash_server(server)
-    }
-
-    /// Crashes a client mid-run. Its in-flight high-level operation (if
-    /// any) stays pending forever and its remaining workload operations are
-    /// skipped; when the run is checked online the checker is told the
-    /// operation is *abandoned*
-    /// ([`regemu_spec::StreamingChecker::abandon`]), so it stops pinning
-    /// later-overlapping operations in the checker's window while the
-    /// verdict still accounts for the pending operation exactly as the
-    /// offline checkers would.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the client is unknown.
-    pub(crate) fn crash_client(&mut self, client: ClientId) -> Result<(), SimError> {
-        self.engine.crash_client(client)
     }
 
     /// Finalizes the run: captures metrics, extracts the high-level schedule
@@ -1229,7 +1193,7 @@ mod tests {
             .recording(RecordingModeSpec::Ring(16))
             .seed(77);
         let mut run = scenario.build();
-        assert_eq!(run.recording_mode(), RecordingModeSpec::Ring(16));
+        assert_eq!(run.sim().recording_mode(), RecordingModeSpec::Ring(16));
         run.run().unwrap();
         let history = run.history();
         assert!(history.total_events() > 16);
@@ -1298,7 +1262,7 @@ mod tests {
             }
             let writer = ClientId::new(0);
             assert!(run.sim().current_high_op(writer).is_some());
-            run.crash_client(writer).unwrap();
+            run.engine.crash_client(writer).unwrap();
             assert!(run.sim().is_client_crashed(writer));
             run.run().unwrap_or_else(|e| panic!("{recording}: {e}"));
             let report = run.into_report();

@@ -5,7 +5,7 @@
 //! `stats-NNNN.json` *heartbeat* next to each shard's `.progress` file:
 //! case throughput, retries consumed, fuzz corpus growth, and a wallclock
 //! last-update stamp. A sweep shard publishes the pair first at `0/total`,
-//! then at most once per [`HEARTBEAT_PACE`] (250 ms) while its cases run,
+//! then at most once per `HEARTBEAT_PACE` (250 ms) while its cases run,
 //! and last at `total/total` before its report; a fuzz shard publishes
 //! once per stream. Heartbeats are **advisory** artifacts for humans and
 //! dashboards — they are written with the same temp-file-plus-rename
@@ -229,7 +229,12 @@ impl HeartbeatWriter {
     }
 
     /// Sets the fuzz-only heartbeat fields for subsequent publishes.
-    pub(crate) fn set_fuzz_progress(&mut self, generation: u64, iterations: u64, corpus_entries: u64) {
+    pub(crate) fn set_fuzz_progress(
+        &mut self,
+        generation: u64,
+        iterations: u64,
+        corpus_entries: u64,
+    ) {
         self.generation = Some(generation);
         self.iterations = Some(iterations);
         self.corpus_entries = Some(corpus_entries);

@@ -459,11 +459,6 @@ impl SweepReport {
         self.results.len()
     }
 
-    /// Returns `true` when the sweep ran no cases.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
     /// Returns `true` when every case ran to completion and passed its
     /// consistency check.
     pub fn all_consistent(&self) -> bool {

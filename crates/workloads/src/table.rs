@@ -39,11 +39,6 @@ impl TextTable {
         self.rows.len()
     }
 
-    /// The column headers.
-    pub(crate) fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
     /// The data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
@@ -133,7 +128,7 @@ mod tests {
         assert!(s.contains("===="));
         assert!(s.contains("lower"));
         assert_eq!(t.row_count(), 2);
-        assert_eq!(t.headers().len(), 3);
+        assert_eq!(t.headers.len(), 3);
         assert_eq!(t.rows()[1][2], "33");
         // Every rendered line of the body ends without trailing spaces.
         for line in s.lines() {

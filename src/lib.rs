@@ -29,8 +29,8 @@
 //!   ([`serve::LiveClient`], [`serve::serve_tcp`]), with load generation and
 //!   simulator-backed conformance checking of recorded histories;
 //! * [`obs`] — the zero-dependency telemetry registry (counters, gauges,
-//!   histograms, scope timers, renderable [`obs::Snapshot`]s) every
-//!   subsystem reports through, under the non-perturbation contract:
+//!   histograms and renderable snapshots) every subsystem reports through,
+//!   under the non-perturbation contract:
 //!   telemetry never changes behaviour or deterministic artifacts.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and the

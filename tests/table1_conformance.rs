@@ -1,6 +1,10 @@
 //! Integration test: the measured space consumption of every implemented
 //! emulation conforms to Table 1 of the paper, over a sweep of `(k, f, n)`.
 
+use regemu::bounds::{
+    min_servers, register_lower_bound_any_n, saturation_server_count,
+    special_case_minimal_n_upper_bound,
+};
 use regemu::prelude::*;
 
 /// Runs a write-sequential workload (every writer writes once, one read after
@@ -73,27 +77,34 @@ fn bounds_coincide_at_the_two_special_cases_and_measurements_agree() {
     // n = 2f + 1 and n ≥ kf + f + 1 are the cases where the paper's bounds
     // are tight; the implementation hits them exactly.
     for (k, f) in [(2usize, 1usize), (3, 1), (2, 2)] {
-        let minimal = Params::new(k, f, 2 * f + 1).unwrap();
+        let minimal = Params::new(k, f, min_servers(f)).unwrap();
         assert!(minimal.bounds_coincide());
         let consumption = measure(EmulationKind::SpaceOptimal, minimal, 7);
-        assert_eq!(consumption, (2 * f + 1) * k);
+        assert_eq!(consumption, special_case_minimal_n_upper_bound(k, f));
 
-        let saturated = Params::new(k, f, k * f + f + 1).unwrap();
+        let saturated = Params::new(k, f, saturation_server_count(k, f)).unwrap();
         assert!(saturated.bounds_coincide());
         let consumption = measure(EmulationKind::SpaceOptimal, saturated, 8);
-        assert_eq!(consumption, k * f + f + 1);
+        assert_eq!(consumption, register_lower_bound_any_n(k, f));
     }
 }
 
 #[test]
 fn register_bank_construction_uses_k_registers_per_server() {
-    for params in small_sweep().into_iter().filter(|p| p.n == 2 * p.f + 1) {
+    for params in small_sweep()
+        .into_iter()
+        .filter(|p| p.n == min_servers(p.f))
+    {
         let emulation = RegisterBankEmulation::new(params, false);
         assert_eq!(emulation.base_object_count(), params.n * params.k);
         let consumption = measure(EmulationKind::RegisterBank, params, 4);
         // The ABD phases read every bank register, so consumption equals the
         // provisioned (2f+1)·k — the special-case matching upper bound.
-        assert_eq!(consumption, (2 * params.f + 1) * params.k, "{params}");
+        assert_eq!(
+            consumption,
+            special_case_minimal_n_upper_bound(params.k, params.f),
+            "{params}"
+        );
     }
 }
 
