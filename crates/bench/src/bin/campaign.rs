@@ -560,15 +560,15 @@ fn fuzz(args: &mut Args) {
             other => unknown(other),
         }
         match arg.as_str() {
-            "--seed-corpus" | "--failures" | "--streams" | "--generations" => {
-                pool.spool_flag.get_or_insert(arg.clone());
-            }
+            "--out" => {}
             "--stop-on-failure" | "--trace" => {
-                solo_flag.get_or_insert(arg.clone());
+                solo_flag.get_or_insert(arg);
             }
-            _ => {}
+            _ => {
+                any_config_flag |= matches!(arg.as_str(), "--streams" | "--generations");
+                pool.spool_flag.get_or_insert(arg);
+            }
         }
-        any_config_flag |= matches!(arg.as_str(), "--streams" | "--generations");
     }
     let Some(spool) = pool.spool() else {
         return fuzz_in_process(cli.fuzz, &out, trace_out);

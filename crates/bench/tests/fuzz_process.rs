@@ -105,7 +105,7 @@ fn spool_less_fuzz_and_replay_exit_codes() {
     fs::create_dir_all(&dir).unwrap();
     let common = ["fuzz", "--params", "1,1,3", "--budget", "120", "--quiet"];
 
-    let clean = campaign(&[&common[..], &["--emulation", "space-optimal"]].concat());
+    let clean = campaign(&[&common[..], &["--emulation", "space-optimal", "--out", "-"]].concat());
     assert_eq!(clean.status.code(), Some(0), "a clean construction exits 0");
     let (reference, _) =
         fuzz_and_shrink(FuzzConfig::new(Params::new(1, 1, 3).unwrap()).budget(120));
@@ -140,12 +140,6 @@ fn spool_less_fuzz_and_replay_exit_codes() {
         "the shrunk trace fails again"
     );
     assert!(String::from_utf8_lossy(&replayed.stdout).starts_with("verdict violation"));
-    let missing = campaign(&["replay", dir.join("missing.trace").to_str().unwrap()]);
-    assert_eq!(
-        missing.status.code(),
-        Some(1),
-        "a missing trace is an I/O error"
-    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -593,6 +593,14 @@ impl History {
 
     /// Appends an event: updates the digests (in every mode), then retains
     /// the event according to the recording mode.
+    ///
+    /// The digests are indexed by raw client and object index, so the
+    /// indices must be dense, as [`Simulation`](crate::Simulation) hands
+    /// them out (`0, 1, 2, ..`). The open-operation table grows to
+    /// `client.index() + 1` entries and the touched/written sets to
+    /// `object.index() / 64 + 1` words: a single sparse index such as
+    /// `ObjectId::new(usize::MAX)` makes this call attempt an allocation
+    /// that large.
     pub fn push(&mut self, event: Event) {
         match event {
             Event::Invoke {
