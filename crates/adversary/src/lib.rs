@@ -7,13 +7,13 @@
 //! device into executable code that can be run against *any*
 //! [`regemu_core::Emulation`]:
 //!
-//! * `covering::CoveringTracker` — the Definition 1 bookkeeping
+//! * `CoveringTracker` — the Definition 1 bookkeeping
 //!   (`Cov`, `Tr_i`, `Rr_i`, `Q_i`, `F_i`, `M_i`, `G_i`), validated against
 //!   the claims of Lemma 2;
-//! * `adi::AdversaryIteration` — one adversary-driven high-level write
+//! * `AdversaryIteration` — one adversary-driven high-level write
 //!   (Definitions 2–3, Lemma 3);
 //! * [`campaign::LowerBoundCampaign`] — the full Lemma 1 construction of `k`
-//!   sequential writes, producing a `campaign::CampaignReport` with the
+//!   sequential writes, producing a `CampaignReport` with the
 //!   coverage growth, per-server occupancy (Theorem 6), and point-contention
 //!   evidence (Theorem 8);
 //! * [`partition::demonstrate_partition`] — the executable partitioning
@@ -52,7 +52,6 @@ pub use prelude::*;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-
     pub use crate::campaign::LowerBoundCampaign;
     pub use crate::partition::demonstrate_partition;
     pub use crate::strategy::CoverWrites;

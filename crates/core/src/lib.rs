@@ -68,7 +68,6 @@ pub use shared_memory::CollectWriter;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-
     pub use crate::emulation::{
         all_emulations, AbdCasEmulation, AbdMaxRegisterEmulation, Emulation, EmulationKind,
         RegisterBankEmulation, SpaceOptimalEmulation,

@@ -6,14 +6,14 @@
 //! over real transports, so a deployment-shaped run can be checked against
 //! the paper's consistency conditions with the existing machinery:
 //!
-//! * `transport` — the `transport::Transport` trait with an in-process
+//! * `transport` — the [`Transport`] trait with an in-process
 //!   channel implementation and a length-prefixed `std::net` TCP
 //!   implementation (thread-per-connection; no async runtime);
-//! * `server` — `server::serve_tcp` / `server::serve_channel` host one
+//! * `server` — [`serve_tcp`] / [`serve_channel`] host one
 //!   paper server's base objects; applying a request under the state lock is
 //!   the linearization point (Assumption 1), also for each request of a
 //!   batch, which is applied in order under one lock acquisition;
-//! * `client` — `client::LiveClient` drives one emulation client,
+//! * `client` — [`LiveClient`] drives one emulation client,
 //!   sending one frame per server per protocol round (a
 //!   [`regemu_core::wire::WireMsg::Batch`] when the round addresses several
 //!   of that server's objects); [`client::run_fleet`] fans k writers plus
