@@ -149,9 +149,6 @@ pub(crate) struct CasMaxDriver {
     pending: Option<OpId>,
     phase: Option<CasPhase>,
     target: Value,
-    /// Number of CAS operations issued by the current `write-max`; exposed so
-    /// callers can measure the retry cost.
-    attempts: u64,
 }
 
 impl CasMaxDriver {
@@ -163,7 +160,6 @@ impl CasMaxDriver {
             pending: None,
             phase: None,
             target: Value::INITIAL,
-            attempts: 0,
         }
     }
 
@@ -175,7 +171,6 @@ impl CasMaxDriver {
                 new: Value::INITIAL,
             },
         ));
-        self.attempts += 1;
     }
 }
 
@@ -190,14 +185,12 @@ impl MaxDriver for CasMaxDriver {
 
     fn start_read_max(&mut self, ctx: &mut Context<'_>) {
         self.phase = Some(CasPhase::Read);
-        self.attempts = 0;
         self.probe(ctx);
     }
 
     fn start_write_max(&mut self, value: Value, ctx: &mut Context<'_>) {
         self.phase = Some(CasPhase::WriteProbe);
         self.target = value;
-        self.attempts = 0;
         self.probe(ctx);
     }
 
@@ -230,7 +223,6 @@ impl MaxDriver for CasMaxDriver {
                             new: self.target,
                         },
                     ));
-                    self.attempts += 1;
                     None
                 }
             }

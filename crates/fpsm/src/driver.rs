@@ -107,7 +107,6 @@ impl From<&PendingOp> for Candidate {
 #[derive(Debug, Default)]
 pub(crate) struct StepLoop {
     pub(crate) crash_plan: CrashPlan,
-    pub(crate) steps: u64,
     /// Deliverable operations that were admitted, ascending by id.
     candidates: Vec<Candidate>,
     /// Every operation with a smaller id has been judged already.
@@ -153,7 +152,6 @@ impl StepLoop {
         sim.deliver(self.candidates[index].op_id)?;
         self.candidates.remove(index);
         self.epoch = sim.deliverable_epoch;
-        self.steps += 1;
         Ok(true)
     }
 }

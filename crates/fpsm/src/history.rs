@@ -513,9 +513,6 @@ pub struct History {
     dropped: u64,
     /// High-water mark of `events.len()`.
     peak_retained: usize,
-    /// Time stamp of the most recent event (tracked incrementally so
-    /// [`History::end_time`] works in every mode).
-    last_time: Time,
     /// Retained high-level intervals, keyed by operation id. Ids are
     /// assigned in invocation order, so iteration order *is* invocation
     /// order (first wins when an id is invoked twice, matching the previous
@@ -525,19 +522,8 @@ pub struct History {
     intervals: BTreeMap<HighOpId, HighInterval>,
     /// Intervals recorded over the run, evicted or not.
     total_intervals: u64,
-    /// Intervals removed by [`History::evict_interval`].
-    evicted_intervals: u64,
     /// High-water mark of `intervals.len()`.
     peak_retained_intervals: usize,
-    /// Number of high-level writes currently open (invoked, not returned).
-    open_writes: usize,
-    /// Set once two high-level writes were observed concurrent — from then
-    /// on the run is not write-sequential, no matter what else happens.
-    /// Tracked incrementally so [`History::is_write_sequential`] stays exact
-    /// after interval eviction.
-    writes_overlapped: bool,
-    /// Number of high-level reads invoked over the run.
-    invoked_reads: u64,
     touched: IndexBitSet,
     written: IndexBitSet,
     trigger_count: u64,
@@ -622,14 +608,6 @@ impl History {
                     self.total_intervals += 1;
                     self.peak_retained_intervals =
                         self.peak_retained_intervals.max(self.intervals.len());
-                    if op.is_write() {
-                        if self.open_writes > 0 {
-                            self.writes_overlapped = true;
-                        }
-                        self.open_writes += 1;
-                    } else {
-                        self.invoked_reads += 1;
-                    }
                 }
                 if self.open_clients.len() <= client.index() {
                     self.open_clients.resize(client.index() + 1, false);
@@ -646,9 +624,6 @@ impl History {
                 response,
             } => {
                 if let Some(interval) = self.intervals.get_mut(&high_op) {
-                    if interval.returned.is_none() && interval.op.is_write() {
-                        self.open_writes = self.open_writes.saturating_sub(1);
-                    }
                     interval.returned = Some((time, response));
                 }
                 if let Some(open) = self.open_clients.get_mut(client.index()) {
@@ -667,7 +642,6 @@ impl History {
             }
             Event::ServerCrash { .. } | Event::ClientCrash { .. } => {}
         }
-        self.last_time = event.time();
         // The retention policy lives in `keep` alone; pushing then evicting
         // keeps the two call sites (per-event and mode-switch) impossible
         // to desynchronize. A mode that retains nothing has emptied the log
@@ -762,18 +736,16 @@ impl History {
     /// extracted `HighHistory` only contain what is still retained).
     ///
     /// The scalar digests ([`History::point_contention`],
-    /// [`History::is_write_sequential`], [`History::is_write_only`],
     /// [`History::total_intervals`]) are maintained incrementally and stay
     /// exact for the whole run regardless of eviction.
     ///
     /// Returns `false` (and evicts nothing) when the operation is unknown,
-    /// already evicted, or still open — evicting an open interval would
-    /// desynchronize the open-write digest.
+    /// already evicted, or still open — an evicted open interval could not
+    /// record its return.
     pub(crate) fn evict_interval(&mut self, high_op: HighOpId) -> bool {
         match self.intervals.get(&high_op) {
             Some(interval) if interval.is_complete() => {
                 self.intervals.remove(&high_op);
-                self.evicted_intervals += 1;
                 true
             }
             _ => false,
@@ -1084,7 +1056,7 @@ mod tests {
         // Scalar digests still answer for the whole run.
         assert_eq!(h.point_contention(), 1);
         // A write invoked after the eviction still sees the earlier pending
-        // read for contention, and write-sequentiality tracking continues.
+        // read for contention.
         h.push(Event::Invoke {
             time: 7,
             client: ClientId::new(2),
@@ -1092,32 +1064,6 @@ mod tests {
             op: HighOp::Write(9),
         });
         assert_eq!(h.point_contention(), 2);
-        h.push(Event::Invoke {
-            time: 8,
-            client: ClientId::new(3),
-            high_op: HighOpId::new(3),
-            op: HighOp::Write(10),
-        });
-    }
-
-    #[test]
-    fn pending_write_breaks_write_sequentiality_for_later_writes() {
-        // A forever-pending write is concurrent with any write invoked
-        // after it — the incremental digest must agree with the pairwise
-        // definition.
-        let mut h = History::new();
-        h.push(Event::Invoke {
-            time: 1,
-            client: ClientId::new(0),
-            high_op: HighOpId::new(0),
-            op: HighOp::Write(1),
-        });
-        h.push(Event::Invoke {
-            time: 2,
-            client: ClientId::new(1),
-            high_op: HighOpId::new(1),
-            op: HighOp::Write(2),
-        });
     }
 
     #[test]

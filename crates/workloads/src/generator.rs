@@ -35,23 +35,13 @@ pub struct WorkloadOp {
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Workload {
     ops: Vec<WorkloadOp>,
-    readers: usize,
 }
 
 impl Workload {
     /// A workload from explicit operation steps (used verbatim by the
-    /// runner). The reader-client count is derived from the highest reader
-    /// index the steps reference.
+    /// runner).
     pub fn from_steps(ops: Vec<WorkloadOp>) -> Self {
-        let readers = ops
-            .iter()
-            .filter_map(|o| match o.issuer {
-                Issuer::Reader(i) => Some(i + 1),
-                Issuer::Writer(_) => None,
-            })
-            .max()
-            .unwrap_or(0);
-        Workload { ops, readers }
+        Workload { ops }
     }
 
     /// The operations, in issue order.
@@ -89,10 +79,7 @@ impl Workload {
                 let _ = round;
             }
         }
-        Workload {
-            ops,
-            readers: usize::from(read_after_each),
-        }
+        Workload { ops }
     }
 
     /// A read-heavy workload: one writer update followed by `reads_per_write`
@@ -119,7 +106,7 @@ impl Workload {
                 });
             }
         }
-        Workload { ops, readers }
+        Workload { ops }
     }
 
     /// A randomized mixed workload: `total` operations, each a write with
@@ -152,7 +139,7 @@ impl Workload {
                 });
             }
         }
-        Workload { ops, readers }
+        Workload { ops }
     }
 
     /// A concurrent workload in which reads overlap writes: every write is
@@ -176,7 +163,7 @@ impl Workload {
                 });
             }
         }
-        Workload { ops, readers: 1 }
+        Workload { ops }
     }
 }
 
@@ -188,12 +175,27 @@ mod tests {
         w.ops().iter().filter(|o| o.op.is_write()).count()
     }
 
+    /// Distinct reader clients the workload issues from.
+    fn readers(w: &Workload) -> usize {
+        let mut readers: Vec<usize> = w
+            .ops()
+            .iter()
+            .filter_map(|o| match o.issuer {
+                Issuer::Reader(r) => Some(r),
+                Issuer::Writer(_) => None,
+            })
+            .collect();
+        readers.sort_unstable();
+        readers.dedup();
+        readers.len()
+    }
+
     #[test]
     fn write_sequential_workload_shape() {
         let w = Workload::write_sequential(3, 2, true);
         assert_eq!(w.len(), 12);
         assert_eq!(writes(&w), 6);
-        assert_eq!(w.readers, 1);
+        assert_eq!(readers(&w), 1);
         assert!(w.ops().iter().all(|o| o.sequential));
         // Values are distinct and increasing.
         let values: Vec<_> = w.ops().iter().filter_map(|o| o.op.payload()).collect();
@@ -203,7 +205,7 @@ mod tests {
         assert_eq!(values.len(), sorted.len());
 
         let no_reads = Workload::write_sequential(2, 1, false);
-        assert_eq!(no_reads.readers, 0);
+        assert_eq!(readers(&no_reads), 0);
         assert_eq!(writes(&no_reads), no_reads.len());
     }
 
@@ -212,7 +214,7 @@ mod tests {
         let w = Workload::read_heavy(2, 4, 3, 2);
         assert_eq!(writes(&w), 4);
         assert_eq!(w.len(), 4 * 4);
-        assert_eq!(w.readers, 2);
+        assert_eq!(readers(&w), 2);
     }
 
     #[test]
