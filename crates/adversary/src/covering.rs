@@ -3,8 +3,6 @@
 //! The lower-bound adversary `Ad_i` tracks, for the extension following the
 //! checkpoint `t_{i-1}`, the sets
 //!
-//! * `Tr_i(t)` — registers with a low-level write *triggered* after the
-//!   checkpoint,
 //! * `Rr_i(t)` — registers whose post-checkpoint write already *responded*,
 //! * `Cov_i(t)` — registers newly covered after the checkpoint,
 //! * `Q_i(t)` — up to `f` covered servers outside the protected set `F`
@@ -41,15 +39,11 @@ pub(crate) struct CoveringTracker {
     /// Pending pre-checkpoint covering writes per register (they only
     /// disappear if the environment ever lets them respond).
     pending_old_writes: BTreeMap<ObjectId, usize>,
-    /// Low-level writes triggered after the checkpoint, with their register.
-    new_write_ops: BTreeMap<OpId, ObjectId>,
+    /// Low-level writes triggered after the checkpoint.
+    new_write_ops: BTreeSet<OpId>,
     /// Low-level writes triggered before the checkpoint (still pending then).
-    old_write_ops: BTreeMap<OpId, ObjectId>,
-    /// Clients of every tracked pending write.
-    write_clients: BTreeMap<OpId, ClientId>,
+    old_write_ops: BTreeSet<OpId>,
 
-    /// `Tr_i` — registers with a post-checkpoint write trigger.
-    triggered: BTreeSet<ObjectId>,
     /// `Rr_i` — registers whose post-checkpoint write responded.
     responded: BTreeSet<ObjectId>,
     /// `Q_i` — the frozen-at-`f` covered servers outside `F`.
@@ -77,13 +71,11 @@ impl CoveringTracker {
         );
         let mut covered_at_checkpoint = BTreeSet::new();
         let mut pending_old_writes: BTreeMap<ObjectId, usize> = BTreeMap::new();
-        let mut old_write_ops = BTreeMap::new();
-        let mut write_clients = BTreeMap::new();
-        for (op, object, client) in old_pending {
+        let mut old_write_ops = BTreeSet::new();
+        for (op, object, _) in old_pending {
             covered_at_checkpoint.insert(object);
             *pending_old_writes.entry(object).or_default() += 1;
-            old_write_ops.insert(op, object);
-            write_clients.insert(op, client);
+            old_write_ops.insert(op);
         }
         CoveringTracker {
             protected,
@@ -92,10 +84,8 @@ impl CoveringTracker {
             covered_at_checkpoint,
             pending_new_writes: BTreeMap::new(),
             pending_old_writes,
-            new_write_ops: BTreeMap::new(),
+            new_write_ops: BTreeSet::new(),
             old_write_ops,
-            write_clients,
-            triggered: BTreeSet::new(),
             responded: BTreeSet::new(),
             q: BTreeSet::new(),
             f_responded: BTreeSet::new(),
@@ -107,20 +97,14 @@ impl CoveringTracker {
     pub(crate) fn observe(&mut self, event: &Event, topology: &Topology) {
         match event {
             Event::Trigger {
-                client,
-                op_id,
-                object,
-                op,
-                ..
+                op_id, object, op, ..
             } if op.is_write() => {
-                self.new_write_ops.insert(*op_id, *object);
-                self.write_clients.insert(*op_id, *client);
+                self.new_write_ops.insert(*op_id);
                 *self.pending_new_writes.entry(*object).or_default() += 1;
-                self.triggered.insert(*object);
                 self.refresh_q(topology);
             }
             Event::Respond { op_id, object, .. } => {
-                if self.new_write_ops.remove(op_id).is_some() {
+                if self.new_write_ops.remove(op_id) {
                     if let Some(count) = self.pending_new_writes.get_mut(object) {
                         *count = count.saturating_sub(1);
                         if *count == 0 {
@@ -133,7 +117,7 @@ impl CoveringTracker {
                         self.f_responded.insert(server);
                     }
                     self.refresh_q(topology);
-                } else if self.old_write_ops.remove(op_id).is_some() {
+                } else if self.old_write_ops.remove(op_id) {
                     if let Some(count) = self.pending_old_writes.get_mut(object) {
                         *count = count.saturating_sub(1);
                         if *count == 0 {
@@ -141,7 +125,6 @@ impl CoveringTracker {
                         }
                     }
                 }
-                self.write_clients.remove(op_id);
             }
             _ => {}
         }
