@@ -48,8 +48,9 @@
 //!   emulation goes to stdout.
 //!
 //! frontier OPTIONS:
-//!   --grid k/f/n,..     parameter points (typed rejection of infeasible
-//!                       points, e.g. n < 2f+1; default: the quick grid)
+//!   --grid k/f/n,..     parameter points (an infeasible point, e.g.
+//!                       n < 2f+1, is rejected with the bound-level reason;
+//!                       default: the quick grid)
 //!   --emulations a,b    constructions (or "all"; default all four)
 //!   --seeds a,b,..      seeds (default 1,2)
 //!   --schedulers a,b    schedulers (or "all"; default fair,adversary-cover)
@@ -116,14 +117,13 @@ use regemu_bench::cli::{
     unknown, value, write_output, Args, ConfigFlags, CONFIG_USAGE, FUZZ_USAGE,
 };
 use regemu_bench::info;
+use regemu_bounds::{checked_register_bounds, parse_point, Params};
 use regemu_core::EmulationKind;
 use regemu_workloads::campaign::{
     config_fingerprint, load_config, merge_shards, run_campaign, run_shard, CampaignOptions,
     WorkerMode,
 };
-use regemu_workloads::frontier::{
-    run_frontier, run_frontier_campaign, FrontierConfig, FrontierReport,
-};
+use regemu_workloads::frontier::{self, FrontierReport};
 use regemu_workloads::fuzz::campaign::{
     fuzz_config_fingerprint, import_seed_corpus, load_fuzz_config, merge_fuzz_campaign,
     run_fuzz_campaign, run_fuzz_shard_gen, FuzzCampaignConfig, FuzzCampaignReport,
@@ -131,8 +131,8 @@ use regemu_workloads::fuzz::campaign::{
 use regemu_workloads::fuzz::{fuzz_and_shrink, replay, FuzzConfig, RecordedSchedule};
 use regemu_workloads::status::{campaign_status, now_unix_ms, render_status};
 use regemu_workloads::{
-    detect_spool_kind, run_sweep, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepReport,
-    WorkloadSpec,
+    detect_spool_kind, run_sweep, CrashPlanSpec, SchedulerSpec, SpoolKind, SweepConfig,
+    SweepReport, WorkloadSpec,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -258,6 +258,65 @@ fn paused() -> ! {
     std::process::exit(3);
 }
 
+/// How [`sweep_campaign`] came by its report.
+enum Ran {
+    /// On one thread pool in this process, without a spool.
+    InProcess,
+    /// Merged from the shard reports a spool holds (`--merge-only`).
+    Merged,
+    /// By a spooled campaign, run or resumed to completion.
+    Campaign,
+}
+
+/// The run behind `sweep` and `frontier` (`kind`): without `--spool`,
+/// `config` on one thread pool in this process; with one, the merge of the
+/// shard reports it holds (`--merge-only`), or the campaign run or resumed
+/// with `worker_threads` sweep threads per worker. A resumed spool dictates
+/// the config; when `config_flags` were passed, `config` must match it.
+/// Exits 3 when `--exit-after` paused the campaign.
+fn sweep_campaign(
+    kind: &str,
+    mut pool: PoolFlags,
+    config: &SweepConfig,
+    config_flags: bool,
+    worker_threads: usize,
+) -> (SweepReport, Ran) {
+    let Some(spool) = pool.spool() else {
+        return (run_sweep(config), Ran::InProcess);
+    };
+    if pool.merge_only {
+        let report = merge_shards(&spool).unwrap_or_else(|e| die(format!("merge failed: {e}")));
+        return (report, Ran::Merged);
+    }
+    let config = match load_config(&spool) {
+        Ok(spooled) => {
+            if config_flags && config_fingerprint(config) != config_fingerprint(&spooled) {
+                contradicts(&spool, kind);
+            }
+            info!(
+                "campaign {kind}: resuming spool {} ({} cases)",
+                spool.display(),
+                spooled.case_count()
+            );
+            spooled
+        }
+        Err(_) => config.clone(),
+    };
+    let options = pool.into_options(spool, worker_threads);
+    let started = Instant::now();
+    let outcome = run_campaign(&config, &options).unwrap_or_else(|e| die(e));
+    summary(
+        outcome.report.is_some(),
+        outcome.shards_total,
+        (outcome.shards_run, outcome.shards_reused, outcome.retries),
+        started,
+    );
+    let Some(report) = outcome.report else {
+        paused()
+    };
+    (report, Ran::Campaign)
+}
+
 fn sweep(args: &mut Args) {
     let mut flags = ConfigFlags::default();
     let mut any_config_flag = false;
@@ -283,125 +342,84 @@ fn sweep(args: &mut Args) {
             other => unknown(other),
         }
     }
-    let emit = |report: &SweepReport| {
-        if let Some(path) = &json_out {
-            write_output(path, &report.to_json(), "JSON");
-        }
-        if let Some(path) = &csv_out {
-            write_output(path, &report.to_csv(), "CSV");
-        }
-        if !report.all_consistent() {
-            std::process::exit(1);
-        }
-    };
-
-    let Some(spool) = pool.spool() else {
-        // Single-process path: one thread pool of --threads threads.
-        let config = flags.into_config().unwrap_or_else(|e| fail(&e));
-        let started = Instant::now();
-        let report = run_sweep(&config);
-        let cases = config.case_count();
-        let consistent = report.results().iter().filter(|r| r.consistent).count();
-        info!(
-            "swept {cases} cases in {:.2?} ({} grid points x {} emulations x {} workloads x \
-             {} schedulers x {} crash plans x {} recordings x {} seeds): {consistent}/{cases} \
-             consistent",
-            started.elapsed(),
-            config.grid.len(),
-            config.emulations.len(),
-            config.workloads.len(),
-            config.schedulers.len(),
-            config.crash_plans.len(),
-            config.recordings.len(),
-            config.seeds.len(),
-        );
-        for failure in report.failures() {
-            let case = &failure.case;
-            let why = failure.error.as_ref().or(failure.violation.as_ref());
-            eprintln!(
-                "  FAIL case {} {} {} {} {} {} seed {}: {}",
-                case.index,
-                case.emulation,
-                case.params,
-                case.workload,
-                case.scheduler,
-                case.crashes,
-                case.seed,
-                why.map_or("inconsistent", String::as_str),
-            );
-        }
-        if json_out.is_none() && csv_out.is_none() {
-            // No sink: one summary line per emulation on stdout.
-            for kind in &config.emulations {
-                let rows = report
-                    .results()
-                    .iter()
-                    .filter(|r| r.case.emulation == *kind);
-                let ops: usize = rows.clone().map(|r| r.completed_ops).sum();
-                let max = rows.clone().map(|r| r.resource_consumption).max();
-                let (name, n) = (kind.name(), rows.count());
-                println!(
-                    "{name:>18}: {n} cases, {ops} ops completed, max consumption {}",
-                    max.unwrap_or(0)
-                );
-            }
-        }
-        return emit(&report);
-    };
-
-    if pool.merge_only {
-        let report = merge_shards(&spool).unwrap_or_else(|e| die(format!("merge failed: {e}")));
-        info!("merged {} cases from existing shard reports", report.len());
-        return emit(&report);
-    }
-
-    // A resumed spool dictates the config; a fresh one takes it from the
-    // CLI flags.
-    let flag_threads = flags.threads();
-    let config = match load_config(&spool) {
-        Ok(config) => {
-            if any_config_flag {
-                let cli = flags.into_config().unwrap_or_else(|e| fail(&e));
-                if config_fingerprint(&cli) != config_fingerprint(&config) {
-                    contradicts(&spool, "sweep");
-                }
-            }
-            info!(
-                "campaign sweep: resuming spool {} ({} cases)",
-                spool.display(),
-                config.case_count()
-            );
-            config
-        }
-        Err(_) => flags.into_config().unwrap_or_else(|e| fail(&e)),
-    };
     // --worker-threads wins; a plain --threads (the pool size of a
     // spool-less sweep) becomes the per-worker thread count rather than
     // being dropped.
-    let options = pool.into_options(spool, worker_threads.or(flag_threads).unwrap_or(1));
+    let worker_threads = worker_threads.or(flags.threads()).unwrap_or(1);
+    let config = flags.into_config().unwrap_or_else(|e| fail(&e));
 
     let started = Instant::now();
-    let outcome = run_campaign(&config, &options).unwrap_or_else(|e| die(e));
-    summary(
-        outcome.report.is_some(),
-        outcome.shards_total,
-        (outcome.shards_run, outcome.shards_reused, outcome.retries),
-        started,
-    );
-    let Some(report) = outcome.report else {
-        paused()
-    };
+    let (report, ran) = sweep_campaign("sweep", pool, &config, any_config_flag, worker_threads);
     let consistent = report.results().iter().filter(|r| r.consistent).count();
-    info!(
-        "merged {} cases: {consistent}/{} consistent",
-        report.len(),
-        report.len()
-    );
-    emit(&report);
+    match ran {
+        Ran::InProcess => {
+            let cases = config.case_count();
+            info!(
+                "swept {cases} cases in {:.2?} ({} grid points x {} emulations x {} workloads x \
+                 {} schedulers x {} crash plans x {} recordings x {} seeds): {consistent}/{cases} \
+                 consistent",
+                started.elapsed(),
+                config.grid.len(),
+                config.emulations.len(),
+                config.workloads.len(),
+                config.schedulers.len(),
+                config.crash_plans.len(),
+                config.recordings.len(),
+                config.seeds.len(),
+            );
+            for failure in report.failures() {
+                let case = &failure.case;
+                let why = failure.error.as_ref().or(failure.violation.as_ref());
+                eprintln!(
+                    "  FAIL case {} {} {} {} {} {} seed {}: {}",
+                    case.index,
+                    case.emulation,
+                    case.params,
+                    case.workload,
+                    case.scheduler,
+                    case.crashes,
+                    case.seed,
+                    why.map_or("inconsistent", String::as_str),
+                );
+            }
+            if json_out.is_none() && csv_out.is_none() {
+                // No sink: one summary line per emulation on stdout.
+                for kind in &config.emulations {
+                    let rows = report
+                        .results()
+                        .iter()
+                        .filter(|r| r.case.emulation == *kind);
+                    let ops: usize = rows.clone().map(|r| r.completed_ops).sum();
+                    let max = rows.clone().map(|r| r.resource_consumption).max();
+                    let (name, n) = (kind.name(), rows.count());
+                    println!(
+                        "{name:>18}: {n} cases, {ops} ops completed, max consumption {}",
+                        max.unwrap_or(0)
+                    );
+                }
+            }
+        }
+        Ran::Merged => info!("merged {} cases from existing shard reports", report.len()),
+        Ran::Campaign => info!(
+            "merged {} cases: {consistent}/{} consistent",
+            report.len(),
+            report.len()
+        ),
+    }
+
+    if let Some(path) = &json_out {
+        write_output(path, &report.to_json(), "JSON");
+    }
+    if let Some(path) = &csv_out {
+        write_output(path, &report.to_csv(), "CSV");
+    }
+    if !report.all_consistent() {
+        std::process::exit(1);
+    }
 }
 
 fn frontier(args: &mut Args) {
-    let mut config = FrontierConfig::quick();
+    let mut config = frontier::quick();
     let mut any_config_flag = false;
     let mut pool = PoolFlags::new();
     let (mut text_out, mut json_out, mut csv_out) = (None, None, None);
@@ -411,10 +429,25 @@ fn frontier(args: &mut Args) {
         }
         match arg.as_str() {
             // Infeasible points (k = 0, f = 0, n < 2f+1 ⇒ z = 0) are a
-            // typed rejection up front, never a silent skip.
+            // rejection with the bound-level reason up front, never a
+            // silent skip.
             "--grid" => {
-                config.grid =
-                    FrontierConfig::grid_from_spec(&value(args, &arg)).unwrap_or_else(|e| fail(&e));
+                let points: Vec<_> = value(args, &arg)
+                    .split(',')
+                    .map(parse_point)
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_else(|e| fail(&e));
+                config.grid = points
+                    .into_iter()
+                    .map(|(k, f, n)| {
+                        if let Err(e) = checked_register_bounds(k, f, n) {
+                            fail(&format!(
+                                "infeasible frontier grid point k={k}, f={f}, n={n}: {e}"
+                            ));
+                        }
+                        Params::new(k, f, n).expect("checked_register_bounds validated the point")
+                    })
+                    .collect();
             }
             "--emulations" => {
                 config.emulations = list(args, &arg, &EmulationKind::ALL, EmulationKind::from_name);
@@ -441,93 +474,48 @@ fn frontier(args: &mut Args) {
         }
         any_config_flag |= !matches!(arg.as_str(), "--threads" | "--text" | "--json" | "--csv");
     }
-    if let Err(e) = config.validate() {
-        fail(&e.to_string());
-    }
-
-    let emit = |report: &FrontierReport| {
-        let text = text_out.as_deref().unwrap_or("-");
-        write_output(text, &report.to_text(), "frontier table");
-        if let Some(path) = &json_out {
-            write_output(path, &report.to_json(), "frontier JSON");
-        }
-        if let Some(path) = &csv_out {
-            write_output(path, &report.to_csv(), "frontier CSV");
-        }
-        for row in report.violations() {
-            eprintln!(
-                "bound exceeded: k={} f={} n={} {}: measured {} > upper {}",
-                row.params.k,
-                row.params.f,
-                row.params.n,
-                row.emulation.name(),
-                row.verdict.measured,
-                row.verdict.upper,
-            );
-        }
-        if !report.all_within_upper() {
-            std::process::exit(1);
-        }
-    };
 
     let started = Instant::now();
-    let Some(spool) = pool.spool() else {
-        // Single-process path.
-        let report = run_frontier(&config).unwrap_or_else(|e| fail(&e.to_string()));
-        info!(
-            "frontier: {} cases -> {} rows in {:.2?}",
-            config.case_count(),
-            report.len(),
+    let worker_threads = config.threads.max(1);
+    let (sweep, ran) = sweep_campaign("frontier", pool, &config, any_config_flag, worker_threads);
+    let report = FrontierReport::from_sweep(&sweep);
+    let (cases, rows) = (sweep.len(), report.len());
+    match ran {
+        Ran::InProcess => info!(
+            "frontier: {cases} cases -> {rows} rows in {:.2?}",
             started.elapsed()
-        );
-        return emit(&report);
-    };
-
-    // A resumed spool dictates the config (the frontier config is
-    // reconstructed from the spooled sweep config); a fresh spool takes
-    // the flags.
-    if let Ok(spooled) = load_config(&spool) {
-        let from_spool =
-            FrontierConfig::from_sweep_config(&spooled).unwrap_or_else(|e| fail(&e.to_string()));
-        if any_config_flag
-            && config_fingerprint(&config.to_sweep_config()) != config_fingerprint(&spooled)
-        {
-            contradicts(&spool, "frontier");
+        ),
+        Ran::Merged => {
+            info!("merged {cases} cases into {rows} frontier rows from existing shard reports")
         }
-        config = FrontierConfig {
-            threads: config.threads,
-            ..from_spool
-        };
-        info!(
-            "campaign frontier: resuming spool {} ({} cases)",
-            spool.display(),
-            config.case_count()
-        );
+        Ran::Campaign => info!(
+            "frontier campaign: {cases} cases -> {rows} rows in {:.2?}",
+            started.elapsed()
+        ),
     }
 
-    if pool.merge_only {
-        let sweep = merge_shards(&spool).unwrap_or_else(|e| die(format!("merge failed: {e}")));
-        let report =
-            FrontierReport::from_sweep(&config, &sweep).unwrap_or_else(|e| fail(&e.to_string()));
-        info!(
-            "merged {} cases into {} frontier rows from existing shard reports",
-            sweep.len(),
-            report.len()
-        );
-        return emit(&report);
+    let text = text_out.as_deref().unwrap_or("-");
+    write_output(text, &report.to_text(), "frontier table");
+    if let Some(path) = &json_out {
+        write_output(path, &report.to_json(), "frontier JSON");
     }
-
-    let options = pool.into_options(spool, config.threads.max(1));
-    let Some(report) = run_frontier_campaign(&config, &options).unwrap_or_else(|e| die(e)) else {
-        paused()
-    };
-    info!(
-        "frontier campaign: {} cases -> {} rows in {:.2?}",
-        config.case_count(),
-        report.len(),
-        started.elapsed()
-    );
-    emit(&report);
+    if let Some(path) = &csv_out {
+        write_output(path, &report.to_csv(), "frontier CSV");
+    }
+    for row in report.violations() {
+        eprintln!(
+            "bound exceeded: k={} f={} n={} {}: measured {} > upper {}",
+            row.params.k,
+            row.params.f,
+            row.params.n,
+            row.emulation.name(),
+            row.verdict.measured,
+            row.verdict.upper,
+        );
+    }
+    if !report.all_within_upper() {
+        std::process::exit(1);
+    }
 }
 
 fn fuzz(args: &mut Args) {
@@ -536,7 +524,7 @@ fn fuzz(args: &mut Args) {
     let mut out = "-".to_string();
     let mut failures_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let default_params = regemu_bounds::Params::new(1, 1, 3).expect("default parameters");
+    let default_params = Params::new(1, 1, 3).expect("default parameters");
     let mut cli = FuzzCampaignConfig::new(FuzzConfig::new(default_params));
     let mut any_config_flag = false;
     // The first flag seen that only means something without `--spool`.
@@ -711,7 +699,7 @@ fn worker(args: &mut Args) {
     // The spool says which kind of unit this is.
     let ran = match detect_spool_kind(&spool) {
         Some(SpoolKind::Fuzz) => run_fuzz_shard_gen(&spool, shard, gen),
-        Some(SpoolKind::Sweep | SpoolKind::Frontier) => run_shard(&spool, shard, threads).map(drop),
+        Some(SpoolKind::Sweep) => run_shard(&spool, shard, threads).map(drop),
         None => die(format!("{}: not a campaign spool", spool.display())),
     };
     match ran {

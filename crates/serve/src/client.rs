@@ -679,8 +679,13 @@ mod tests {
             peak = peak.max(client.in_flight.len() + client.replies.len());
         }
         // A quorum needs two of the three servers; the third one's replies
-        // must still be read rather than left queued.
-        assert!(peak <= 6, "{peak} replies outstanding after an operation");
+        // must still be read rather than left queued. A server nobody reads
+        // leaves about one more reply outstanding per operation, so well
+        // over a thousand after 2,000 operations. A slow server on a busy
+        // machine can leave a few rounds in flight when the quorum
+        // completes, so the bound sits far above that and far below the
+        // pile-up.
+        assert!(peak <= 64, "{peak} replies outstanding after an operation");
         drop(client);
         for handle in handles {
             handle.join().unwrap();

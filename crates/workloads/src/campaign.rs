@@ -13,15 +13,16 @@
 //! are the shared campaign engine's (`crate::engine`, re-exported here).
 //! This module is the sweep *kind*: the canonical config text
 //! (`config_to_text`), the shard worker ([`run_shard`]), the shard-report
-//! parser and the merge ([`merge_shards`]). Frontier campaigns
-//! ([`crate::frontier`]) ride on it unchanged.
+//! parser and the merge ([`merge_shards`]). A frontier campaign
+//! ([`crate::frontier`]) is a sweep campaign whose merged report is folded
+//! into the frontier table.
 //!
 //! A shard worker expands the case space once and runs its slice on one
 //! work-stealing pool, the one [`crate::sweep::run_sweep`] uses. Its
-//! `.progress` file and heartbeat are published first at `0/total`, then
-//! at most once per `crate::status::HEARTBEAT_PACE` (250 ms) by
-//! whichever worker thread finishes a case after the deadline, and last at
-//! `total/total` before the shard report is written.
+//! heartbeat is published first at `0/total`, then at most once per
+//! `crate::status::HEARTBEAT_PACE` (250 ms) by whichever worker thread
+//! finishes a case after the deadline, and last at `total/total` before
+//! the shard report is written.
 //!
 //! ## Determinism
 //!
@@ -249,12 +250,6 @@ pub fn shard_report_path(spool: &Path, shard: usize) -> PathBuf {
     Dialect::Sweep.unit_report_path(spool, shard, 0)
 }
 
-/// Path of a shard's `done total` progress counter inside a spool
-/// directory.
-pub(crate) fn shard_progress_path(spool: &Path, shard: usize) -> PathBuf {
-    spool.join(format!("shard-{shard:04}.progress"))
-}
-
 /// The sweep kind, as the engine sees it: one round per shard, a unit is
 /// done when its shard report covers the shard's range.
 struct SweepCampaign<'a>(&'a SweepConfig);
@@ -326,12 +321,11 @@ pub fn load_config(spool: &Path) -> Result<SweepConfig, CampaignError> {
 ///
 /// Reads the config and manifest from the spool, runs the shard's case
 /// range on one pool of `threads` sweep threads (`0` = one per core),
-/// publishes `done total` counts into the shard's progress file and
-/// heartbeat (`0` first, then at most one per
-/// `crate::status::HEARTBEAT_PACE`, `total` last), and atomically
-/// publishes the shard report. Re-running a shard simply overwrites its
-/// report with identical bytes — shards are pure functions of `(config,
-/// range)`.
+/// publishes `done total` counts into the shard's heartbeat (`0` first,
+/// then at most one per `crate::status::HEARTBEAT_PACE`, `total` last),
+/// and atomically publishes the shard report. Re-running a shard simply
+/// overwrites its report with identical bytes — shards are pure functions
+/// of `(config, range)`.
 ///
 /// # Errors
 ///
@@ -360,9 +354,9 @@ pub fn run_shard(spool: &Path, shard: usize, threads: usize) -> Result<ShardRang
         )
     })?;
 
-    // Progress files and heartbeats are advisory: a failed write must not
-    // fail the shard. The writer warns once per shard and counts failures
-    // into the heartbeat so the dashboard can surface a sick spool disk.
+    // Heartbeats are advisory: a failed write must not fail the shard. The
+    // writer warns once per shard and counts failures into the heartbeat
+    // so the dashboard can surface a sick spool disk.
     // A worker that finds the writer busy skips its paced publish rather
     // than wait on another worker's file write.
     let total = range.len() as u64;
@@ -676,8 +670,6 @@ mod tests {
         for entry in &manifest.shards {
             let n = entry.range.len();
             assert_eq!(run_shard(&dir, entry.range.index, 3).unwrap(), entry.range);
-            let progress = fs::read_to_string(shard_progress_path(&dir, entry.range.index));
-            assert_eq!(progress.unwrap(), format!("{n} {n}\n"));
             let beat = crate::status::ShardHeartbeat::load(&dir, entry.range.index)
                 .unwrap()
                 .expect("the shard published a heartbeat");

@@ -27,7 +27,7 @@
 //!
 //! | kind | config | manifest | unit report | other worker files |
 //! |---|---|---|---|---|
-//! | sweep, frontier | `config.txt` | `manifest.txt` | `shard-NNNN.json` | `shard-NNNN.progress` |
+//! | sweep, frontier | `config.txt` | `manifest.txt` | `shard-NNNN.json` | none (older spools may hold a `shard-NNNN.progress` nothing reads) |
 //! | fuzz | `fuzz-config.txt` | `fuzz-manifest.txt` | `fuzz-shard-NNNN-GG.txt` | `corpus-*.trace`, `failures-*.txt`, `seed-*.trace` |
 //!
 //! A spool holds one campaign. Workers never write the manifest; every

@@ -88,7 +88,7 @@ pub use sweep::SweepReport;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::frontier::{run_frontier, FrontierConfig, FrontierRow};
+    pub use crate::frontier::{FrontierReport, FrontierRow};
     pub use crate::fuzz::{
         fuzz_and_shrink, merge_fuzz_campaign, replay, run_fuzz_campaign, FailureKind,
         FuzzCampaignConfig, FuzzCampaignOptions, FuzzCase, FuzzConfig, FuzzEmulation, Fuzzer,

@@ -2,12 +2,12 @@
 //! model.
 //!
 //! Campaign workers (sweep, frontier, fuzz) publish a small, versioned
-//! `stats-NNNN.json` *heartbeat* next to each shard's `.progress` file:
-//! case throughput, retries consumed, fuzz corpus growth, and a wallclock
-//! last-update stamp. A sweep shard publishes the pair first at `0/total`,
-//! then at most once per `HEARTBEAT_PACE` (250 ms) while its cases run,
-//! and last at `total/total` before its report; a fuzz shard publishes
-//! once per stream. Heartbeats are **advisory** artifacts for humans and
+//! `stats-NNNN.json` *heartbeat* per shard: case throughput, retries
+//! consumed, fuzz corpus growth, and a wallclock last-update stamp. A sweep
+//! shard publishes it first at `0/total`, then at most once per
+//! `HEARTBEAT_PACE` (250 ms) while its cases run, and last at
+//! `total/total` before its report; a fuzz shard publishes once per
+//! stream. Heartbeats are **advisory** artifacts for humans and
 //! dashboards — they are written with the same temp-file-plus-rename
 //! discipline as reports, but they are *never* read by the deterministic
 //! merge, so the wallclock stamps inside them cannot perturb campaign
@@ -20,9 +20,7 @@
 //! stale or byte-garbage heartbeat degrades that shard to
 //! [`ShardHealth::Unknown`]; it never panics and never fails the fold.
 
-use crate::campaign::{load_config, shard_progress_path};
 use crate::engine::{write_atomically, Dialect, Manifest};
-use crate::frontier::FrontierConfig;
 use crate::json::{Json, JsonParser};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,10 +66,10 @@ pub(crate) struct ShardHeartbeat {
     pub total: u64,
     /// Units per second since the pass started (same unit as `done`).
     pub cases_per_sec: f64,
-    /// Worker attempts consumed before this run, per the manifest.
+    /// Failed worker attempts before this one, per the manifest.
     pub retries: u64,
-    /// Advisory writes (progress files, earlier heartbeats) that failed so
-    /// far in this pass — a nonzero count flags a sick spool disk.
+    /// Advisory heartbeat writes that failed so far in this pass — a
+    /// nonzero count flags a sick spool disk.
     pub progress_write_failures: u64,
     /// Fuzz only: the generation being run.
     pub generation: Option<u64>,
@@ -189,10 +187,10 @@ impl ShardHeartbeat {
     }
 }
 
-/// Publishes heartbeats and progress counters for one worker pass over a
-/// shard, absorbing advisory-write failures: the first failure is warned
-/// about on stderr, every failure is counted, and the count rides along in
-/// subsequent heartbeats.
+/// Publishes heartbeats for one worker pass over a shard, absorbing
+/// advisory-write failures: the first failure is warned about on stderr,
+/// every failure is counted, and the count rides along in subsequent
+/// heartbeats.
 pub(crate) struct HeartbeatWriter {
     spool: PathBuf,
     shard: usize,
@@ -210,13 +208,13 @@ pub(crate) struct HeartbeatWriter {
 
 impl HeartbeatWriter {
     /// Starts a pass over `shard` of the spool; `attempts` is the
-    /// manifest's attempt counter at launch.
+    /// manifest's attempt counter at launch, which counts this try.
     pub(crate) fn new(spool: &Path, shard: usize, dialect: Dialect, attempts: u32) -> Self {
         HeartbeatWriter {
             spool: spool.to_path_buf(),
             shard,
             dialect,
-            retries: u64::from(attempts),
+            retries: u64::from(attempts.saturating_sub(1)),
             started: Instant::now(),
             last_publish: Instant::now(),
             published: 0,
@@ -252,17 +250,10 @@ impl HeartbeatWriter {
         }
     }
 
-    /// Publishes the current pass state: the heartbeat and, in the sweep
-    /// dialect, the shard's `done total` progress counter.
+    /// Publishes the current pass state as the shard's heartbeat.
     pub(crate) fn publish(&mut self, done: u64, total: u64) {
         self.published = done;
         self.last_publish = Instant::now();
-        if self.dialect == Dialect::Sweep {
-            let path = shard_progress_path(&self.spool, self.shard);
-            if let Err(e) = fs::write(&path, format!("{done} {total}\n")) {
-                self.note_failure("progress file", &e);
-            }
-        }
         let elapsed = self.started.elapsed().as_secs_f64();
         let heartbeat = ShardHeartbeat {
             version: HEARTBEAT_VERSION,
@@ -305,10 +296,9 @@ impl HeartbeatWriter {
 /// The kind of campaign a spool directory holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpoolKind {
-    /// A parameter-sweep campaign (`manifest.txt`).
+    /// A parameter-sweep campaign (`manifest.txt`), frontier campaigns
+    /// included: a frontier campaign is a sweep campaign on disk.
     Sweep,
-    /// A sweep campaign whose config is a valid frontier grid.
-    Frontier,
     /// A fuzz campaign (`fuzz-manifest.txt`).
     Fuzz,
 }
@@ -318,7 +308,6 @@ impl SpoolKind {
     pub(crate) fn name(self) -> &'static str {
         match self {
             SpoolKind::Sweep => "sweep",
-            SpoolKind::Frontier => "frontier",
             SpoolKind::Fuzz => "fuzz",
         }
     }
@@ -331,14 +320,7 @@ pub fn detect_spool_kind(spool: &Path) -> Option<SpoolKind> {
         return Some(SpoolKind::Fuzz);
     }
     if Dialect::Sweep.manifest_path(spool).exists() && Dialect::Sweep.config_path(spool).exists() {
-        let is_frontier = load_config(spool)
-            .ok()
-            .is_some_and(|config| FrontierConfig::from_sweep_config(&config).is_ok());
-        return Some(if is_frontier {
-            SpoolKind::Frontier
-        } else {
-            SpoolKind::Sweep
-        });
+        return Some(SpoolKind::Sweep);
     }
     None
 }
@@ -386,7 +368,7 @@ pub struct ShardStatusView {
     pub cases_per_sec: f64,
     /// Heartbeat age in milliseconds, when one parsed.
     pub age_ms: Option<u64>,
-    /// Worker attempts consumed per the heartbeat.
+    /// Failed worker attempts before the current one.
     pub retries: u64,
     /// Advisory-write failures reported by the worker.
     pub progress_write_failures: u64,
@@ -419,7 +401,7 @@ pub struct CampaignStatusReport {
     /// Per-shard rows, in shard order.
     pub shards: Vec<ShardStatusView>,
     /// Finished work units, summed in the campaign's own unit (cases for
-    /// sweep/frontier, `(shard, generation)` stream units for fuzz).
+    /// sweep, `(shard, generation)` stream units for fuzz).
     pub done_units: u64,
     /// Total work units.
     pub total_units: u64,
@@ -446,18 +428,7 @@ fn judge_live_shard(
 ) -> ShardStatusView {
     let mut view = ShardStatusView::pending(shard, total);
     match ShardHeartbeat::load(spool, shard) {
-        Ok(None) => {
-            // No heartbeat yet; an older worker may still stream progress.
-            if let Ok(text) = fs::read_to_string(shard_progress_path(spool, shard)) {
-                let mut parts = text.split_whitespace();
-                if let (Some(Ok(done)), Some(Ok(_total))) = (
-                    parts.next().map(str::parse::<u64>),
-                    parts.next().map(str::parse::<u64>),
-                ) {
-                    view.done = done.min(total);
-                }
-            }
-        }
+        Ok(None) => {}
         Ok(Some(heartbeat)) => {
             if heartbeat.kind != expected_kind {
                 view.health = ShardHealth::Unknown;
@@ -560,7 +531,7 @@ pub fn campaign_status(
                 let mut view = ShardStatusView::pending(shard, total);
                 view.health = ShardHealth::Done;
                 view.done = total;
-                view.retries = u64::from(entry.attempts);
+                view.retries = u64::from(entry.attempts.saturating_sub(1));
                 if dialect == Dialect::Fuzz {
                     view.note = format!("gen {rounds}/{rounds}");
                 }
@@ -775,14 +746,7 @@ mod tests {
 
         let now = now_unix_ms();
         let report = campaign_status(&spool, now, 60_000).unwrap();
-        // `quick()` is a valid frontier grid, so the spool detects as a
-        // frontier campaign (frontier shards run through sweep workers).
-        let expected_kind = if FrontierConfig::from_sweep_config(&config).is_ok() {
-            SpoolKind::Frontier
-        } else {
-            SpoolKind::Sweep
-        };
-        assert_eq!(report.kind, expected_kind);
+        assert_eq!(report.kind, SpoolKind::Sweep);
         assert_eq!(report.shards.len(), 2);
         assert_eq!(report.shards[0].health, ShardHealth::Done);
         assert_eq!(report.shards[1].health, ShardHealth::Pending);
@@ -809,21 +773,44 @@ mod tests {
     #[test]
     fn paced_heartbeats_wait_for_the_pace_and_for_new_progress() {
         let spool = temp_spool("paced");
-        let progress = shard_progress_path(&spool, 0);
-        let mut beat = HeartbeatWriter::new(&spool, 0, Dialect::Sweep, 0);
+        let stats = stats_path(&spool, 0);
+        let mut beat = HeartbeatWriter::new(&spool, 0, Dialect::Sweep, 1);
         let started = Instant::now();
         beat.publish(0, 10);
-        fs::remove_file(&progress).unwrap();
+        fs::remove_file(&stats).unwrap();
         beat.publish_paced(1, 10);
         if started.elapsed() < HEARTBEAT_PACE {
-            assert!(!progress.exists(), "published before the pace elapsed");
+            assert!(!stats.exists(), "published before the pace elapsed");
         }
         std::thread::sleep(HEARTBEAT_PACE);
         beat.publish_paced(0, 10);
-        assert!(!progress.exists(), "published without new progress");
+        assert!(!stats.exists(), "published without new progress");
         beat.publish_paced(2, 10);
-        assert_eq!(fs::read_to_string(&progress).unwrap(), "2 10\n");
-        assert_eq!(ShardHeartbeat::load(&spool, 0).unwrap().unwrap().done, 2);
+        let heartbeat = ShardHeartbeat::load(&spool, 0).unwrap().unwrap();
+        assert_eq!((heartbeat.done, heartbeat.total), (2, 10));
+        assert!(!spool.join("shard-0000.progress").exists());
+        fs::remove_dir_all(&spool).ok();
+    }
+
+    #[test]
+    fn retries_count_failed_attempts_not_the_current_one() {
+        let spool = temp_spool("retries");
+        init_spool(&spool, &tiny_config(), 2).unwrap();
+        // As the coordinator does: store the attempt, then run it. Shard 0
+        // finishes on its first try; shard 1 failed once, then finished.
+        let mut manifest = Manifest::load(&spool).unwrap().unwrap();
+        manifest.shards[0].attempts = 1;
+        manifest.shards[1].attempts = 2;
+        manifest.store(&spool).unwrap();
+        run_shard(&spool, 0, 1).unwrap();
+        assert_eq!(ShardHeartbeat::load(&spool, 0).unwrap().unwrap().retries, 0);
+        run_shard(&spool, 1, 1).unwrap();
+        assert_eq!(ShardHeartbeat::load(&spool, 1).unwrap().unwrap().retries, 1);
+
+        let report = campaign_status(&spool, now_unix_ms(), 60_000).unwrap();
+        assert!(report.complete);
+        let retries: Vec<_> = report.shards.iter().map(|s| s.retries).collect();
+        assert_eq!(retries, [0, 1]);
         fs::remove_dir_all(&spool).ok();
     }
 

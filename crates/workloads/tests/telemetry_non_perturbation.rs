@@ -12,7 +12,7 @@
 
 use regemu_bounds::Params;
 use regemu_workloads::campaign::{run_campaign, CampaignOptions};
-use regemu_workloads::frontier::{run_frontier_campaign, FrontierConfig};
+use regemu_workloads::frontier::{self, FrontierReport};
 use regemu_workloads::fuzz::{
     run_fuzz_campaign, FuzzCampaignConfig, FuzzCampaignOptions, FuzzConfig,
 };
@@ -65,22 +65,22 @@ fn sweep_campaign_merges_are_byte_identical_with_telemetry_on() {
 
 #[test]
 fn frontier_campaign_reports_are_byte_identical_with_telemetry_on() {
-    let mut config = FrontierConfig::quick();
+    let mut config = frontier::quick();
     config.grid.truncate(2);
     config.seeds = vec![1];
     config.threads = 1;
 
     let spool_off = tmp_spool("frontier-off");
     let off = with_telemetry(false, || {
-        run_frontier_campaign(&config, &options(spool_off.clone(), 1)).unwrap()
+        run_campaign(&config, &options(spool_off.clone(), 1)).unwrap()
     });
     let spool_on = tmp_spool("frontier-on");
     let on = with_telemetry(true, || {
-        run_frontier_campaign(&config, &options(spool_on.clone(), 4)).unwrap()
+        run_campaign(&config, &options(spool_on.clone(), 4)).unwrap()
     });
 
-    let off = off.expect("campaign completed");
-    let on = on.expect("campaign completed");
+    let off = FrontierReport::from_sweep(&off.report.expect("campaign completed"));
+    let on = FrontierReport::from_sweep(&on.report.expect("campaign completed"));
     assert_eq!(off.to_json(), on.to_json());
     assert_eq!(off.to_text(), on.to_text());
     assert_eq!(off.to_csv(), on.to_csv());

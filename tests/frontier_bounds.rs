@@ -10,8 +10,8 @@
 //! `REGEMU_REGEN_GOLDEN=1 cargo test --test frontier_bounds` after an
 //! *intentional* semantic change (and say so in the PR).
 
-use regemu::campaign::{CampaignOptions, WorkerMode};
-use regemu::frontier::{run_frontier, run_frontier_campaign, FrontierConfig};
+use regemu::campaign::{run_campaign, CampaignOptions, WorkerMode};
+use regemu::frontier::{self, FrontierReport};
 use regemu::prelude::*;
 use regemu_bounds::BoundClass;
 use std::fs;
@@ -39,7 +39,7 @@ fn property_grid() -> Vec<Params> {
 /// CAS constructions never exceed `2f + 1`.
 #[test]
 fn clean_constructions_stay_within_their_upper_bounds_across_the_grid() {
-    let mut config = FrontierConfig::over_grid(property_grid());
+    let mut config = frontier::over_grid(property_grid());
     config.workloads = vec![WorkloadSpec::WriteSequential {
         rounds: 1,
         read_after_each: true,
@@ -49,7 +49,7 @@ fn clean_constructions_stay_within_their_upper_bounds_across_the_grid() {
     config.seeds = vec![1, 2, 3];
     assert_eq!(config.grid.len(), 120);
 
-    let report = run_frontier(&config).unwrap();
+    let report = FrontierReport::from_sweep(&run_sweep(&config));
     assert_eq!(report.len(), 120 * EmulationKind::ALL.len());
     assert!(
         report.all_within_upper(),
@@ -91,7 +91,7 @@ fn adversarial_coverage_pressure_exceeds_the_fair_peak_on_every_row() {
             let grid: Vec<Params> = (1..=8usize)
                 .map(|k| Params::new(k, f, n).unwrap())
                 .collect();
-            let mut config = FrontierConfig::over_grid(grid);
+            let mut config = frontier::over_grid(grid);
             config.emulations = vec![EmulationKind::SpaceOptimal];
             config.workloads = vec![WorkloadSpec::WriteSequential {
                 rounds: 2,
@@ -101,7 +101,7 @@ fn adversarial_coverage_pressure_exceeds_the_fair_peak_on_every_row() {
             config.crash_plans = vec![CrashPlanSpec::None];
             config.seeds = vec![1, 2, 3];
 
-            let report = run_frontier(&config).unwrap();
+            let report = FrontierReport::from_sweep(&run_sweep(&config));
             let separated = report
                 .rows()
                 .iter()
@@ -130,7 +130,7 @@ fn faulty_constructions_are_exempt_and_asserted_separately() {
     let params = Params::new(2, 1, 4).unwrap();
     for kind in FaultyKind::ALL {
         // Type-level exemption: faulty names are not EmulationKind names,
-        // so no FrontierConfig (whose emulation axis is EmulationKind) can
+        // so no frontier sweep (whose emulation axis is EmulationKind) can
         // sweep them.
         assert!(
             EmulationKind::from_name(kind.name()).is_none(),
@@ -177,8 +177,8 @@ fn faulty_constructions_are_exempt_and_asserted_separately() {
 /// (regenerate with `REGEMU_REGEN_GOLDEN=1`).
 #[test]
 fn frontier_table_matches_the_recorded_golden_file() {
-    let config = FrontierConfig::quick();
-    let report = run_frontier(&config).unwrap();
+    let config = frontier::quick();
+    let report = FrontierReport::from_sweep(&run_sweep(&config));
     let table = report.to_text();
     if std::env::var_os("REGEMU_REGEN_GOLDEN").is_some() {
         fs::create_dir_all("tests/golden").expect("create golden dir");
@@ -210,15 +210,15 @@ fn spool_dir(tag: &str) -> PathBuf {
 /// Sharding and interruption transparency: a frontier campaign run as 1
 /// shard, as 4 shards, and as 4 shards killed after one shard then resumed
 /// all produce text/JSON/CSV byte-identical to the single-process
-/// `run_frontier`.
+/// `run_sweep`.
 #[test]
 fn sharded_and_killed_campaigns_merge_to_the_byte_identical_table() {
-    let mut config = FrontierConfig::quick();
+    let mut config = frontier::quick();
     config.grid.truncate(4);
     config.seeds = vec![1];
     config.threads = 1;
 
-    let single = run_frontier(&config).unwrap();
+    let single = FrontierReport::from_sweep(&run_sweep(&config));
 
     for shards in [1usize, 4] {
         let dir = spool_dir(&format!("shards-{shards}"));
@@ -227,9 +227,11 @@ fn sharded_and_killed_campaigns_merge_to_the_byte_identical_table() {
         options.worker_threads = 1;
         options.worker = WorkerMode::InProcess;
         options.quiet = true;
-        let report = run_frontier_campaign(&config, &options)
+        let sweep = run_campaign(&config, &options)
             .unwrap()
+            .report
             .expect("campaign completed");
+        let report = FrontierReport::from_sweep(&sweep);
         assert_eq!(report.to_text(), single.to_text(), "{shards} shards");
         assert_eq!(report.to_json(), single.to_json(), "{shards} shards");
         assert_eq!(report.to_csv(), single.to_csv(), "{shards} shards");
@@ -244,12 +246,14 @@ fn sharded_and_killed_campaigns_merge_to_the_byte_identical_table() {
     options.worker = WorkerMode::InProcess;
     options.quiet = true;
     options.exit_after = Some(1);
-    let paused = run_frontier_campaign(&config, &options).unwrap();
+    let paused = run_campaign(&config, &options).unwrap().report;
     assert!(paused.is_none(), "exit-after must pause, not complete");
     options.exit_after = None;
-    let resumed = run_frontier_campaign(&config, &options)
+    let resumed = run_campaign(&config, &options)
         .unwrap()
+        .report
         .expect("campaign completed after resume");
+    let resumed = FrontierReport::from_sweep(&resumed);
     assert_eq!(resumed.to_text(), single.to_text());
     assert_eq!(resumed.to_json(), single.to_json());
     let _ = fs::remove_dir_all(&dir);
