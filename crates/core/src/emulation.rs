@@ -603,6 +603,58 @@ mod tests {
         assert_eq!(by_kind, by_factory);
     }
 
+    /// Every kind, clean and faulty, at `(2,1,3)` and `(2,1,5)`: the name
+    /// its emulation reports, the base-object type and count, and the
+    /// server of each object in creation order (which pins every
+    /// `ObjectId`). Mismatches are collected so one run names them all.
+    #[test]
+    fn every_kind_builds_its_pinned_construction() {
+        use crate::faulty::FaultyKind;
+        use ObjectKind::{Cas, MaxRegister, Register};
+        const ABD: [&[usize]; 2] = [&[0, 1, 2], &[0, 1, 2]];
+        const BANK: [&[usize]; 2] = [&[0, 0, 1, 1, 2, 2], &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4]];
+        const OPTIMAL: [&[usize]; 2] = [&[0, 1, 2, 0, 1, 2], &[0, 1, 2, 3]];
+        let table: [(&str, ObjectKind, [&[usize]; 2]); 10] = [
+            ("abd-max-register", MaxRegister, ABD),
+            ("abd-cas", Cas, ABD),
+            ("space-optimal", Register, OPTIMAL),
+            ("register-bank", Register, BANK),
+            ("abd-max-register-atomic", MaxRegister, ABD),
+            ("abd-cas-atomic", Cas, ABD),
+            ("register-bank-atomic", Register, BANK),
+            ("faulty-weak-quorum", Register, OPTIMAL),
+            ("faulty-skipped-update", MaxRegister, ABD),
+            ("faulty-dropped-acks", MaxRegister, ABD),
+        ];
+        let mut mismatches = Vec::new();
+        for (column, n) in [3, 5].into_iter().enumerate() {
+            let params = p(2, 1, n);
+            let built = EmulationKind::ALL
+                .into_iter()
+                .chain(EmulationKind::ATOMIC)
+                .map(|k| (k.name(), k.build(params)))
+                .chain(FaultyKind::ALL.map(|k| (k.name(), k.build(params))));
+            for ((name, emulation), (row, kind, hosts)) in built.zip(table) {
+                assert_eq!(name, row, "the table lists every kind in order");
+                let topology = emulation.topology();
+                let got = (
+                    emulation.name(),
+                    emulation.base_object_kind(),
+                    emulation.base_object_count(),
+                    topology
+                        .objects()
+                        .map(|b| topology.server_of(b).index())
+                        .collect::<Vec<_>>(),
+                );
+                let want = (name, kind, hosts[column].len(), hosts[column].to_vec());
+                if got != want {
+                    mismatches.push(format!("{name} at n = {n}: got {got:?}, want {want:?}"));
+                }
+            }
+        }
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    }
+
     #[test]
     fn abd_uses_only_2f_plus_1_servers_even_with_more_available() {
         let params = p(2, 1, 9);

@@ -152,3 +152,30 @@ fn ws_regularity_agrees_with_linearizability_on_single_read_schedules() {
         }
     }
 }
+
+/// The cheapest repro of the `n = 2f+1` hole: a plain fair run of
+/// `register-bank` at `(1,1,3)` breaks WS-Safety. A writer's driver reset
+/// forgets its in-flight own-slot write, which later lands on top of a
+/// newer value and moves the slot backwards. Ignored until
+/// `BankMaxDriver` keeps one own-slot write in flight across resets.
+#[test]
+#[ignore = "ROADMAP item 1: register-bank is not WS-Safe at n = 2f+1"]
+fn register_bank_is_ws_safe_at_n_equal_2f_plus_1() {
+    let report = Scenario::new(Params::new(1, 1, 3).unwrap())
+        .emulation(EmulationKind::RegisterBank)
+        .workload(WorkloadSpec::RandomMixed {
+            readers: 2,
+            total: 60,
+            write_percent: 50,
+        })
+        .scheduler(SchedulerSpec::Fair)
+        .check(ConsistencyCheck::WsSafe)
+        .seed(12)
+        .run()
+        .unwrap();
+    assert!(
+        report.is_consistent(),
+        "violation: {:?}",
+        report.check_violation
+    );
+}
