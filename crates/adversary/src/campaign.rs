@@ -196,7 +196,7 @@ impl LowerBoundCampaign {
 mod tests {
     use super::*;
     use regemu_bounds::Params;
-    use regemu_core::{AbdMaxRegisterEmulation, RegisterBankEmulation, SpaceOptimalEmulation};
+    use regemu_core::{EmulationKind, SpaceOptimalEmulation};
 
     #[test]
     fn space_optimal_coverage_grows_by_f_per_write() {
@@ -214,8 +214,10 @@ mod tests {
     #[test]
     fn register_bank_coverage_also_grows() {
         let params = Params::new(3, 1, 3).unwrap();
-        let emulation = RegisterBankEmulation::new(params, false);
-        let report = LowerBoundCampaign::new(&emulation).run(&emulation).unwrap();
+        let emulation = EmulationKind::RegisterBank.build(params);
+        let report = LowerBoundCampaign::new(emulation.as_ref())
+            .run(emulation.as_ref())
+            .unwrap();
         assert!(report.satisfies_coverage_growth(), "{report:?}");
         assert!(report.coverage_always_avoids_protected(), "{report:?}");
     }
@@ -225,8 +227,10 @@ mod tests {
         // The contrast of Table 1: with RMW base objects the adversary cannot
         // force the space consumption to grow with k.
         let params = Params::new(6, 1, 3).unwrap();
-        let emulation = AbdMaxRegisterEmulation::new(params, false);
-        let report = LowerBoundCampaign::new(&emulation).run(&emulation).unwrap();
+        let emulation = EmulationKind::AbdMaxRegister.build(params);
+        let report = LowerBoundCampaign::new(emulation.as_ref())
+            .run(emulation.as_ref())
+            .unwrap();
         assert!(report.final_resource_consumption <= 2 * params.f + 1);
         assert!(report.final_covered <= 2 * params.f + 1);
     }

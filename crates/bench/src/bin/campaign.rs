@@ -307,8 +307,8 @@ fn sweep_campaign(
     let outcome = run_campaign(&config, &options).unwrap_or_else(|e| die(e));
     summary(
         outcome.report.is_some(),
-        outcome.shards_total,
-        (outcome.shards_run, outcome.shards_reused, outcome.retries),
+        outcome.units_total,
+        (outcome.units_run, outcome.units_reused, outcome.retries),
         started,
     );
     let Some(report) = outcome.report else {

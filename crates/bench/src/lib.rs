@@ -440,8 +440,8 @@ pub mod experiments {
         saturation_server_count, servers_needed_with_bounded_storage, Params,
     };
     use regemu_core::{
-        AbdMaxRegisterEmulation, CasMaxRegister, CollectMaxRegister, EmulationKind, RegisterLayout,
-        SharedMaxRegister, SpaceOptimalEmulation,
+        CasMaxRegister, CollectMaxRegister, EmulationKind, RegisterLayout, SharedMaxRegister,
+        SpaceOptimalEmulation,
     };
     use regemu_workloads::{ConsistencyCheck, Scenario, TextTable, WorkloadSpec};
 
@@ -511,12 +511,12 @@ pub mod experiments {
     /// for the register-based construction versus the max-register baseline.
     pub fn figure2_coverage(params: Params) -> TextTable {
         let space_optimal = SpaceOptimalEmulation::new(params);
-        let abd = AbdMaxRegisterEmulation::new(params, false);
+        let abd = EmulationKind::AbdMaxRegister.build(params);
         let register_report = LowerBoundCampaign::new(&space_optimal)
             .run(&space_optimal)
             .expect("campaign against Algorithm 2");
-        let rmw_report = LowerBoundCampaign::new(&abd)
-            .run(&abd)
+        let rmw_report = LowerBoundCampaign::new(abd.as_ref())
+            .run(abd.as_ref())
             .expect("campaign against ABD");
 
         let mut table = TextTable::new(

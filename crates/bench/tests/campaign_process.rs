@@ -76,7 +76,7 @@ fn multi_process_campaign_is_byte_identical_resumable_and_retries() {
     options.worker = WorkerMode::Spawn(worker_bin());
     options.quiet = true;
     let outcome = run_campaign(&config, &options).unwrap();
-    assert_eq!(outcome.shards_run, 4);
+    assert_eq!(outcome.units_run, 4);
     let merged = outcome.report.expect("campaign completed");
     assert_eq!(merged.to_json(), single.to_json());
     assert_eq!(merged.to_csv(), single.to_csv());
@@ -101,13 +101,13 @@ fn multi_process_campaign_is_byte_identical_resumable_and_retries() {
     options.exit_after = Some(2);
     let first = run_campaign(&config, &options).unwrap();
     assert!(first.report.is_none());
-    assert!(first.shards_run >= 2);
+    assert!(first.units_run >= 2);
     let manifest = ShardManifest::load(&dir).unwrap().unwrap();
     assert!(manifest.incomplete().count() <= 2);
     options.exit_after = None;
     let second = run_campaign(&config, &options).unwrap();
-    assert_eq!(second.shards_run + second.shards_reused, 4);
-    assert!(second.shards_reused >= 2, "completed shards must be reused");
+    assert_eq!(second.units_run + second.units_reused, 4);
+    assert!(second.units_reused >= 2, "completed shards must be reused");
     let merged = second.report.expect("campaign completed after resume");
     assert_eq!(merged.to_json(), single.to_json());
     let _ = fs::remove_dir_all(&dir);

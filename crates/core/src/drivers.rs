@@ -55,9 +55,6 @@ pub trait MaxDriver {
 
     /// Abandons the current primitive (stale responses will be ignored).
     fn reset(&mut self);
-
-    /// Short name of the driver flavour, for diagnostics.
-    fn flavour(&self) -> &'static str;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,10 +111,6 @@ impl MaxDriver for NativeMaxDriver {
 
     fn reset(&mut self) {
         self.pending = None;
-    }
-
-    fn flavour(&self) -> &'static str {
-        "native-max"
     }
 }
 
@@ -238,10 +231,6 @@ impl MaxDriver for CasMaxDriver {
     fn reset(&mut self) {
         self.pending = None;
         self.phase = None;
-    }
-
-    fn flavour(&self) -> &'static str {
-        "cas-max"
     }
 }
 
@@ -396,10 +385,6 @@ impl MaxDriver for BankMaxDriver {
         self.collect_live.fill(false);
         self.collect_left = 0;
         self.own_op = None;
-    }
-
-    fn flavour(&self) -> &'static str {
-        "register-bank-max"
     }
 }
 
@@ -562,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn flavours_and_objects_are_reported() {
+    fn objects_and_servers_are_reported() {
         let native = NativeMaxDriver::new(ServerId::new(0), ObjectId::new(0));
         let cas = CasMaxDriver::new(ServerId::new(1), ObjectId::new(1));
         let bank = BankMaxDriver::new(
@@ -570,9 +555,6 @@ mod tests {
             vec![ObjectId::new(2), ObjectId::new(3)],
             Some(0),
         );
-        assert_eq!(native.flavour(), "native-max");
-        assert_eq!(cas.flavour(), "cas-max");
-        assert_eq!(bank.flavour(), "register-bank-max");
         assert_eq!(native.objects(), vec![ObjectId::new(0)]);
         assert_eq!(bank.objects().len(), 2);
         assert_eq!(cas.server(), ServerId::new(1));

@@ -3,18 +3,23 @@
 //! An [`Emulation`] bundles everything needed to run one of the paper's
 //! constructions inside the simulator: the base-object topology (how many
 //! objects of which kind on which servers) and constructors for writer and
-//! reader client protocols. The four provided emulations correspond to the
-//! rows of Table 1 plus the `n = 2f+1` special case:
+//! reader client protocols. There are two constructions. Multi-writer ABD
+//! (`crate::abd`) needs only `write-max`/`read-max` at each server, so one
+//! client over three [`MaxDriver`]s yields three rows of Table 1; Algorithm 2
+//! is the space-optimal register construction:
 //!
-//! | factory | base objects | count | guarantee |
+//! | kind | base objects | count | guarantee |
 //! |---|---|---|---|
-//! | [`AbdMaxRegisterEmulation`] | max-registers | `2f + 1` (one per quorum server) | WS-Regular (atomic with write-back) |
-//! | [`AbdCasEmulation`] | CAS | `2f + 1` | WS-Regular (atomic with write-back) |
-//! | [`RegisterBankEmulation`] | read/write registers | `n·k` (k per server) | WS-Regular (atomic with write-back) |
-//! | [`SpaceOptimalEmulation`] | read/write registers | `kf + ⌈k/z⌉(f+1)` | WS-Regular, wait-free (Algorithm 2) |
+//! | [`EmulationKind::AbdMaxRegister`] | max-registers | `2f + 1` (one on each of servers `0..2f+1`) | WS-Regular |
+//! | [`EmulationKind::AbdCas`] | CAS (Algorithm 1 gives `write-max`) | `2f + 1` | WS-Regular |
+//! | [`EmulationKind::RegisterBank`] | read/write registers | `n·k` (k per server) | WS-Regular |
+//! | [`EmulationKind::SpaceOptimal`] | read/write registers | `kf + ⌈k/z⌉(f+1)` | WS-Regular, wait-free (Algorithm 2) |
+//!
+//! The `*Atomic` kinds are the three ABD rows with read write-back.
 
 use crate::abd::AbdClient;
 use crate::drivers::{BankMaxDriver, CasMaxDriver, MaxDriver, NativeMaxDriver};
+use crate::faulty::FaultyKind;
 use crate::layout::RegisterLayout;
 use crate::upper_bound::{SharedLayout, SpaceOptimalClient};
 use regemu_bounds::Params;
@@ -74,17 +79,21 @@ impl EmulationKind {
 
     /// Builds a fresh instance of this construction for `params`.
     pub fn build(self, params: Params) -> Box<dyn Emulation> {
-        match self {
-            EmulationKind::AbdMaxRegister => Box::new(AbdMaxRegisterEmulation::new(params, false)),
-            EmulationKind::AbdCas => Box::new(AbdCasEmulation::new(params, false)),
-            EmulationKind::SpaceOptimal => Box::new(SpaceOptimalEmulation::new(params)),
-            EmulationKind::RegisterBank => Box::new(RegisterBankEmulation::new(params, false)),
-            EmulationKind::AbdMaxRegisterAtomic => {
-                Box::new(AbdMaxRegisterEmulation::new(params, true))
-            }
-            EmulationKind::AbdCasAtomic => Box::new(AbdCasEmulation::new(params, true)),
-            EmulationKind::RegisterBankAtomic => Box::new(RegisterBankEmulation::new(params, true)),
-        }
+        let (object_kind, read_write_back) = match self {
+            EmulationKind::SpaceOptimal => return Box::new(SpaceOptimalEmulation::new(params)),
+            EmulationKind::AbdMaxRegister => (ObjectKind::MaxRegister, false),
+            EmulationKind::AbdCas => (ObjectKind::Cas, false),
+            EmulationKind::RegisterBank => (ObjectKind::Register, false),
+            EmulationKind::AbdMaxRegisterAtomic => (ObjectKind::MaxRegister, true),
+            EmulationKind::AbdCasAtomic => (ObjectKind::Cas, true),
+            EmulationKind::RegisterBankAtomic => (ObjectKind::Register, true),
+        };
+        Box::new(AbdEmulation::new(
+            self.name(),
+            object_kind,
+            read_write_back,
+            params,
+        ))
     }
 
     /// Stable short name used in reports.
@@ -118,7 +127,8 @@ impl fmt::Display for EmulationKind {
 
 /// A fully described emulation instance: topology plus protocol factories.
 pub trait Emulation {
-    /// Short name used in tables and reports.
+    /// Short name used in tables and reports: the name of the kind that
+    /// built the instance.
     fn name(&self) -> &'static str;
 
     /// The base-object type stored by the servers.
@@ -153,234 +163,100 @@ pub trait Emulation {
 }
 
 // ---------------------------------------------------------------------------
-// ABD over native max-registers
+// Multi-writer ABD over per-server max drivers
 // ---------------------------------------------------------------------------
 
-/// Multi-writer ABD with one *max-register* per quorum server — the `2f + 1`
-/// upper bound of Table 1, row 1.
+/// Multi-writer ABD over one of three base-object types; the object kind
+/// fixes the topology and the per-server [`MaxDriver`]:
 ///
-/// Only `2f + 1` of the `n` available servers are used; using more servers
-/// cannot reduce the space cost below `2f + 1` (and the paper's lower bound
-/// shows it cannot go lower either).
+/// * max-registers: one on each of servers `0..2f+1`, read and written
+///   natively. The `2f + 1` upper bound of Table 1, row 1; more servers
+///   cannot lower the cost, and the paper's lower bound shows it cannot go
+///   lower either.
+/// * CAS: the same placement, with Algorithm 1's retry loop providing each
+///   server's `write-max`. Table 1, row 2.
+/// * read/write registers: a bank of `k` on each of the `n` servers, one
+///   slot per writer. With `n = 2f + 1` this is the `(2f+1)·k` construction
+///   the paper describes as tight against the lower bound (and achieving
+///   regularity stronger than WS-Regularity).
 #[derive(Debug)]
-pub struct AbdMaxRegisterEmulation {
+pub(crate) struct AbdEmulation {
+    name: &'static str,
+    object_kind: ObjectKind,
     params: Params,
+    /// `(k, f, 2f+1)` for one object per server, `params` for banks: the
+    /// client counts its `n - f` quorums over these servers.
     quorum_params: Params,
     topology: Topology,
-    objects: Vec<ObjectId>,
+    /// The objects on each quorum server, by server index.
+    objects: Vec<Vec<ObjectId>>,
     read_write_back: bool,
+    /// The seeded bug its writers carry (set by [`FaultyKind::build`]).
+    pub(crate) fault: Option<FaultyKind>,
 }
 
-impl AbdMaxRegisterEmulation {
+impl AbdEmulation {
     /// Creates the emulation; `read_write_back` selects the atomic variant.
-    pub fn new(params: Params, read_write_back: bool) -> Self {
-        let quorum_n = 2 * params.f + 1;
-        let quorum_params =
-            Params::new(params.k, params.f, quorum_n).expect("2f+1 is always valid");
+    pub(crate) fn new(
+        name: &'static str,
+        object_kind: ObjectKind,
+        read_write_back: bool,
+        params: Params,
+    ) -> Self {
+        let (servers, per_server) = match object_kind {
+            ObjectKind::Register => (params.n, params.k),
+            ObjectKind::MaxRegister | ObjectKind::Cas => (2 * params.f + 1, 1),
+        };
+        let quorum_params = Params::new(params.k, params.f, servers).expect("2f+1 ≤ n is valid");
         let mut topology = Topology::new(params.n);
-        let objects: Vec<ObjectId> = (0..quorum_n)
-            .map(|s| topology.add_object(ObjectKind::MaxRegister, ServerId::new(s)))
-            .collect();
-        AbdMaxRegisterEmulation {
-            params,
-            quorum_params,
-            topology,
-            objects,
-            read_write_back,
-        }
-    }
-
-    pub(crate) fn drivers(&self) -> Vec<Box<dyn MaxDriver>> {
-        self.objects
-            .iter()
-            .enumerate()
-            .map(|(s, b)| {
-                Box::new(NativeMaxDriver::new(ServerId::new(s), *b)) as Box<dyn MaxDriver>
-            })
-            .collect()
-    }
-
-    pub(crate) fn quorum_params(&self) -> Params {
-        self.quorum_params
-    }
-
-    pub(crate) fn read_write_back(&self) -> bool {
-        self.read_write_back
-    }
-}
-
-impl Emulation for AbdMaxRegisterEmulation {
-    fn name(&self) -> &'static str {
-        "abd-max-register"
-    }
-
-    fn base_object_kind(&self) -> ObjectKind {
-        ObjectKind::MaxRegister
-    }
-
-    fn params(&self) -> Params {
-        self.params
-    }
-
-    fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        Box::new(AbdClient::new(
-            self.quorum_params,
-            Some(writer_index),
-            self.read_write_back,
-            self.drivers(),
-        ))
-    }
-
-    fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
-        Box::new(AbdClient::new(
-            self.quorum_params,
-            None,
-            self.read_write_back,
-            self.drivers(),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ABD over CAS (via Algorithm 1)
-// ---------------------------------------------------------------------------
-
-/// Multi-writer ABD with one *CAS object* per quorum server; each server's
-/// max-register interface is provided by Algorithm 1's retry loop. The
-/// `2f + 1` upper bound of Table 1, row 2.
-#[derive(Debug)]
-pub struct AbdCasEmulation {
-    params: Params,
-    quorum_params: Params,
-    topology: Topology,
-    objects: Vec<ObjectId>,
-    read_write_back: bool,
-}
-
-impl AbdCasEmulation {
-    /// Creates the emulation; `read_write_back` selects the atomic variant.
-    pub fn new(params: Params, read_write_back: bool) -> Self {
-        let quorum_n = 2 * params.f + 1;
-        let quorum_params =
-            Params::new(params.k, params.f, quorum_n).expect("2f+1 is always valid");
-        let mut topology = Topology::new(params.n);
-        let objects: Vec<ObjectId> = (0..quorum_n)
-            .map(|s| topology.add_object(ObjectKind::Cas, ServerId::new(s)))
-            .collect();
-        AbdCasEmulation {
-            params,
-            quorum_params,
-            topology,
-            objects,
-            read_write_back,
-        }
-    }
-
-    fn drivers(&self) -> Vec<Box<dyn MaxDriver>> {
-        self.objects
-            .iter()
-            .enumerate()
-            .map(|(s, b)| Box::new(CasMaxDriver::new(ServerId::new(s), *b)) as Box<dyn MaxDriver>)
-            .collect()
-    }
-}
-
-impl Emulation for AbdCasEmulation {
-    fn name(&self) -> &'static str {
-        "abd-cas"
-    }
-
-    fn base_object_kind(&self) -> ObjectKind {
-        ObjectKind::Cas
-    }
-
-    fn params(&self) -> Params {
-        self.params
-    }
-
-    fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        Box::new(AbdClient::new(
-            self.quorum_params,
-            Some(writer_index),
-            self.read_write_back,
-            self.drivers(),
-        ))
-    }
-
-    fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
-        Box::new(AbdClient::new(
-            self.quorum_params,
-            None,
-            self.read_write_back,
-            self.drivers(),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ABD over per-server register banks (the n = 2f+1 special case)
-// ---------------------------------------------------------------------------
-
-/// Each server stores a bank of `k` plain registers implementing a `k`-writer
-/// max-register (one slot per writer); multi-writer ABD runs on top. With
-/// `n = 2f + 1` this is the `(2f+1)·k` construction the paper describes as
-/// tight against the lower bound (and achieving regularity stronger than
-/// WS-Regularity).
-#[derive(Debug)]
-pub struct RegisterBankEmulation {
-    params: Params,
-    topology: Topology,
-    banks: Vec<Vec<ObjectId>>,
-    read_write_back: bool,
-}
-
-impl RegisterBankEmulation {
-    /// Creates the emulation over all `n` servers; `read_write_back` selects
-    /// the atomic variant.
-    pub fn new(params: Params, read_write_back: bool) -> Self {
-        let mut topology = Topology::new(params.n);
-        let banks: Vec<Vec<ObjectId>> = (0..params.n)
+        let objects = (0..servers)
             .map(|s| {
-                (0..params.k)
-                    .map(|_| topology.add_object(ObjectKind::Register, ServerId::new(s)))
+                (0..per_server)
+                    .map(|_| topology.add_object(object_kind, ServerId::new(s)))
                     .collect()
             })
             .collect();
-        RegisterBankEmulation {
+        AbdEmulation {
+            name,
+            object_kind,
             params,
+            quorum_params,
             topology,
-            banks,
+            objects,
             read_write_back,
+            fault: None,
         }
     }
 
+    /// One driver per quorum server; `own_slot` is the bank slot a writer
+    /// may write (max-registers and CAS objects have no slots).
     fn drivers(&self, own_slot: Option<usize>) -> Vec<Box<dyn MaxDriver>> {
-        self.banks
+        self.objects
             .iter()
             .enumerate()
-            .map(|(s, bank)| {
-                Box::new(BankMaxDriver::new(ServerId::new(s), bank.clone(), own_slot))
-                    as Box<dyn MaxDriver>
+            .map(|(s, objects)| {
+                let server = ServerId::new(s);
+                match self.object_kind {
+                    ObjectKind::MaxRegister => {
+                        Box::new(NativeMaxDriver::new(server, objects[0])) as Box<dyn MaxDriver>
+                    }
+                    ObjectKind::Cas => Box::new(CasMaxDriver::new(server, objects[0])),
+                    ObjectKind::Register => {
+                        Box::new(BankMaxDriver::new(server, objects.clone(), own_slot))
+                    }
+                }
             })
             .collect()
     }
 }
 
-impl Emulation for RegisterBankEmulation {
+impl Emulation for AbdEmulation {
     fn name(&self) -> &'static str {
-        "register-bank"
+        self.name
     }
 
     fn base_object_kind(&self) -> ObjectKind {
-        ObjectKind::Register
+        self.object_kind
     }
 
     fn params(&self) -> Params {
@@ -392,12 +268,22 @@ impl Emulation for RegisterBankEmulation {
     }
 
     fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        Box::new(AbdClient::new(
-            self.params,
+        let client = AbdClient::new(
+            self.quorum_params,
             Some(writer_index),
             self.read_write_back,
             self.drivers(Some(writer_index)),
-        ))
+        );
+        Box::new(match self.fault {
+            Some(FaultyKind::SkippedUpdateRound) => client.skipping_update(),
+            // Exactly the two quorums a write needs: the writer survives
+            // only the schedules where no stray response lands before its
+            // second quorum fills. Anything else wedges it forever.
+            Some(FaultyKind::DroppedAcks) => {
+                client.dropping_acks_after(2 * (self.params.n - self.params.f) as u64)
+            }
+            Some(FaultyKind::WeakQuorumWrite) | None => client,
+        })
     }
 
     fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
@@ -406,7 +292,13 @@ impl Emulation for RegisterBankEmulation {
         // reads issued by writer clients. This mirrors the paper's remark
         // that atomicity generally requires readers to write, which the
         // register-bank layout does not budget for.
-        Box::new(AbdClient::new(self.params, None, false, self.drivers(None)))
+        let write_back = self.read_write_back && self.object_kind != ObjectKind::Register;
+        Box::new(AbdClient::new(
+            self.quorum_params,
+            None,
+            write_back,
+            self.drivers(None),
+        ))
     }
 }
 
@@ -421,6 +313,8 @@ pub struct SpaceOptimalEmulation {
     params: Params,
     topology: Topology,
     shared: Arc<SharedLayout>,
+    /// The seeded bug its writers carry (set by [`FaultyKind::build`]).
+    pub(crate) fault: Option<FaultyKind>,
 }
 
 impl SpaceOptimalEmulation {
@@ -432,6 +326,7 @@ impl SpaceOptimalEmulation {
             params,
             topology,
             shared,
+            fault: None,
         }
     }
 
@@ -439,16 +334,12 @@ impl SpaceOptimalEmulation {
     pub fn layout(&self) -> &RegisterLayout {
         self.shared.layout()
     }
-
-    /// The shared layout handle given to every client protocol.
-    pub(crate) fn shared_layout(&self) -> Arc<SharedLayout> {
-        self.shared.clone()
-    }
 }
 
 impl Emulation for SpaceOptimalEmulation {
     fn name(&self) -> &'static str {
-        "space-optimal"
+        self.fault
+            .map_or(EmulationKind::SpaceOptimal.name(), FaultyKind::name)
     }
 
     fn base_object_kind(&self) -> ObjectKind {
@@ -464,35 +355,17 @@ impl Emulation for SpaceOptimalEmulation {
     }
 
     fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        Box::new(SpaceOptimalClient::writer(
+        let slack = usize::from(self.fault == Some(FaultyKind::WeakQuorumWrite));
+        Box::new(SpaceOptimalClient::writer_with_quorum_slack(
             self.shared.clone(),
             writer_index,
+            slack,
         ))
     }
 
     fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
         Box::new(SpaceOptimalClient::reader(self.shared.clone()))
     }
-}
-
-/// The register-based emulations compared throughout the evaluation, built
-/// for the same parameters. Useful for sweeps.
-pub fn register_based_emulations(params: Params) -> Vec<Box<dyn Emulation>> {
-    vec![
-        Box::new(SpaceOptimalEmulation::new(params)),
-        Box::new(RegisterBankEmulation::new(params, false)),
-    ]
-}
-
-/// All emulations of Table 1 (max-register, CAS, register-bank and
-/// space-optimal), built for the same parameters.
-pub fn all_emulations(params: Params) -> Vec<Box<dyn Emulation>> {
-    vec![
-        Box::new(AbdMaxRegisterEmulation::new(params, false)),
-        Box::new(AbdCasEmulation::new(params, false)),
-        Box::new(SpaceOptimalEmulation::new(params)),
-        Box::new(RegisterBankEmulation::new(params, false)),
-    ]
 }
 
 #[cfg(test)]
@@ -528,55 +401,36 @@ mod tests {
     }
 
     #[test]
-    fn every_emulation_round_trips() {
-        for emulation in all_emulations(p(3, 1, 4)) {
-            smoke_test(emulation.as_ref());
+    fn every_kind_round_trips() {
+        for params in [p(3, 1, 4), p(2, 1, 3)] {
+            for kind in EmulationKind::ALL.into_iter().chain(EmulationKind::ATOMIC) {
+                smoke_test(kind.build(params).as_ref());
+            }
         }
     }
 
     #[test]
     fn provisioned_object_counts_match_table_1() {
         let params = p(4, 2, 7);
+        let count = |kind: EmulationKind| kind.build(params).base_object_count();
+        assert_eq!(count(EmulationKind::AbdMaxRegister), max_register_bound(2));
+        assert_eq!(count(EmulationKind::AbdCas), cas_bound(2));
         assert_eq!(
-            AbdMaxRegisterEmulation::new(params, false).base_object_count(),
-            max_register_bound(2)
-        );
-        assert_eq!(
-            AbdCasEmulation::new(params, false).base_object_count(),
-            cas_bound(2)
-        );
-        assert_eq!(
-            SpaceOptimalEmulation::new(params).base_object_count(),
+            count(EmulationKind::SpaceOptimal),
             register_upper_bound(params)
         );
-        assert_eq!(
-            RegisterBankEmulation::new(params, false).base_object_count(),
-            7 * 4
-        );
+        assert_eq!(count(EmulationKind::RegisterBank), 7 * 4);
     }
 
     #[test]
     fn base_object_kinds_are_correct() {
         let params = p(2, 1, 3);
-        for emulation in all_emulations(params) {
+        for emulation in EmulationKind::ALL.map(|k| k.build(params)) {
             let kind = emulation.base_object_kind();
             let topology = emulation.topology();
             for b in topology.objects() {
                 assert_eq!(topology.kind_of(b), kind, "{}", emulation.name());
             }
-        }
-    }
-
-    #[test]
-    fn atomic_variants_also_round_trip() {
-        let params = p(2, 1, 3);
-        let emulations: Vec<Box<dyn Emulation>> = vec![
-            Box::new(AbdMaxRegisterEmulation::new(params, true)),
-            Box::new(AbdCasEmulation::new(params, true)),
-            Box::new(RegisterBankEmulation::new(params, true)),
-        ];
-        for emulation in emulations {
-            smoke_test(emulation.as_ref());
         }
     }
 
@@ -591,16 +445,6 @@ mod tests {
             smoke_test(emulation.as_ref());
         }
         assert_eq!(EmulationKind::from_name("nope"), None);
-        // `ALL` matches `all_emulations` name-for-name, in Table 1 order.
-        let by_kind: Vec<_> = EmulationKind::ALL
-            .into_iter()
-            .map(|k| k.build(params).name().to_string())
-            .collect();
-        let by_factory: Vec<_> = all_emulations(params)
-            .iter()
-            .map(|e| e.name().to_string())
-            .collect();
-        assert_eq!(by_kind, by_factory);
     }
 
     /// Every kind, clean and faulty, at `(2,1,3)` and `(2,1,5)`: the name
@@ -609,7 +453,6 @@ mod tests {
     /// `ObjectId`). Mismatches are collected so one run names them all.
     #[test]
     fn every_kind_builds_its_pinned_construction() {
-        use crate::faulty::FaultyKind;
         use ObjectKind::{Cas, MaxRegister, Register};
         const ABD: [&[usize]; 2] = [&[0, 1, 2], &[0, 1, 2]];
         const BANK: [&[usize]; 2] = [&[0, 0, 1, 1, 2, 2], &[0, 0, 1, 1, 2, 2, 3, 3, 4, 4]];
@@ -658,9 +501,9 @@ mod tests {
     #[test]
     fn abd_uses_only_2f_plus_1_servers_even_with_more_available() {
         let params = p(2, 1, 9);
-        let e = AbdMaxRegisterEmulation::new(params, false);
+        let e = EmulationKind::AbdMaxRegister.build(params);
         assert_eq!(e.topology().server_count(), 9);
         assert_eq!(e.base_object_count(), 3);
-        smoke_test(&e);
+        smoke_test(e.as_ref());
     }
 }

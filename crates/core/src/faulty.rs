@@ -13,7 +13,7 @@
 //! * [`FaultyKind::WeakQuorumWrite`] — Algorithm 2 with the write quorum
 //!   reduced from `|R_j| - f` to `|R_j| - f - 1` (one missing
 //!   acknowledgement, via
-//!   [`SpaceOptimalClient::writer_with_quorum_slack`]). The construction
+//!   [`crate::upper_bound::SpaceOptimalClient::writer_with_quorum_slack`]). The construction
 //!   stays live but is no longer `f`-tolerant WS-Safe: a crafted crash
 //!   schedule can lose a completed write. Only an adversarial interleaving
 //!   exposes it — fair schedules almost always pass.
@@ -24,7 +24,7 @@
 //! * [`FaultyKind::DroppedAcks`] — multi-writer ABD whose writers stop
 //!   processing responses after a trigger threshold of `2(n - f)`
 //!   deliveries (exactly the two quorums a write needs, via
-//!   [`AbdClient::dropping_acks_after`]). A write completes only when no
+//!   `AbdClient::dropping_acks_after`). A write completes only when no
 //!   stray response is delivered before its second quorum fills; any other
 //!   interleaving wedges the writer forever. This is a pure *liveness* bug —
 //!   no consistency condition is ever violated — so only a stuck detector
@@ -33,12 +33,14 @@
 //! The faulty kinds deliberately mirror [`crate::EmulationKind`]'s
 //! `name`/`from_name` round-trip so fuzz traces that reference them can be
 //! replayed from text.
+//!
+//! A seeded bug is not a type of its own: [`FaultyKind::build`] builds the
+//! clean construction and sets its `fault`, which only the writer protocol
+//! reads.
 
-use crate::abd::AbdClient;
-use crate::emulation::{AbdMaxRegisterEmulation, Emulation, SpaceOptimalEmulation};
-use crate::upper_bound::SpaceOptimalClient;
+use crate::emulation::{AbdEmulation, Emulation, SpaceOptimalEmulation};
 use regemu_bounds::Params;
-use regemu_fpsm::{ClientProtocol, ObjectKind, Topology};
+use regemu_fpsm::ObjectKind;
 
 /// The catalogue of seeded bugs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,164 +83,17 @@ impl FaultyKind {
         FaultyKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// Builds the faulty emulation for the given parameters.
+    /// Builds the faulty emulation for the given parameters: Algorithm 2
+    /// for the weak quorum, ABD over max-registers for the other two.
     pub fn build(self, params: Params) -> Box<dyn Emulation> {
-        match self {
-            FaultyKind::WeakQuorumWrite => Box::new(WeakQuorumEmulation::new(params)),
-            FaultyKind::SkippedUpdateRound => Box::new(SkippedUpdateEmulation::new(params)),
-            FaultyKind::DroppedAcks => Box::new(DroppedAcksEmulation::new(params)),
+        if self == FaultyKind::WeakQuorumWrite {
+            let mut emulation = SpaceOptimalEmulation::new(params);
+            emulation.fault = Some(self);
+            return Box::new(emulation);
         }
-    }
-}
-
-/// [`SpaceOptimalEmulation`] whose writers wait for one acknowledgement too
-/// few (quorum slack 1). See [`FaultyKind::WeakQuorumWrite`].
-#[derive(Debug)]
-pub(crate) struct WeakQuorumEmulation {
-    inner: SpaceOptimalEmulation,
-}
-
-impl WeakQuorumEmulation {
-    /// Creates the faulty emulation.
-    pub(crate) fn new(params: Params) -> Self {
-        WeakQuorumEmulation {
-            inner: SpaceOptimalEmulation::new(params),
-        }
-    }
-}
-
-impl Emulation for WeakQuorumEmulation {
-    fn name(&self) -> &'static str {
-        "faulty-weak-quorum"
-    }
-
-    fn base_object_kind(&self) -> ObjectKind {
-        self.inner.base_object_kind()
-    }
-
-    fn params(&self) -> Params {
-        self.inner.params()
-    }
-
-    fn topology(&self) -> &Topology {
-        self.inner.topology()
-    }
-
-    fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        Box::new(SpaceOptimalClient::writer_with_quorum_slack(
-            self.inner.shared_layout(),
-            writer_index,
-            1,
-        ))
-    }
-
-    fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
-        self.inner.reader_protocol()
-    }
-}
-
-/// [`AbdMaxRegisterEmulation`] whose writers acknowledge after the query
-/// phase without ever writing. See [`FaultyKind::SkippedUpdateRound`].
-#[derive(Debug)]
-pub(crate) struct SkippedUpdateEmulation {
-    inner: AbdMaxRegisterEmulation,
-}
-
-impl SkippedUpdateEmulation {
-    /// Creates the faulty emulation.
-    pub(crate) fn new(params: Params) -> Self {
-        SkippedUpdateEmulation {
-            inner: AbdMaxRegisterEmulation::new(params, false),
-        }
-    }
-}
-
-impl Emulation for SkippedUpdateEmulation {
-    fn name(&self) -> &'static str {
-        "faulty-skipped-update"
-    }
-
-    fn base_object_kind(&self) -> ObjectKind {
-        self.inner.base_object_kind()
-    }
-
-    fn params(&self) -> Params {
-        self.inner.params()
-    }
-
-    fn topology(&self) -> &Topology {
-        self.inner.topology()
-    }
-
-    fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        Box::new(
-            AbdClient::new(
-                self.inner.quorum_params(),
-                Some(writer_index),
-                self.inner.read_write_back(),
-                self.inner.drivers(),
-            )
-            .skipping_update(),
-        )
-    }
-
-    fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
-        self.inner.reader_protocol()
-    }
-}
-
-/// [`AbdMaxRegisterEmulation`] whose writers stop processing responses after
-/// `2(n - f)` deliveries. See [`FaultyKind::DroppedAcks`].
-#[derive(Debug)]
-pub(crate) struct DroppedAcksEmulation {
-    inner: AbdMaxRegisterEmulation,
-}
-
-impl DroppedAcksEmulation {
-    /// Creates the faulty emulation.
-    pub(crate) fn new(params: Params) -> Self {
-        DroppedAcksEmulation {
-            inner: AbdMaxRegisterEmulation::new(params, false),
-        }
-    }
-}
-
-impl Emulation for DroppedAcksEmulation {
-    fn name(&self) -> &'static str {
-        "faulty-dropped-acks"
-    }
-
-    fn base_object_kind(&self) -> ObjectKind {
-        self.inner.base_object_kind()
-    }
-
-    fn params(&self) -> Params {
-        self.inner.params()
-    }
-
-    fn topology(&self) -> &Topology {
-        self.inner.topology()
-    }
-
-    fn writer_protocol(&self, writer_index: usize) -> Box<dyn ClientProtocol> {
-        let params = self.inner.params();
-        // Exactly the two quorums a write needs: the writer survives only
-        // the schedules where no stray response lands before its second
-        // quorum fills. Anything else wedges it forever.
-        let threshold = 2 * (params.n - params.f) as u64;
-        Box::new(
-            AbdClient::new(
-                self.inner.quorum_params(),
-                Some(writer_index),
-                self.inner.read_write_back(),
-                self.inner.drivers(),
-            )
-            .dropping_acks_after(threshold),
-        )
-    }
-
-    fn reader_protocol(&self) -> Box<dyn ClientProtocol> {
-        self.inner.reader_protocol()
+        let mut emulation = AbdEmulation::new(self.name(), ObjectKind::MaxRegister, false, params);
+        emulation.fault = Some(self);
+        Box::new(emulation)
     }
 }
 

@@ -4,17 +4,16 @@
 //! Spiegelman, *Space Complexity of Fault-Tolerant Register Emulations*
 //! (PODC 2017):
 //!
-//! * [`emulation::SpaceOptimalEmulation`] — the paper's main upper bound
+//! * [`SpaceOptimalEmulation`] — the paper's main upper bound
 //!   (Algorithm 2): an `f`-tolerant, wait-free, WS-Regular `k`-writer
 //!   register from `kf + ⌈k/z⌉(f+1)` plain read/write registers;
-//! * [`emulation::AbdMaxRegisterEmulation`] — multi-writer ABD over one
-//!   max-register per server (`2f + 1` base objects);
-//! * [`emulation::AbdCasEmulation`] — the same protocol over one CAS object
-//!   per server, with each server's max-register interface provided by
-//!   Algorithm 1 (Appendix B);
-//! * [`emulation::RegisterBankEmulation`] — the `(2f+1)·k` register
-//!   construction for the `n = 2f+1` special case (a `k`-slot max-register
-//!   bank per server);
+//! * multi-writer ABD, whose per-server code is only `write-max` and
+//!   `read-max`, so one client yields three rows, built by [`EmulationKind`]:
+//!   over one max-register per server (`AbdMaxRegister`, `2f + 1` base
+//!   objects); over one CAS object per server, with Algorithm 1
+//!   (Appendix B) providing each server's max-register interface (`AbdCas`);
+//!   and over a `k`-slot register bank per server (`RegisterBank`, the
+//!   `(2f+1)·k` construction for the `n = 2f+1` special case);
 //! * `shared_memory` — real-threaded counterparts of the standard
 //!   shared-memory corollaries (Algorithm 1 over an `AtomicU64`, the
 //!   collect-based `k`-register max-register of Theorem 2, and a `fetch_max`
@@ -62,16 +61,12 @@ pub mod timestamp;
 pub mod upper_bound;
 pub mod wire;
 
-pub use emulation::register_based_emulations;
 pub use prelude::*;
 pub use shared_memory::CollectWriter;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
-    pub use crate::emulation::{
-        all_emulations, AbdCasEmulation, AbdMaxRegisterEmulation, Emulation, EmulationKind,
-        RegisterBankEmulation, SpaceOptimalEmulation,
-    };
+    pub use crate::emulation::{Emulation, EmulationKind, SpaceOptimalEmulation};
     pub use crate::faulty::FaultyKind;
     pub use crate::layout::RegisterLayout;
     pub use crate::shared_memory::{

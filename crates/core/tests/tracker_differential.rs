@@ -300,10 +300,6 @@ mod reference {
             self.pending.clear();
             self.outstanding.clear();
         }
-
-        fn flavour(&self) -> &'static str {
-            "register-bank-max"
-        }
     }
 
     /// What the client is currently doing.

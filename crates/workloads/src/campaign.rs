@@ -536,26 +536,12 @@ pub fn merge_shards(spool: &Path) -> Result<crate::sweep::SweepReport, CampaignE
 // The coordinator
 // --------------------------------------------------------------------------
 
-/// What a [`run_campaign`] invocation did.
-#[derive(Debug)]
-pub struct CampaignOutcome {
-    /// The merged report — `Some` once every shard is done, `None` when
-    /// the invocation stopped early ([`CampaignOptions::exit_after`]).
-    pub report: Option<crate::sweep::SweepReport>,
-    /// Total shards in the campaign.
-    pub shards_total: usize,
-    /// Shards executed by this invocation.
-    pub shards_run: usize,
-    /// Shards whose existing report was reused (resume).
-    pub shards_reused: usize,
-    /// Worker attempts that failed and were retried.
-    pub retries: u32,
-}
-
 /// Runs (or resumes) a sharded campaign of `config` to completion:
 /// initializes the spool, revalidates and reuses completed shards, executes
 /// the incomplete ones under the engine's pool policy (`crate::engine`),
 /// and merges the shard reports into the final [`crate::sweep::SweepReport`].
+/// A sweep shard is one unit of the engine's outcome; its `report` is
+/// `None` when the invocation stopped early ([`CampaignOptions::exit_after`]).
 ///
 /// # Errors
 ///
@@ -564,15 +550,8 @@ pub struct CampaignOutcome {
 pub fn run_campaign(
     config: &SweepConfig,
     options: &CampaignOptions,
-) -> Result<CampaignOutcome, CampaignError> {
-    let run = engine::run(&SweepCampaign(config), options)?;
-    Ok(CampaignOutcome {
-        report: run.report,
-        shards_total: run.units_total,
-        shards_run: run.units_run,
-        shards_reused: run.units_reused,
-        retries: run.retries,
-    })
+) -> Result<engine::Outcome<crate::sweep::SweepReport>, CampaignError> {
+    engine::run(&SweepCampaign(config), options)
 }
 
 #[cfg(test)]
@@ -688,8 +667,8 @@ mod tests {
         options.worker_threads = 2;
         options.quiet = true;
         let outcome = run_campaign(&config, &options).unwrap();
-        assert_eq!(outcome.shards_run, 4);
-        assert_eq!(outcome.shards_reused, 0);
+        assert_eq!(outcome.units_run, 4);
+        assert_eq!(outcome.units_reused, 0);
         let merged = outcome.report.expect("campaign completed");
         let single = run_sweep(&config);
         assert_eq!(merged.to_json(), single.to_json());
@@ -697,8 +676,8 @@ mod tests {
 
         // Running again is a pure resume: nothing re-runs.
         let again = run_campaign(&config, &options).unwrap();
-        assert_eq!(again.shards_run, 0);
-        assert_eq!(again.shards_reused, 4);
+        assert_eq!(again.units_run, 0);
+        assert_eq!(again.units_reused, 4);
         assert_eq!(again.report.unwrap().to_json(), single.to_json());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -715,15 +694,15 @@ mod tests {
         options.exit_after = Some(2);
         let first = run_campaign(&config, &options).unwrap();
         assert!(first.report.is_none());
-        assert_eq!(first.shards_run, 2);
+        assert_eq!(first.units_run, 2);
         let manifest = ShardManifest::load(&dir).unwrap().unwrap();
         assert_eq!(manifest.incomplete().count(), 2);
         // A torn shard report (killed mid-write) must not count as done.
         fs::write(shard_report_path(&dir, 0), "{\"cases\": [").unwrap();
         options.exit_after = None;
         let second = run_campaign(&config, &options).unwrap();
-        assert_eq!(second.shards_reused, 1, "shard 1 reused, shard 0 torn");
-        assert_eq!(second.shards_run, 3, "two pending plus the torn one");
+        assert_eq!(second.units_reused, 1, "shard 1 reused, shard 0 torn");
+        assert_eq!(second.units_run, 3, "two pending plus the torn one");
         let merged = second.report.expect("campaign completed");
         assert_eq!(merged.to_json(), run_sweep(&config).to_json());
         let _ = fs::remove_dir_all(&dir);

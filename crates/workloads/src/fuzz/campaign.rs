@@ -844,9 +844,6 @@ pub fn merge_fuzz_campaign(spool: &Path) -> Result<FuzzCampaignReport, CampaignE
 /// `max_attempts` and `exit_after` count `(shard, generation)` units.
 pub type FuzzCampaignOptions = CampaignOptions;
 
-/// What a [`run_fuzz_campaign`] invocation did.
-pub(crate) type FuzzCampaignOutcome = Outcome<FuzzCampaignReport>;
-
 /// Runs (or resumes) a sharded fuzz campaign to completion: initializes the
 /// spool, revalidates completed `(shard, generation)` units, executes the
 /// rest generation by generation (the corpus-exchange barrier) under the
@@ -865,7 +862,7 @@ pub(crate) type FuzzCampaignOutcome = Outcome<FuzzCampaignReport>;
 pub fn run_fuzz_campaign(
     config: &FuzzCampaignConfig,
     options: &FuzzCampaignOptions,
-) -> Result<FuzzCampaignOutcome, CampaignError> {
+) -> Result<Outcome<FuzzCampaignReport>, CampaignError> {
     engine::run(&FuzzCampaign(config), options)
 }
 

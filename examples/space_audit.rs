@@ -92,8 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     audit(&space_optimal)?;
 
     // Max-registers: the adversary cannot make the space grow.
-    let abd = AbdMaxRegisterEmulation::new(params, false);
-    audit(&abd)?;
+    audit(EmulationKind::AbdMaxRegister.build(params).as_ref())?;
 
     // The packaged form: the same covering pressure as a scheduler axis.
     scenario_audit(EmulationKind::SpaceOptimal, params)?;

@@ -107,7 +107,7 @@ fn resume_after_kill_reuses_completed_shard_files() {
     options.exit_after = Some(2);
     let first = run_campaign(&config, &options).unwrap();
     assert!(first.report.is_none());
-    assert_eq!(first.shards_run, 2);
+    assert_eq!(first.units_run, 2);
     let manifest = ShardManifest::load(&dir).unwrap().unwrap();
     assert_eq!(manifest.incomplete().count(), 2);
     let mtime = |shard: usize| {
@@ -122,8 +122,8 @@ fn resume_after_kill_reuses_completed_shard_files() {
     // reused untouched.
     options.exit_after = None;
     let second = run_campaign(&config, &options).unwrap();
-    assert_eq!(second.shards_reused, 2);
-    assert_eq!(second.shards_run, 2);
+    assert_eq!(second.units_reused, 2);
+    assert_eq!(second.units_run, 2);
     assert_eq!(
         (mtime(0), mtime(1)),
         before,

@@ -11,7 +11,6 @@
 //! Regenerate with `REGEMU_REGEN_GOLDEN=1 cargo test --test history_replay`
 //! after an *intentional* semantic change (and say so in the PR).
 
-use regemu::core::all_emulations;
 use regemu::prelude::*;
 use std::fmt::Write as _;
 
@@ -20,7 +19,7 @@ const GOLDEN_PATH: &str = "tests/golden/smoke_history.txt";
 fn render_smoke_trace() -> String {
     let params = Params::new(2, 1, 4).expect("k=2, f=1, n=4 is a valid parameter point");
     let mut out = String::new();
-    for emulation in all_emulations(params) {
+    for emulation in EmulationKind::ALL.map(|kind| kind.build(params)) {
         let mut sim = emulation.build_simulation();
         let writer = sim.register_client(emulation.writer_protocol(0));
         let reader = sim.register_client(emulation.reader_protocol());

@@ -4,7 +4,6 @@
 
 use regemu::prelude::*;
 use regemu_adversary::LowerBoundCampaign;
-use regemu_core::register_based_emulations;
 
 #[test]
 fn lemma_1_coverage_growth_holds_for_every_register_based_emulation() {
@@ -15,7 +14,8 @@ fn lemma_1_coverage_growth_holds_for_every_register_based_emulation() {
         Params::new(2, 2, 5).unwrap(),
         Params::new(3, 2, 8).unwrap(),
     ] {
-        for emulation in register_based_emulations(params) {
+        for kind in [EmulationKind::SpaceOptimal, EmulationKind::RegisterBank] {
+            let emulation = kind.build(params);
             let report = LowerBoundCampaign::new(emulation.as_ref())
                 .run(emulation.as_ref())
                 .unwrap_or_else(|e| panic!("{} at {params}: {e}", emulation.name()));
@@ -99,10 +99,8 @@ fn adversary_cannot_grow_coverage_of_rmw_based_emulations() {
     // The other side of the separation: against max-register/CAS emulations
     // the same adversary is powerless — space stays at 2f + 1.
     let params = Params::new(5, 1, 3).unwrap();
-    for emulation in [
-        Box::new(AbdMaxRegisterEmulation::new(params, false)) as Box<dyn Emulation>,
-        Box::new(AbdCasEmulation::new(params, false)) as Box<dyn Emulation>,
-    ] {
+    for emulation in [EmulationKind::AbdMaxRegister, EmulationKind::AbdCas].map(|k| k.build(params))
+    {
         let report = LowerBoundCampaign::new(emulation.as_ref())
             .run(emulation.as_ref())
             .unwrap();

@@ -64,7 +64,9 @@ fn register_emulations_are_separated_from_rmw_emulations_for_k_above_1() {
     // emulations grows with k, the RMW-based ones stay at 2f + 1.
     for params in small_sweep().into_iter().filter(|p| p.k > 1) {
         let register_cost = SpaceOptimalEmulation::new(params).base_object_count();
-        let rmw_cost = AbdMaxRegisterEmulation::new(params, false).base_object_count();
+        let rmw_cost = EmulationKind::AbdMaxRegister
+            .build(params)
+            .base_object_count();
         assert!(
             register_cost > rmw_cost,
             "expected separation at {params}: {register_cost} vs {rmw_cost}"
@@ -95,7 +97,7 @@ fn register_bank_construction_uses_k_registers_per_server() {
         .into_iter()
         .filter(|p| p.n == min_servers(p.f))
     {
-        let emulation = RegisterBankEmulation::new(params, false);
+        let emulation = EmulationKind::RegisterBank.build(params);
         assert_eq!(emulation.base_object_count(), params.n * params.k);
         let consumption = measure(EmulationKind::RegisterBank, params, 4);
         // The ABD phases read every bank register, so consumption equals the
@@ -109,7 +111,7 @@ fn register_bank_construction_uses_k_registers_per_server() {
 }
 
 #[test]
-fn all_emulations_tolerate_exactly_f_crashes() {
+fn every_kind_tolerates_exactly_f_crashes() {
     let params = Params::new(2, 1, 4).unwrap();
     for kind in EmulationKind::ALL {
         // Crash one server early in the run.

@@ -1,9 +1,8 @@
 //! Workspace smoke test: one write/read round-trip through each of the four
-//! emulations of Table 1 (`all_emulations`) under a seeded [`FairDriver`],
+//! emulations of Table 1 (`EmulationKind::ALL`) under a seeded [`FairDriver`],
 //! exercising the whole stack — `bounds` (parameters), `core` (algorithms),
 //! `fpsm` (simulator) — in a few milliseconds.
 
-use regemu::core::all_emulations;
 use regemu::prelude::*;
 
 #[test]
@@ -23,7 +22,7 @@ fn quick_sweep_through_the_facade_is_deterministic_and_consistent() {
 fn every_emulation_round_trips_under_a_fair_driver() {
     let params = Params::new(2, 1, 4).expect("k=2, f=1, n=4 is a valid parameter point");
 
-    for emulation in all_emulations(params) {
+    for emulation in EmulationKind::ALL.map(|kind| kind.build(params)) {
         let mut sim = emulation.build_simulation();
         let writer = sim.register_client(emulation.writer_protocol(0));
         let reader = sim.register_client(emulation.reader_protocol());
