@@ -188,8 +188,9 @@ pub(crate) struct AbdEmulation {
     /// client counts its `n - f` quorums over these servers.
     quorum_params: Params,
     topology: Topology,
-    /// The objects on each quorum server, by server index.
-    objects: Vec<Vec<ObjectId>>,
+    /// Every object, server by server: `per_server` on each quorum server.
+    objects: Vec<ObjectId>,
+    per_server: usize,
     read_write_back: bool,
     /// The seeded bug its writers carry (set by [`FaultyKind::build`]).
     pub(crate) fault: Option<FaultyKind>,
@@ -209,13 +210,12 @@ impl AbdEmulation {
         };
         let quorum_params = Params::new(params.k, params.f, servers).expect("2f+1 ≤ n is valid");
         let mut topology = Topology::new(params.n);
-        let objects = (0..servers)
-            .map(|s| {
-                (0..per_server)
-                    .map(|_| topology.add_object(object_kind, ServerId::new(s)))
-                    .collect()
-            })
-            .collect();
+        let mut objects = Vec::with_capacity(servers * per_server);
+        for s in 0..servers {
+            for _ in 0..per_server {
+                objects.push(topology.add_object(object_kind, ServerId::new(s)));
+            }
+        }
         AbdEmulation {
             name,
             object_kind,
@@ -223,6 +223,7 @@ impl AbdEmulation {
             quorum_params,
             topology,
             objects,
+            per_server,
             read_write_back,
             fault: None,
         }
@@ -232,7 +233,7 @@ impl AbdEmulation {
     /// may write (max-registers and CAS objects have no slots).
     fn drivers(&self, own_slot: Option<usize>) -> Vec<Box<dyn MaxDriver>> {
         self.objects
-            .iter()
+            .chunks(self.per_server)
             .enumerate()
             .map(|(s, objects)| {
                 let server = ServerId::new(s);
@@ -242,7 +243,7 @@ impl AbdEmulation {
                     }
                     ObjectKind::Cas => Box::new(CasMaxDriver::new(server, objects[0])),
                     ObjectKind::Register => {
-                        Box::new(BankMaxDriver::new(server, objects.clone(), own_slot))
+                        Box::new(BankMaxDriver::new(server, objects.to_vec(), own_slot))
                     }
                 }
             })
@@ -276,9 +277,10 @@ impl Emulation for AbdEmulation {
         );
         Box::new(match self.fault {
             Some(FaultyKind::SkippedUpdateRound) => client.skipping_update(),
-            // Exactly the two quorums a write needs: the writer survives
-            // only the schedules where no stray response lands before its
-            // second quorum fills. Anything else wedges it forever.
+            // At n = 2f+1, exactly the two quorums a write needs: the
+            // writer survives only the schedules where no stray response
+            // lands before its second quorum fills. Anything else wedges it
+            // forever.
             Some(FaultyKind::DroppedAcks) => {
                 client.dropping_acks_after(2 * (self.params.n - self.params.f) as u64)
             }

@@ -13,8 +13,8 @@
 //! * [`FaultyKind::WeakQuorumWrite`] — Algorithm 2 with the write quorum
 //!   reduced from `|R_j| - f` to `|R_j| - f - 1` (one missing
 //!   acknowledgement, via
-//!   [`crate::upper_bound::SpaceOptimalClient::writer_with_quorum_slack`]). The construction
-//!   stays live but is no longer `f`-tolerant WS-Safe: a crafted crash
+//!   [`crate::SpaceOptimalClient::writer_with_quorum_slack`]). The
+//!   construction stays live but is no longer `f`-tolerant WS-Safe: a crafted crash
 //!   schedule can lose a completed write. Only an adversarial interleaving
 //!   exposes it — fair schedules almost always pass.
 //! * [`FaultyKind::SkippedUpdateRound`] — multi-writer ABD whose writers
@@ -34,9 +34,8 @@
 //! `name`/`from_name` round-trip so fuzz traces that reference them can be
 //! replayed from text.
 //!
-//! A seeded bug is not a type of its own: [`FaultyKind::build`] builds the
-//! clean construction and sets its `fault`, which only the writer protocol
-//! reads.
+//! [`FaultyKind::build`] builds the clean construction with its `fault`
+//! set; only the writer protocol reads it.
 
 use crate::emulation::{AbdEmulation, Emulation, SpaceOptimalEmulation};
 use regemu_bounds::Params;
@@ -86,14 +85,19 @@ impl FaultyKind {
     /// Builds the faulty emulation for the given parameters: Algorithm 2
     /// for the weak quorum, ABD over max-registers for the other two.
     pub fn build(self, params: Params) -> Box<dyn Emulation> {
-        if self == FaultyKind::WeakQuorumWrite {
-            let mut emulation = SpaceOptimalEmulation::new(params);
-            emulation.fault = Some(self);
-            return Box::new(emulation);
+        match self {
+            FaultyKind::WeakQuorumWrite => {
+                let mut emulation = SpaceOptimalEmulation::new(params);
+                emulation.fault = Some(self);
+                Box::new(emulation)
+            }
+            FaultyKind::SkippedUpdateRound | FaultyKind::DroppedAcks => {
+                let mut emulation =
+                    AbdEmulation::new(self.name(), ObjectKind::MaxRegister, false, params);
+                emulation.fault = Some(self);
+                Box::new(emulation)
+            }
         }
-        let mut emulation = AbdEmulation::new(self.name(), ObjectKind::MaxRegister, false, params);
-        emulation.fault = Some(self);
-        Box::new(emulation)
     }
 }
 

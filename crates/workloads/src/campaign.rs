@@ -540,8 +540,9 @@ pub fn merge_shards(spool: &Path) -> Result<crate::sweep::SweepReport, CampaignE
 /// initializes the spool, revalidates and reuses completed shards, executes
 /// the incomplete ones under the engine's pool policy (`crate::engine`),
 /// and merges the shard reports into the final [`crate::sweep::SweepReport`].
-/// A sweep shard is one unit of the engine's outcome; its `report` is
-/// `None` when the invocation stopped early ([`CampaignOptions::exit_after`]).
+/// Each shard counts as one unit in the returned outcome, whose `report`
+/// is `None` when the invocation stopped early
+/// ([`CampaignOptions::exit_after`]).
 ///
 /// # Errors
 ///
