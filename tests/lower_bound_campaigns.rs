@@ -14,8 +14,9 @@ fn lemma_1_coverage_growth_holds_for_every_register_based_emulation() {
         Params::new(2, 2, 5).unwrap(),
         Params::new(3, 2, 8).unwrap(),
     ] {
-        for kind in [EmulationKind::SpaceOptimal, EmulationKind::RegisterBank] {
-            let emulation = kind.build(params);
+        for emulation in
+            [EmulationKind::SpaceOptimal, EmulationKind::RegisterBank].map(|k| k.build(params))
+        {
             let report = LowerBoundCampaign::new(emulation.as_ref())
                 .run(emulation.as_ref())
                 .unwrap_or_else(|e| panic!("{} at {params}: {e}", emulation.name()));
