@@ -12,7 +12,7 @@
 //! |---|---|---|---|
 //! | [`EmulationKind::AbdMaxRegister`] | max-registers | `2f + 1` (one on each of servers `0..2f+1`) | WS-Regular |
 //! | [`EmulationKind::AbdCas`] | CAS (Algorithm 1 gives `write-max`) | `2f + 1` | WS-Regular |
-//! | [`EmulationKind::RegisterBank`] | read/write registers | `n·k` (k per server) | WS-Regular |
+//! | [`EmulationKind::RegisterBank`] | read/write registers | `n·k` (k per server) | WS-Regular; not WS-Safe at `n = 2f + 1` (ROADMAP item 1) |
 //! | [`EmulationKind::SpaceOptimal`] | read/write registers | `kf + ⌈k/z⌉(f+1)` | WS-Regular, wait-free (Algorithm 2) |
 //!
 //! The `*Atomic` kinds are the three ABD rows with read write-back.
@@ -176,9 +176,12 @@ pub trait Emulation {
 /// * CAS: the same placement, with Algorithm 1's retry loop providing each
 ///   server's `write-max`. Table 1, row 2.
 /// * read/write registers: a bank of `k` on each of the `n` servers, one
-///   slot per writer. With `n = 2f + 1` this is the `(2f+1)·k` construction
-///   the paper describes as tight against the lower bound (and achieving
-///   regularity stronger than WS-Regularity).
+///   slot per writer. With `n = 2f + 1` this is the paper's `(2f+1)·k`
+///   construction, tight against the lower bound in space. Only its
+///   object count is checked here: its consistency at `n = 2f + 1` is not.
+///   A fair run at `(1,1,3)` breaks WS-Safety (ROADMAP item 1; the repro
+///   is the ignored `register_bank_is_ws_safe_at_n_equal_2f_plus_1` in
+///   `tests/consistency_properties.rs`).
 #[derive(Debug)]
 pub(crate) struct AbdEmulation {
     name: &'static str,
@@ -277,12 +280,13 @@ impl Emulation for AbdEmulation {
         );
         Box::new(match self.fault {
             Some(FaultyKind::SkippedUpdateRound) => client.skipping_update(),
-            // At n = 2f+1, exactly the two quorums a write needs: the
-            // writer survives only the schedules where no stray response
-            // lands before its second quorum fills. Anything else wedges it
-            // forever.
+            // Exactly the two quorums a write needs, counted over the
+            // servers the client talks to: the writer survives only the
+            // schedules where no stray response lands before its second
+            // quorum fills. Anything else wedges it forever.
             Some(FaultyKind::DroppedAcks) => {
-                client.dropping_acks_after(2 * (self.params.n - self.params.f) as u64)
+                let quorum = self.quorum_params.n - self.quorum_params.f;
+                client.dropping_acks_after(2 * quorum as u64)
             }
             Some(FaultyKind::WeakQuorumWrite) | None => client,
         })

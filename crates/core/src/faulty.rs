@@ -22,8 +22,9 @@
 //!   (update) round, so written values never reach any server. Almost any
 //!   schedule with a write followed by a read exposes it.
 //! * [`FaultyKind::DroppedAcks`] — multi-writer ABD whose writers stop
-//!   processing responses after a trigger threshold of `2(n - f)`
-//!   deliveries (exactly the two quorums a write needs, via
+//!   processing responses after a trigger threshold of `2(f + 1)`
+//!   deliveries (exactly the two quorums a write needs over the `2f + 1`
+//!   servers the client talks to, whatever `n` is, via
 //!   `AbdClient::dropping_acks_after`). A write completes only when no
 //!   stray response is delivered before its second quorum fills; any other
 //!   interleaving wedges the writer forever. This is a pure *liveness* bug —
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn dropped_acks_wedges_the_writer_once_a_stray_response_lands() {
-        // Threshold 2(n - f) = 4 at (1, 1, 3): the writer needs two query
+        // Threshold 2(f + 1) = 4 at (1, 1, 3): the writer needs two query
         // responses and two update acks, but all three servers answer the
         // query. Under a fair schedule the stray third query response is
         // delivered before the second update ack, pushing the writer past
@@ -156,6 +157,27 @@ mod tests {
         let r = sim.invoke(reader, HighOp::Read).unwrap();
         driver.run_until_complete(&mut sim, r, 10_000).unwrap();
         assert!(matches!(sim.result_of(r), Some(HighResponse::ReadValue(_))));
+    }
+
+    #[test]
+    fn dropped_acks_threshold_does_not_depend_on_n() {
+        // The writer talks only to the 2f + 1 servers that host its
+        // max-registers, so its threshold counts those, not all n: extra
+        // servers must not buy it more completed writes before it wedges.
+        let writes_before_wedge = |n: usize| {
+            let emulation = FaultyKind::DroppedAcks.build(Params::new(1, 1, n).unwrap());
+            let mut sim = emulation.build_simulation();
+            let writer = sim.register_client(emulation.writer_protocol(0));
+            let mut driver = FairDriver::new(7);
+            (0..10u64)
+                .take_while(|&i| {
+                    let w = sim.invoke(writer, HighOp::Write(i + 1)).unwrap();
+                    driver.run_until_complete(&mut sim, w, 10_000).is_ok()
+                })
+                .count()
+        };
+        let counts: Vec<usize> = [3, 4, 5, 7].map(writes_before_wedge).to_vec();
+        assert_eq!(counts, [0; 4], "writes completed at n = 3, 4, 5, 7");
     }
 
     #[test]
