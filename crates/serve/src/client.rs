@@ -35,13 +35,14 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Per-server receive poll while a [`LiveClient`] waits for responses.
+const POLL_TIMEOUT: Duration = Duration::from_millis(1);
+
 /// Knobs of a [`LiveClient`].
 #[derive(Clone, Debug)]
 pub struct ClientOptions {
     /// How long a high-level operation may take before the client gives up.
     pub op_timeout: Duration,
-    /// Per-server receive poll while waiting for responses.
-    pub poll_timeout: Duration,
     /// TCP connect timeout per server.
     pub connect_timeout: Duration,
     /// Servers whose requests are delayed forever (never sent). The live
@@ -59,7 +60,6 @@ impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
             op_timeout: Duration::from_secs(5),
-            poll_timeout: Duration::from_millis(1),
             connect_timeout: Duration::from_secs(2),
             hold_servers: Vec::new(),
             hold_writes: Vec::new(),
@@ -230,7 +230,7 @@ impl LiveClient {
     /// Polls one server's transport; marks it dead on error.
     fn poll_server(&mut self, server: usize) -> Option<WireMsg> {
         let transport = self.transports[server].as_mut()?;
-        match transport.recv_timeout(self.options.poll_timeout) {
+        match transport.recv_timeout(POLL_TIMEOUT) {
             Ok(found) => found,
             Err(_) => {
                 self.transports[server] = None;
