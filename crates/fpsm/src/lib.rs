@@ -29,11 +29,9 @@
 //!   per-server occupancy, point contention). How much of the raw event
 //!   stream is retained is selected by a [`history::RecordingMode`] (`Full`,
 //!   `Digest`, `Ring`); the digests — and hence the metrics — are identical
-//!   in every mode;
-//! * `telemetry::SimTelemetry` — the sampled, observation-only telemetry
-//!   hook the simulation attaches when `regemu_obs::enabled()` is on;
-//!   histories and reports are byte-identical with telemetry on or off (the
-//!   non-perturbation contract).
+//!   in every mode. These per-run counters are the simulator's only
+//!   telemetry: they live in the run's own replayable state, not in a
+//!   process-global registry.
 //!
 //! ## Example
 //!
@@ -68,7 +66,6 @@ pub(crate) mod object;
 pub mod op;
 pub(crate) mod scheduler;
 pub(crate) mod sim;
-pub(crate) mod telemetry;
 pub(crate) mod topology;
 pub mod value;
 

@@ -29,7 +29,6 @@ use crate::ids::{ClientId, HighOpId, ObjectId, OpId, ServerId, Time};
 use crate::node::{ClientEffects, ClientNode};
 use crate::object::BaseObject;
 use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};
-use crate::telemetry::SimTelemetry;
 use crate::topology::Topology;
 use std::collections::VecDeque;
 
@@ -246,12 +245,6 @@ pub struct Simulation {
     /// loop that reads the same value as at its last step knows that its
     /// candidate list is still exact (see [`crate::driver`]).
     pub(crate) deliverable_epoch: u64,
-    /// Sampled telemetry hook, attached at construction only when
-    /// [`regemu_obs::enabled`] is on. Observation-only: nothing in the
-    /// simulator reads it back, so behaviour — and every deterministic
-    /// artifact — is byte-identical with telemetry on or off (the
-    /// non-perturbation contract, see [`crate::telemetry`]).
-    telemetry: Option<SimTelemetry>,
 }
 
 impl Simulation {
@@ -284,7 +277,6 @@ impl Simulation {
             peak_covered_on_one_server: 0,
             peak_pending: 0,
             deliverable_epoch: 0,
-            telemetry: regemu_obs::enabled().then(SimTelemetry::attached),
         }
     }
 
@@ -523,9 +515,6 @@ impl Simulation {
         let effects =
             self.clients[client.index()].on_invoke(high_op, op, self.time, &mut self.next_op_id);
         self.apply_effects(client, Some(high_op), effects);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.note_invoke(self.time, self.pending.len());
-        }
         Ok(high_op)
     }
 
@@ -575,9 +564,6 @@ impl Simulation {
 
         let client_crashed = self.is_client_crashed(pending.client);
         if client_crashed {
-            if let Some(t) = self.telemetry.as_mut() {
-                t.note_delivery(self.time, self.pending.len());
-            }
             return Ok(DeliveryOutcome {
                 response,
                 completed_high_op: None,
@@ -597,9 +583,6 @@ impl Simulation {
         let effects =
             self.clients[client.index()].on_delivery(delivery, self.time, &mut self.next_op_id);
         let completed = self.apply_effects(client, current_high, effects);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.note_delivery(self.time, self.pending.len());
-        }
         Ok(DeliveryOutcome {
             response,
             completed_high_op: completed,
@@ -622,9 +605,6 @@ impl Simulation {
             .remove(op_id)
             .ok_or(SimError::UnknownOp(op_id))?;
         self.note_pending_removed(&op);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.note_drop(self.time, self.pending.len());
-        }
         Ok(op)
     }
 
@@ -660,9 +640,6 @@ impl Simulation {
             time: self.time,
             server,
         });
-        if let Some(t) = self.telemetry.as_mut() {
-            t.note_crash(self.time, self.pending.len());
-        }
         Ok(())
     }
 
@@ -685,9 +662,6 @@ impl Simulation {
             time: self.time,
             client,
         });
-        if let Some(t) = self.telemetry.as_mut() {
-            t.note_crash(self.time, self.pending.len());
-        }
         Ok(())
     }
 
@@ -804,7 +778,6 @@ mod tests {
     use super::*;
     use crate::client::{Context, NoopProtocol};
     use crate::object::ObjectKind;
-    use crate::scheduler::Scheduler;
     use crate::value::Value;
 
     /// A protocol that writes to a fixed register and returns after the ack,
@@ -1205,66 +1178,6 @@ mod tests {
         let op = sim.pending_ops().next().unwrap().op_id;
         sim.deliver(op).unwrap();
         assert_eq!(sim.completed_high_count(), 1);
-    }
-
-    /// Golden-trace proof of the non-perturbation contract: the same seeded
-    /// run produces a byte-identical history and metric surface whether
-    /// global telemetry is enabled or not. The run exercises every hook site
-    /// (invoke, deliver, drop, server crash, client crash) under a seeded
-    /// fair driver.
-    #[test]
-    fn telemetry_does_not_perturb_runs() {
-        fn golden_run() -> String {
-            let mut t = Topology::new(3);
-            let objs = t.add_object_per_server(ObjectKind::Register);
-            let mut sim = Simulation::new(t, SimConfig::with_fault_threshold(1));
-            let clients: Vec<ClientId> = objs
-                .iter()
-                .map(|obj| sim.register_client(Box::new(SingleRegisterClient { target: *obj })))
-                .collect();
-            let mut driver = crate::driver::FairDriver::new(42);
-            for round in 0..20u64 {
-                for (i, c) in clients.iter().enumerate() {
-                    if sim.is_client_idle(*c) {
-                        sim.invoke(*c, HighOp::Write(round * 10 + i as u64))
-                            .unwrap();
-                    }
-                }
-                if round == 7 {
-                    let first = sim.pending_ops().next().map(|p| p.op_id);
-                    if let Some(op) = first {
-                        sim.drop_pending(op).unwrap();
-                    }
-                }
-                if round == 11 {
-                    sim.crash_server(ServerId::new(2)).unwrap();
-                    sim.crash_client(clients[2]).unwrap();
-                }
-                for _ in 0..2 {
-                    driver.step(&mut sim).unwrap();
-                }
-            }
-            let events: Vec<Event> = sim.history().events().collect();
-            format!(
-                "{events:?}\ntime={} pending={} covered={} peaks={}/{}/{} done={}",
-                sim.time(),
-                sim.pending_count(),
-                sim.covered_now,
-                sim.peak_covered_count(),
-                sim.peak_covered_on_one_server(),
-                sim.peak_pending_count(),
-                sim.completed_high_count(),
-            )
-        }
-
-        let was_enabled = regemu_obs::enabled();
-        regemu_obs::set_enabled(false);
-        let off = golden_run();
-        regemu_obs::set_enabled(true);
-        let on = golden_run();
-        regemu_obs::set_enabled(was_enabled);
-        assert_eq!(on, off, "telemetry perturbed the run");
-        assert!(off.contains("ServerCrash"), "run must exercise crash hooks");
     }
 
     #[test]

@@ -20,12 +20,6 @@ pub struct LatencyHistogram {
     max: u64,
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new()
-    }
-}
-
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {

@@ -1,47 +1,41 @@
-//! # regemu-obs — zero-dependency telemetry
+//! # regemu-obs — zero-dependency metrics for the live service
 //!
-//! One registry for every subsystem's runtime metrics: named [`Counter`]s,
-//! [`Gauge`]s and [`LatencyHistogram`]s behind cheap `Arc` handles, plus a
-//! renderable `Snapshot` (aligned text, JSON, Prometheus-style
-//! exposition).
+//! What is left of the workspace's runtime metrics:
 //!
-//! ## The non-perturbation contract
+//! * [`LatencyHistogram`] — a fixed-memory HDR-style histogram; the live
+//!   client fleet records each operation's latency into one and `serve
+//!   load` reports its p50/p99/p999/max/mean;
+//! * the process-[`global`] registry of named [`Counter`]s and [`Gauge`]s
+//!   — each live server's always-on request, response, fault and
+//!   in-flight tallies, which `serve stats` scrapes over the wire and
+//!   `serve node --stats-every-ms` prints; `global().snapshot().to_json()`
+//!   renders the whole registry;
+//! * [`set_enabled`] / [`enabled`] — a process-global flag that gates
+//!   nothing in the workspace; the benchmark's telemetry probe still
+//!   toggles it.
 //!
-//! The repo's backbone is determinism: the same seed must produce
-//! byte-identical histories, reports and campaign merges, with telemetry on
-//! or off. Instrumentation therefore obeys two rules:
-//!
-//! 1. **Observation only.** Telemetry handles are written to, never read
-//!    from, inside deterministic paths — no behaviour may branch on a
-//!    metric value.
-//! 2. **Logical time inside, wallclock at the edge.** Deterministic code
-//!    (the simulator, sweep/fuzz execution) may count events and sample
-//!    logical clocks; wallclock readings (latency samples, heartbeat
-//!    stamps, rates) happen only at process edges — request handling, report
-//!    publication, dashboards — whose outputs are advisory, not part of any
-//!    deterministic artifact.
-//!
-//! Collection is off by default: [`enabled`] gates the sampled hooks the
-//! hot loops attach, and [`set_enabled`] switches it on. The golden-trace tests in
-//! `regemu-fpsm` and `regemu-workloads` prove the contract by running the
-//! same scenarios with telemetry on and off and diffing the artifacts
-//! byte for byte.
+//! The simulator keeps no telemetry here: what a run needs — logical time,
+//! peak `|Cov(t)|`, per-server occupancy, peak pending, low-level triggers
+//! and responses — is a deterministic field of its `RunMetrics` and
+//! `History`, and campaigns publish progress through their spool's
+//! heartbeat files.
 //!
 //! ## Example
 //!
 //! ```
-//! use regemu_obs::Registry;
+//! use regemu_obs::{global, LatencyHistogram};
 //!
-//! let registry = Registry::new();
-//! let steps = registry.counter("sim.steps");
-//! steps.add(128);
-//! registry.gauge("sim.pending").set(3);
-//! registry.histogram("serve.latency_us").record(250);
+//! let requests = global().counter("example.requests");
+//! requests.add(2);
+//! requests.incr();
+//! assert_eq!(requests.get(), 3);
+//! assert!(global().snapshot().to_json().contains("\"example.requests\": 3"));
 //!
-//! let snap = registry.snapshot();
-//! assert_eq!(snap.counter("sim.steps"), Some(128));
-//! assert!(snap.to_text().contains("sim.steps"));
-//! assert!(snap.to_prometheus().contains("sim_steps 128"));
+//! let mut latency = LatencyHistogram::new();
+//! for us in [120, 250, 900] {
+//!     latency.record(us);
+//! }
+//! assert_eq!((latency.count(), latency.max()), (3, 900));
 //! ```
 
 #![warn(missing_docs)]
@@ -52,4 +46,4 @@ pub(crate) mod registry;
 pub(crate) mod snapshot;
 
 pub use histogram::LatencyHistogram;
-pub use registry::{enabled, global, set_enabled, Counter, Gauge, Registry};
+pub use registry::{enabled, global, set_enabled, Counter, Gauge};

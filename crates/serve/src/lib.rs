@@ -20,12 +20,13 @@
 //!   readers out across threads.
 //!
 //! Latency is measured into [`regemu_obs::LatencyHistogram`] (re-exported
-//! here as [`LatencyHistogram`] — it lived in this crate before the
-//! telemetry registry existed), and every server keeps per-node
+//! here as [`LatencyHistogram`]), and every server keeps always-on per-node
 //! request/response/fault counters plus an in-flight gauge in the global
 //! [`regemu_obs`] registry, scrapeable over the wire protocol's
 //! version-gated `Stats` frame ([`server::node_stats`],
-//! [`client::scrape_stats`]).
+//! [`client::scrape_stats`]; `serve stats` on the command line). These and
+//! the campaign heartbeats are the workspace's only wallclock telemetry;
+//! the simulator keeps its counters in each run's `RunMetrics`.
 //!
 //! ## Conformance checking
 //!

@@ -11,7 +11,8 @@
 //! dashboards — they are written with the same temp-file-plus-rename
 //! discipline as reports, but they are *never* read by the deterministic
 //! merge, so the wallclock stamps inside them cannot perturb campaign
-//! results (see the non-perturbation contract in `MODEL.md`).
+//! results (see "logical time inside, wallclock at the edge" in
+//! `MODEL.md`).
 //!
 //! [`campaign_status`] folds a spool directory — any of the three kinds —
 //! into a [`CampaignStatusReport`]: per-shard health (done / running /

@@ -28,10 +28,10 @@
 //!   server state machines over in-process channels or TCP
 //!   ([`serve::LiveClient`], [`serve::serve_tcp`]), with load generation and
 //!   simulator-backed conformance checking of recorded histories;
-//! * [`obs`] — the zero-dependency telemetry registry (counters, gauges,
-//!   histograms and renderable snapshots) every subsystem reports through,
-//!   under the non-perturbation contract:
-//!   telemetry never changes behaviour or deterministic artifacts.
+//! * [`obs`] — the live service's metrics: the always-on per-node
+//!   counters `serve stats` scrapes, and the latency histogram `serve load`
+//!   reports. A simulated run's counters are fields of its own
+//!   [`fpsm::RunMetrics`] and history, not entries in a global registry.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and the
 //! `regemu-bench` crate for the binaries that regenerate every table and
