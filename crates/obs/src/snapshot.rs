@@ -2,7 +2,7 @@
 
 /// A point-in-time view of a `Registry`: every counter
 /// and gauge name with its value, sorted by name within each kind.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Snapshot {
     /// `(name, value)` per counter, sorted by name.
     pub(crate) counters: Vec<(String, u64)>,
@@ -47,7 +47,6 @@ fn escape(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::registry::Registry;
 
     #[test]
@@ -66,7 +65,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_valid_json() {
-        let json = Snapshot::default().to_json();
+        let json = Registry::default().snapshot().to_json();
         assert_eq!(json, "{\n  \"counters\": {},\n  \"gauges\": {}\n}\n");
     }
 }
