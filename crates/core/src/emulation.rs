@@ -177,10 +177,10 @@ pub trait Emulation {
 ///   server's `write-max`. Table 1, row 2.
 /// * read/write registers: a bank of `k` on each of the `n` servers, one
 ///   slot per writer. With `n = 2f + 1` this is the paper's `(2f+1)·k`
-///   construction, tight against the lower bound in space. Only its
-///   object count is checked here: its consistency at `n = 2f + 1` is not.
-///   A fair run at `(1,1,3)` breaks WS-Safety (ROADMAP item 1; the repro
-///   is the ignored `register_bank_is_ws_safe_at_n_equal_2f_plus_1` in
+///   construction, tight against the lower bound in space. Tests pin that
+///   object count only: at `n = 2f + 1` this code is not even WS-Safe, as
+///   a fair run at `(1,1,3)` shows (ROADMAP item 1; the repro is the
+///   ignored `register_bank_is_ws_safe_at_n_equal_2f_plus_1` in
 ///   `tests/consistency_properties.rs`).
 #[derive(Debug)]
 pub(crate) struct AbdEmulation {

@@ -176,8 +176,11 @@ mod tests {
                 })
                 .count()
         };
-        let counts: Vec<usize> = [3, 4, 5, 7].map(writes_before_wedge).to_vec();
-        assert_eq!(counts, [0; 4], "writes completed at n = 3, 4, 5, 7");
+        assert_eq!(
+            [3, 4, 5, 7].map(writes_before_wedge),
+            [0; 4],
+            "writes completed at n = 3, 4, 5, 7"
+        );
     }
 
     #[test]
