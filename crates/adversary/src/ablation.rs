@@ -21,11 +21,10 @@ use regemu_core::layout::RegisterLayout;
 use regemu_core::upper_bound::{SharedLayout, SpaceOptimalClient};
 use regemu_fpsm::{HighOp, OpId, ServerId, SimConfig, SimError, Simulation};
 use regemu_spec::{check_ws_safe, HighHistory, SequentialSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Outcome of one ablation schedule.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationOutcome {
     /// The quorum slack the writer was configured with (0 = Algorithm 2).
     pub slack: usize,

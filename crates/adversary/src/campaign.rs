@@ -20,11 +20,10 @@
 use crate::adi::{AdversaryIteration, IterationOutcome};
 use regemu_core::Emulation;
 use regemu_fpsm::{ClientId, RunMetrics, ServerId, SimError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Per-iteration summary recorded by the campaign.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IterationReport {
     /// Iteration number `i` (1-based).
     pub iteration: usize,
@@ -43,7 +42,7 @@ pub struct IterationReport {
 }
 
 /// The result of a full campaign.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// Name of the emulation under test.
     pub emulation: String,

@@ -30,12 +30,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The parameters of an emulation: number of writers `k`, failure threshold
 /// `f` and number of servers `n`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Params {
     /// Number of writers of the emulated register.
     pub k: usize,
@@ -89,10 +88,12 @@ impl Params {
         if f == 0 {
             return Err(ParamError::NoFaults);
         }
-        if n < min_servers(f) {
+        // `2f + 1` overflows for `f` near `usize::MAX`, which no `n` reaches.
+        let required = f.checked_mul(2).and_then(|two_f| two_f.checked_add(1));
+        if !required.is_some_and(|required| n >= required) {
             return Err(ParamError::TooFewServers {
                 n,
-                required: min_servers(f),
+                required: required.unwrap_or(usize::MAX),
             });
         }
         Ok(Params { k, f, n })
@@ -301,7 +302,7 @@ pub fn checked_register_bounds(k: usize, f: usize, n: usize) -> Result<(usize, u
 
 /// The base-object row of Table 1 (or the construction-specific budget) a
 /// measurement is judged against by [`BoundVerdict::judge`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BoundClass {
     /// Max-register base objects: lower = upper = `2f + 1` (Table 1 row 1).
     MaxRegister,
@@ -355,7 +356,7 @@ impl fmt::Display for BoundClass {
 
 /// A measured space consumption judged against the paper's bounds — the
 /// executable-oracle form of Table 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BoundVerdict {
     /// The bound row the measurement was judged against.
     pub class: BoundClass,
@@ -416,6 +417,8 @@ mod tests {
             Params::new(1, 1, 2),
             Err(ParamError::TooFewServers { n: 2, required: 3 })
         );
+        // 2f + 1 overflows here; no server count is large enough.
+        assert!(Params::new(1, usize::MAX / 2 + 1, usize::MAX).is_err());
         let p = Params::new(3, 1, 4).unwrap();
         assert_eq!(p.to_string(), "k=3, f=1, n=4");
     }

@@ -26,7 +26,6 @@ use regemu_bounds::Params;
 use regemu_fpsm::{
     ClientProtocol, ObjectId, ObjectKind, ServerId, SimConfig, Simulation, Topology,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,7 +41,7 @@ use std::sync::Arc;
 /// A `Box<dyn Emulation>` is not `Send`, so parallel harnesses describe the
 /// construction by kind and each worker builds its own instance — which also
 /// keeps every case hermetic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EmulationKind {
     /// Multi-writer ABD over one max-register per server (Table 1, row 1).
     AbdMaxRegister,

@@ -16,11 +16,10 @@
 
 use regemu_bounds::Params;
 use regemu_fpsm::{ObjectId, ObjectKind, ServerId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The placement of the register sets `R_0..R_{m-1}` used by Algorithm 2.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RegisterLayout {
     params: Params,
     /// `sets[i]` is the list of base registers in `R_i`.

@@ -8,11 +8,10 @@
 
 use crate::ids::{ClientId, HighOpId, ObjectId, OpId, ServerId, Time};
 use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single action recorded in a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A high-level operation was invoked at a client.
     Invoke {

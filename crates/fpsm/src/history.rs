@@ -53,7 +53,6 @@ use crate::event::Event;
 use crate::ids::{ClientId, HighOpId, ObjectId, OpId, ServerId, Time};
 use crate::op::{BaseOp, BaseResponse, HighOp, HighResponse};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -368,7 +367,7 @@ impl EventLog {
 ///
 /// Only *retention* varies: every mode updates the incremental digests the
 /// same way, so metrics and run behaviour are mode-independent.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordingMode {
     /// Keep every event (unbounded memory, full offline checkability).
     #[default]
@@ -418,7 +417,7 @@ impl fmt::Display for RecordingMode {
 }
 
 /// A completed or pending high-level operation extracted from a history.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HighInterval {
     /// Identifier of the high-level operation.
     pub id: HighOpId,
@@ -457,7 +456,7 @@ impl HighInterval {
 /// A growable bitset over dense indices (object ids are indices), used for
 /// the touched/written digests: marking is a word-indexed store — no tree
 /// rebalancing or node allocation on the simulator's per-trigger hot path.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct IndexBitSet {
     words: Vec<u64>,
 }
@@ -502,7 +501,7 @@ impl IndexBitSet {
 /// Events carry implicit sequence numbers `0..total_events()`; the retained
 /// window is always a contiguous suffix of that sequence, drained
 /// incrementally with [`History::events_since`].
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct History {
     mode: RecordingMode,
     /// The retained suffix of the event stream; its first event has

@@ -7,16 +7,12 @@
 //! distinguishable from one another (a [`ServerId`] can never be confused
 //! with an [`ObjectId`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr, $inner:ty) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
         pub struct $name(pub $inner);
 
         impl $name {

@@ -9,11 +9,10 @@
 
 use crate::ids::{ObjectId, ServerId};
 use crate::sim::Simulation;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Snapshot of the space-related metrics of a run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Base objects on which at least one low-level operation was triggered
     /// (the resource consumption of the run is the size of this set).

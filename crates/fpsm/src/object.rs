@@ -12,11 +12,10 @@
 use crate::ids::ObjectId;
 use crate::op::{BaseOp, BaseResponse};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of primitive a base object supports (first column of Table 1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ObjectKind {
     /// A multi-writer/multi-reader read/write register.
     Register,
@@ -80,7 +79,7 @@ impl fmt::Display for ObjectError {
 impl std::error::Error for ObjectError {}
 
 /// The state of a single base object hosted on a server.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BaseObject {
     id: ObjectId,
     kind: ObjectKind,

@@ -6,11 +6,10 @@
 //! eventually **return**. The vocabulary mirrors Section 2 of the paper.
 
 use crate::value::{Payload, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A low-level operation triggered on a base object.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BaseOp {
     /// `read()` on a read/write register.
     Read,
@@ -61,7 +60,7 @@ impl fmt::Display for BaseOp {
 }
 
 /// The response matching a [`BaseOp`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BaseResponse {
     /// Response to [`BaseOp::Read`]: the current value of the register.
     ReadValue(Value),
@@ -90,7 +89,7 @@ impl fmt::Display for BaseResponse {
 }
 
 /// A high-level operation invoked on the emulated multi-writer register.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum HighOp {
     /// An emulated `write(v)`.
     Write(Payload),
@@ -128,7 +127,7 @@ impl fmt::Display for HighOp {
 }
 
 /// The return value of a high-level operation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum HighResponse {
     /// Acknowledgement of an emulated write.
     WriteAck,

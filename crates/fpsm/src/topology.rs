@@ -7,11 +7,10 @@
 
 use crate::ids::{ObjectId, ServerId};
 use crate::object::ObjectKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Static description of the servers, base objects and their placement.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// Number of servers `n = |S|`.
     servers: usize,

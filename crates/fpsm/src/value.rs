@@ -14,7 +14,6 @@
 //! (e.g. Algorithm 2 stores `TSVal = N × V`), while plain payloads can be
 //! stored with `Value::from_payload`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The payload type written by clients of the emulated register.
@@ -24,9 +23,7 @@ pub type Payload = u64;
 ///
 /// Ordered lexicographically by `(ts, val)` which makes it usable as the
 /// ordered domain of a max-register.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Value {
     /// Version/timestamp component (most significant in the ordering).
     pub ts: u64,

@@ -218,6 +218,69 @@ fn correct_emulation_survives_the_same_ablation_schedule() {
     );
 }
 
+/// `serve client --hold-servers` is the live adversary of docs/MODEL.md:
+/// requests to a held server are never sent. Holding one server of three
+/// stays within the f = 1 budget, so every operation still completes, the
+/// held server applies nothing, and the recorded run is WS-Regular.
+#[test]
+fn a_held_server_sees_no_request_and_the_run_stays_ws_regular() {
+    let scratch = Scratch::new("hold");
+    let params = Params::new(1, 1, 3).unwrap();
+    let built = FuzzEmulation::from_name("space-optimal")
+        .unwrap()
+        .build(params);
+    let topology = built.topology().clone();
+    let (handles, addrs, mut logs) = boot_cluster(&topology, &scratch);
+    let recorder = Arc::new(ConformRecorder::new());
+    let held = || ClientOptions {
+        hold_servers: vec![2],
+        ..ClientOptions::default()
+    };
+    let mut writer = LiveClient::connect_tcp(
+        topology.clone(),
+        ClientId::new(0),
+        built.writer_protocol(0),
+        &addrs,
+        held(),
+    )
+    .unwrap()
+    .with_recorder(Arc::clone(&recorder), 0);
+    let mut reader = LiveClient::connect_tcp(
+        topology,
+        ClientId::new(1),
+        built.reader_protocol(),
+        &addrs,
+        held(),
+    )
+    .unwrap()
+    .with_recorder(Arc::clone(&recorder), 1);
+    for value in 1..=3 {
+        assert_eq!(
+            writer.run_op(HighOp::Write(value)).unwrap(),
+            HighResponse::WriteAck
+        );
+        for client in [&mut writer, &mut reader] {
+            assert_eq!(
+                client.run_op(HighOp::Read).unwrap(),
+                HighResponse::ReadValue(value)
+            );
+        }
+    }
+    drop((writer, reader));
+    assert_eq!(handles[2].applied(), 0, "the held server applied a request");
+
+    let client_log = scratch.path("clients.conform");
+    recorder.save(&client_log).unwrap();
+    logs.push(client_log);
+    for handle in handles {
+        handle.join().unwrap();
+    }
+    let verdict = conform_verdict(&logs, ConsistencyCheck::WsRegular).unwrap();
+    assert_eq!(verdict.complete_ops, 9);
+    assert!(verdict.is_consistent(), "held run flagged: {verdict}");
+    assert!(verdict.agrees(), "checkers disagree: {verdict}");
+}
+
 #[test]
 fn clients_degrade_gracefully_when_a_node_dies_mid_run() {
     let scratch = Scratch::new("degrade");

@@ -7,10 +7,9 @@
 
 use regemu_fpsm::history::HighInterval;
 use regemu_fpsm::{ClientId, HighOp, HighOpId, HighResponse, History, Time};
-use serde::{Deserialize, Serialize};
 
 /// A schedule of high-level operations, represented as intervals.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HighHistory {
     ops: Vec<HighInterval>,
 }

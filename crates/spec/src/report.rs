@@ -1,11 +1,10 @@
 //! Checker verdicts and violation reports.
 
 use regemu_fpsm::history::HighInterval;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which consistency condition a checker was verifying.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Condition {
     /// Atomicity (linearizability).
     Atomicity,
@@ -26,7 +25,7 @@ impl fmt::Display for Condition {
 }
 
 /// A description of why a schedule violates a consistency condition.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// The condition that failed.
     pub condition: Condition,

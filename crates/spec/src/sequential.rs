@@ -7,10 +7,9 @@
 //! fold into a single [`Payload`] state.
 
 use regemu_fpsm::{HighOp, HighResponse, Payload};
-use serde::{Deserialize, Serialize};
 
 /// How a sequence of writes determines the value returned by a read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Semantics {
     /// Ordinary read/write register: a read returns the value of the last
     /// preceding write (or the initial value).
@@ -21,7 +20,7 @@ pub enum Semantics {
 }
 
 /// A sequential specification with an initial value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SequentialSpec {
     /// The fold semantics of writes.
     pub semantics: Semantics,

@@ -27,9 +27,10 @@
 //! ## Determinism
 //!
 //! Every sweep case is a self-contained [`crate::Scenario`] value; a shard
-//! is a pure function of `(config, range)`. The merge slots parsed results
-//! by case index, so shard count, worker scheduling and completion order
-//! never leak into the merged report — the property test suite checks
+//! is a pure function of `(config, range)`. The merge concatenates the shard
+//! reports in manifest order, each checked to cover its case range, so shard
+//! count, worker scheduling and completion order never leak into the merged
+//! report — the property test suite checks
 //! byte-identity of JSON and CSV against [`crate::sweep::run_sweep`] for arbitrary
 //! partitions and shuffled completion orders.
 //!
@@ -57,6 +58,7 @@ use crate::json::{Json, JsonParser};
 use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, SchedulerSpec};
 use crate::sweep::{run_cases, CaseResult, EmulationKind, SweepConfig, WorkloadSpec};
+use crate::text::Reader;
 use regemu_bounds::{parse_point, Params};
 use std::fs;
 use std::io::Read;
@@ -138,16 +140,14 @@ pub(crate) fn config_to_text(config: &SweepConfig) -> String {
     out
 }
 
-/// Parses the canonical text produced by [`config_to_text`].
+/// Parses the canonical text produced by [`config_to_text`]: keyed lines
+/// in any order, a repeated key extending its list, blank lines skipped.
 ///
 /// The returned config has `threads = 0` (one worker thread per core);
 /// campaign workers override it from their own CLI.
 pub(crate) fn config_from_text(text: &str) -> Result<SweepConfig, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty config")?;
-    if header != format!("regemu-sweep-config v{FORMAT_VERSION}") {
-        return Err(format!("unsupported config header {header:?}"));
-    }
+    let mut r = Reader::new(text, "config");
+    r.header(&[format!("regemu-sweep-config v{FORMAT_VERSION}")])?;
     let mut config = SweepConfig {
         grid: Vec::new(),
         emulations: Vec::new(),
@@ -160,75 +160,33 @@ pub(crate) fn config_from_text(text: &str) -> Result<SweepConfig, String> {
         max_steps_per_op: 100_000,
         threads: 0,
     };
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-        let values: Vec<&str> = rest.split_whitespace().collect();
-        match key {
-            "grid" => {
-                for v in values {
-                    let (k, f, n) = parse_point(v)?;
-                    let params = Params::new(k, f, n)
-                        .map_err(|e| format!("invalid grid point {v:?}: {e}"))?;
-                    config.grid.push(params);
-                }
-            }
-            "emulations" => {
-                for v in values {
-                    config.emulations.push(
-                        EmulationKind::from_name(v).ok_or(format!("unknown emulation {v:?}"))?,
-                    );
-                }
-            }
-            "workloads" => {
-                for v in values {
-                    config.workloads.push(
-                        WorkloadSpec::from_label(v).ok_or(format!("unknown workload {v:?}"))?,
-                    );
-                }
-            }
-            "schedulers" => {
-                for v in values {
-                    config.schedulers.push(
-                        SchedulerSpec::from_name(v).ok_or(format!("unknown scheduler {v:?}"))?,
-                    );
-                }
-            }
-            "crash-plans" => {
-                for v in values {
-                    config.crash_plans.push(
-                        CrashPlanSpec::from_name(v).ok_or(format!("unknown crash plan {v:?}"))?,
-                    );
-                }
-            }
-            "recordings" => {
-                for v in values {
-                    config.recordings.push(
-                        RecordingModeSpec::from_label(v)
-                            .ok_or(format!("unknown recording mode {v:?}"))?,
-                    );
-                }
-            }
-            "seeds" => {
-                for v in values {
-                    config
-                        .seeds
-                        .push(v.parse().map_err(|_| format!("bad seed {v:?}"))?);
-                }
-            }
-            "check" => {
-                let v = values.first().ok_or("check needs a value")?;
-                config.check =
-                    ConsistencyCheck::from_name(v).ok_or(format!("unknown check {v:?}"))?;
-            }
-            "max-steps-per-op" => {
-                let v = values.first().ok_or("max-steps-per-op needs a value")?;
-                config.max_steps_per_op =
-                    v.parse().map_err(|_| format!("bad step budget {v:?}"))?;
-            }
-            other => return Err(format!("unknown config key {other:?}")),
+    while let Some(mut line) = r.next_nonblank() {
+        match line.key {
+            "grid" => config.grid.extend(line.all(|l| {
+                l.named("grid point", |v| {
+                    let (k, f, n) = parse_point(v).ok()?;
+                    Params::new(k, f, n).ok()
+                })
+            })?),
+            "emulations" => config
+                .emulations
+                .extend(line.all(|l| l.named("emulation", EmulationKind::from_name))?),
+            "workloads" => config
+                .workloads
+                .extend(line.all(|l| l.named("workload", WorkloadSpec::from_label))?),
+            "schedulers" => config
+                .schedulers
+                .extend(line.all(|l| l.named("scheduler", SchedulerSpec::from_name))?),
+            "crash-plans" => config
+                .crash_plans
+                .extend(line.all(|l| l.named("crash plan", CrashPlanSpec::from_name))?),
+            "recordings" => config
+                .recordings
+                .extend(line.all(|l| l.named("recording mode", RecordingModeSpec::from_label))?),
+            "seeds" => config.seeds.extend(line.all(|l| l.parse::<u64>("seed"))?),
+            "check" => config.check = line.named("check", ConsistencyCheck::from_name)?,
+            "max-steps-per-op" => config.max_steps_per_op = line.parse("step budget")?,
+            other => return Err(line.err(format_args!("unknown config key {other:?}"))),
         }
     }
     Ok(config)
@@ -507,27 +465,23 @@ pub(crate) fn load_shard_report(
 /// Deterministically merges every shard report in `spool` into the full
 /// [`crate::sweep::SweepReport`], in case-index order.
 ///
-/// The merge is a pure reassembly: results are slotted by case index, so
-/// the output is byte-identical ([`crate::sweep::SweepReport::to_json`] /
-/// [`crate::sweep::SweepReport::to_csv`]) to a single-process [`crate::sweep::run_sweep`] of the same
-/// config, regardless of shard count or completion order.
+/// The merge is a pure reassembly: the manifest's ranges partition the case
+/// space in order and each shard report is checked to cover its range, so
+/// concatenating the reports in manifest order yields a report
+/// byte-identical ([`crate::sweep::SweepReport::to_json`] /
+/// [`crate::sweep::SweepReport::to_csv`]) to a single-process
+/// [`crate::sweep::run_sweep`] of the same config, regardless of shard count
+/// or completion order. Nothing is sized from the manifest before the
+/// reports are read.
 ///
 /// # Errors
 ///
-/// Fails if the spool is malformed or any case of the campaign's case
-/// space has no result yet.
+/// Fails if the spool is malformed or any shard has no valid report yet.
 pub fn merge_shards(spool: &Path) -> Result<crate::sweep::SweepReport, CampaignError> {
     let manifest = Manifest::require(spool, Dialect::Sweep)?;
-    let mut slots: Vec<Option<CaseResult>> = vec![None; manifest.units];
+    let mut results = Vec::new();
     for entry in &manifest.shards {
-        for case in load_shard_report(spool, entry.range)? {
-            let index = case.case.index;
-            slots[index] = Some(case);
-        }
-    }
-    let mut results = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        results.push(slot.ok_or(CampaignError::IncompleteMerge { missing_index: i })?);
+        results.extend(load_shard_report(spool, entry.range)?);
     }
     Ok(crate::sweep::SweepReport::from_results(results))
 }
@@ -706,6 +660,27 @@ mod tests {
         assert_eq!(second.units_run, 3, "two pending plus the torn one");
         let merged = second.report.expect("campaign completed");
         assert_eq!(merged.to_json(), run_sweep(&config).to_json());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hostile_case_count_is_malformed_not_a_crash() {
+        let dir = tmp_dir("hostile-cases");
+        fs::create_dir_all(&dir).unwrap();
+        // One shard line covers all 2^60 cases, so the manifest parses.
+        let cases = 1usize << 60;
+        let manifest = format!(
+            "regemu-campaign-manifest v1\nfingerprint 00ff\ncases {cases}\nshards 1\n\
+             shard 0 0 {cases} done 1\n"
+        );
+        fs::write(Dialect::Sweep.manifest_path(&dir), manifest).unwrap();
+        fs::write(shard_report_path(&dir, 0), "{\"cases\": []}").unwrap();
+        match merge_shards(&dir) {
+            Err(CampaignError::Malformed { reason, .. }) => {
+                assert!(reason.contains("range needs"), "{reason}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -20,6 +20,7 @@
 
 use crate::campaign::CampaignError;
 use crate::runner::ConsistencyCheck;
+use crate::text::Reader;
 use regemu_fpsm::event::Event;
 use regemu_fpsm::{HighOp, HighResponse, Time};
 use regemu_spec::{HighHistory, SequentialSpec, StreamingChecker, Violation};
@@ -30,26 +31,6 @@ use std::sync::Mutex;
 
 /// Header line of the conformance-log text format.
 pub const CONFORM_HEADER: &str = "regemu-conform v1";
-
-/// Cursor over the whitespace-separated fields of one log line.
-struct Fields<'a> {
-    parts: std::str::SplitWhitespace<'a>,
-    line: usize,
-}
-
-impl<'a> Fields<'a> {
-    fn word(&mut self, what: &str) -> Result<&'a str, String> {
-        self.parts
-            .next()
-            .ok_or_else(|| format!("line {}: missing {what}", self.line))
-    }
-
-    fn num(&mut self, what: &str) -> Result<u64, String> {
-        self.word(what)?
-            .parse::<u64>()
-            .map_err(|_| format!("line {}: malformed {what}", self.line))
-    }
-}
 
 /// The class of a low-level operation, as recorded by server nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,92 +174,46 @@ impl ConformLog {
     /// panics. A log without a trailing `end` parses with
     /// [`ConformLog::complete`]` == false`.
     pub(crate) fn from_text(text: &str) -> Result<ConformLog, String> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, header)) if header.trim() == CONFORM_HEADER => {}
-            Some((_, other)) => {
-                return Err(format!(
-                    "line 1: expected `{CONFORM_HEADER}`, got `{other}`"
-                ))
-            }
-            None => return Err("line 1: empty log".to_string()),
-        }
+        let mut r = Reader::new(text, "log");
+        r.header(&[CONFORM_HEADER])?;
         let mut log = ConformLog::default();
-        let mut ended = false;
-        for (idx, line) in lines {
-            let n = idx + 1;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        while let Some(mut line) = r.next_nonblank() {
+            if log.complete {
+                return Err(line.err("content after `end`"));
             }
-            if ended {
-                return Err(format!("line {n}: content after `end`"));
-            }
-            let mut fields = Fields {
-                parts: line.split_whitespace(),
-                line: n,
-            };
-            let word = fields.parts.next().unwrap_or("");
-            match word {
-                "end" => {
-                    ended = true;
-                }
-                "clock" => {
-                    log.final_clock = fields.num("clock value")?;
-                }
-                "invoke" => {
-                    let stamp = fields.num("stamp")?;
-                    let client = fields.num("client")? as usize;
-                    let high = fields.num("high-op id")?;
-                    let op = match fields.word("operation")? {
-                        "write" => HighOp::Write(fields.num("write payload")?),
+            match line.key {
+                "end" => log.complete = true,
+                "clock" => log.final_clock = line.parse("clock value")?,
+                "invoke" => log.records.push(ConformRecord::Invoke {
+                    stamp: line.parse("stamp")?,
+                    client: line.parse("client")?,
+                    high: line.parse("high-op id")?,
+                    op: match line.word("operation")? {
+                        "write" => HighOp::Write(line.parse("write payload")?),
                         "read" => HighOp::Read,
-                        other => return Err(format!("line {n}: unknown operation `{other}`")),
-                    };
-                    log.records.push(ConformRecord::Invoke {
-                        stamp,
-                        client,
-                        high,
-                        op,
-                    });
-                }
-                "return" => {
-                    let stamp = fields.num("stamp")?;
-                    let client = fields.num("client")? as usize;
-                    let high = fields.num("high-op id")?;
-                    let response = match fields.word("response")? {
+                        other => return Err(line.err(format_args!("unknown operation `{other}`"))),
+                    },
+                }),
+                "return" => log.records.push(ConformRecord::Return {
+                    stamp: line.parse("stamp")?,
+                    client: line.parse("client")?,
+                    high: line.parse("high-op id")?,
+                    response: match line.word("response")? {
                         "ack" => HighResponse::WriteAck,
-                        "value" => HighResponse::ReadValue(fields.num("read payload")?),
-                        other => return Err(format!("line {n}: unknown response `{other}`")),
-                    };
-                    log.records.push(ConformRecord::Return {
-                        stamp,
-                        client,
-                        high,
-                        response,
-                    });
-                }
-                "respond" => {
-                    let clock = fields.num("clock")?;
-                    let server = fields.num("server")? as usize;
-                    let object = fields.num("object")? as usize;
-                    let name = fields.word("op kind")?;
-                    let kind = LowOpKind::from_name(name)
-                        .ok_or_else(|| format!("line {n}: unknown op kind `{name}`"))?;
-                    log.records.push(ConformRecord::Respond {
-                        clock,
-                        server,
-                        object,
-                        kind,
-                    });
-                }
-                other => return Err(format!("line {n}: unknown record `{other}`")),
+                        "value" => HighResponse::ReadValue(line.parse("read payload")?),
+                        other => return Err(line.err(format_args!("unknown response `{other}`"))),
+                    },
+                }),
+                "respond" => log.records.push(ConformRecord::Respond {
+                    clock: line.parse("clock")?,
+                    server: line.parse("server")?,
+                    object: line.parse("object")?,
+                    kind: line.named("op kind", LowOpKind::from_name)?,
+                }),
+                other => return Err(line.err(format_args!("unknown record `{other}`"))),
             }
-            if fields.parts.next().is_some() {
-                return Err(format!("line {n}: trailing fields"));
-            }
+            line.done()?;
         }
-        log.complete = ended;
         // A log without an explicit clock line still has a usable clock: the
         // largest stamp it contains.
         let max_stamp = log

@@ -39,6 +39,26 @@
 //! functions of the spool state at their round barrier, so a re-run
 //! republishes identical bytes.
 //!
+//! ## Text formats
+//!
+//! Every line-oriented file the crate saves is read through one cursor,
+//! `crate::text::Reader`. Each format's reader sits beside its writer, and
+//! every reader error names its 1-based line. Fields split on whitespace.
+//!
+//! | format | header line | module | reader | lines |
+//! |---|---|---|---|---|
+//! | manifest, sweep dialect | `regemu-campaign-manifest v1` | `engine` | `Manifest::from_text` | fixed order, then `shard` lines; blank lines between shard lines skipped |
+//! | manifest, fuzz dialect | `regemu-fuzz-campaign-manifest v1` | `engine` | `Manifest::from_text` | as above, plus `generations` |
+//! | sweep config | `regemu-sweep-config v1` | `campaign` | `config_from_text` | keyed, any order, blank lines skipped |
+//! | fuzz config | `regemu-fuzz-campaign-config v1` | `fuzz::campaign` | `fuzz_config_from_text` | fixed order |
+//! | fuzz unit report | `regemu-fuzz-shard v1` | `fuzz::campaign` | `UnitReport::from_text` | fixed order, `stream` lines, `end` |
+//! | failures file | `regemu-fuzz-failures v1` | `fuzz::campaign`, each report in `fuzz::shrink` | `failures_from_text`, `FailureReport::read` | `count`, then that many reports, each ending with its trace |
+//! | trace | `regemu-trace v1` | `fuzz::trace` | `RecordedSchedule::from_text` | fixed order, optional repeated lines, `end` |
+//! | conform log | `regemu-conform v1` | `conform` | `ConformLog::from_text` | records in any order, blank lines skipped, `end` optional |
+//!
+//! The sweep shard report (`shard-NNNN.json`) and the heartbeats are JSON
+//! (`crate::json`).
+//!
 //! ## Pool policy
 //!
 //! These rules hold for every kind, in-process and spawned alike:
@@ -60,6 +80,7 @@
 //!   `run` returns, on success, pause and every error path alike, so no
 //!   worker writes into a spool its coordinator has given up on.
 
+use crate::text::Reader;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
@@ -100,9 +121,9 @@ pub enum CampaignError {
         /// Last observed failure.
         reason: String,
     },
-    /// The merge is missing part of the campaign's work.
+    /// A fuzz merge found a unit with no valid report.
     IncompleteMerge {
-        /// First case index (sweep) or shard index (fuzz) with no result.
+        /// First shard with such a unit.
         missing_index: usize,
     },
 }
@@ -127,7 +148,7 @@ impl fmt::Display for CampaignError {
                 reason,
             } => write!(f, "shard {shard} failed {attempts} attempt(s): {reason}"),
             CampaignError::IncompleteMerge { missing_index } => {
-                write!(f, "merge incomplete: no result for index {missing_index}")
+                write!(f, "merge incomplete: no result for shard {missing_index}")
             }
         }
     }
@@ -363,78 +384,62 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// Returns a message naming what is malformed.
+    /// Returns a line-numbered message naming what is malformed.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty manifest")?;
-        let dialect = [Dialect::Sweep, Dialect::Fuzz]
-            .into_iter()
-            .find(|d| d.header() == header)
-            .ok_or(format!("unsupported manifest header {header:?}"))?;
-        let mut field = |name: &str| -> Result<String, String> {
-            let line = lines.next().ok_or(format!("missing {name} line"))?;
-            line.strip_prefix(&format!("{name} "))
-                .map(str::to_string)
-                .ok_or(format!("expected {name} line, got {line:?}"))
-        };
-        let number = |s: &str| s.parse::<usize>().map_err(|_| format!("bad number {s:?}"));
-        let fingerprint = field("fingerprint")?;
-        let units = number(&field(dialect.units_key())?)?;
+        let mut r = Reader::new(text, "manifest");
+        let dialects = [Dialect::Sweep, Dialect::Fuzz];
+        let dialect = dialects[r.header(&dialects.map(Dialect::header))?];
+        let fingerprint = r.value("fingerprint")?;
+        let units = r.value(dialect.units_key())?;
         let rounds = match dialect {
             Dialect::Sweep => 1,
-            Dialect::Fuzz => number(&field("generations")?)?,
+            Dialect::Fuzz => r.value("generations")?,
         };
-        let shard_count = number(&field("shards")?)?;
-        let mut shards = Vec::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
+        let shard_count: usize = r.value("shards")?;
+        // Shard lines, blank lines between them skipped, must partition
+        // 0..units in order.
+        let mut shards: Vec<ShardEntry> = Vec::new();
+        while let Some(line) = r.next_nonblank() {
+            let mut line = line.keyed("shard")?;
+            line.needs("index start end progress attempts")?;
+            let range = ShardRange {
+                index: line.parse("index")?,
+                start: line.parse("start")?,
+                end: line.parse("end")?,
+            };
+            let rounds_done = match dialect {
+                Dialect::Sweep => line.named("status", |s| {
+                    ["pending", "done"].iter().position(|&p| p == s)
+                })?,
+                Dialect::Fuzz => line.parse("rounds done")?,
+            };
+            let attempts = line.parse("attempt count")?;
+            let start = shards.last().map_or(0, |s| s.range.end);
+            if range.index != shards.len() || range.start != start || range.end < range.start {
+                return Err(line.err(format_args!("shard range is not a partition: {range:?}")));
             }
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            let ["shard", index, start, end, progress, attempts] = parts.as_slice() else {
-                return Err(format!("bad shard line {line:?}"));
-            };
-            let rounds_done = match (dialect, *progress) {
-                (Dialect::Sweep, "pending") => 0,
-                (Dialect::Sweep, "done") => 1,
-                (Dialect::Sweep, other) => return Err(format!("unknown status {other:?}")),
-                (Dialect::Fuzz, n) => number(n)?,
-            };
+            if rounds_done > rounds {
+                return Err(line.err(format_args!("shard claims {rounds_done} rounds")));
+            }
+            line.done()?;
             shards.push(ShardEntry {
-                range: ShardRange {
-                    index: number(index)?,
-                    start: number(start)?,
-                    end: number(end)?,
-                },
+                range,
                 rounds_done,
-                attempts: attempts
-                    .parse()
-                    .map_err(|_| format!("bad attempt count {attempts:?}"))?,
+                attempts,
             });
         }
+        let covered = shards.last().map_or(0, |s| s.range.end);
         if shards.len() != shard_count {
-            return Err(format!(
+            return Err(r.err(format_args!(
                 "manifest declares {shard_count} shards but lists {}",
                 shards.len()
-            ));
+            )));
         }
-        // The ranges must partition 0..units in order.
-        let mut expected_start = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if s.range.index != i || s.range.start != expected_start || s.range.end < s.range.start
-            {
-                return Err(format!("shard {i} range is not a partition: {:?}", s.range));
-            }
-            if s.rounds_done > rounds {
-                return Err(format!("shard {i} claims {} rounds", s.rounds_done));
-            }
-            expected_start = s.range.end;
-        }
-        if expected_start != units {
-            return Err(format!(
-                "shards cover {expected_start} {}, manifest declares {units}",
+        if covered != units {
+            return Err(r.err(format_args!(
+                "shards cover {covered} {}, manifest declares {units}",
                 dialect.units_key()
-            ));
+            )));
         }
         Ok(Manifest {
             dialect,

@@ -62,15 +62,15 @@
 
 use super::shrink::{shrink_failure, FailureReport};
 use super::trace::RecordedSchedule;
-use super::{FailureKind, FuzzCase, FuzzConfig, FuzzEmulation, Fuzzer};
+use super::{FuzzCase, FuzzConfig, FuzzEmulation, Fuzzer};
 use crate::engine::{
     self, fingerprint, fnv64, malformed, plan_shards, write_atomically, Campaign, CampaignError,
     CampaignOptions, Dialect, Manifest, Outcome, ShardRange,
 };
 use crate::runner::ConsistencyCheck;
 use crate::sweep::WorkloadSpec;
+use crate::text::Reader;
 use regemu_bounds::Params;
-use regemu_spec::Condition;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -184,62 +184,32 @@ pub(crate) fn fuzz_config_to_text(config: &FuzzCampaignConfig) -> String {
     )
 }
 
-/// Parses the canonical [`FuzzCampaignConfig`] text.
+/// Parses the canonical [`FuzzCampaignConfig`] text, its lines in fixed
+/// order.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first malformed line.
 pub(crate) fn fuzz_config_from_text(text: &str) -> Result<FuzzCampaignConfig, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty fuzz-campaign config")?;
-    if header != format!("regemu-fuzz-campaign-config v{FUZZ_FORMAT_VERSION}") {
-        return Err(format!("unsupported config header {header:?}"));
-    }
-    let mut field = |name: &str| -> Result<String, String> {
-        let line = lines.next().ok_or(format!("missing {name} line"))?;
-        line.strip_prefix(&format!("{name} "))
-            .map(str::to_string)
-            .ok_or(format!("expected {name} line, got {line:?}"))
-    };
-    let params_raw = field("params")?;
-    let mut parts = params_raw.split_whitespace();
-    let mut next_num = |what: &str| -> Result<usize, String> {
-        parts
-            .next()
-            .ok_or_else(|| "params needs k f n".to_string())?
-            .parse()
-            .map_err(|_| format!("bad params {what}"))
-    };
-    let (k, f, n) = (next_num("k")?, next_num("f")?, next_num("n")?);
-    let params = Params::new(k, f, n).map_err(|e| format!("invalid params: {e}"))?;
-    let emulation_name = field("emulation")?;
-    let emulation = FuzzEmulation::from_name(&emulation_name)
-        .ok_or_else(|| format!("unknown emulation {emulation_name:?}"))?;
-    let workload_label = field("workload")?;
-    let workload = WorkloadSpec::from_label(&workload_label)
-        .ok_or_else(|| format!("unknown workload {workload_label:?}"))?;
-    let check_name = field("check")?;
-    let check = ConsistencyCheck::from_name(&check_name)
-        .ok_or_else(|| format!("unknown check {check_name:?}"))?;
-    let num = |v: String, what: &str| -> Result<u64, String> {
-        v.parse().map_err(|_| format!("bad {what} value {v:?}"))
-    };
-    let seed = num(field("seed")?, "seed")?;
-    let budget = num(field("budget")?, "budget")? as usize;
-    let max_steps_per_op = num(field("max-steps")?, "max-steps")?;
-    let streams = num(field("streams")?, "streams")?.max(1) as usize;
-    let generations = num(field("generations")?, "generations")?.max(1) as usize;
+    let mut r = Reader::new(text, "config");
+    r.header(&[format!(
+        "regemu-fuzz-campaign-config v{FUZZ_FORMAT_VERSION}"
+    )])?;
+    let mut line = r.expect("params")?;
+    line.needs("k f n")?;
+    let (k, f, n) = (line.parse("k")?, line.parse("f")?, line.parse("n")?);
+    let params = Params::new(k, f, n).map_err(|e| line.err(format_args!("invalid params: {e}")))?;
     let mut fuzz = FuzzConfig::new(params)
-        .emulation(emulation)
-        .workload(workload)
-        .check(check)
-        .seed(seed)
-        .budget(budget);
-    fuzz.max_steps_per_op = max_steps_per_op;
+        .emulation(r.named("emulation", FuzzEmulation::from_name)?)
+        .workload(r.named("workload", WorkloadSpec::from_label)?)
+        .check(r.named("check", ConsistencyCheck::from_name)?)
+        .seed(r.value("seed")?)
+        .budget(r.value("budget")?);
+    fuzz.max_steps_per_op = r.value("max-steps")?;
     Ok(FuzzCampaignConfig {
         fuzz,
-        streams,
-        generations,
+        streams: r.value::<usize>("streams")?.max(1),
+        generations: r.value::<usize>("generations")?.max(1),
     })
 }
 
@@ -528,14 +498,10 @@ fn run_stream_generation(
         .iter()
         .map(|failure| shrink_failure(&stream_config, failure))
         .collect();
-    let mut text = format!(
-        "regemu-fuzz-failures v{FUZZ_FORMAT_VERSION}\ncount {}\n",
-        failures.len()
-    );
-    for report in &failures {
-        text.push_str(&report.to_text());
-    }
-    write_atomically(&failures_path(spool, stream, gen), &text)?;
+    write_atomically(
+        &failures_path(spool, stream, gen),
+        &failures_file_text(&failures),
+    )?;
 
     let gen_start = {
         let mut start = 0;
@@ -567,11 +533,12 @@ pub fn run_fuzz_shard_gen(spool: &Path, shard: usize, gen: usize) -> Result<(), 
         .shards
         .get(shard)
         .ok_or(CampaignError::UnknownShard(shard))?;
-    let mut report = format!(
-        "regemu-fuzz-shard v{FUZZ_FORMAT_VERSION}\nshard {shard}\ngeneration {gen}\n\
-         streams {} {}\n",
-        entry.range.start, entry.range.end
-    );
+    let mut report = UnitReport {
+        shard,
+        gen,
+        streams: (entry.range.start, entry.range.end),
+        rows: Vec::new(),
+    };
     // Heartbeats are advisory observer artifacts; the unit's report below
     // stays a pure function of the spool state at the generation barrier.
     let mut beat = crate::status::HeartbeatWriter::new(spool, shard, Dialect::Fuzz, entry.attempts);
@@ -580,50 +547,96 @@ pub fn run_fuzz_shard_gen(spool: &Path, shard: usize, gen: usize) -> Result<(), 
     beat.publish(0, entry.range.len() as u64);
     for (streams_done, stream) in (entry.range.start..entry.range.end).enumerate() {
         let outcome = run_stream_generation(spool, &config, stream, gen)?;
-        report.push_str(&format!(
-            "stream {stream} iterations {} corpus {} failures {}\n",
+        report.rows.push([
+            stream,
             outcome.iterations,
             outcome.corpus_added,
-            outcome.failures.len()
-        ));
+            outcome.failures.len(),
+        ]);
         iterations += outcome.iterations as u64;
         corpus_entries += outcome.corpus_added as u64;
         beat.set_fuzz_progress(gen as u64, iterations, corpus_entries);
         beat.publish(streams_done as u64 + 1, entry.range.len() as u64);
     }
-    report.push_str("end\n");
-    write_atomically(&fuzz_shard_report_path(spool, shard, gen), &report)
+    write_atomically(
+        &fuzz_shard_report_path(spool, shard, gen),
+        &report.to_text(),
+    )
+}
+
+/// A `(shard, generation)` unit's completion report, `fuzz-shard-NNNN-GG.txt`.
+pub(crate) struct UnitReport {
+    pub(crate) shard: usize,
+    pub(crate) gen: usize,
+    /// The shard's stream range, `start..end`.
+    pub(crate) streams: (usize, usize),
+    /// Per stream: `[stream, iterations, corpus entries, failures]`.
+    pub(crate) rows: Vec<[usize; 4]>,
+}
+
+impl UnitReport {
+    pub(crate) fn to_text(&self) -> String {
+        let mut out = format!(
+            "regemu-fuzz-shard v{FUZZ_FORMAT_VERSION}\nshard {}\ngeneration {}\nstreams {} {}\n",
+            self.shard, self.gen, self.streams.0, self.streams.1
+        );
+        for [stream, iterations, corpus, failures] in &self.rows {
+            out.push_str(&format!(
+                "stream {stream} iterations {iterations} corpus {corpus} failures {failures}\n"
+            ));
+        }
+        out.push_str("end\n");
+        out
+    }
+
+    pub(crate) fn from_text(text: &str) -> Result<Self, String> {
+        let mut r = Reader::new(text, "unit report");
+        r.header(&[format!("regemu-fuzz-shard v{FUZZ_FORMAT_VERSION}")])?;
+        let (shard, gen) = (r.value("shard")?, r.value("generation")?);
+        let mut line = r.expect("streams")?;
+        let streams = (line.parse("start")?, line.parse("end")?);
+        line.done()?;
+        let mut rows = Vec::new();
+        loop {
+            let line = r.next().ok_or_else(|| r.missing("end"))?;
+            if line.key == "end" {
+                line.done()?;
+                break;
+            }
+            let mut line = line.keyed("stream")?;
+            let mut row = [line.parse("stream")?, 0, 0, 0];
+            for (at, label) in ["iterations", "corpus", "failures"].into_iter().enumerate() {
+                line.named(label, |word| (word == label).then_some(()))?;
+                row[at + 1] = line.parse(label)?;
+            }
+            line.done()?;
+            rows.push(row);
+        }
+        r.finish()?;
+        Ok(UnitReport {
+            shard,
+            gen,
+            streams,
+            rows,
+        })
+    }
 }
 
 /// Validates a `(shard, generation)` completion report: it must exist,
 /// parse, and cover exactly the shard's stream range.
 fn shard_gen_is_done(spool: &Path, range: ShardRange, gen: usize) -> bool {
-    let path = fuzz_shard_report_path(spool, range.index, gen);
-    let Ok(text) = fs::read_to_string(&path) else {
-        return false;
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some(&format!("regemu-fuzz-shard v{FUZZ_FORMAT_VERSION}")[..]) {
-        return false;
-    }
-    if lines.next() != Some(&format!("shard {}", range.index)[..])
-        || lines.next() != Some(&format!("generation {gen}")[..])
-        || lines.next() != Some(&format!("streams {} {}", range.start, range.end)[..])
-    {
-        return false;
-    }
-    let mut expected = range.start;
-    for line in lines {
-        if line == "end" {
-            return expected == range.end;
-        }
-        let mut parts = line.split_whitespace();
-        if parts.next() != Some("stream") || parts.next() != Some(&expected.to_string()[..]) {
-            return false;
-        }
-        expected += 1;
-    }
-    false
+    let text = fs::read_to_string(fuzz_shard_report_path(spool, range.index, gen));
+    text.is_ok_and(|text| {
+        UnitReport::from_text(&text).is_ok_and(|report| {
+            (report.shard, report.gen, report.streams)
+                == (range.index, gen, (range.start, range.end))
+                && report
+                    .rows
+                    .iter()
+                    .map(|row| row[0])
+                    .eq(range.start..range.end)
+        })
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -706,69 +719,32 @@ impl FuzzCampaignReport {
     }
 }
 
-/// Parses one `failures-SSSS-GG.txt` file back into failure reports.
-fn parse_failures_file(path: &Path) -> Result<Vec<FailureReport>, CampaignError> {
-    let text = fs::read_to_string(path)?;
-    let mut lines = text.lines().peekable();
-    let header = lines.next().unwrap_or_default();
-    if header != format!("regemu-fuzz-failures v{FUZZ_FORMAT_VERSION}") {
-        return Err(malformed(path, format!("bad header {header:?}")));
+/// Renders a stream's per-generation failure file, `failures-SSSS-GG.txt`.
+pub(crate) fn failures_file_text(reports: &[FailureReport]) -> String {
+    let mut text = format!(
+        "regemu-fuzz-failures v{FUZZ_FORMAT_VERSION}\ncount {}\n",
+        reports.len()
+    );
+    for report in reports {
+        text.push_str(&report.to_text());
     }
-    let count: usize = lines
-        .next()
-        .and_then(|l| l.strip_prefix("count "))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| malformed(path, "bad count line"))?;
-    let mut reports = Vec::with_capacity(count);
-    for _ in 0..count {
-        if lines.next() != Some(&format!("regemu-failure-report v{FUZZ_FORMAT_VERSION}")[..]) {
-            return Err(malformed(path, "missing failure-report header"));
-        }
-        let kind_label = lines
-            .next()
-            .and_then(|l| l.strip_prefix("kind "))
-            .ok_or_else(|| malformed(path, "missing kind line"))?;
-        let verdict = lines
-            .next()
-            .and_then(|l| l.strip_prefix("verdict "))
-            .ok_or_else(|| malformed(path, "missing verdict line"))?
-            .to_string();
-        let found_at: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("found-at "))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| malformed(path, "bad found-at line"))?;
-        if lines.next().filter(|l| l.starts_with("replay ")).is_none() {
-            return Err(malformed(path, "missing replay line"));
-        }
-        // The embedded trace runs through its own `end` terminator.
-        let mut trace_text = String::new();
-        for line in lines.by_ref() {
-            trace_text.push_str(line);
-            trace_text.push('\n');
-            if line == "end" {
-                break;
-            }
-        }
-        let trace = RecordedSchedule::from_text(&trace_text)
-            .map_err(|reason| malformed(path, format!("embedded trace: {reason}")))?;
-        let kind = match kind_label {
-            "stuck" => FailureKind::Stuck,
-            other => match other.strip_prefix("violation:") {
-                Some("atomicity") => FailureKind::Violation(Condition::Atomicity),
-                Some("WS-Regularity") => FailureKind::Violation(Condition::WsRegularity),
-                Some("WS-Safety") => FailureKind::Violation(Condition::WsSafety),
-                _ => {
-                    return Err(malformed(path, format!("unknown failure kind {other:?}")));
-                }
-            },
-        };
-        reports.push(FailureReport {
-            trace,
-            kind,
-            verdict,
-            found_at,
-        });
+    text
+}
+
+/// Parses a failure file; its `count` must match the reports that follow.
+pub(crate) fn failures_from_text(text: &str) -> Result<Vec<FailureReport>, String> {
+    let mut r = Reader::new(text, "failures file");
+    r.header(&[format!("regemu-fuzz-failures v{FUZZ_FORMAT_VERSION}")])?;
+    let count: usize = r.value("count")?;
+    let mut reports = Vec::new();
+    while !r.at_end() {
+        reports.push(FailureReport::read(&mut r)?);
+    }
+    if reports.len() != count {
+        return Err(r.err(format_args!(
+            "count {count} but {} reports follow",
+            reports.len()
+        )));
     }
     Ok(reports)
 }
@@ -806,7 +782,9 @@ pub fn merge_fuzz_campaign(spool: &Path) -> Result<FuzzCampaignReport, CampaignE
                     break;
                 }
             }
-            for report in parse_failures_file(&failures_path(spool, stream, gen))? {
+            let path = failures_path(spool, stream, gen);
+            let text = fs::read_to_string(&path)?;
+            for report in failures_from_text(&text).map_err(|reason| malformed(&path, reason))? {
                 let key = (report.kind.label(), report.trace.to_text());
                 merged
                     .entry(key)
@@ -869,6 +847,7 @@ pub fn run_fuzz_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::FailureKind;
     use regemu_core::FaultyKind;
 
     fn tmp_spool(tag: &str) -> PathBuf {
@@ -1065,6 +1044,35 @@ mod tests {
             "seed corpus broke shard-count invariance"
         );
         let _ = fs::remove_dir_all(&donor);
+    }
+
+    #[test]
+    fn a_hostile_failure_count_is_malformed_not_a_crash() {
+        let spool = tmp_spool("hostile-count");
+        let config =
+            FuzzCampaignConfig::new(FuzzConfig::new(Params::new(1, 1, 3).unwrap()).budget(4))
+                .streams(1)
+                .generations(1);
+        let options = FuzzCampaignOptions {
+            quiet: true,
+            ..FuzzCampaignOptions::new(&spool)
+        };
+        assert!(run_fuzz_campaign(&config, &options)
+            .unwrap()
+            .report
+            .is_some());
+        // Counts no allocation could hold, and one the file does not back.
+        for count in [u64::MAX, 1 << 60, 1] {
+            let text = format!("regemu-fuzz-failures v1\ncount {count}\n");
+            fs::write(failures_path(&spool, 0, 0), text).unwrap();
+            match merge_fuzz_campaign(&spool) {
+                Err(CampaignError::Malformed { reason, .. }) => {
+                    assert!(reason.contains("count"), "{reason}")
+                }
+                other => panic!("count {count}: expected Malformed, got {other:?}"),
+            }
+        }
+        let _ = fs::remove_dir_all(&spool);
     }
 
     #[test]

@@ -265,6 +265,18 @@ impl FailureKind {
         }
     }
 
+    /// The inverse of [`FailureKind::label`].
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
+        let conditions = [
+            Condition::Atomicity,
+            Condition::WsRegularity,
+            Condition::WsSafety,
+        ];
+        std::iter::once(FailureKind::Stuck)
+            .chain(conditions.map(FailureKind::Violation))
+            .find(|kind| kind.label() == label)
+    }
+
     /// `true` for liveness failures (the execution wedged instead of
     /// violating a consistency condition).
     pub fn is_liveness_bug(&self) -> bool {

@@ -15,6 +15,10 @@
 
 use super::trace::RecordedSchedule;
 use super::{execute, FailureKind, FuzzCase, FuzzConfig, FuzzFailure};
+use crate::text::Reader;
+
+/// Header line of a failure report.
+const HEADER: &str = "regemu-failure-report v1";
 
 /// Re-executes `case` and reports its verdict when it fails with `kind`.
 fn fails_same(config: &FuzzConfig, case: &FuzzCase, kind: &FailureKind) -> Option<String> {
@@ -215,13 +219,29 @@ impl FailureReport {
     /// header.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("regemu-failure-report v1\n");
+        out.push_str(HEADER);
+        out.push('\n');
         out.push_str(&format!("kind {}\n", self.kind.label()));
         out.push_str(&format!("verdict {}\n", self.verdict));
         out.push_str(&format!("found-at {}\n", self.found_at));
         out.push_str(&format!("replay {}\n", self.replay_command("<trace-file>")));
         out.push_str(&self.trace.to_text());
         out
+    }
+
+    /// Reads one report, header through its trace's `end` line, from `r`.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.header(&[HEADER])?;
+        let kind = r.named("kind", FailureKind::from_label)?;
+        let verdict = r.expect("verdict")?.rest().to_string();
+        let found_at = r.value("found-at")?;
+        r.expect("replay")?;
+        Ok(FailureReport {
+            trace: RecordedSchedule::read(r)?,
+            kind,
+            verdict,
+            found_at,
+        })
     }
 }
 

@@ -32,8 +32,12 @@
 use super::{FuzzCase, FuzzConfig, FuzzEmulation};
 use crate::runner::ConsistencyCheck;
 use crate::sweep::WorkloadSpec;
+use crate::text::Reader;
 use regemu_bounds::Params;
 use regemu_fpsm::Time;
+
+/// Header line of the trace format.
+const HEADER: &str = "regemu-trace v1";
 
 /// A recorded adversary schedule, exportable and importable as text.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,7 +128,8 @@ impl RecordedSchedule {
     /// Serializes the schedule to the `regemu-trace v1` text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("regemu-trace v1\n");
+        out.push_str(HEADER);
+        out.push('\n');
         out.push_str(&format!(
             "params {} {} {}\n",
             self.params.k, self.params.f, self.params.n
@@ -172,105 +177,53 @@ impl RecordedSchedule {
     /// on. Malformed, truncated and version-bumped inputs all error; none
     /// panic.
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
-        let (_, header) = lines.next().ok_or("line 1: empty trace")?;
-        if header != "regemu-trace v1" {
-            return Err(format!("line 1: unsupported trace header {header:?}"));
-        }
+        let mut r = Reader::new(text, "trace");
+        let schedule = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(schedule)
+    }
 
-        fn field<'a>(
-            entry: Option<(usize, &'a str)>,
-            key: &str,
-        ) -> Result<(usize, &'a str), String> {
-            let (no, line) =
-                entry.ok_or_else(|| format!("missing {key} line (truncated trace)"))?;
-            line.strip_prefix(key)
-                .filter(|rest| rest.is_empty() || rest.starts_with(' '))
-                .map(|rest| (no, rest.trim()))
-                .ok_or_else(|| format!("line {no}: expected {key} line, found {line:?}"))
-        }
-        fn num<T: std::str::FromStr>(no: usize, value: &str, key: &str) -> Result<T, String> {
-            value
-                .parse()
-                .map_err(|_| format!("line {no}: malformed {key} value {value:?}"))
-        }
+    /// Reads one trace, header through `end`, from `r`.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, String> {
+        r.header(&[HEADER])?;
+        let mut line = r.expect("params")?;
+        line.needs("k f n")?;
+        let (k, f, n) = (
+            line.parse("params k")?,
+            line.parse("params f")?,
+            line.parse("params n")?,
+        );
+        let params =
+            Params::new(k, f, n).map_err(|e| line.err(format_args!("invalid params: {e}")))?;
+        let emulation = r.value("emulation")?;
+        let workload = r.named("workload", WorkloadSpec::from_label)?;
+        let workload_len = r.value("workload-len")?;
+        let check = r.named("check", ConsistencyCheck::from_name)?;
+        let workload_seed = r.value("workload-seed")?;
+        let tail_seed = r.value("tail-seed")?;
+        let max_steps_per_op = r.value("max-steps")?;
 
-        let (no, params_line) = field(lines.next(), "params")?;
-        let mut parts = params_line.split_whitespace();
-        let missing = || format!("line {no}: params needs k f n");
-        let k: usize = num(no, parts.next().ok_or_else(missing)?, "params k")?;
-        let f: usize = num(no, parts.next().ok_or_else(missing)?, "params f")?;
-        let n: usize = num(no, parts.next().ok_or_else(missing)?, "params n")?;
-        let params = Params::new(k, f, n).map_err(|e| format!("line {no}: invalid params: {e}"))?;
-
-        let emulation = field(lines.next(), "emulation")?.1.to_string();
-        let (no, workload_label) = field(lines.next(), "workload")?;
-        let workload = WorkloadSpec::from_label(workload_label)
-            .ok_or_else(|| format!("line {no}: unknown workload {workload_label:?}"))?;
-        let (no, value) = field(lines.next(), "workload-len")?;
-        let workload_len = num(no, value, "workload-len")?;
-        let (no, check_name) = field(lines.next(), "check")?;
-        let check = ConsistencyCheck::from_name(check_name)
-            .ok_or_else(|| format!("line {no}: unknown check {check_name:?}"))?;
-        let (no, value) = field(lines.next(), "workload-seed")?;
-        let workload_seed = num(no, value, "workload-seed")?;
-        let (no, value) = field(lines.next(), "tail-seed")?;
-        let tail_seed = num(no, value, "tail-seed")?;
-        let (no, value) = field(lines.next(), "max-steps")?;
-        let max_steps_per_op = num(no, value, "max-steps")?;
-
-        let mut crashes = Vec::new();
-        let mut rewrites = Vec::new();
-        let mut flips = Vec::new();
-        let mut delays = Vec::new();
-        let mut decisions = Vec::new();
-        let mut saw_decisions = false;
-        for (no, line) in lines.by_ref() {
-            if let Some(rest) = line.strip_prefix("crash ") {
-                let mut parts = rest.split_whitespace();
-                let missing = || format!("line {no}: crash needs time server");
-                let time: Time = num(no, parts.next().ok_or_else(missing)?, "crash time")?;
-                let server: usize = num(no, parts.next().ok_or_else(missing)?, "crash server")?;
-                crashes.push((time, server));
-            } else if let Some(rest) = line.strip_prefix("rewrite ") {
-                let mut parts = rest.split_whitespace();
-                let missing = || format!("line {no}: rewrite needs index value");
-                let idx: usize = num(no, parts.next().ok_or_else(missing)?, "rewrite index")?;
-                let value: u64 = num(no, parts.next().ok_or_else(missing)?, "rewrite value")?;
-                rewrites.push((idx, value));
-            } else if let Some(rest) = line.strip_prefix("flips") {
-                for token in rest.split_whitespace() {
-                    flips.push(num(no, token, "flips")?);
+        let (mut crashes, mut rewrites, mut flips, mut delays) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let decisions = loop {
+            let mut line = r.next().ok_or_else(|| r.missing("decisions"))?;
+            match line.key {
+                "crash" => {
+                    line.needs("time server")?;
+                    crashes.push((line.parse("crash time")?, line.parse("crash server")?));
                 }
-            } else if let Some(rest) = line.strip_prefix("delays") {
-                for token in rest.split_whitespace() {
-                    delays.push(num(no, token, "delays")?);
+                "rewrite" => {
+                    line.needs("index value")?;
+                    rewrites.push((line.parse("rewrite index")?, line.parse("rewrite value")?));
                 }
-            } else if let Some(rest) = line.strip_prefix("decisions") {
-                for token in rest.split_whitespace() {
-                    decisions.push(num(no, token, "decisions")?);
-                }
-                saw_decisions = true;
-                break;
-            } else if line == "end" {
-                return Err(format!("line {no}: missing decisions line"));
-            } else {
-                return Err(format!("line {no}: unexpected line {line:?}"));
+                "flips" => flips.extend(line.all(|l| l.parse::<usize>("flips"))?),
+                "delays" => delays.extend(line.all(|l| l.parse::<u32>("delays"))?),
+                "decisions" => break line.all(|l| l.parse("decisions"))?,
+                "end" => return Err(line.err("missing decisions line")),
+                _ => return Err(line.err(format_args!("unexpected line {:?}", line.text))),
             }
-        }
-        if !saw_decisions {
-            return Err("missing decisions line (truncated trace)".to_string());
-        }
-        match lines.next() {
-            Some((_, "end")) => {}
-            Some((no, other)) => return Err(format!("line {no}: expected end, found {other:?}")),
-            None => return Err("missing end line (truncated trace)".to_string()),
-        }
-        if let Some((no, extra)) = lines.find(|(_, l)| !l.is_empty()) {
-            return Err(format!(
-                "line {no}: unexpected content after end: {extra:?}"
-            ));
-        }
+        };
+        r.expect("end")?.done()?;
 
         Ok(RecordedSchedule {
             params,

@@ -7,10 +7,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regemu_fpsm::{HighOp, Payload};
-use serde::{Deserialize, Serialize};
 
 /// Who issues an operation of a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Issuer {
     /// The `i`-th writer client (0-based, `< k`).
     Writer(usize),
@@ -19,7 +18,7 @@ pub enum Issuer {
 }
 
 /// One step of a workload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkloadOp {
     /// The issuing client.
     pub issuer: Issuer,
@@ -32,7 +31,7 @@ pub struct WorkloadOp {
 }
 
 /// A deterministic sequence of high-level operations.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Workload {
     ops: Vec<WorkloadOp>,
 }

@@ -81,6 +81,7 @@ pub mod scenario;
 pub mod status;
 pub mod sweep;
 pub(crate) mod table;
+mod text;
 
 pub use fuzz::FuzzReport;
 pub use prelude::*;

@@ -21,11 +21,10 @@ use regemu_spec::{
     check_linearizable, check_ws_regular, check_ws_safe, Condition, HighHistory, SequentialSpec,
     Violation,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which consistency condition to verify after the run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsistencyCheck {
     /// Do not check.
     None,
@@ -98,7 +97,7 @@ impl fmt::Display for ConsistencyCheck {
 /// Bounded-memory recording modes ([`regemu_fpsm::RecordingMode`]) can limit
 /// what a checker sees; a report is only a *proof* of consistency when the
 /// coverage is [`CheckCoverage::Complete`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckCoverage {
     /// The checker saw the entire run (offline over a full recording, or
     /// online over a stream with no evictions before observation). Also

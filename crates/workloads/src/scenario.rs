@@ -57,7 +57,6 @@ use regemu_fpsm::{
     RecordingMode, RoundRobinScheduler, RunMetrics, Scheduler, ServerId, SimError, Simulation,
 };
 use regemu_spec::{HighHistory, SequentialSpec, StreamingChecker};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The sweepable recording-mode axis of a scenario.
@@ -76,7 +75,7 @@ pub use regemu_fpsm::RecordingMode as RecordingModeSpec;
 /// axis never breaks run determinism. The adversarial variants target the `f`
 /// *highest-numbered* servers — the same set a [`CrashPlanSpec::CrashF`] plan
 /// crashes — so combining the two axes stays within one fault budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerSpec {
     /// Seeded pseudo-random fair scheduling ([`FairDriver`]) — the default.
     Fair,
@@ -156,7 +155,7 @@ impl fmt::Display for SchedulerSpec {
 }
 
 /// Which crash plan a scenario injects — a sweepable, serializable dimension.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPlanSpec {
     /// Failure-free run.
     None,

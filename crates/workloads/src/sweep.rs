@@ -27,7 +27,6 @@ use crate::runner::ConsistencyCheck;
 use crate::scenario::{CrashPlanSpec, RecordingModeSpec, Scenario, SchedulerSpec};
 use crate::table::small_sweep;
 use regemu_bounds::Params;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -37,7 +36,7 @@ pub use regemu_core::EmulationKind;
 /// A workload shape, instantiated per case with the case's `k` and seed.
 ///
 /// Specs avoid floats so labels and JSON stay byte-stable across platforms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// [`Workload::write_sequential`]: `rounds` writes per writer, one at a
     /// time, optionally followed by a read each.

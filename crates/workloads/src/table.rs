@@ -2,12 +2,11 @@
 //! binaries.
 
 use regemu_bounds::Params;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple fixed-column text table used by the `regemu-bench` binaries to
 /// print paper-style tables on stdout.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TextTable {
     title: String,
     headers: Vec<String>,
